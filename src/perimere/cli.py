@@ -1,9 +1,9 @@
 """Command-line pipeline: validate, tree, barcode, distance, unroll,
-count-shadows, bounds, bench.
+count-shadows, bounds.
 
 Outputs are machine-readable (JSON, CSV, or DOT) and byte-deterministic for
-identical inputs and flags.  Exit codes: 0 success, 1 input error, 2
-enumeration budget exceeded.
+identical inputs and flags.  Exit codes: 0 success, 1 input or usage error,
+2 enumeration budget exceeded; every error is one `error:` line on stderr.
 """
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ import json
 import math
 import os
 import sys
-import time
 from dataclasses import dataclass
 
 from . import barcode as bc
@@ -21,19 +20,14 @@ from . import pgraph, transport
 from .lattice import (BudgetExceeded, DEFAULT_ENUMERATION_BUDGET, IntMatrix,
                       count_cosets_in_ball, unit_ball_volume)
 from .pgraph import GraphError
-from .synthetic import torus_grid
 
 
 @dataclass
 class RunConfig:
-    tolerance: float = 1e-9
     budget: int = DEFAULT_ENUMERATION_BUDGET
     fmt: str = "json"
-    seed: int = 0
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
         if not (0 < self.budget <= 10**8):
             raise ValueError("budget must be in (0, 1e8]")
 
@@ -125,7 +119,7 @@ def cmd_count_shadows(args, cfg: RunConfig) -> int:
     rows = []
     for beam in tree.beams:
         if beam.birth <= t < beam.death:
-            coeff, exp, basis = beam.monomial_at(t)
+            coeff, exp, basis = beam.monomial(t)
             predicted = coeff * unit_ball_volume(exp) * args.radius ** exp
             counted = count_cosets_in_ball(g.basis, basis, args.radius, cfg.budget)
             rows.append({
@@ -155,33 +149,23 @@ def cmd_bounds(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_bench(args, cfg: RunConfig) -> int:
-    side = max(2, round(args.n ** (1 / 3.0)))
-    g = torus_grid(side, seed=cfg.seed)
-    t0 = time.perf_counter()
-    tree = mt.build(g)
-    dt = time.perf_counter() - t0
-    _emit(_jdump({
-        "side": side,
-        "n": g.n,
-        "m": g.m,
-        "build_seconds": dt,
-        "beams": len(tree.beams),
-        "events": len(tree.events),
-    }), args.out)
-    return 0
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise instead of printing usage and exiting 2 (the budget
+    code), so `main` reports them as one `error:` line with exit 1;
+    sub-parsers are created with this class too."""
+
+    def error(self, message):
+        raise ValueError(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-9, help="numeric tolerance (default 1e-9)")
     common.add_argument("--budget", type=int, default=None,
                         help="enumeration point budget (default 1e8; env PERIMERE_BUDGET overrides)")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized commands")
     common.add_argument("--out", default=None, help="write output to a file instead of stdout")
 
-    p = argparse.ArgumentParser(prog="perimere",
-                                description="Periodic merge trees, 0-th barcodes, and barcode distances")
+    p = _Parser(prog="perimere",
+                description="Periodic merge trees, 0-th barcodes, and barcode distances")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_fmt(sp, *kinds):
@@ -230,24 +214,17 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="report D, the multiplicity bound, and the stability constant")
     sp.add_argument("input")
     sp.set_defaults(func=cmd_bounds)
-
-    sp = sub.add_parser("bench", parents=[common],
-                        help="time the tree construction on a random torus grid")
-    sp.add_argument("--n", type=int, default=100000, help="approximate vertex count")
-    sp.set_defaults(func=cmd_bench)
     return p
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    budget = args.budget
-    if budget is None:
-        env = os.environ.get("PERIMERE_BUDGET")
-        budget = int(env) if env else DEFAULT_ENUMERATION_BUDGET
     try:
-        cfg = RunConfig(tolerance=args.tol, budget=budget,
-                        fmt=getattr(args, "fmt", None) or "json", seed=args.seed)
+        args = _build_parser().parse_args(argv)
+        budget = args.budget
+        if budget is None:
+            env = os.environ.get("PERIMERE_BUDGET")
+            budget = int(env) if env else DEFAULT_ENUMERATION_BUDGET
+        cfg = RunConfig(budget=budget, fmt=getattr(args, "fmt", None) or "json")
         return args.func(args, cfg)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -91,9 +91,6 @@ class IntMatrix:
     def cols(self) -> int:
         return len(self.columns)
 
-    def magnitude(self) -> int:
-        return max((abs(e) for col in self.columns for e in col), default=0)
-
     def det(self) -> int:
         if self.cols != self.rows:
             raise ValueError("determinant of a non-square matrix")

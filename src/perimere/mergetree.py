@@ -6,6 +6,11 @@ carries, per vertex, the drift vector of the spanning-tree path from the
 component root, and, per root, the size, the oldest (value, id) pair, and an
 integer basis V of the periodicity lattice (the real basis is U.V).  Three
 event kinds drive the tree: appearances, mergers, and catenations.
+
+The beams are the only record of the tree: a beam holds its birth vertex,
+its death and merger edge, its parent, and its epochs, each epoch naming the
+catenation edge that opened it.  The event log is derived from them on
+demand, in build's processing order.
 """
 from __future__ import annotations
 
@@ -15,22 +20,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (SublatticeBasis, hnf_reduce, lattice_sum, member,
-                      unit_ball_volume, volume)
+from .lattice import SublatticeBasis, hnf_reduce, member, unit_ball_volume, volume
 from .pgraph import PeriodicGraph
 
 
 @dataclass(frozen=True, slots=True)
 class Epoch:
-    """Maximal beam interval of constant shadow monomial."""
+    """Maximal beam interval of constant shadow monomial.
+
+    `cell` is the edge whose catenation opened the epoch; None for a birth
+    epoch and for a survivor taking over the lattice of the beam it absorbed.
+    """
     start: float
     coeff: float
     exp: int
     basis: SublatticeBasis
+    cell: int | None = None
 
 
 @dataclass(frozen=True, slots=True)
 class Event:
+    """One critical event, derived from the beams (see PeriodicMergeTree.events)."""
     kind: str            # appearance | merger | catenation
     time: float
     cell: int            # vertex or edge id
@@ -43,7 +53,8 @@ class Event:
 class Beam:
     """One horizontal interval of the merge tree (a component's lifetime)."""
 
-    __slots__ = ("index", "birth", "birth_vertex", "epochs", "death", "parent", "children")
+    __slots__ = ("index", "birth", "birth_vertex", "epochs", "death", "parent", "merge_edge",
+                 "children")
 
     def __init__(self, index, birth, birth_vertex, epochs):
         self.index = index
@@ -52,6 +63,7 @@ class Beam:
         self.epochs = epochs
         self.death = math.inf
         self.parent = None
+        self.merge_edge = None   # edge id of the merger that ends the beam
         self.children = []   # (merge height, child beam index), filled post-build
 
     def spans(self):
@@ -64,59 +76,29 @@ class Beam:
                 out.append((ep.start, end, ep.coeff, ep.exp, ep.basis))
         return out
 
-    def monomial_at(self, t: float):
-        """(coeff, exp) of the epoch active at height t (birth <= t < death)."""
-        cur = None
-        for ep in self.epochs:
-            if ep.start <= t:
-                cur = ep
-            else:
-                break
-        if cur is None:
-            raise ValueError("height precedes the beam's birth")
-        return cur.coeff, cur.exp, cur.basis
+    def monomial(self, t: float, below: bool = False):
+        """(coeff, exp, basis) of the span active at height t, or just below t
+        when `below` is set; None when the beam is not alive there."""
+        for st, en, c, e, basis in self.spans():
+            if (st < t <= en) if below else (st <= t < en):
+                return c, e, basis
+        return None
 
 
 class UnionFind:
     """Union-find with drift vectors: O(1) find, size-based list splicing.
 
     Vertices live in per-component singly linked lists; unions relabel the
-    smaller list, so every vertex is relabeled at most log2(n) times.
+    smaller list, so every vertex is relabeled at most log2(n) times.  Slot i
+    holds vertices[i], which starts as its own component.
     """
 
     __slots__ = ("dim", "root", "nxt", "drift", "size", "oldest", "basis", "beam",
-                 "ids", "_index", "relabels")
+                 "ids", "_index")
 
-    def __init__(self, dim: int, count_relabels: bool = False):
-        self.dim = dim
-        self.root = []
-        self.nxt = []
-        self.drift = []
-        self.size = []
-        self.oldest = []
-        self.basis = []
-        self.beam = []
-        self.ids = []
-        self._index = {}
-        self.relabels = [] if count_relabels else None
-
-    def add(self, vertex_id: int, value: float, beam_index: int = -1) -> int:
-        i = len(self.root)
-        self._index[vertex_id] = i
-        self.ids.append(vertex_id)
-        self.root.append(i)
-        self.nxt.append(-1)
-        self.drift.append([0] * self.dim)
-        self.size.append(1)
-        self.oldest.append((value, vertex_id))
-        self.basis.append(SublatticeBasis.empty(self.dim))
-        self.beam.append(beam_index)
-        if self.relabels is not None:
-            self.relabels.append(0)
-        return i
-
-    def _bulk(self, vertices):
+    def __init__(self, dim: int, vertices):
         n = len(vertices)
+        self.dim = dim
         self.ids = [v.id for v in vertices]
         self._index = {v.id: i for i, v in enumerate(vertices)}
         self.root = list(range(n))
@@ -126,33 +108,24 @@ class UnionFind:
         self.oldest = [(v.value, v.id) for v in vertices]
         self.basis = [SublatticeBasis.empty(self.dim)] * n
         self.beam = [-1] * n
-        if self.relabels is not None:
-            self.relabels = [0] * n
 
     def index(self, vertex_id: int) -> int:
         try:
             return self._index[vertex_id]
         except KeyError:
-            raise KeyError(f"vertex {vertex_id} has not appeared yet")
+            raise KeyError(f"unknown vertex {vertex_id}")
 
     def find(self, vertex_id: int) -> int:
         """Root vertex id of the component containing vertex_id (O(1))."""
         return self.ids[self.root[self.index(vertex_id)]]
 
-    def loop_drift(self, x: int, y: int, shift) -> list:
-        dx, dy = self.drift[x], self.drift[y]
-        return [dx[k] + shift[k] - dy[k] for k in range(self.dim)]
-
-    def union(self, r: int, s: int, v, merged_basis=None) -> int:
+    def union(self, r: int, s: int, v, merged_basis: SublatticeBasis) -> int:
         """Merge roots r and s; v is the drift correction for s's members.
 
         Returns the surviving root.  Callers must pass v = Drift(x) +
-        Shift(a) - Drift(y) for an arc x -> y with Root(x) = r, Root(y) = s.
-        The merged periodicity basis may be supplied when the caller has
-        already reduced it; otherwise the lattice sum is taken here.
+        Shift(a) - Drift(y) for an arc x -> y with Root(x) = r, Root(y) = s,
+        and the reduced sum of the two components' periodicity lattices.
         """
-        if merged_basis is None:
-            merged_basis = lattice_sum(self.basis[r], self.basis[s])
         old = min(self.oldest[r], self.oldest[s])
         if self.size[s] > self.size[r]:
             r, s = s, r
@@ -160,14 +133,11 @@ class UnionFind:
         root, nxt, drift = self.root, self.nxt, self.drift
         z = s
         last = s
-        counters = self.relabels
         while z != -1:
             root[z] = r
             dz = drift[z]
             for k in range(self.dim):
                 dz[k] += v[k]
-            if counters is not None:
-                counters[z] += 1
             last = z
             z = nxt[z]
         nxt[last] = nxt[r]
@@ -179,19 +149,42 @@ class UnionFind:
 
 
 class PeriodicMergeTree:
-    """Beams with monomial epochs plus the critical-event log."""
+    """Beams with monomial epochs; the critical-event log is derived from them."""
 
-    __slots__ = ("dim", "vol_d", "beams", "events", "uf")
+    __slots__ = ("dim", "vol_d", "beams")
 
-    def __init__(self, dim, vol_d, beams, events, uf):
+    def __init__(self, dim, vol_d, beams):
         self.dim = dim
         self.vol_d = vol_d
         self.beams = beams
-        self.events = events
-        self.uf = uf
 
     def roots(self):
         return [b.index for b in self.beams if b.parent is None]
+
+    def _event_rows(self) -> list:
+        """(time, is_edge, cell, is_catenation, kind, beams, epoch) per event.
+
+        Sorted in build's processing order (value, vertices before edges, id;
+        an edge's merger before its catenation); the first four entries are
+        unique per event, so the sort never compares the rest.
+        """
+        rows = []
+        for b in self.beams:
+            rows.append((b.birth, 0, b.birth_vertex, 0, "appearance", (b.index,), None))
+            if b.parent is not None:
+                rows.append((b.death, 1, b.merge_edge, 0, "merger", (b.parent, b.index), None))
+            for ep in b.epochs:
+                if ep.cell is not None:
+                    rows.append((ep.start, 1, ep.cell, 1, "catenation", (b.index,), ep))
+        rows.sort()
+        return rows
+
+    @property
+    def events(self) -> list:
+        """Appearance, merger and catenation events in build's processing order."""
+        return [Event(kind, t, cell, beams)
+                if ep is None else Event(kind, t, cell, beams, ep.coeff, ep.exp, ep.basis)
+                for t, _, cell, _, kind, beams, ep in self._event_rows()]
 
     def to_json_dict(self) -> dict:
         return {
@@ -218,13 +211,13 @@ class PeriodicMergeTree:
             ],
             "events": [
                 {
-                    "kind": ev.kind,
-                    "time": ev.time,
-                    "cell": ev.cell,
-                    "beams": list(ev.beams),
-                    **({"coeff": ev.coeff, "exp": ev.exp} if ev.kind == "catenation" else {}),
+                    "kind": kind,
+                    "time": t,
+                    "cell": cell,
+                    "beams": list(beams),
+                    **({} if ep is None else {"coeff": ep.coeff, "exp": ep.exp}),
                 }
-                for ev in self.events
+                for t, _, cell, _, kind, beams, ep in self._event_rows()
             ],
         }
 
@@ -254,14 +247,16 @@ def monomial_display(coeff: float, exp: int) -> str:
     return f"{value:.9g}R^{exp}"
 
 
-def build(graph: PeriodicGraph, count_relabels: bool = False) -> PeriodicMergeTree:
+def build(graph: PeriodicGraph) -> PeriodicMergeTree:
     """Construct the periodic merge tree of a quotient graph.
 
     Appearance: new beam with the zero periodicity lattice (coefficient
     1/vol_d, exponent d).  Loop edge: drift v = Drift(x) + Shift - Drift(y);
     no event when v lies in the current lattice, otherwise a catenation.
     Cross edge: merger under the elder rule; if the merged lattice strictly
-    exceeds both inputs, a catenation is logged at the same height.
+    exceeds both inputs, a catenation happens at the same height.  Each event
+    is recorded on a beam: its birth, its death and merger edge, or the cell
+    of the epoch a catenation opens.
     """
     d = graph.dim
     u = graph.basis
@@ -281,15 +276,13 @@ def build(graph: PeriodicGraph, count_relabels: bool = False) -> PeriodicMergeTr
     evlist = evals.tolist()
     eidlist = eids.tolist()
 
-    uf = UnionFind(d, count_relabels)
     beams: list[Beam] = []
-    events: list[Event] = []
     coeff0 = 1.0 / vol_d
     empty = SublatticeBasis.empty(d)
 
     # union-find slots follow graph order so edge endpoints index directly;
     # the filter property guarantees both endpoints precede every edge
-    uf._bulk(graph.vertices)
+    uf = UnionFind(d, graph.vertices)
     full = [False] * n  # per slot: component lattice is all of Z^d
 
     vindex = graph.vertex_index
@@ -311,7 +304,6 @@ def build(graph: PeriodicGraph, count_relabels: bool = False) -> PeriodicMergeTr
             bi = len(beams)
             beams.append(Beam(bi, vtx.value, vtx.id, [Epoch(vtx.value, coeff0, d, empty)]))
             beam_of[p] = bi
-            events.append(Event("appearance", vtx.value, vtx.id, (bi,)))
             continue
 
         x, y = ex[p], ey[p]
@@ -327,17 +319,13 @@ def build(graph: PeriodicGraph, count_relabels: bool = False) -> PeriodicMergeTr
             cur = basis[r]
             if member(cur, v):
                 continue
-            t = evlist[p]
-            eid = eidlist[p]
             new = hnf_reduce(cur.columns + (tuple(v),), dim=d)
             basis[r] = new
             if new.is_full:
                 full[r] = True
             coeff = volume(u, new) / vol_d
             exp = d - new.rank
-            bi = beam_of[r]
-            beams[bi].epochs.append(Epoch(t, coeff, exp, new))
-            events.append(Event("catenation", t, eid, (bi,), coeff, exp, new))
+            beams[beam_of[r]].epochs.append(Epoch(evlist[p], coeff, exp, new, eidlist[p]))
         else:
             t = evlist[p]
             eid = eidlist[p]
@@ -365,15 +353,16 @@ def build(graph: PeriodicGraph, count_relabels: bool = False) -> PeriodicMergeTr
             dying = beams[dead_beam]
             dying.death = t
             dying.parent = surv_beam
-            events.append(Event("merger", t, eid, (surv_beam, dead_beam)))
+            dying.merge_edge = eid
             sb = beams[surv_beam]
             prevb = sb.epochs[-1].basis
             if merged is not prevb and merged != prevb:
                 coeff = volume(u, merged) / vol_d
                 exp = d - merged.rank
-                sb.epochs.append(Epoch(t, coeff, exp, merged))
-                if merged != base_r and merged != base_s:
-                    events.append(Event("catenation", t, eid, (surv_beam,), coeff, exp, merged))
+                # a lattice larger than both inputs is a catenation; one equal
+                # to the absorbed beam's is only taken over
+                cat = eid if merged != base_r and merged != base_s else None
+                sb.epochs.append(Epoch(t, coeff, exp, merged, cat))
 
     # children lists use the effective survivor: chains of mergers at one
     # height are a processing-order artifact, topologically all beams join
@@ -386,7 +375,7 @@ def build(graph: PeriodicGraph, count_relabels: bool = False) -> PeriodicMergeTr
             beams[p].children.append((b.death, b.index))
     for b in beams:
         b.children.sort()
-    return PeriodicMergeTree(d, vol_d, beams, events, uf)
+    return PeriodicMergeTree(d, vol_d, beams)
 
 
 # ---------------------------------------------------------------------------
@@ -416,22 +405,6 @@ def canonical_form(tree: PeriodicMergeTree, tol: float = 1e-9) -> str:
     """Digest equal iff trees are identical up to reordering of siblings."""
     parts = sorted(_digest(tree, r, math.inf, tol) for r in tree.roots())
     return "&".join(parts)
-
-
-def _monomial_at(beam: Beam, t: float):
-    """(coeff, exp) on beam at height t, using normalized spans."""
-    for st, en, c, e, _ in beam.spans():
-        if st <= t < en:
-            return c, e
-    return None
-
-
-def _monomial_left(beam: Beam, t: float):
-    """(coeff, exp) on beam just below height t."""
-    for st, en, c, e, _ in beam.spans():
-        if st < t <= en:
-            return c, e
-    return None
 
 
 def _events_below(beam: Beam, top: float):
@@ -467,12 +440,12 @@ def splinters(tprime: PeriodicMergeTree, tree: PeriodicMergeTree, tol: float = 1
             t = max(heights) if heights else beam.birth
             # interval (t, pos): constant monomials, each preimage carries 1/k
             if pos > t:
-                mb = _monomial_at(beam, t)
+                mb = beam.monomial(t)
                 if mb is None:
                     return False
                 k = len(pool_w)
                 for w in pool_w:
-                    mw = _monomial_at(tprime.beams[w], t)
+                    mw = tprime.beams[w].monomial(t)
                     if mw is None or mw[1] != mb[1] or abs(mw[0] - mb[0] / k) > tol:
                         return False
             if not heights:
@@ -498,8 +471,8 @@ def splinters(tprime: PeriodicMergeTree, tree: PeriodicMergeTree, tol: float = 1
                 g = len(cs)
                 if len(items) < g:
                     return []
-                mc = _monomial_left(tree.beams[cs[0]], t)
-                mx = _monomial_left(tprime.beams[items[0][1]], t)
+                mc = tree.beams[cs[0]].monomial(t, below=True)
+                mx = tprime.beams[items[0][1]].monomial(t, below=True)
                 if mc is None or mx is None:
                     return [kc for kc in range(1, len(items) // g + 1)]
                 if mx[1] != mc[1] or mx[0] <= 0:

@@ -114,6 +114,25 @@ def _read_value(obj, what):
     return val, None
 
 
+def _read_shift(obj, what):
+    """Integer shift vector; a non-integral or non-numeric entry is an error,
+    never truncated."""
+    try:
+        shift = tuple(map(int, obj))
+        if shift == tuple(obj):
+            return shift
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise GraphError(f"{what}: shift must be a list of integers, got {obj!r}")
+
+
+def _bad_record(kind, pos, rec, keys) -> GraphError:
+    if not isinstance(rec, dict):
+        return GraphError(f"{kind} record {pos} is not an object")
+    missing = ", ".join(k for k in keys if k not in rec)
+    return GraphError(f"{kind} record {pos} (id {rec.get('id')}) lacks {missing}")
+
+
 def parse(source) -> PeriodicGraph:
     """Parse and validate a periodic graph from a path, JSON text, file, or dict."""
     if isinstance(source, dict):
@@ -149,14 +168,22 @@ def parse(source) -> PeriodicGraph:
     except ValueError as exc:
         raise GraphError(str(exc))
     vertices = []
-    for rec in vlist:
-        val, raw = _read_value(rec["value"], f"vertex {rec.get('id')}")
-        vertices.append(Vertex(int(rec["id"]), val, raw))
+    for pos, rec in enumerate(vlist):
+        try:
+            vid, value = rec["id"], rec["value"]
+        except (KeyError, TypeError):
+            raise _bad_record("vertex", pos, rec, ("id", "value"))
+        val, raw = _read_value(value, f"vertex {vid}")
+        vertices.append(Vertex(int(vid), val, raw))
     edges = []
-    for rec in elist:
-        val, raw = _read_value(rec["value"], f"edge {rec.get('id')}")
-        shift = tuple(int(s) for s in rec["shift"])
-        edges.append(Edge(int(rec["id"]), int(rec["u"]), int(rec["v"]), val, shift, raw))
+    for pos, rec in enumerate(elist):
+        try:
+            eid, u, v, value, shift = rec["id"], rec["u"], rec["v"], rec["value"], rec["shift"]
+        except (KeyError, TypeError):
+            raise _bad_record("edge", pos, rec, ("id", "u", "v", "value", "shift"))
+        what = f"edge {eid}"
+        val, raw = _read_value(value, what)
+        edges.append(Edge(int(eid), int(u), int(v), val, _read_shift(shift, what), raw))
     return PeriodicGraph(dim, basis, vertices, edges)
 
 

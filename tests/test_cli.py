@@ -1,9 +1,13 @@
+import hashlib
 import json
 import math
+import random
 
 import pytest
 
+from perimere import serialize
 from perimere.cli import main
+from perimere.synthetic import random_periodic_graph
 
 
 def run(capsys, *argv):
@@ -38,6 +42,48 @@ class TestValidate:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "validate", "/no/such/file.json")
         assert code == 1
+
+
+def assert_one_error_line(code, err):
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestInputErrors:
+    def _run_doc(self, capsys, tmp_path, doc):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        return run(capsys, "barcode", str(p), "--csv")
+
+    def test_fractional_shift_rejected(self, capsys, tmp_path):
+        doc = {"dim": 1, "basis": [[1.0]], "vertices": [{"id": 0, "value": 0.0}],
+               "edges": [{"id": 5, "u": 0, "v": 0, "value": 1.0, "shift": [1.5]}]}
+        code, out, err = self._run_doc(capsys, tmp_path, doc)
+        assert_one_error_line(code, err)
+        assert "edge 5" in err and "shift" in err and out == ""
+
+    def test_record_missing_key_named(self, capsys, tmp_path):
+        doc = {"dim": 1, "basis": [[1.0]], "vertices": [{"id": 0, "value": 0.0}],
+               "edges": [{"id": 5, "u": 0, "value": 1.0, "shift": [1]}]}
+        code, _, err = self._run_doc(capsys, tmp_path, doc)
+        assert_one_error_line(code, err)
+        assert "edge record 0 (id 5)" in err and "lacks v" in err
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ("validate", "G", "--tol", "1e-6"),       # removed option
+        ("validate", "G", "--seed", "1"),         # removed option
+        ("validate", "G", "--frobnicate"),        # unknown option
+        ("bench", "--n", "64"),                   # removed command
+        ("validate",),                            # missing argument
+        ("validate", "G", "--budget", "x"),       # bad option value
+    ])
+    def test_usage_error_exits_1_with_one_line(self, capsys, fixture_paths, argv):
+        argv = [str(fixture_paths[0]) if a == "G" else a for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert_one_error_line(code, err)
+        assert out == ""
 
 
 class TestTree:
@@ -157,10 +203,18 @@ class TestDeterminism:
         assert len(outs) == 1
 
 
-class TestBench:
-    def test_small_bench_runs(self, capsys):
-        code, out, _ = run(capsys, "bench", "--n", "64", "--seed", "1")
+class TestTreeGolden:
+    # sha256 of `tree --json` on tie-heavy random graphs: pins the event order
+    # (value, vertices before edges, id, merger before catenation) under ties
+    @pytest.mark.parametrize("seed,dim,n,m,digest", [
+        (21, 2, 30, 80, "775320f3ac3537daf9edacbbb1324900a791d69500afbd8fd75efb5bb9f306d1"),
+        (106, 2, 12, 30, "e445dacbd971c194ad92d62f13145adc72bb2bb1669c16e36b7e0a288d2dffaa"),
+        (100, 3, 30, 60, "334c33c985c5758f03e35f3bb7c36f87e906f03bd4b2d18d3f77ad451deb0587"),
+    ])
+    def test_tied_heights_digest(self, capsys, tmp_path, seed, dim, n, m, digest):
+        g = random_periodic_graph(random.Random(seed), dim=dim, n=n, m=m, tie_values=True)
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps(serialize(g)))
+        code, out, _ = run(capsys, "tree", str(p), "--json")
         assert code == 0
-        doc = json.loads(out)
-        assert doc["n"] == doc["side"] ** 3
-        assert doc["build_seconds"] > 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

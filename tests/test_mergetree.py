@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from perimere import (IntMatrix, UnionFind, build, canonical_form, extract,
-                      parse, splinters, unroll)
-from perimere.mergetree import monomial_display
+from perimere import (IntMatrix, SublatticeBasis, UnionFind, Vertex, build,
+                      canonical_form, extract, parse, splinters, unroll)
+from perimere.mergetree import PeriodicMergeTree, monomial_display
 from perimere.synthetic import random_periodic_graph
 
 from .conftest import fig3_left_doc, helix_cross_doc
@@ -52,6 +52,18 @@ class TestBuildGolden:
         assert by_vertex[4].death == 7.0
         assert by_vertex[5].death == 8.0
 
+    def test_helix_cross_beams_record_event_cells(self, helix_cross):
+        # merger edges sit on the dying beams; catenation edges on the epochs
+        # they open (None for birth epochs and for a lattice taken over at 12)
+        tree = build(helix_cross)
+        by_vertex = {b.birth_vertex: b for b in tree.beams}
+        assert {v: b.merge_edge for v, b in by_vertex.items()} == {
+            1: None, 2: 12, 3: 10, 4: 7, 5: 8}
+        assert [e.cell for e in by_vertex[1].epochs] == [None, None, 13]
+        assert [e.cell for e in by_vertex[2].epochs] == [None, 6, 10, 11]
+        assert [e.cell for e in by_vertex[3].epochs] == [None, 9]
+        assert PeriodicMergeTree.__slots__ == ("dim", "vol_d", "beams")
+
     def test_single_vertex(self):
         g = parse({"dim": 3,
                    "basis": [[2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
@@ -95,49 +107,71 @@ class TestBuildGolden:
         assert [e.kind for e in tree.events] == ["appearance"]
 
 
+EMPTY2 = SublatticeBasis.empty(2)
+
+
+def _uf(n):
+    return UnionFind(2, [Vertex(i, float(i)) for i in range(n)])
+
+
 class TestUnionFind:
     def test_fresh_vertex_is_own_root(self):
-        uf = UnionFind(2)
-        uf.add(5, 1.0)
+        uf = UnionFind(2, [Vertex(5, 1.0)])
         assert uf.find(5) == 5
 
     def test_union_shares_root(self):
-        uf = UnionFind(2)
-        a = uf.add(5, 1.0)
-        b = uf.add(9, 2.0)
-        uf.union(a, b, [0, 0])
+        uf = UnionFind(2, [Vertex(5, 1.0), Vertex(9, 2.0)])
+        uf.union(0, 1, [0, 0], EMPTY2)
         assert uf.find(5) == uf.find(9)
 
     def test_random_sequence_matches_bfs(self):
         rng = random.Random(3)
         for _ in range(20):
             n = rng.randint(2, 30)
-            uf = UnionFind(2)
-            for i in range(n):
-                uf.add(i, float(i))
+            uf = _uf(n)
             pairs = []
             for _ in range(rng.randint(0, 40)):
                 u, v = rng.randrange(n), rng.randrange(n)
                 pairs.append((u, v))
                 r, s = uf.root[u], uf.root[v]
                 if r != s:
-                    uf.union(r, s, [rng.randint(-1, 1), rng.randint(-1, 1)])
+                    uf.union(r, s, [rng.randint(-1, 1), rng.randint(-1, 1)], EMPTY2)
             got = {}
             for i in range(n):
                 got.setdefault(uf.find(i), set()).add(i)
             assert {frozenset(c) for c in got.values()} == bfs_components(range(n), pairs)
 
     def test_find_unknown_vertex(self):
-        uf = UnionFind(2)
+        uf = _uf(2)
         with pytest.raises(KeyError):
             uf.find(3)
 
     def test_relabel_counts_bounded(self):
+        # union relabels the smaller list, so no vertex changes root more
+        # than floor(log2 n) times; counted by diffing `root` around unions
+        def max_relabels(n, pairs):
+            uf = _uf(n)
+            counts = [0] * n
+            for a, b in pairs:
+                r, s = uf.root[a], uf.root[b]
+                if r == s:
+                    continue
+                before = list(uf.root)
+                uf.union(r, s, [0, 0], EMPTY2)
+                for i, (old, new) in enumerate(zip(before, uf.root)):
+                    counts[i] += old != new
+            return max(counts)
+
         rng = random.Random(4)
-        g = random_periodic_graph(rng, n=40, m=120)
-        tree = build(g, count_relabels=True)
-        bound = math.floor(math.log2(g.n))
-        assert max(tree.uf.relabels) <= bound
+        for _ in range(20):
+            n = rng.randint(2, 150)
+            pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(3 * n)]
+            assert max_relabels(n, pairs) <= math.floor(math.log2(n))
+        # merging equal halves level by level meets the bound exactly
+        k = 6
+        pairs = [(i, i + step) for step in (2 ** j for j in range(k))
+                 for i in range(0, 2 ** k, 2 * step)]
+        assert max_relabels(2 ** k, pairs) == k
 
 
 class TestInvariants:

@@ -51,6 +51,27 @@ class TestParse:
         with pytest.raises(GraphError, match="duplicate"):
             parse(doc)
 
+    def test_shift_entries_must_be_integers(self):
+        doc = fig3_left_doc()
+        doc["edges"][1]["shift"] = [2.0, -1]
+        assert parse(doc).edges[1].shift == (2, -1)
+        for bad in ([1.5, 0], ["1", 0], 1, [float("inf"), 0]):
+            doc["edges"][1]["shift"] = bad
+            with pytest.raises(GraphError, match="edge 11: shift"):
+                parse(doc)
+
+    def test_record_without_required_key_named(self):
+        for kind, key in (("vertices", "value"), ("vertices", "id"), ("edges", "shift"),
+                          ("edges", "u")):
+            doc = fig3_left_doc()
+            del doc[kind][1][key]
+            with pytest.raises(GraphError, match=f"record 1 .*lacks {key}"):
+                parse(doc)
+        doc = fig3_left_doc()
+        doc["edges"][0] = [10, 1, 2]
+        with pytest.raises(GraphError, match="edge record 0 is not an object"):
+            parse(doc)
+
     def test_values_as_decimal_strings(self):
         doc = fig3_left_doc()
         doc["vertices"][0]["value"] = "1.00"
