@@ -16,7 +16,11 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cmp_to_key
+from itertools import chain, zip_longest
+from operator import itemgetter
 
 import numpy as np
 
@@ -382,36 +386,252 @@ def build(graph: PeriodicGraph) -> PeriodicMergeTree:
 # canonical forms and the splintering check
 # ---------------------------------------------------------------------------
 
+_START = itemgetter(0)
+
+
 def _rounded(x: float, tol: float) -> float:
     if math.isinf(x):
         return x
     return round(x / tol) * tol
 
 
-def _digest(tree: PeriodicMergeTree, b: int, top: float, tol: float) -> str:
-    """Order-insensitive serialization of the subtree hanging below (beam b, top)."""
-    beam = tree.beams[b]
-    spans = [(st, min(en, top), c, e) for st, en, c, e, _ in beam.spans() if st < top]
-    body = ";".join(f"{_rounded(st, tol):.12g}:{_rounded(en, tol):.12g}:{_rounded(c, tol):.12g}:{e}"
-                    for st, en, c, e in spans)
-    kids = sorted(
-        f"{_rounded(h, tol):.12g}>{_digest(tree, c, h, tol)}"
-        for h, c in beam.children if h < top
-    )
-    return f"[{_rounded(beam.birth, tol):.12g}|{body}|{','.join(kids)}]"
+class _Text(dict):
+    """x -> x rounded to tol, written with 12 significant digits; memoized."""
+
+    def __init__(self, tol: float):
+        super().__init__()
+        self.tol = tol
+
+    def __missing__(self, x: float) -> str:
+        text = self[x] = f"{_rounded(x, self.tol):.12g}"
+        return text
+
+
+def _compare(xs, ys) -> int:
+    """-1, 0 or 1 as token stream xs orders before, equal to or after ys."""
+    for x, y in zip_longest(xs, ys):
+        if x != y:
+            return -1 if x is None or (y is not None and x < y) else 1
+    return 0
+
+
+def _run(gen):
+    """Result of generator `gen`, which yields the generators whose results it
+    needs and receives each result back from its `yield`; the calls nest on an
+    explicit stack, so their depth is bounded by memory, not the recursion limit."""
+    stack = [gen]
+    value = None
+    while True:
+        try:
+            sub = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            if not stack:
+                return done.value
+            value = done.value
+        else:
+            stack.append(sub)
+            value = None
+
+
+class _TreeIndex:
+    """Tables of one merge tree for `splinters` and `canonical_form`.
+
+    Per beam: the normalized spans, the exact heights of its events (spans
+    starting, children merging) and a subtree label at each.  The subtree
+    below (beam b, cut height t) is the birth of b, its spans starting below
+    t (the last one cut at t) and the subtrees of the children merging below
+    t.  `digest(b, t)` names it by (label, rounded cut), and two cuts have
+    equal digests exactly when their texts `tokens(b, t)` are equal.  Labels
+    are interned bottom-up, one per group of events at one rounded height:
+    (label below, rounded height, (coeff, exp) of the spans starting there,
+    sorted digests of the children merging there).  Epochs and children are
+    taken in increasing height, as `build` leaves them.  A cut between two exact
+    heights of one group gets the label of the events below it.
+
+    Label n is the n-th key added to `interned`, which the index does not
+    keep; numbers are written by `text`, which may be shared between trees.
+    """
+
+    def __init__(self, tree: PeriodicMergeTree, text: _Text, interned: dict):
+        self.fmt = fmt = text.__getitem__
+        self._kid_orders = {}
+        beams = tree.beams
+        n = len(beams)
+        self.birth = [b.birth for b in beams]
+        self.death = [b.death for b in beams]
+        self.kids = [b.children for b in beams]   # (merge height, child), sorted
+        self.spans = [tuple(b.spans()) for b in beams]
+        self.base = [0] * n   # label of a beam's birth alone
+        self.cuts = [()] * n  # exact event heights, increasing
+        self.labels = [()] * n  # label of the events at or below each cut
+        self.low = [0.0] * n  # earliest birth in the beam's subtree
+        order = tree.roots()
+        for b in order:   # breadth first: every beam after the beam it joins
+            order.extend(c for _, c in self.kids[b])
+        for b in reversed(order):
+            self.low[b] = min([self.birth[b], *(self.low[c] for _, c in self.kids[b])])
+            events = [(st, 0, (fmt(c), e)) for st, _, c, e, _ in self.spans[b]]
+            events += [(h, 1, self.digest(c, h)) for h, c in self.kids[b]]
+            events.sort(key=_START)
+            lab = self.base[b] = interned.setdefault((fmt(self.birth[b]),), len(interned))
+            cuts, labels = [], []
+            i = 0
+            while i < len(events):   # one group of events per rounded height
+                below, rounded = lab, fmt(events[i][0])
+                spans, kids = [], []
+                while i < len(events) and fmt(events[i][0]) == rounded:
+                    h = events[i][0]
+                    while i < len(events) and events[i][0] == h:
+                        _, kind, item = events[i]
+                        (kids if kind else spans).append(item)
+                        i += 1
+                    key = (below, rounded, tuple(spans), tuple(sorted(kids)))
+                    lab = interned.setdefault(key, len(interned))
+                    cuts.append(h)
+                    labels.append(lab)
+            self.cuts[b], self.labels[b] = tuple(cuts), tuple(labels)
+
+    def digest(self, b: int, top: float) -> tuple:
+        """(label, rounded cut) of the subtree below (b, top); the cut is None
+        when no span starts below top."""
+        i = bisect_left(self.cuts[b], top)
+        lab = self.labels[b][i - 1] if i else self.base[b]
+        spans = self.spans[b]
+        return lab, (self.fmt(min(top, self.death[b])) if spans and spans[0][0] < top else None)
+
+    def last_stop(self, b: int, pos: float) -> float:
+        """Highest height below pos where b gains a child or starts a span
+        after its birth; -inf when there is none."""
+        cuts = self.cuts[b]
+        for i in range(bisect_left(cuts, pos) - 1, -1, -1):
+            if cuts[i] > self.birth[b] or self.children_at(b, cuts[i]):
+                return cuts[i]
+        return -math.inf
+
+    def monomial(self, b: int, t: float, below: bool = False):
+        """(coeff, exp) as `Beam.monomial`, by bisection."""
+        spans = self.spans[b]
+        i = (bisect_left if below else bisect_right)(spans, t, key=_START) - 1
+        if i < 0:
+            return None
+        _, en, c, e, _ = spans[i]
+        return (c, e) if (t <= en if below else t < en) else None
+
+    def children_at(self, b: int, t: float) -> list:
+        kids = self.kids[b]
+        return [c for _, c in kids[bisect_left(kids, (t, -1)):bisect_left(kids, (t, math.inf))]]
+
+    def tokens(self, b: int, top: float):
+        """The text of the subtree below (b, top), cut into tokens.
+
+        The text is `[birth|spans|children]`, spans as start:end:coeff:exp
+        joined by `;`, children as `height>subtree` in text order joined by
+        `,`, numbers written by `fmt`.  Each token ends in its only separator
+        character, so no token is a prefix of another, and comparing token
+        streams orders the texts.
+        """
+        stack = [self._tokens(b, top)]
+        while stack:
+            for tok in stack[-1]:
+                if isinstance(tok, str):
+                    yield tok
+                else:
+                    stack.append(self._tokens(*tok))
+                    break
+            else:
+                stack.pop()
+
+    def _tokens(self, b: int, top: float):
+        """Tokens of (b, top), a child's subtree yielded as (child, height)."""
+        fmt = self.fmt
+        yield "["
+        yield fmt(self.birth[b]) + "|"
+        k = bisect_left(self.spans[b], top, key=_START)
+        if not k:
+            yield "|"
+        for i, (st, en, c, e, _) in enumerate(self.spans[b][:k]):
+            yield fmt(st) + ":"
+            yield fmt(min(en, top)) + ":"
+            yield fmt(c) + ":"
+            yield f"{e}{';' if i < k - 1 else '|'}"
+        for j, (h, c) in enumerate(self._kid_order(b, bisect_left(self.kids[b], (top, -1)))):
+            if j:
+                yield ","
+            yield fmt(h) + ">"
+            yield c, h
+        yield "]"
+
+    def _kid_order(self, b: int, k: int) -> list:
+        """b's first k children in the text order of `height>subtree`."""
+        if k < 2:
+            return self.kids[b][:k]
+        kids = self._kid_orders.get((b, k))
+        if kids is None:
+            def text(kid):
+                return chain((self.fmt(kid[0]) + ">",), self.tokens(kid[1], kid[0]))
+            kids = self._kid_orders[b, k] = sorted(
+                self.kids[b][:k], key=cmp_to_key(lambda x, y: _compare(text(x), text(y))))
+        return kids
+
+    def ordered(self, reps: dict, top: float) -> list:
+        """The digests in `reps` (digest -> a beam with it at top), in text order."""
+        if len(reps) < 2:
+            return list(reps)
+        return sorted(reps, key=cmp_to_key(
+            lambda x, y: _compare(self.tokens(reps[x], top), self.tokens(reps[y], top))))
 
 
 def canonical_form(tree: PeriodicMergeTree, tol: float = 1e-9) -> str:
-    """Digest equal iff trees are identical up to reordering of siblings."""
-    parts = sorted(_digest(tree, r, math.inf, tol) for r in tree.roots())
-    return "&".join(parts)
+    """Digest equal iff trees are identical up to reordering of siblings.
 
-
-def _events_below(beam: Beam, top: float):
-    """Heights < top at which the beam gains a child or changes epoch."""
-    hs = {h for h, _ in beam.children if h < top}
-    hs.update(st for st, _, _, _, _ in beam.spans() if beam.birth < st < top)
-    return hs
+    An exact, opaque string, linear in the size of the tree: the labels
+    reachable from the roots are numbered bottom-up, AHU-style (a label's
+    level is one above the highest label it refers to; each level's keys are
+    written in the numbers of the levels below and sorted), and the string
+    lists every key in number order, then the sorted root digests.
+    """
+    interned = {}
+    idx = _TreeIndex(tree, _Text(tol), interned)
+    roots = [idx.digest(r, math.inf) for r in tree.roots()]
+    keys = list(interned)
+    del idx, interned
+    # labels of cuts between exact heights that round together are not
+    # reachable from the roots and stay out
+    reached = set()
+    todo = [lab for lab, _ in roots]
+    while todo:
+        lab = todo.pop()
+        if lab not in reached:
+            reached.add(lab)
+            if len(keys[lab]) > 1:
+                todo.append(keys[lab][0])
+                todo.extend(kid for kid, _ in keys[lab][3])
+    level = {}
+    levels = []
+    for lab in sorted(reached):   # a key refers only to smaller labels
+        key = keys[lab]
+        refs = [key[0], *(kid for kid, _ in key[3])] if len(key) > 1 else []
+        lv = level[lab] = 1 + max(level[r] for r in refs) if refs else 0
+        if lv == len(levels):
+            levels.append([])
+        levels[lv].append(lab)
+    number = {}
+    lines = []
+    for labs in levels:
+        written = {}
+        for lab in labs:
+            key = keys[lab]
+            if len(key) > 1:
+                below, rounded, spans, kids = key
+                key = (number[below], rounded, spans,
+                       tuple(sorted((number[kid], cut) for kid, cut in kids)))
+            written[lab] = key
+        for lab in sorted(labs, key=written.__getitem__):
+            number[lab] = len(number)
+            lines.append(repr(written[lab]))
+    lines.append(repr(sorted((number[lab], cut) for lab, cut in roots)))
+    return "\n".join(lines)
 
 
 def splinters(tprime: PeriodicMergeTree, tree: PeriodicMergeTree, tol: float = 1e-9) -> bool:
@@ -420,137 +640,145 @@ def splinters(tprime: PeriodicMergeTree, tree: PeriodicMergeTree, tol: float = 1
     Root-down sweep: at every point of `tree` covered by k preimage beams of
     `tprime`, the k preimage subtrees must have identical canonical forms and
     carry exactly 1/k of the image monomial; preimage mergers not mirrored in
-    `tree` grow k on the way down.
+    `tree` grow k on the way down.  Where several assignments of preimages to
+    children are possible, the first in the text order of their subtrees is
+    taken.  Each tree is indexed once (`_TreeIndex`), and the checks nest on
+    an explicit stack (`_run`).
     """
     if tprime.dim != tree.dim:
         return False
-
-    def check(ws: list, b: int, top: float) -> bool:
-        beam = tree.beams[b]
-        if not ws:
-            return False
-        if len({_digest(tprime, w, top, tol) for w in ws}) != 1:
-            return False
-        pool_w = list(ws)
-        pos = top
-        while True:
-            heights = set(_events_below(beam, pos))
-            for w in pool_w:
-                heights |= _events_below(tprime.beams[w], pos)
-            t = max(heights) if heights else beam.birth
-            # interval (t, pos): constant monomials, each preimage carries 1/k
-            if pos > t:
-                mb = beam.monomial(t)
-                if mb is None:
-                    return False
-                k = len(pool_w)
-                for w in pool_w:
-                    mw = tprime.beams[w].monomial(t)
-                    if mw is None or mw[1] != mb[1] or abs(mw[0] - mb[0] / k) > tol:
-                        return False
-            if not heights:
-                return all(tprime.beams[w].birth == beam.birth for w in pool_w)
-
-            b_children = [c for h, c in beam.children if h == t]
-            groups: dict[str, list] = {}
-            for c in b_children:
-                groups.setdefault(_digest(tree, c, t, tol), []).append(c)
-            group_list = [groups[dg] for dg in sorted(groups)]
-            # candidate preimages for the children: children of W-beams merging
-            # at t, plus W-beams themselves sliding onto a child
-            classes: dict[str, list] = {}
-            for w in pool_w:
-                for h, c2 in tprime.beams[w].children:
-                    if h == t:
-                        classes.setdefault(_digest(tprime, c2, t, tol), []).append(("child", c2))
-            for w in pool_w:
-                classes.setdefault(_digest(tprime, w, t, tol), []).append(("slide", w))
-
-            def feasible_counts(cs, items):
-                """Preimage count per child, pinned by the monomial ratio."""
-                g = len(cs)
-                if len(items) < g:
-                    return []
-                mc = tree.beams[cs[0]].monomial(t, below=True)
-                mx = tprime.beams[items[0][1]].monomial(t, below=True)
-                if mc is None or mx is None:
-                    return [kc for kc in range(1, len(items) // g + 1)]
-                if mx[1] != mc[1] or mx[0] <= 0:
-                    return []
-                kc = round(mc[0] / mx[0])
-                if kc < 1 or abs(mc[0] / kc - mx[0]) > tol or g * kc > len(items):
-                    return []
-                return [kc]
-
-            def assign_children(gi: int, avail: dict):
-                if gi == len(group_list):
-                    return avail
-                cs = group_list[gi]
-                g = len(cs)
-                for dg in sorted(avail):
-                    items = avail[dg]
-                    for kc in feasible_counts(cs, items):
-                        take = items[: g * kc]
-                        if not all(check([it[1] for it in take[i * kc:(i + 1) * kc]], c, t)
-                                   for i, c in enumerate(cs)):
-                            continue
-                        rest = dict(avail)
-                        rest[dg] = items[g * kc:]
-                        out = assign_children(gi + 1, rest)
-                        if out is not None:
-                            return out
-                return None
-
-            leftover = assign_children(0, classes)
-            if leftover is None:
-                return False
-            slid = set()
-            joined = []
-            for items in leftover.values():
-                for kind, idx in items:
-                    if kind == "child":
-                        joined.append(idx)
-            taken_slides = {idx for items in classes.values() for kind, idx in items
-                            if kind == "slide"} - {idx for items in leftover.values()
-                                                   for kind, idx in items if kind == "slide"}
-            slid |= taken_slides
-            pool_w = [w for w in pool_w if w not in slid]
-            pool_w.extend(joined)
-            if not pool_w:
-                return False
-            if len({_digest(tprime, w, t, tol) for w in pool_w}) != 1:
-                return False
-            pos = t
-
     troots = tree.roots()
     proots = tprime.roots()
     if not troots or not proots:
         return not troots and not proots
-    classes: dict[str, list] = {}
+    text = _Text(tol)
+    P = _TreeIndex(tprime, text, {})
+    T = P if tree is tprime else _TreeIndex(tree, text, {})
+
+    def check(ws: list, b: int, top: float):
+        # every preimage ends in the final pool of an image beam in b's
+        # subtree and has its birth
+        if not ws or any(P.birth[w] < T.low[b] for w in ws):
+            return False
+        if len({P.digest(w, top) for w in ws}) != 1:
+            return False
+        pool_w = list(ws)
+        pos = top
+        while True:
+            t = max(T.last_stop(b, pos), max(P.last_stop(w, pos) for w in pool_w))
+            if t == -math.inf:   # no stop below pos: down to b's birth
+                return (even_split(b, pool_w, T.birth[b], pos)
+                        and all(P.birth[w] == T.birth[b] for w in pool_w))
+            if not even_split(b, pool_w, t, pos):
+                return False
+            group_list, order, classes = candidates(b, pool_w, t)
+            leftover = yield assign_children(group_list, order, t, 0, classes)
+            if leftover is None:
+                return False
+            slid = ({idx for items in classes.values() for kind, idx in items if kind == "slide"}
+                    - {idx for items in leftover.values() for kind, idx in items if kind == "slide"})
+            pool_w = [w for w in pool_w if w not in slid]
+            pool_w.extend(idx for items in leftover.values() for kind, idx in items if kind == "child")
+            if not pool_w or len({P.digest(w, t) for w in pool_w}) != 1:
+                return False
+            pos = t
+
+    def even_split(b: int, pool_w: list, t: float, pos: float) -> bool:
+        """On (t, pos) the monomials are constant; each preimage carries 1/k."""
+        if pos <= t:
+            return True
+        mb = T.monomial(b, t)
+        if mb is None:
+            return False
+        k = len(pool_w)
+        for w in pool_w:
+            mw = P.monomial(w, t)
+            if mw is None or mw[1] != mb[1] or abs(mw[0] - mb[0] / k) > tol:
+                return False
+        return True
+
+    def candidates(b: int, pool_w: list, t: float) -> tuple:
+        """The children of b merging at t in groups of equal subtrees, the
+        classes of their candidate preimages, and the order to try those in."""
+        groups: dict[tuple, list] = {}
+        for c in T.children_at(b, t):
+            groups.setdefault(T.digest(c, t), []).append(c)
+        # candidate preimages: children of W-beams merging at t, plus W-beams
+        # themselves sliding onto a child
+        classes: dict[tuple, list] = {}
+        for w in pool_w:
+            for c2 in P.children_at(w, t):
+                classes.setdefault(P.digest(c2, t), []).append(("child", c2))
+        for w in pool_w:
+            classes.setdefault(P.digest(w, t), []).append(("slide", w))
+        return ([groups[dg] for dg in T.ordered({dg: cs[0] for dg, cs in groups.items()}, t)],
+                P.ordered({dg: items[0][1] for dg, items in classes.items()}, t), classes)
+
+    def feasible_counts(cs: list, items: list, t: float):
+        """Preimage count per child, pinned by the monomial ratio."""
+        g = len(cs)
+        if len(items) < g:
+            return ()
+        mc = T.monomial(cs[0], t, below=True)
+        mx = P.monomial(items[0][1], t, below=True)
+        if mc is None or mx is None:
+            return range(1, len(items) // g + 1)
+        if mx[1] != mc[1] or mx[0] <= 0:
+            return ()
+        kc = round(mc[0] / mx[0])
+        if kc < 1 or abs(mc[0] / kc - mx[0]) > tol or g * kc > len(items):
+            return ()
+        return (kc,)
+
+    def assign_children(group_list: list, order: list, t: float, gi: int, avail: dict):
+        """Preimages left over by the first assignment to the child groups
+        from gi on (classes tried in `order`), or None."""
+        if gi == len(group_list):
+            return avail
+        cs = group_list[gi]
+        g = len(cs)
+        for dg in order:
+            items = avail[dg]
+            for kc in feasible_counts(cs, items, t):
+                for i, c in enumerate(cs):
+                    if not (yield check([it[1] for it in items[i * kc:(i + 1) * kc]], c, t)):
+                        break
+                else:
+                    rest = dict(avail)
+                    rest[dg] = items[g * kc:]
+                    out = yield assign_children(group_list, order, t, gi + 1, rest)
+                    if out is not None:
+                        return out
+        return None
+
+    classes: dict[tuple, list] = {}
     for r in troots:
-        classes.setdefault(_digest(tree, r, math.inf, tol), []).append(r)
-    pgroups: dict[str, list] = {}
+        classes.setdefault(T.digest(r, math.inf), []).append(r)
+    pgroups: dict[tuple, list] = {}
     for r in proots:
-        pgroups.setdefault(_digest(tprime, r, math.inf, tol), []).append(r)
+        pgroups.setdefault(P.digest(r, math.inf), []).append(r)
     class_list = sorted(classes.values(), key=lambda rs: rs[0])
     remaining = {dg: list(rs) for dg, rs in pgroups.items()}
+    porder = P.ordered({dg: rs[0] for dg, rs in pgroups.items()}, math.inf)
 
-    def assign(ci: int) -> bool:
+    def assign(ci: int):
         if ci == len(class_list):
             return all(not rs for rs in remaining.values())
         cs = class_list[ci]
         g = len(cs)
-        for dg in sorted(remaining):
+        for dg in porder:
             members = remaining[dg]
             if not members or len(members) % g:
                 continue
             kc = len(members) // g
-            taken = [members[i * kc:(i + 1) * kc] for i in range(g)]
-            if all(check(taken[i], cs[i], math.inf) for i in range(g)):
+            for i in range(g):
+                if not (yield check(members[i * kc:(i + 1) * kc], cs[i], math.inf)):
+                    break
+            else:
                 remaining[dg] = []
-                if assign(ci + 1):
+                if (yield assign(ci + 1)):
                     return True
                 remaining[dg] = members
         return False
 
-    return assign(0)
+    return _run(assign(0))

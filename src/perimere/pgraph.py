@@ -108,10 +108,24 @@ def _read_value(obj, what):
         return val, obj
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise GraphError(f"{what}: value must be a number or decimal string")
-    val = float(obj)
+    try:
+        val = float(obj)
+    except OverflowError:
+        val = math.inf
     if not math.isfinite(val):
         raise GraphError(f"{what}: value must be finite")
     return val, None
+
+
+def _read_int(obj, what):
+    """An integer id, endpoint or dim; an integral float such as 2.0 is
+    accepted, anything else (a fraction, a string, null) is an error, never
+    truncated or coerced."""
+    if type(obj) is int:
+        return obj
+    if isinstance(obj, float) and obj.is_integer():
+        return int(obj)
+    raise GraphError(f"{what} must be an integer, got {obj!r}")
 
 
 def _read_shift(obj, what):
@@ -130,7 +144,7 @@ def _bad_record(kind, pos, rec, keys) -> GraphError:
     if not isinstance(rec, dict):
         return GraphError(f"{kind} record {pos} is not an object")
     missing = ", ".join(k for k in keys if k not in rec)
-    return GraphError(f"{kind} record {pos} (id {rec.get('id')}) lacks {missing}")
+    return GraphError(f"{kind} record {pos} (id {rec.get('id')!r}) lacks {missing}")
 
 
 def parse(source) -> PeriodicGraph:
@@ -153,7 +167,7 @@ def parse(source) -> PeriodicGraph:
         # cells above dimension 1 (or anything else unrecognized) are rejected
         raise GraphError(f"unsupported keys in document: {sorted(extra)}")
     try:
-        dim = int(doc["dim"])
+        dim = _read_int(doc["dim"], "dim")
         basis_cols = doc["basis"]
         vlist = doc["vertices"]
         elist = doc["edges"]
@@ -161,29 +175,47 @@ def parse(source) -> PeriodicGraph:
         raise GraphError(f"missing required key {missing}")
     if dim < 1:
         raise GraphError("dim must be >= 1")
-    if len(basis_cols) != dim or any(len(c) != dim for c in basis_cols):
+    if (not isinstance(basis_cols, (list, tuple)) or len(basis_cols) != dim
+            or any(not isinstance(c, (list, tuple)) or len(c) != dim for c in basis_cols)):
         raise GraphError("basis must be a list of d columns of d reals")
+    try:
+        finite = all(math.isfinite(float(e)) for c in basis_cols for e in c)
+    except (TypeError, ValueError, OverflowError):
+        finite = False
+    if not finite:
+        raise GraphError("basis entries must be finite numbers")
     try:
         basis = RealBasis(basis_cols)
     except ValueError as exc:
         raise GraphError(str(exc))
+    for key, recs in (("vertices", vlist), ("edges", elist)):
+        if not isinstance(recs, (list, tuple)):
+            raise GraphError(f"{key} must be a list of records, not {type(recs).__name__}")
     vertices = []
     for pos, rec in enumerate(vlist):
         try:
             vid, value = rec["id"], rec["value"]
         except (KeyError, TypeError):
             raise _bad_record("vertex", pos, rec, ("id", "value"))
+        if type(vid) is not int:   # ints skip the call: parse reads one per field
+            vid = _read_int(vid, f"vertex record {pos}: id")
         val, raw = _read_value(value, f"vertex {vid}")
-        vertices.append(Vertex(int(vid), val, raw))
+        vertices.append(Vertex(vid, val, raw))
     edges = []
     for pos, rec in enumerate(elist):
         try:
             eid, u, v, value, shift = rec["id"], rec["u"], rec["v"], rec["value"], rec["shift"]
         except (KeyError, TypeError):
             raise _bad_record("edge", pos, rec, ("id", "u", "v", "value", "shift"))
+        if type(eid) is not int:
+            eid = _read_int(eid, f"edge record {pos}: id")
         what = f"edge {eid}"
+        if type(u) is not int:
+            u = _read_int(u, f"{what}: u")
+        if type(v) is not int:
+            v = _read_int(v, f"{what}: v")
         val, raw = _read_value(value, what)
-        edges.append(Edge(int(eid), int(u), int(v), val, _read_shift(shift, what), raw))
+        edges.append(Edge(eid, u, v, val, _read_shift(shift, what), raw))
     return PeriodicGraph(dim, basis, vertices, edges)
 
 

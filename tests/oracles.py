@@ -2,13 +2,17 @@
 
 These deliberately avoid the library's own algorithms: lattice membership by
 bounded coefficient enumeration, optimal transport by unit-splitting plus the
-Hungarian method, connectivity by breadth-first search.
+Hungarian method, connectivity by breadth-first search.  The splinters
+check and canonical form at the end are the library's earlier recursive
+implementation, kept as a differential reference for the current one.
 """
 import itertools
 import math
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+
+from perimere.mergetree import Beam, PeriodicMergeTree
 
 
 def brute_member(columns, v, bound=30):
@@ -115,3 +119,183 @@ def bfs_components(n_ids, edge_pairs):
                     queue.append(w)
         comps.append(frozenset(comp))
     return set(comps)
+
+
+# ---------------------------------------------------------------------------
+# reference splinters check: the recursive string-digest implementation that
+# `perimere.mergetree` replaced, kept verbatim (it raises RecursionError on
+# trees a few hundred beams deep and grows like n^2)
+# ---------------------------------------------------------------------------
+
+def _rounded(x: float, tol: float) -> float:
+    if math.isinf(x):
+        return x
+    return round(x / tol) * tol
+
+
+def _digest(tree: PeriodicMergeTree, b: int, top: float, tol: float) -> str:
+    """Order-insensitive serialization of the subtree hanging below (beam b, top)."""
+    beam = tree.beams[b]
+    spans = [(st, min(en, top), c, e) for st, en, c, e, _ in beam.spans() if st < top]
+    body = ";".join(f"{_rounded(st, tol):.12g}:{_rounded(en, tol):.12g}:{_rounded(c, tol):.12g}:{e}"
+                    for st, en, c, e in spans)
+    kids = sorted(
+        f"{_rounded(h, tol):.12g}>{_digest(tree, c, h, tol)}"
+        for h, c in beam.children if h < top
+    )
+    return f"[{_rounded(beam.birth, tol):.12g}|{body}|{','.join(kids)}]"
+
+
+def canonical_form(tree: PeriodicMergeTree, tol: float = 1e-9) -> str:
+    """Digest equal iff trees are identical up to reordering of siblings."""
+    parts = sorted(_digest(tree, r, math.inf, tol) for r in tree.roots())
+    return "&".join(parts)
+
+
+def _events_below(beam: Beam, top: float):
+    """Heights < top at which the beam gains a child or changes epoch."""
+    hs = {h for h, _ in beam.children if h < top}
+    hs.update(st for st, _, _, _, _ in beam.spans() if beam.birth < st < top)
+    return hs
+
+
+def splinters(tprime: PeriodicMergeTree, tree: PeriodicMergeTree, tol: float = 1e-9) -> bool:
+    """True iff a height-preserving surjection tprime -> tree splits subtrees evenly.
+
+    Root-down sweep: at every point of `tree` covered by k preimage beams of
+    `tprime`, the k preimage subtrees must have identical canonical forms and
+    carry exactly 1/k of the image monomial; preimage mergers not mirrored in
+    `tree` grow k on the way down.
+    """
+    if tprime.dim != tree.dim:
+        return False
+
+    def check(ws: list, b: int, top: float) -> bool:
+        beam = tree.beams[b]
+        if not ws:
+            return False
+        if len({_digest(tprime, w, top, tol) for w in ws}) != 1:
+            return False
+        pool_w = list(ws)
+        pos = top
+        while True:
+            heights = set(_events_below(beam, pos))
+            for w in pool_w:
+                heights |= _events_below(tprime.beams[w], pos)
+            t = max(heights) if heights else beam.birth
+            # interval (t, pos): constant monomials, each preimage carries 1/k
+            if pos > t:
+                mb = beam.monomial(t)
+                if mb is None:
+                    return False
+                k = len(pool_w)
+                for w in pool_w:
+                    mw = tprime.beams[w].monomial(t)
+                    if mw is None or mw[1] != mb[1] or abs(mw[0] - mb[0] / k) > tol:
+                        return False
+            if not heights:
+                return all(tprime.beams[w].birth == beam.birth for w in pool_w)
+
+            b_children = [c for h, c in beam.children if h == t]
+            groups: dict[str, list] = {}
+            for c in b_children:
+                groups.setdefault(_digest(tree, c, t, tol), []).append(c)
+            group_list = [groups[dg] for dg in sorted(groups)]
+            # candidate preimages for the children: children of W-beams merging
+            # at t, plus W-beams themselves sliding onto a child
+            classes: dict[str, list] = {}
+            for w in pool_w:
+                for h, c2 in tprime.beams[w].children:
+                    if h == t:
+                        classes.setdefault(_digest(tprime, c2, t, tol), []).append(("child", c2))
+            for w in pool_w:
+                classes.setdefault(_digest(tprime, w, t, tol), []).append(("slide", w))
+
+            def feasible_counts(cs, items):
+                """Preimage count per child, pinned by the monomial ratio."""
+                g = len(cs)
+                if len(items) < g:
+                    return []
+                mc = tree.beams[cs[0]].monomial(t, below=True)
+                mx = tprime.beams[items[0][1]].monomial(t, below=True)
+                if mc is None or mx is None:
+                    return [kc for kc in range(1, len(items) // g + 1)]
+                if mx[1] != mc[1] or mx[0] <= 0:
+                    return []
+                kc = round(mc[0] / mx[0])
+                if kc < 1 or abs(mc[0] / kc - mx[0]) > tol or g * kc > len(items):
+                    return []
+                return [kc]
+
+            def assign_children(gi: int, avail: dict):
+                if gi == len(group_list):
+                    return avail
+                cs = group_list[gi]
+                g = len(cs)
+                for dg in sorted(avail):
+                    items = avail[dg]
+                    for kc in feasible_counts(cs, items):
+                        take = items[: g * kc]
+                        if not all(check([it[1] for it in take[i * kc:(i + 1) * kc]], c, t)
+                                   for i, c in enumerate(cs)):
+                            continue
+                        rest = dict(avail)
+                        rest[dg] = items[g * kc:]
+                        out = assign_children(gi + 1, rest)
+                        if out is not None:
+                            return out
+                return None
+
+            leftover = assign_children(0, classes)
+            if leftover is None:
+                return False
+            slid = set()
+            joined = []
+            for items in leftover.values():
+                for kind, idx in items:
+                    if kind == "child":
+                        joined.append(idx)
+            taken_slides = {idx for items in classes.values() for kind, idx in items
+                            if kind == "slide"} - {idx for items in leftover.values()
+                                                   for kind, idx in items if kind == "slide"}
+            slid |= taken_slides
+            pool_w = [w for w in pool_w if w not in slid]
+            pool_w.extend(joined)
+            if not pool_w:
+                return False
+            if len({_digest(tprime, w, t, tol) for w in pool_w}) != 1:
+                return False
+            pos = t
+
+    troots = tree.roots()
+    proots = tprime.roots()
+    if not troots or not proots:
+        return not troots and not proots
+    classes: dict[str, list] = {}
+    for r in troots:
+        classes.setdefault(_digest(tree, r, math.inf, tol), []).append(r)
+    pgroups: dict[str, list] = {}
+    for r in proots:
+        pgroups.setdefault(_digest(tprime, r, math.inf, tol), []).append(r)
+    class_list = sorted(classes.values(), key=lambda rs: rs[0])
+    remaining = {dg: list(rs) for dg, rs in pgroups.items()}
+
+    def assign(ci: int) -> bool:
+        if ci == len(class_list):
+            return all(not rs for rs in remaining.values())
+        cs = class_list[ci]
+        g = len(cs)
+        for dg in sorted(remaining):
+            members = remaining[dg]
+            if not members or len(members) % g:
+                continue
+            kc = len(members) // g
+            taken = [members[i * kc:(i + 1) * kc] for i in range(g)]
+            if all(check(taken[i], cs[i], math.inf) for i in range(g)):
+                remaining[dg] = []
+                if assign(ci + 1):
+                    return True
+                remaining[dg] = members
+        return False
+
+    return assign(0)

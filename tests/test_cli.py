@@ -1,13 +1,22 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
+import os
 import random
+import tempfile
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perimere import serialize
 from perimere.cli import main
 from perimere.synthetic import random_periodic_graph
+
+from .conftest import fig3_left_doc, helix_cross_doc
 
 
 def run(capsys, *argv):
@@ -68,6 +77,75 @@ class TestInputErrors:
         code, _, err = self._run_doc(capsys, tmp_path, doc)
         assert_one_error_line(code, err)
         assert "edge record 0 (id 5)" in err and "lacks v" in err
+
+    @pytest.mark.parametrize("field,value,named", [
+        ("vertices", 3, "vertices must be a list"),
+        ("vertex id", None, "vertex record 0: id"),
+        ("vertex id", 0.5, "vertex record 0: id"),
+        ("vertex id", "7", "vertex record 0: id"),
+        ("u", 0.5, "edge 5: u"),
+        ("u", None, "edge 5: u"),
+        ("dim", 1.5, "dim must be an integer"),
+        ("dim", None, "dim must be an integer"),
+    ])
+    def test_scalar_null_and_fractional_fields_rejected(self, capsys, tmp_path, field, value,
+                                                        named):
+        doc = {"dim": 1, "basis": [[1.0]], "vertices": [{"id": 0, "value": 0.0}],
+               "edges": [{"id": 5, "u": 0, "v": 0, "value": 1.0, "shift": [1]}]}
+        if field == "vertex id":
+            doc["vertices"][0]["id"] = value
+        elif field == "u":
+            doc["edges"][0]["u"] = value
+        else:
+            doc[field] = value
+        code, out, err = self._run_doc(capsys, tmp_path, doc)
+        assert_one_error_line(code, err)
+        assert named in err and out == ""
+
+
+FUZZ_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8),
+    st.lists(st.one_of(st.none(), st.integers(), st.floats(), st.text(max_size=3)), max_size=4))
+
+
+def _field_paths(node, path=()):
+    """Every dict value and list entry below `node`, as a key path."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield path + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _field_paths(child, path + (key,))
+
+
+class TestInputFuzz:
+    # one field of a fixture replaced by null, a scalar, a float, a string or
+    # a list: validate accepts it or exits 1 with one error line, no traceback
+    DOCS = (fig3_left_doc(), helix_cross_doc())
+    PATHS = [(i, p) for i, doc in enumerate(DOCS) for p in _field_paths(doc)]
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(target=st.sampled_from(PATHS), value=FUZZ_VALUES)
+    def test_mutated_field_never_escapes(self, target, value):
+        doc_index, path = target
+        doc = json.loads(json.dumps(self.DOCS[doc_index]))
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            p = os.path.join(tmp, "mutant.json")
+            with open(p, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(["validate", p])
+        assert code in (0, 1) and not caught
+        if code == 1:
+            assert_one_error_line(code, err.getvalue())
+        else:
+            assert err.getvalue() == ""
 
 
 class TestUsageErrors:

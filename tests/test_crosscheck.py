@@ -1,5 +1,7 @@
 """Cross-route checks: the flow solver against an LP, splinter checks and
-barcode invariance on random graphs, shadow counts under a skewed basis."""
+barcode invariance on random graphs, the splinters check and canonical forms
+against the recursive string-digest reference, shadow counts under a skewed
+basis."""
 import math
 import random
 
@@ -7,11 +9,14 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from perimere import (GraphError, IntMatrix, build, equals, extract, parse,
-                      serialize, splinters, unroll, w1)
+from perimere import (GraphError, IntMatrix, build, canonical_form, equals, extract,
+                      parse, serialize, splinters, unroll, w1)
 from perimere.lattice import RealBasis, count_cosets_in_ball, hnf_reduce
+from perimere.mergetree import _Text, _TreeIndex
 from perimere.synthetic import random_periodic_graph
 from perimere.transport import barcode_distance
+
+from . import oracles
 
 
 def lp_w1(xi, eta):
@@ -97,6 +102,105 @@ class TestRandomGraphInvariance:
                 if 1 <= abs(s.det()) <= 4:
                     break
             assert equals(code, extract(build(unroll(g, s))), tol=1e-9)
+
+
+def _sublattice(rng, dim, max_det=3):
+    while True:
+        s = IntMatrix.from_rows([[rng.randint(-2, 2) for _ in range(dim)] for _ in range(dim)])
+        if 1 <= abs(s.det()) <= max_det:
+            return s
+
+
+def _forest(rng):
+    """Two copies of one random block, the second 0.25 higher: a disconnected quotient."""
+    g1 = random_periodic_graph(rng, dim=2, n=4, m=5)
+    doc = serialize(g1)
+    doc["vertices"] += [{"id": v.id + 100, "value": v.value + 0.25} for v in g1.vertices]
+    doc["edges"] += [{"id": e.id + 100, "u": e.u + 100, "v": e.v + 100,
+                      "value": e.value + 0.25, "shift": list(e.shift)} for e in g1.edges]
+    return parse(doc)
+
+
+def _jittered(rng, g, eps=1e-12):
+    """g with every filter value moved up by 0, eps or 2 eps: equal heights
+    split into exact heights that round together at tol 1e-9."""
+    doc = serialize(g)
+    for rec in doc["vertices"]:
+        rec["value"] += rng.choice((0.0, eps))
+    for rec in doc["edges"]:
+        rec["value"] += rng.choice((2 * eps, 3 * eps))
+    return parse(doc)
+
+
+def _bases(rng):
+    """Seeded base graphs: plain, tie-valued, forests and jittered ties."""
+    out = []
+    for _ in range(6):
+        dim = rng.choice((1, 2, 3))
+        out.append(random_periodic_graph(rng, dim=dim, n=rng.randint(2, 9), m=rng.randint(2, 16)))
+        out.append(random_periodic_graph(rng, dim=dim, n=rng.randint(2, 9), m=rng.randint(2, 16),
+                                         tie_values=True))
+    out += [_forest(rng) for _ in range(3)]
+    out += [_jittered(rng, random_periodic_graph(rng, dim=2, n=rng.randint(2, 8),
+                                                 m=rng.randint(2, 12), tie_values=True))
+            for _ in range(6)]
+    return out
+
+
+def _tree_pairs(seed):
+    """(tree', tree) pairs: covers over their bases, the reversed order, and
+    across graphs."""
+    rng = random.Random(seed)
+    trees = []
+    for g in _bases(rng):
+        trees.append((build(unroll(g, _sublattice(rng, g.dim))), build(g)))
+    pairs = []
+    for cover, base in trees:
+        pairs += [(cover, base), (base, cover), (base, base)]
+    for (c1, b1), (c2, b2) in zip(trees, trees[1:]):
+        pairs += [(b1, b2), (c1, b2)]
+    return pairs
+
+
+class TestSplintersOracle:
+    @pytest.mark.parametrize("seed", [47, 48])
+    def test_bools_agree(self, seed):
+        got = [(splinters(a, b), oracles.splinters(a, b)) for a, b in _tree_pairs(seed)]
+        assert [g for g, _ in got] == [r for _, r in got]
+        assert 0 < sum(g for g, _ in got) < len(got)
+
+    @pytest.mark.parametrize("seed", [49])
+    def test_canonical_form_equality_agrees(self, seed):
+        pairs = _tree_pairs(seed)
+        for a, b in pairs:
+            assert (canonical_form(a) == canonical_form(b)) == \
+                (oracles.canonical_form(a) == oracles.canonical_form(b))
+        assert any(canonical_form(a) == canonical_form(b) for a, b in pairs if a is not b)
+
+    def test_digests_and_texts_match_reference_strings(self):
+        # every cut at an event height, including cuts between exact heights
+        # that round together: the token text is the reference string, and
+        # digests are equal exactly when the strings are
+        rng = random.Random(50)
+        for g in _bases(rng):
+            tree = build(g)
+            idx = _TreeIndex(tree, _Text(1e-9), {})
+            texts = {}
+            for beam in tree.beams:
+                hs = {beam.birth, beam.death, *(h for h, _ in beam.children),
+                      *(st for st, *_ in beam.spans())}
+                for h in hs:
+                    ref = oracles._digest(tree, beam.index, h, 1e-9)
+                    assert "".join(idx.tokens(beam.index, h)) == ref
+                    texts[idx.digest(beam.index, h)] = texts.get(idx.digest(beam.index, h), ref)
+                    assert texts[idx.digest(beam.index, h)] == ref
+            assert len(set(texts.values())) == len(texts)
+            # text order of the subtrees of all beams alive at one height
+            for top in {b.birth for b in tree.beams} | {b.death for b in tree.beams}:
+                reps = {idx.digest(b.index, top): b.index for b in tree.beams
+                        if b.birth <= top <= b.death}
+                want = sorted(reps, key=lambda dg: oracles._digest(tree, reps[dg], top, 1e-9))
+                assert idx.ordered(reps, top) == want
 
 
 class TestSkewedBasisShadows:

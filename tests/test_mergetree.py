@@ -277,6 +277,35 @@ class TestSplinters:
             assert splinters(build(unroll(g, s)), tree)
 
 
+def chain(n):
+    """Vertex k at height k and edge (k - 1, k) at 2n - k: beam k joins beam
+    k - 1, so the merge tree is n beams deep; one loop with shift [1] closes it."""
+    return parse({
+        "dim": 1, "basis": [[1.0]],
+        "vertices": [{"id": k, "value": float(k)} for k in range(n)],
+        "edges": ([{"id": n + k, "u": k - 1, "v": k, "value": float(2 * n - k), "shift": [0]}
+                   for k in range(1, n)]
+                  + [{"id": 2 * n, "u": n - 1, "v": 0, "value": float(2 * n), "shift": [1]}]),
+    })
+
+
+class TestDeepChains:
+    # the recursive digest and sweep raised RecursionError a few hundred deep
+    def test_depth_1e5_canonical_form_and_self_splinters(self):
+        t = build(chain(100_000))
+        assert all(b.parent == b.index - 1 for b in t.beams[1:])
+        assert canonical_form(t)
+        assert splinters(t, t)
+
+    def test_depth_1e4_cover(self):
+        g = chain(10_000)
+        t = build(g)
+        cover = build(unroll(g, IntMatrix.from_rows([[2]])))
+        assert splinters(cover, t)
+        assert not splinters(t, cover)
+        assert canonical_form(cover) != canonical_form(t)
+
+
 class TestCanonicalForm:
     def test_self_equal(self, helix_cross):
         t = build(helix_cross)

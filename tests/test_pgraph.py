@@ -72,6 +72,54 @@ class TestParse:
         with pytest.raises(GraphError, match="edge record 0 is not an object"):
             parse(doc)
 
+    @staticmethod
+    def _with(path, value):
+        doc = fig3_left_doc()
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return doc
+
+    @pytest.mark.parametrize("path,value,named", [
+        (("vertices",), 3, "vertices must be a list"),
+        (("edges",), 3, "edges must be a list"),
+        (("edges",), {"id": 10}, "edges must be a list"),
+        (("basis",), 3, "basis must be a list"),
+        (("basis", 0, 1), None, "basis entries"),
+        (("dim",), None, "dim must be an integer"),
+        (("vertices", 0, "id"), None, "vertex record 0: id"),
+        (("edges", 1, "id"), None, "edge record 1: id"),
+        (("edges", 1, "u"), None, "edge 11: u"),
+        (("edges", 1, "v"), None, "edge 11: v"),
+    ])
+    def test_scalars_and_nulls_named(self, path, value, named):
+        with pytest.raises(GraphError, match=named):
+            parse(self._with(path, value))
+
+    @pytest.mark.parametrize("path,value,named", [
+        (("vertices", 1, "id"), 0.5, "vertex record 1: id"),
+        (("vertices", 1, "id"), "2", "vertex record 1: id"),
+        (("vertices", 1, "id"), True, "vertex record 1: id"),
+        (("edges", 0, "id"), 10.5, "edge record 0: id"),
+        (("edges", 0, "u"), 0.5, "edge 10: u"),
+        (("edges", 0, "v"), "2", "edge 10: v"),
+        (("dim",), 1.5, "dim must be an integer"),
+        (("dim",), "2", "dim must be an integer"),
+    ])
+    def test_ids_endpoints_and_dim_never_truncated(self, path, value, named):
+        with pytest.raises(GraphError, match=named):
+            parse(self._with(path, value))
+
+    def test_integral_floats_accepted(self):
+        doc = self._with(("dim",), 2.0)
+        doc["vertices"][1]["id"] = 2.0
+        doc["edges"][0].update(id=10.0, u=1.0, v=2.0)
+        g = parse(doc)
+        assert g.dim == 2 and g.vertices[1].id == 2
+        assert (g.edges[0].id, g.edges[0].u, g.edges[0].v) == (10, 1, 2)
+        assert all(type(x) is int for x in (g.dim, g.vertices[1].id, g.edges[0].id, g.edges[0].u))
+
     def test_values_as_decimal_strings(self):
         doc = fig3_left_doc()
         doc["vertices"][0]["value"] = "1.00"
