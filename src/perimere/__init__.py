@@ -4,8 +4,8 @@ complexes with integer shift vectors."""
 
 from .lattice import (BudgetExceeded, IntMatrix, RealBasis, SublatticeBasis,
                       canonical_coset, coset_reps, count_cosets_in_ball,
-                      hnf_reduce, intersection, lattice_sum, member,
-                      unit_ball_volume, volume)
+                      hnf_reduce, lattice_sum, member, unit_ball_volume,
+                      volume)
 from .pgraph import (Edge, GraphError, PeriodicGraph, Vertex, cellular_l1,
                      max_shift_magnitude, parse, serialize, to_json, unroll)
 from .mergetree import (Beam, Epoch, Event, PeriodicMergeTree, UnionFind,
@@ -22,7 +22,7 @@ __all__ = [
     "RealBasis", "SublatticeBasis", "TransportPlan", "UnionFind", "Vertex",
     "barcode_distance", "build", "canonical_coset", "canonical_form",
     "cellular_l1", "coset_reps", "count_cosets_in_ball", "equals", "extract",
-    "from_diagram", "hnf_reduce", "intersection", "lattice_sum",
+    "from_diagram", "hnf_reduce", "lattice_sum",
     "max_shift_magnitude", "member", "multiplicity_bound", "parse",
     "serialize", "splinters", "to_diagram", "to_json", "unit_ball_volume",
     "unroll", "volume", "w1", "w1_alt",

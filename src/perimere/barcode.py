@@ -9,10 +9,10 @@ exact cancellations (e.g. from zero-width epochs at tied heights) drop out.
 from __future__ import annotations
 
 import io
-import json
 import math
 from dataclasses import dataclass
 
+from . import jsonfmt
 from .mergetree import PeriodicMergeTree
 
 
@@ -108,7 +108,7 @@ def to_json_dict(bc: PeriodicBarcode) -> dict:
 
 
 def to_json(bc: PeriodicBarcode) -> str:
-    return json.dumps(to_json_dict(bc), indent=2, sort_keys=True)
+    return jsonfmt.dumps(to_json_dict(bc))
 
 
 def to_csv(bc: PeriodicBarcode) -> str:

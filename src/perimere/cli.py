@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import barcode as bc
 from . import mergetree as mt
-from . import pgraph, transport
+from . import jsonfmt, pgraph, transport
 from .lattice import (BudgetExceeded, DEFAULT_ENUMERATION_BUDGET, IntMatrix,
                       count_cosets_in_ball, unit_ball_volume)
 from .pgraph import GraphError
@@ -33,7 +33,7 @@ class RunConfig:
 
 
 def _jdump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return jsonfmt.dumps(obj) + "\n"
 
 
 def _emit(text: str, out: str | None):

@@ -276,28 +276,6 @@ def member(l: SublatticeBasis, v: Sequence[int]) -> bool:
     return solve(l, v) is not None
 
 
-def intersection(a: SublatticeBasis, b: SublatticeBasis) -> SublatticeBasis:
-    """Lattice of vectors lying in both A and B.
-
-    Solves A.x = B.y over the integers via the kernel of the stacked matrix
-    [A | -B] and projects the solutions to A.x.
-    """
-    if a.dim != b.dim:
-        raise ValueError("ambient dimension mismatch")
-    if not a.columns or not b.columns:
-        return SublatticeBasis.empty(a.dim)
-    if a == b:
-        return a
-    stacked = a.columns + tuple(tuple(-e for e in col) for col in b.columns)
-    basis, _, trans = _hnf_columns(a.dim, stacked, with_transform=True)
-    pa = len(a.columns)
-    vecs = []
-    for k in range(len(basis), len(stacked)):
-        x = trans[k][:pa]
-        vecs.append(tuple(sum(x[i] * a.columns[i][r] for i in range(pa)) for r in range(a.dim)))
-    return hnf_reduce(vecs, dim=a.dim)
-
-
 class RealBasis:
     """Real d x d basis matrix U (columns are lattice vectors) with caches.
 

@@ -14,7 +14,6 @@ demand, in build's processing order.
 """
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -24,6 +23,7 @@ from operator import itemgetter
 
 import numpy as np
 
+from . import jsonfmt
 from .lattice import SublatticeBasis, hnf_reduce, member, unit_ball_volume, volume
 from .pgraph import PeriodicGraph
 
@@ -226,7 +226,7 @@ class PeriodicMergeTree:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+        return jsonfmt.dumps(self.to_json_dict())
 
     def to_dot(self) -> str:
         lines = ["digraph mergetree {", "  rankdir=LR;"]

@@ -95,6 +95,8 @@ class PeriodicGraph:
 
 
 _TOP_KEYS = {"dim", "basis", "vertices", "edges"}
+_ID_MIN, _ID_MAX = -2 ** 63, 2 ** 63 - 1   # ids are int64 in build
+_INT = frozenset({int})   # the entry types of a shift read as is
 
 
 def _read_value(obj, what):
@@ -118,23 +120,31 @@ def _read_value(obj, what):
 
 
 def _read_int(obj, what):
-    """An integer id, endpoint or dim; an integral float such as 2.0 is
-    accepted, anything else (a fraction, a string, null) is an error, never
-    truncated or coerced."""
-    if type(obj) is int:
-        return obj
-    if isinstance(obj, float) and obj.is_integer():
-        return int(obj)
-    raise GraphError(f"{what} must be an integer, got {obj!r}")
+    """A signed 64-bit integer id, endpoint or dim; an integral float such as
+    2.0 is accepted, anything else (a fraction, a string, null, a bool, an
+    integer out of range) is an error, never truncated or coerced."""
+    if type(obj) is not int:
+        if not (isinstance(obj, float) and obj.is_integer()):
+            raise GraphError(f"{what} must be an integer, got {obj!r}")
+        obj = int(obj)
+    if not _ID_MIN <= obj <= _ID_MAX:
+        raise GraphError(f"{what} must fit in a signed 64-bit integer, got {obj}")
+    return obj
 
 
 def _read_shift(obj, what):
-    """Integer shift vector; a non-integral or non-numeric entry is an error,
-    never truncated."""
+    """Integer shift vector; an integral float such as 2.0 is read as 2, a
+    non-integral, boolean or non-numeric entry is an error, never truncated
+    or coerced."""
     try:
-        shift = tuple(map(int, obj))
-        if shift == tuple(obj):
+        shift = tuple(obj)
+        types = set(map(type, shift))
+        if types <= _INT:
             return shift
+        if bool not in types:
+            ints = tuple(map(int, shift))
+            if ints == shift:
+                return ints
     except (TypeError, ValueError, OverflowError):
         pass
     raise GraphError(f"{what}: shift must be a list of integers, got {obj!r}")
@@ -179,7 +189,8 @@ def parse(source) -> PeriodicGraph:
             or any(not isinstance(c, (list, tuple)) or len(c) != dim for c in basis_cols)):
         raise GraphError("basis must be a list of d columns of d reals")
     try:
-        finite = all(math.isfinite(float(e)) for c in basis_cols for e in c)
+        finite = all(type(e) is not bool and math.isfinite(float(e))
+                     for c in basis_cols for e in c)
     except (TypeError, ValueError, OverflowError):
         finite = False
     if not finite:
@@ -197,7 +208,7 @@ def parse(source) -> PeriodicGraph:
             vid, value = rec["id"], rec["value"]
         except (KeyError, TypeError):
             raise _bad_record("vertex", pos, rec, ("id", "value"))
-        if type(vid) is not int:   # ints skip the call: parse reads one per field
+        if type(vid) is not int or not _ID_MIN <= vid <= _ID_MAX:   # in-range ints skip the call
             vid = _read_int(vid, f"vertex record {pos}: id")
         val, raw = _read_value(value, f"vertex {vid}")
         vertices.append(Vertex(vid, val, raw))
@@ -207,10 +218,10 @@ def parse(source) -> PeriodicGraph:
             eid, u, v, value, shift = rec["id"], rec["u"], rec["v"], rec["value"], rec["shift"]
         except (KeyError, TypeError):
             raise _bad_record("edge", pos, rec, ("id", "u", "v", "value", "shift"))
-        if type(eid) is not int:
+        if type(eid) is not int or not _ID_MIN <= eid <= _ID_MAX:
             eid = _read_int(eid, f"edge record {pos}: id")
         what = f"edge {eid}"
-        if type(u) is not int:
+        if type(u) is not int:   # an endpoint out of range matches no vertex
             u = _read_int(u, f"{what}: u")
         if type(v) is not int:
             v = _read_int(v, f"{what}: v")
@@ -241,6 +252,9 @@ def serialize(g: PeriodicGraph) -> dict:
 
 
 def to_json(g: PeriodicGraph) -> str:
+    """Indent-2 JSON of `serialize(g)` with its keys in insertion order (dim,
+    basis, vertices, edges; id first in a record), so it stays on `json.dumps`
+    rather than the sorted-key writer of the CLI."""
     return json.dumps(serialize(g), indent=2)
 
 
@@ -272,7 +286,9 @@ def unroll(g: PeriodicGraph, s: IntMatrix) -> PeriodicGraph:
     S.Z^d; an edge (u -> v, shift t) spawns one copy per representative c,
     ending at (v, c') with c' the canonical representative of c + t and a
     new shift solving S.shift' = c + t - c'.  The result has |det S| times
-    the vertices and edges of g, with basis U.S.
+    the vertices and edges of g, with basis U.S.  The copies of an edge
+    depend on its shift alone, so the coset work is done once per distinct
+    shift and representative; the rest costs one record per copy.
     """
     if s.rows != g.dim or s.cols != g.dim:
         raise GraphError("sublattice matrix must be d x d")
@@ -282,26 +298,36 @@ def unroll(g: PeriodicGraph, s: IntMatrix) -> PeriodicGraph:
     reps = coset_reps(s)
     k = len(reps)
     rep_index = {r: i for i, r in enumerate(reps)}
+    ids = [v.id for v in g.vertices] + [e.id for e in g.edges]
+    if ids and not (_ID_MIN <= min(ids) * k and max(ids) * k + k - 1 <= _ID_MAX):
+        raise GraphError(f"ids times the sublattice index {k} leave the signed 64-bit range")
     new_cols = [
         [sum(g.basis.matrix[r, c] * s.columns[j][c] for c in range(g.dim)) for r in range(g.dim)]
         for j in range(g.dim)
     ]
-    vertices = []
-    for v in g.vertices:
-        for ci in range(k):
-            vertices.append(Vertex(v.id * k + ci, v.value, v.raw))
-    edges = []
-    for e in g.edges:
-        for ci, c in enumerate(reps):
-            w = tuple(a + b for a, b in zip(c, e.shift))
+
+    def hops(shift):
+        """(target representative index, new shift) for every representative."""
+        row = []
+        for c in reps:
+            w = tuple(a + b for a, b in zip(c, shift))
             c2 = reduce_mod(h, w)
-            diff = tuple(a - b for a, b in zip(w, c2))
-            y = solve(h, diff)
+            y = solve(h, tuple(a - b for a, b in zip(w, c2)))
             if y is None:
                 raise AssertionError("coset reduction left a non-lattice difference")
-            # H = S . certs, so S . (certs . y) = diff
-            t = tuple(
-                sum(certs[col][i] * y[col] for col in range(len(y))) for i in range(g.dim)
-            )
-            edges.append(Edge(e.id * k + ci, e.u * k + ci, e.v * k + rep_index[c2], e.value, t, e.raw))
+            # H = S . certs, so S . (certs . y) = w - c2
+            t = tuple(sum(certs[col][i] * y[col] for col in range(len(y))) for i in range(g.dim))
+            row.append((rep_index[c2], t))
+        return row
+
+    vertices = [Vertex(v.id * k + ci, v.value, v.raw) for v in g.vertices for ci in range(k)]
+    edges = []
+    rows: dict = {}
+    for e in g.edges:
+        row = rows.get(e.shift)
+        if row is None:
+            row = rows[e.shift] = hops(e.shift)
+        eid, u, v = e.id * k, e.u * k, e.v * k
+        edges.extend(Edge(eid + ci, u + ci, v + c2, e.value, t, e.raw)
+                     for ci, (c2, t) in enumerate(row))
     return PeriodicGraph(g.dim, RealBasis(new_cols), vertices, edges)

@@ -3,8 +3,9 @@
 These deliberately avoid the library's own algorithms: lattice membership by
 bounded coefficient enumeration, optimal transport by unit-splitting plus the
 Hungarian method, connectivity by breadth-first search.  The splinters
-check and canonical form at the end are the library's earlier recursive
-implementation, kept as a differential reference for the current one.
+check and canonical form are the library's earlier recursive
+implementation, and `oracle_unroll` its earlier per-edge unroll; both are
+kept as differential references for the current code.
 """
 import itertools
 import math
@@ -12,7 +13,9 @@ import math
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from perimere.lattice import IntMatrix, RealBasis, coset_reps, hnf_transform, reduce_mod, solve
 from perimere.mergetree import Beam, PeriodicMergeTree
+from perimere.pgraph import Edge, GraphError, PeriodicGraph, Vertex
 
 
 def brute_member(columns, v, bound=30):
@@ -50,18 +53,6 @@ def brute_member(columns, v, bound=30):
     idx = np.searchsorted(s1, k2)
     idx = np.clip(idx, 0, len(s1) - 1)
     return bool(np.any(s1[idx] == k2))
-
-
-def brute_lattice_points(columns, d, bound, box):
-    """All integer combinations (coefficients in [-bound, bound]) inside [-box, box]^d."""
-    cols = [tuple(int(e) for e in c) for c in columns]
-    if not cols:
-        return {tuple([0] * d)}
-    coeffs = np.array(list(itertools.product(range(-bound, bound + 1), repeat=len(cols))),
-                      dtype=np.int64)
-    pts = coeffs @ np.array(cols, dtype=np.int64)
-    keep = pts[np.all(np.abs(pts) <= box, axis=1)]
-    return {tuple(int(x) for x in row) for row in keep}
 
 
 def assignment_w1(xi, eta):
@@ -299,3 +290,45 @@ def splinters(tprime: PeriodicMergeTree, tree: PeriodicMergeTree, tol: float = 1
         return False
 
     return assign(0)
+
+
+def oracle_unroll(g: PeriodicGraph, s: IntMatrix) -> PeriodicGraph:
+    """Quotient of the same periodic complex over the sublattice S.Z^d.
+
+    Vertices become (v, c) for every coset representative c of Z^d modulo
+    S.Z^d; an edge (u -> v, shift t) spawns one copy per representative c,
+    ending at (v, c') with c' the canonical representative of c + t and a
+    new shift solving S.shift' = c + t - c'.  The result has |det S| times
+    the vertices and edges of g, with basis U.S.
+    """
+    if s.rows != g.dim or s.cols != g.dim:
+        raise GraphError("sublattice matrix must be d x d")
+    h, certs = hnf_transform(s)
+    if h.rank != g.dim:
+        raise GraphError("singular sublattice matrix")
+    reps = coset_reps(s)
+    k = len(reps)
+    rep_index = {r: i for i, r in enumerate(reps)}
+    new_cols = [
+        [sum(g.basis.matrix[r, c] * s.columns[j][c] for c in range(g.dim)) for r in range(g.dim)]
+        for j in range(g.dim)
+    ]
+    vertices = []
+    for v in g.vertices:
+        for ci in range(k):
+            vertices.append(Vertex(v.id * k + ci, v.value, v.raw))
+    edges = []
+    for e in g.edges:
+        for ci, c in enumerate(reps):
+            w = tuple(a + b for a, b in zip(c, e.shift))
+            c2 = reduce_mod(h, w)
+            diff = tuple(a - b for a, b in zip(w, c2))
+            y = solve(h, diff)
+            if y is None:
+                raise AssertionError("coset reduction left a non-lattice difference")
+            # H = S . certs, so S . (certs . y) = diff
+            t = tuple(
+                sum(certs[col][i] * y[col] for col in range(len(y))) for i in range(g.dim)
+            )
+            edges.append(Edge(e.id * k + ci, e.u * k + ci, e.v * k + rep_index[c2], e.value, t, e.raw))
+    return PeriodicGraph(g.dim, RealBasis(new_cols), vertices, edges)

@@ -16,7 +16,7 @@ from perimere import serialize
 from perimere.cli import main
 from perimere.synthetic import random_periodic_graph
 
-from .conftest import fig3_left_doc, helix_cross_doc
+from .conftest import FIXTURE_DIR, fig3_left_doc, helix_cross_doc
 
 
 def run(capsys, *argv):
@@ -87,6 +87,10 @@ class TestInputErrors:
         ("u", None, "edge 5: u"),
         ("dim", 1.5, "dim must be an integer"),
         ("dim", None, "dim must be an integer"),
+        ("vertex id", 2 ** 63, "vertex record 0: id must fit in a signed 64-bit"),
+        ("u", -2 ** 63 - 1, "edge 5 references a missing vertex"),
+        ("shift", [True], "edge 5: shift"),
+        ("basis", [[True]], "basis entries"),
     ])
     def test_scalar_null_and_fractional_fields_rejected(self, capsys, tmp_path, field, value,
                                                         named):
@@ -94,13 +98,22 @@ class TestInputErrors:
                "edges": [{"id": 5, "u": 0, "v": 0, "value": 1.0, "shift": [1]}]}
         if field == "vertex id":
             doc["vertices"][0]["id"] = value
-        elif field == "u":
-            doc["edges"][0]["u"] = value
+        elif field in ("u", "shift"):
+            doc["edges"][0][field] = value
         else:
             doc[field] = value
         code, out, err = self._run_doc(capsys, tmp_path, doc)
         assert_one_error_line(code, err)
         assert named in err and out == ""
+
+    def test_unroll_past_int64_ids_rejected(self, capsys, tmp_path):
+        doc = {"dim": 1, "basis": [[1.0]], "vertices": [{"id": 2 ** 62, "value": 0.0}],
+               "edges": [{"id": 5, "u": 2 ** 62, "v": 2 ** 62, "value": 1.0, "shift": [1]}]}
+        p = tmp_path / "big.json"
+        p.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "unroll", str(p), "--sublattice", "2")
+        assert_one_error_line(code, err)
+        assert "64-bit" in err and out == ""
 
 
 FUZZ_VALUES = st.one_of(
@@ -117,35 +130,60 @@ def _field_paths(node, path=()):
             yield from _field_paths(child, path + (key,))
 
 
+def _run_mutant(doc, path, value, argv):
+    """Exit code of `main(argv + [file])` on doc with the entry at `path`
+    replaced by value, after checking it is 0 with empty stderr or 1 with one
+    error line, and that no warning was raised."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        p = os.path.join(tmp, "mutant.json")
+        with open(p, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv + [p])
+    assert code in (0, 1) and not caught
+    if code == 1:
+        assert_one_error_line(code, err.getvalue())
+    else:
+        assert err.getvalue() == ""
+    return code
+
+
+# one entry of a shift or a basis column: null, a bool, an integer past
+# int64, a fraction or a string
+ENTRY_VALUES = st.sampled_from([None, True, False, 2 ** 63, -2 ** 63 - 1, 1.5, "1", "x"])
+
+
 class TestInputFuzz:
     # one field of a fixture replaced by null, a scalar, a float, a string or
     # a list: validate accepts it or exits 1 with one error line, no traceback
     DOCS = (fig3_left_doc(), helix_cross_doc())
     PATHS = [(i, p) for i, doc in enumerate(DOCS) for p in _field_paths(doc)]
+    ENTRY_PATHS = [(i, p) for i, p in PATHS
+                   if type(p[-1]) is int and (p[-2] == "shift" or p[0] == "basis")]
 
     @settings(max_examples=400, derandomize=True, database=None, deadline=None)
     @given(target=st.sampled_from(PATHS), value=FUZZ_VALUES)
     def test_mutated_field_never_escapes(self, target, value):
         doc_index, path = target
-        doc = json.loads(json.dumps(self.DOCS[doc_index]))
-        node = doc
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = value
-        with tempfile.TemporaryDirectory() as tmp:
-            p = os.path.join(tmp, "mutant.json")
-            with open(p, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh)
-            err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
-                    warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                code = main(["validate", p])
-        assert code in (0, 1) and not caught
-        if code == 1:
-            assert_one_error_line(code, err.getvalue())
-        else:
-            assert err.getvalue() == ""
+        _run_mutant(self.DOCS[doc_index], path, value, ["validate"])
+
+    # barcode, not only validate: an accepted entry must also build
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(target=st.sampled_from(ENTRY_PATHS), value=ENTRY_VALUES)
+    def test_mutated_shift_or_basis_entry_never_escapes(self, target, value):
+        doc_index, path = target
+        code = _run_mutant(self.DOCS[doc_index], path, value, ["barcode", "--csv"])
+        # a basis entry is real, a shift entry an integer; neither is a bool or null
+        assert code == 1 or (type(value) not in (bool, type(None))
+                             and (path[0] == "basis" or value != 1.5))
 
 
 class TestUsageErrors:
@@ -296,3 +334,41 @@ class TestTreeGolden:
         code, out, _ = run(capsys, "tree", str(p), "--json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestUnrollGolden:
+    # sha256 of the CLI output on the fixture files: pins the unrolled graph
+    # (non-diagonal sublattices), `barcode --json`, `bounds`, and `distance`
+    # between each fixture and its unrolled graph
+    CASES = {
+        "helix_cross_3d": ("2,0,0;1,3,0;0,1,1", {
+            "unroll": "a2debba08e8c8c75835953565d6a1cbe4d24380c1aa1e0dc94a0586b1e60a50d",
+            "barcode": "2c13fa027ac053583d03320736c68f0381e2a837df948dd8eafdef8174dbdc8d",
+            "distance": "1249d4053f6bc29bf2323fe2c8e7344cdacea14ccaf0d7c15782f45a3aadffc5",
+            "bounds": "c83d642742da49bee7b84b75590dd95ab32aa9fab468dba132ed6b5eeb963473",
+        }),
+        "diagonal_loop_2d": ("2,1;0,3", {
+            "unroll": "61816ff2e185c2c8c7ddd7b0a53a552ec89661029ef43fc8b4ac383d73b201a5",
+            "barcode": "e1a4f08e45b93d303ee40c4b9c3231f739324c07d1a9684dc8796aa13bcad0b1",
+            "distance": "87dea9a4e6b8096ffa71f19bc65439fa0d2ec10d2658b13920ddf801658d46ec",
+            "bounds": "9a9439db90460bba10530ef2733ce5965313fa481fe260d8343746989066c234",
+        }),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_output_digests(self, capsys, tmp_path, name):
+        sublattice, digests = self.CASES[name]
+        src = str(FIXTURE_DIR / f"{name}.json")
+        rolled = str(tmp_path / "unrolled.json")
+        outs = {}
+        for op, argv in (("unroll", ("unroll", src, "--sublattice", sublattice)),
+                         ("barcode", ("barcode", src, "--json")),
+                         ("bounds", ("bounds", src))):
+            code, outs[op], _ = run(capsys, *argv)
+            assert code == 0
+        with open(rolled, "w", encoding="utf-8") as fh:
+            fh.write(outs["unroll"])
+        code, outs["distance"], _ = run(capsys, "distance", src, rolled)
+        assert code == 0
+        got = {op: hashlib.sha256(out.encode()).hexdigest() for op, out in outs.items()}
+        assert got == digests

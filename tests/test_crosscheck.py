@@ -203,6 +203,31 @@ class TestSplintersOracle:
                 assert idx.ordered(reps, top) == want
 
 
+class TestUnrollOracle:
+    # the memoized unroll against the earlier per-edge one, field by field
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_serialized_graphs_equal(self, dim):
+        rng = random.Random(60 + dim)
+        skew = 0
+        for _ in range(40):
+            doc = serialize(random_periodic_graph(
+                rng, dim=dim, n=rng.randint(0, 8), m=rng.randint(0, 16),
+                shift_range=rng.choice([1, 2, 3]), tie_values=rng.random() < 0.5))
+            for rec in doc["vertices"] + doc["edges"]:   # negative ids, decimal strings
+                rec["id"] -= 5
+                if rng.random() < 0.3:
+                    rec["value"] = repr(rec["value"])
+            for rec in doc["edges"]:
+                rec["u"] -= 5
+                rec["v"] -= 5
+            g = parse(doc)
+            s = _sublattice(rng, dim, max_det=rng.choice([3, 6]))
+            h = hnf_reduce(s)
+            skew += any(col[r] for j, col in enumerate(h.columns) for r in range(j + 1, dim))
+            assert serialize(unroll(g, s)) == serialize(oracles.oracle_unroll(g, s))
+        assert dim == 1 or skew > 0
+
+
 class TestSkewedBasisShadows:
     def test_count_matches_monomial_prediction(self):
         u = RealBasis([[1.0, 0.0], [0.5, 1.0]])

@@ -7,10 +7,10 @@ import pytest
 from perimere.lattice import (BudgetExceeded, IntMatrix, RealBasis,
                               SublatticeBasis, canonical_coset, coset_reps,
                               count_cosets_in_ball, hnf_reduce, hnf_transform,
-                              intersection, lattice_sum, member, solve,
-                              unit_ball_volume, volume)
+                              lattice_sum, member, solve, unit_ball_volume,
+                              volume)
 
-from .oracles import brute_lattice_points, brute_member
+from .oracles import brute_member
 
 I2 = RealBasis([[1.0, 0.0], [0.0, 1.0]])
 I3 = RealBasis([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
@@ -184,37 +184,6 @@ class TestMember:
                 assert member(l, v)
             if member(l, v):
                 assert certify_member(cols, v)
-
-
-class TestIntersection:
-    def test_full_with_full(self):
-        z2 = SublatticeBasis.full(2)
-        assert intersection(z2, z2) == z2
-
-    def test_known_intersection(self):
-        a = hnf_reduce([(2, 0), (0, 1)])
-        b = hnf_reduce([(1, 0), (0, 2)])
-        got = intersection(a, b)
-        # frozen via brute force over the [-8, 8]^2 box
-        want = {p for p in brute_lattice_points([(2, 0), (0, 1)], 2, 16, 8)
-                if p in brute_lattice_points([(1, 0), (0, 2)], 2, 16, 8)}
-        assert got.columns == ((2, 0), (0, 2))
-        got_pts = brute_lattice_points(got.columns, 2, 16, 8)
-        assert got_pts == want
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            intersection(hnf_reduce([(1, 1)]), hnf_reduce([(1, 1, 0)]))
-
-    def test_contained_in_both(self):
-        rng = random.Random(8)
-        for _ in range(30):
-            mk = lambda: hnf_reduce(
-                [tuple(rng.randint(-4, 4) for _ in range(3)) for _ in range(rng.randint(1, 3))])
-            a, b = mk(), mk()
-            got = intersection(a, b)
-            assert all(member(a, col) and member(b, col) for col in got.columns)
-            assert intersection(a, a) == a
 
 
 class TestVolume:

@@ -55,7 +55,7 @@ class TestParse:
         doc = fig3_left_doc()
         doc["edges"][1]["shift"] = [2.0, -1]
         assert parse(doc).edges[1].shift == (2, -1)
-        for bad in ([1.5, 0], ["1", 0], 1, [float("inf"), 0]):
+        for bad in ([1.5, 0], ["1", 0], 1, [float("inf"), 0], [True, 0], [0, False]):
             doc["edges"][1]["shift"] = bad
             with pytest.raises(GraphError, match="edge 11: shift"):
                 parse(doc)
@@ -92,6 +92,8 @@ class TestParse:
         (("edges", 1, "id"), None, "edge record 1: id"),
         (("edges", 1, "u"), None, "edge 11: u"),
         (("edges", 1, "v"), None, "edge 11: v"),
+        (("basis", 0, 1), True, "basis entries"),
+        (("basis", 1, 1), False, "basis entries"),
     ])
     def test_scalars_and_nulls_named(self, path, value, named):
         with pytest.raises(GraphError, match=named):
@@ -106,10 +108,24 @@ class TestParse:
         (("edges", 0, "v"), "2", "edge 10: v"),
         (("dim",), 1.5, "dim must be an integer"),
         (("dim",), "2", "dim must be an integer"),
+        (("vertices", 1, "id"), 2 ** 63, "vertex record 1: id must fit in a signed 64-bit"),
+        (("vertices", 1, "id"), 1e19, "vertex record 1: id must fit in a signed 64-bit"),
+        (("edges", 0, "id"), -2 ** 63 - 1, "edge record 0: id must fit in a signed 64-bit"),
+        (("edges", 0, "u"), 1e19, "edge 10: u must fit in a signed 64-bit"),
+        (("edges", 0, "v"), 2 ** 64, "edge 10 references a missing vertex"),
     ])
     def test_ids_endpoints_and_dim_never_truncated(self, path, value, named):
         with pytest.raises(GraphError, match=named):
             parse(self._with(path, value))
+
+    def test_int64_extreme_ids_accepted(self):
+        doc = fig3_left_doc()
+        doc["vertices"][0]["id"], doc["vertices"][1]["id"] = 2 ** 63 - 1, -2 ** 63
+        for rec in doc["edges"]:
+            rec["u"], rec["v"] = 2 ** 63 - 1, -2 ** 63
+        doc["edges"][0]["id"] = -2 ** 63
+        g = parse(doc)
+        assert g.vertices[0].id == 2 ** 63 - 1 and len(build(g).beams) == 2
 
     def test_integral_floats_accepted(self):
         doc = self._with(("dim",), 2.0)
@@ -239,6 +255,29 @@ class TestUnroll:
                 continue
             trials += 1
             assert equals(base, extract(build(unroll(fig3_left, s))))
+
+    @staticmethod
+    def _with_vertex_id(vid):
+        doc = fig3_left_doc()
+        doc["vertices"][1]["id"] = vid
+        for rec in doc["edges"]:
+            rec["v" if rec["v"] == 2 else "u"] = vid
+        return parse(doc)
+
+    def test_ids_leaving_int64_rejected(self):
+        diag2, diag3 = IntMatrix.from_rows([[2, 0], [0, 1]]), IntMatrix.from_rows([[3, 0], [0, 1]])
+        # id * det + (det - 1) = 2^63 - 1 still fits, and the output parses again
+        rolled = unroll(self._with_vertex_id(2 ** 62 - 1), diag2)
+        assert max(v.id for v in rolled.vertices) == 2 ** 63 - 1
+        assert serialize(parse(serialize(rolled))) == serialize(rolled)
+        # id * 3 = 2^63 - 2 fits, but the copy at representative 2 does not
+        g = self._with_vertex_id((2 ** 63 - 1) // 3)
+        with pytest.raises(GraphError, match="64-bit"):
+            unroll(g, diag3)
+        g = self._with_vertex_id(-2 ** 62)
+        assert min(v.id for v in unroll(g, diag2).vertices) == -2 ** 63
+        with pytest.raises(GraphError, match="64-bit"):
+            unroll(g, IntMatrix.from_rows([[1, 1], [0, 3]]))
 
     def test_singular_rejected(self, fig3_left):
         with pytest.raises(GraphError):
