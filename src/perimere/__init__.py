@@ -7,7 +7,7 @@ from .lattice import (BudgetExceeded, IntMatrix, RealBasis, SublatticeBasis,
                       hnf_reduce, lattice_sum, member, unit_ball_volume,
                       volume)
 from .pgraph import (Edge, GraphError, PeriodicGraph, Vertex, cellular_l1,
-                     max_shift_magnitude, parse, serialize, to_json, unroll)
+                     max_shift_magnitude, parse, serialize, unroll)
 from .mergetree import (Beam, Epoch, Event, PeriodicMergeTree, UnionFind,
                         build, canonical_form, splinters)
 from .barcode import Bar, PeriodicBarcode, equals, extract, from_diagram, to_diagram
@@ -24,6 +24,6 @@ __all__ = [
     "cellular_l1", "coset_reps", "count_cosets_in_ball", "equals", "extract",
     "from_diagram", "hnf_reduce", "lattice_sum",
     "max_shift_magnitude", "member", "multiplicity_bound", "parse",
-    "serialize", "splinters", "to_diagram", "to_json", "unit_ball_volume",
+    "serialize", "splinters", "to_diagram", "unit_ball_volume",
     "unroll", "volume", "w1", "w1_alt",
 ]

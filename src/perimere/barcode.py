@@ -12,7 +12,6 @@ import io
 import math
 from dataclasses import dataclass
 
-from . import jsonfmt
 from .mergetree import PeriodicMergeTree
 
 
@@ -105,10 +104,6 @@ def to_json_dict(bc: PeriodicBarcode) -> dict:
             for exp, era in enumerate(bc.eras)
         ],
     }
-
-
-def to_json(bc: PeriodicBarcode) -> str:
-    return jsonfmt.dumps(to_json_dict(bc))
 
 
 def to_csv(bc: PeriodicBarcode) -> str:

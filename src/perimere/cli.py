@@ -12,7 +12,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from . import barcode as bc
 from . import mergetree as mt
@@ -20,16 +19,6 @@ from . import jsonfmt, pgraph, transport
 from .lattice import (BudgetExceeded, DEFAULT_ENUMERATION_BUDGET, IntMatrix,
                       count_cosets_in_ball, unit_ball_volume)
 from .pgraph import GraphError
-
-
-@dataclass
-class RunConfig:
-    budget: int = DEFAULT_ENUMERATION_BUDGET
-    fmt: str = "json"
-
-    def __post_init__(self):
-        if not (0 < self.budget <= 10**8):
-            raise ValueError("budget must be in (0, 1e8]")
 
 
 def _jdump(obj) -> str:
@@ -64,7 +53,7 @@ def parse_sublattice(spec: str, dim: int) -> IntMatrix:
     return m
 
 
-def cmd_validate(args, cfg: RunConfig) -> int:
+def cmd_validate(args) -> int:
     g = pgraph.parse(args.input)
     d = pgraph.max_shift_magnitude(g)
     conn = "connected" if g.is_connected() else "disconnected"
@@ -72,27 +61,27 @@ def cmd_validate(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_tree(args, cfg: RunConfig) -> int:
+def cmd_tree(args) -> int:
     g = pgraph.parse(args.input)
     tree = mt.build(g)
-    if cfg.fmt == "dot":
+    if args.fmt == "dot":
         _emit(tree.to_dot(), args.out)
     else:
         _emit(_jdump(tree.to_json_dict()), args.out)
     return 0
 
 
-def cmd_barcode(args, cfg: RunConfig) -> int:
+def cmd_barcode(args) -> int:
     g = pgraph.parse(args.input)
     code = bc.extract(mt.build(g))
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         _emit(bc.to_csv(code), args.out)
     else:
         _emit(_jdump(bc.to_json_dict(code)), args.out)
     return 0
 
 
-def cmd_distance(args, cfg: RunConfig) -> int:
+def cmd_distance(args) -> int:
     ga = pgraph.parse(args.a)
     gb = pgraph.parse(args.b)
     ba = bc.extract(mt.build(ga))
@@ -105,14 +94,20 @@ def cmd_distance(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_unroll(args, cfg: RunConfig) -> int:
+def cmd_unroll(args) -> int:
     g = pgraph.parse(args.input)
     s = parse_sublattice(args.sublattice, g.dim)
     _emit(_jdump(pgraph.serialize(pgraph.unroll(g, s))), args.out)
     return 0
 
 
-def cmd_count_shadows(args, cfg: RunConfig) -> int:
+def cmd_count_shadows(args) -> int:
+    budget = args.budget
+    if budget is None:
+        env = os.environ.get("PERIMERE_BUDGET")
+        budget = int(env) if env else DEFAULT_ENUMERATION_BUDGET
+    if not 0 < budget <= 10**8:
+        raise ValueError("budget must be in (0, 1e8]")
     g = pgraph.parse(args.input)
     tree = mt.build(g)
     t = args.component_at
@@ -121,7 +116,7 @@ def cmd_count_shadows(args, cfg: RunConfig) -> int:
         if beam.birth <= t < beam.death:
             coeff, exp, basis = beam.monomial(t)
             predicted = coeff * unit_ball_volume(exp) * args.radius ** exp
-            counted = count_cosets_in_ball(g.basis, basis, args.radius, cfg.budget)
+            counted = count_cosets_in_ball(g.basis, basis, args.radius, budget)
             rows.append({
                 "beam": beam.index,
                 "birth_vertex": beam.birth_vertex,
@@ -135,7 +130,7 @@ def cmd_count_shadows(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_bounds(args, cfg: RunConfig) -> int:
+def cmd_bounds(args) -> int:
     g = pgraph.parse(args.input)
     mu0 = transport.multiplicity_bound(g)
     _emit(_jdump({
@@ -160,8 +155,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--budget", type=int, default=None,
-                        help="enumeration point budget (default 1e8; env PERIMERE_BUDGET overrides)")
     common.add_argument("--out", default=None, help="write output to a file instead of stdout")
 
     p = _Parser(prog="perimere",
@@ -208,6 +201,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("input")
     sp.add_argument("--component-at", type=float, required=True, dest="component_at")
     sp.add_argument("--radius", type=float, required=True)
+    sp.add_argument("--budget", type=int, default=None,
+                    help="enumeration point budget in (0, 1e8] (default: env PERIMERE_BUDGET, else 1e8)")
     sp.set_defaults(func=cmd_count_shadows)
 
     sp = sub.add_parser("bounds", parents=[common],
@@ -220,12 +215,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        budget = args.budget
-        if budget is None:
-            env = os.environ.get("PERIMERE_BUDGET")
-            budget = int(env) if env else DEFAULT_ENUMERATION_BUDGET
-        cfg = RunConfig(budget=budget, fmt=getattr(args, "fmt", None) or "json")
-        return args.func(args, cfg)
+        return args.func(args)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -142,16 +142,15 @@ class SublatticeBasis:
         return cls(dim, cols)
 
 
-def _hnf_columns(dim: int, columns, with_transform: bool = False):
-    """Column-operation HNF reduction (negate / swap / subtract a multiple).
+def _hnf_columns(dim: int, columns) -> tuple:
+    """Column-operation HNF reduction (negate / swap / subtract a multiple)
+    over rows 0..dim-1; the basis columns, in order.
 
-    Returns (basis_columns, all_columns, transform) where transform[k] gives
-    integer coefficients x with  input_matrix . x = all_columns[k]; the
-    trailing all-zero columns therefore index a basis of the integer kernel.
+    Columns may be longer than `dim`: the operations carry the extra rows
+    along, which is how `hnf_transform` records its certificates.
     """
     cols = [list(c) for c in columns]
     c = len(cols)
-    trans = [[1 if i == k else 0 for i in range(c)] for k in range(c)] if with_transform else None
     j = 0
     for i in range(dim):
         pivot = None
@@ -162,43 +161,26 @@ def _hnf_columns(dim: int, columns, with_transform: bool = False):
         if pivot is None:
             continue
         cols[j], cols[pivot] = cols[pivot], cols[j]
-        if trans is not None:
-            trans[j], trans[pivot] = trans[pivot], trans[j]
         if cols[j][i] < 0:
             cols[j] = [-e for e in cols[j]]
-            if trans is not None:
-                trans[j] = [-e for e in trans[j]]
         for k in range(j + 1, c):
             if cols[k][i] < 0:
                 cols[k] = [-e for e in cols[k]]
-                if trans is not None:
-                    trans[k] = [-e for e in trans[k]]
             # Euclid on the i-th entries of columns j and k.
             while cols[j][i] and cols[k][i]:
                 q = cols[j][i] // cols[k][i]
                 if q:
                     cols[j] = [a - q * b for a, b in zip(cols[j], cols[k])]
-                    if trans is not None:
-                        trans[j] = [a - q * b for a, b in zip(trans[j], trans[k])]
                 cols[j], cols[k] = cols[k], cols[j]
-                if trans is not None:
-                    trans[j], trans[k] = trans[k], trans[j]
             if cols[j][i] == 0 and cols[k][i]:
                 cols[j], cols[k] = cols[k], cols[j]
-                if trans is not None:
-                    trans[j], trans[k] = trans[k], trans[j]
         # canonical: entries left of the pivot reduced into [0, pivot)
         for k in range(j):
             q = cols[k][i] // cols[j][i]
             if q:
                 cols[k] = [a - q * b for a, b in zip(cols[k], cols[j])]
-                if trans is not None:
-                    trans[k] = [a - q * b for a, b in zip(trans[k], trans[j])]
         j += 1
-    basis = tuple(tuple(col) for col in cols[:j])
-    if with_transform:
-        return basis, [tuple(col) for col in cols], [tuple(t) for t in trans]
-    return basis, None, None
+    return tuple(tuple(col) for col in cols[:j])
 
 
 def hnf_reduce(matrix, dim: int | None = None) -> SublatticeBasis:
@@ -224,14 +206,19 @@ def hnf_reduce(matrix, dim: int | None = None) -> SublatticeBasis:
             d = dim
         if dim is not None and cols and d != dim:
             raise ValueError("columns do not match dim")
-    basis, _, _ = _hnf_columns(d, cols)
-    return SublatticeBasis(d, basis)
+    return SublatticeBasis(d, _hnf_columns(d, cols))
 
 
 def hnf_transform(matrix: IntMatrix):
-    """HNF basis plus integer certificates: basis[k] = matrix . coeffs[k]."""
-    basis, _, trans = _hnf_columns(matrix.rows, matrix.columns, with_transform=True)
-    return SublatticeBasis(matrix.rows, basis), [trans[k] for k in range(len(basis))]
+    """HNF basis plus integer certificates: basis[k] = matrix . coeffs[k].
+
+    The c x c identity is stacked under the input columns, so the reduction
+    writes each basis column's coefficients in the rows below it.
+    """
+    d, c = matrix.rows, matrix.cols
+    stacked = [col + tuple(int(i == k) for i in range(c)) for k, col in enumerate(matrix.columns)]
+    basis = _hnf_columns(d, stacked)
+    return SublatticeBasis(d, tuple(col[:d] for col in basis)), [col[d:] for col in basis]
 
 
 def lattice_sum(a: SublatticeBasis, b: SublatticeBasis) -> SublatticeBasis:
@@ -244,8 +231,7 @@ def lattice_sum(a: SublatticeBasis, b: SublatticeBasis) -> SublatticeBasis:
         return b
     if a == b:
         return a
-    basis, _, _ = _hnf_columns(a.dim, a.columns + b.columns)
-    return SublatticeBasis(a.dim, basis)
+    return SublatticeBasis(a.dim, _hnf_columns(a.dim, a.columns + b.columns))
 
 
 def solve(l: SublatticeBasis, v: Sequence[int]):
@@ -307,22 +293,8 @@ class RealBasis:
             self.volume = float(abs(_int_det([[ints[j][i] for j in range(self.dim)] for i in range(self.dim)])))
         else:
             self.volume = float(abs(det))
-        self.inverse_norm = self._largest_singular_value(self.inverse)
-
-    @staticmethod
-    def _largest_singular_value(m: np.ndarray) -> float:
-        gram = m.T @ m
-        if m.shape[0] <= 8:
-            return float(math.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
-        # power iteration for larger dimensions
-        v = np.ones(m.shape[0]) / math.sqrt(m.shape[0])
-        for _ in range(200):
-            w = gram @ v
-            nw = np.linalg.norm(w)
-            if nw == 0.0:
-                return 0.0
-            v = w / nw
-        return float(math.sqrt(v @ gram @ v))
+        gram = self.inverse.T @ self.inverse
+        self.inverse_norm = float(math.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
 
     def columns(self):
         return [tuple(self.matrix[:, j]) for j in range(self.dim)]
@@ -396,8 +368,9 @@ def count_cosets_in_ball(u: RealBasis, l: SublatticeBasis, radius: float,
 
     Enumerates the integer coordinates of all lattice points U.n with
     ||U.n|| <= R and deduplicates them by canonical reduction along L's
-    pivot rows.  Raises BudgetExceeded if the enclosing coordinate box
-    holds more than `budget` points.
+    pivot rows (`reduce_mod` over the whole array, in Python ints, so HNF
+    entries of any size are exact).  Raises BudgetExceeded if the
+    enclosing coordinate box holds more than `budget` points.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -413,9 +386,9 @@ def count_cosets_in_ball(u: RealBasis, l: SublatticeBasis, radius: float,
     axes = [np.arange(-b, b + 1, dtype=np.int64) for b in bounds]
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
     real = pts @ u.matrix.T
-    keep = pts[np.einsum("ij,ij->i", real, real) <= radius * radius + 1e-9]
+    keep = pts[np.einsum("ij,ij->i", real, real) <= radius * radius + 1e-9].astype(object)
     for col in l.columns:
         r = _pivot_row(col)
         q = keep[:, r] // col[r]
-        keep = keep - q[:, None] * np.array(col, dtype=np.int64)
-    return int(np.unique(keep, axis=0).shape[0])
+        keep = keep - q[:, None] * np.array(col, dtype=object)
+    return len(set(map(tuple, keep.tolist())))

@@ -23,9 +23,10 @@ from operator import itemgetter
 
 import numpy as np
 
-from . import jsonfmt
 from .lattice import SublatticeBasis, hnf_reduce, member, unit_ball_volume, volume
 from .pgraph import PeriodicGraph
+
+_START = itemgetter(0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,10 +84,16 @@ class Beam:
     def monomial(self, t: float, below: bool = False):
         """(coeff, exp, basis) of the span active at height t, or just below t
         when `below` is set; None when the beam is not alive there."""
-        for st, en, c, e, basis in self.spans():
-            if (st < t <= en) if below else (st <= t < en):
-                return c, e, basis
+        return _monomial(self.spans(), t, below)
+
+
+def _monomial(spans, t: float, below: bool = False):
+    """`Beam.monomial` over the beam's normalized spans, by bisection."""
+    i = (bisect_left if below else bisect_right)(spans, t, key=_START) - 1
+    if i < 0:
         return None
+    _, en, c, e, basis = spans[i]
+    return (c, e, basis) if (t <= en if below else t < en) else None
 
 
 class UnionFind:
@@ -94,17 +101,15 @@ class UnionFind:
 
     Vertices live in per-component singly linked lists; unions relabel the
     smaller list, so every vertex is relabeled at most log2(n) times.  Slot i
-    holds vertices[i], which starts as its own component.
+    holds vertices[i], which starts as its own component; `root[i]` is the
+    root slot of its component.
     """
 
-    __slots__ = ("dim", "root", "nxt", "drift", "size", "oldest", "basis", "beam",
-                 "ids", "_index")
+    __slots__ = ("dim", "root", "nxt", "drift", "size", "oldest", "basis", "beam")
 
     def __init__(self, dim: int, vertices):
         n = len(vertices)
         self.dim = dim
-        self.ids = [v.id for v in vertices]
-        self._index = {v.id: i for i, v in enumerate(vertices)}
         self.root = list(range(n))
         self.nxt = [-1] * n
         self.drift = [[0] * self.dim for _ in range(n)]
@@ -112,16 +117,6 @@ class UnionFind:
         self.oldest = [(v.value, v.id) for v in vertices]
         self.basis = [SublatticeBasis.empty(self.dim)] * n
         self.beam = [-1] * n
-
-    def index(self, vertex_id: int) -> int:
-        try:
-            return self._index[vertex_id]
-        except KeyError:
-            raise KeyError(f"unknown vertex {vertex_id}")
-
-    def find(self, vertex_id: int) -> int:
-        """Root vertex id of the component containing vertex_id (O(1))."""
-        return self.ids[self.root[self.index(vertex_id)]]
 
     def union(self, r: int, s: int, v, merged_basis: SublatticeBasis) -> int:
         """Merge roots r and s; v is the drift correction for s's members.
@@ -224,9 +219,6 @@ class PeriodicMergeTree:
                 for t, _, cell, _, kind, beams, ep in self._event_rows()
             ],
         }
-
-    def to_json(self) -> str:
-        return jsonfmt.dumps(self.to_json_dict())
 
     def to_dot(self) -> str:
         lines = ["digraph mergetree {", "  rankdir=LR;"]
@@ -386,9 +378,6 @@ def build(graph: PeriodicGraph) -> PeriodicMergeTree:
 # canonical forms and the splintering check
 # ---------------------------------------------------------------------------
 
-_START = itemgetter(0)
-
-
 def _rounded(x: float, tol: float) -> float:
     if math.isinf(x):
         return x
@@ -508,15 +497,6 @@ class _TreeIndex:
             if cuts[i] > self.birth[b] or self.children_at(b, cuts[i]):
                 return cuts[i]
         return -math.inf
-
-    def monomial(self, b: int, t: float, below: bool = False):
-        """(coeff, exp) as `Beam.monomial`, by bisection."""
-        spans = self.spans[b]
-        i = (bisect_left if below else bisect_right)(spans, t, key=_START) - 1
-        if i < 0:
-            return None
-        _, en, c, e, _ = spans[i]
-        return (c, e) if (t <= en if below else t < en) else None
 
     def children_at(self, b: int, t: float) -> list:
         kids = self.kids[b]
@@ -687,12 +667,12 @@ def splinters(tprime: PeriodicMergeTree, tree: PeriodicMergeTree, tol: float = 1
         """On (t, pos) the monomials are constant; each preimage carries 1/k."""
         if pos <= t:
             return True
-        mb = T.monomial(b, t)
+        mb = _monomial(T.spans[b], t)
         if mb is None:
             return False
         k = len(pool_w)
         for w in pool_w:
-            mw = P.monomial(w, t)
+            mw = _monomial(P.spans[w], t)
             if mw is None or mw[1] != mb[1] or abs(mw[0] - mb[0] / k) > tol:
                 return False
         return True
@@ -719,8 +699,8 @@ def splinters(tprime: PeriodicMergeTree, tree: PeriodicMergeTree, tol: float = 1
         g = len(cs)
         if len(items) < g:
             return ()
-        mc = T.monomial(cs[0], t, below=True)
-        mx = P.monomial(items[0][1], t, below=True)
+        mc = _monomial(T.spans[cs[0]], t, below=True)
+        mx = _monomial(P.spans[items[0][1]], t, below=True)
         if mc is None or mx is None:
             return range(1, len(items) // g + 1)
         if mx[1] != mc[1] or mx[0] <= 0:

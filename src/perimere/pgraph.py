@@ -251,13 +251,6 @@ def serialize(g: PeriodicGraph) -> dict:
     }
 
 
-def to_json(g: PeriodicGraph) -> str:
-    """Indent-2 JSON of `serialize(g)` with its keys in insertion order (dim,
-    basis, vertices, edges; id first in a record), so it stays on `json.dumps`
-    rather than the sorted-key writer of the CLI."""
-    return json.dumps(serialize(g), indent=2)
-
-
 def max_shift_magnitude(g: PeriodicGraph) -> int:
     """D = largest absolute shift entry over all edges (0 without edges)."""
     return max((abs(s) for e in g.edges for s in e.shift), default=0)

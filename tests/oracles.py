@@ -4,8 +4,9 @@ These deliberately avoid the library's own algorithms: lattice membership by
 bounded coefficient enumeration, optimal transport by unit-splitting plus the
 Hungarian method, connectivity by breadth-first search.  The splinters
 check and canonical form are the library's earlier recursive
-implementation, and `oracle_unroll` its earlier per-edge unroll; both are
-kept as differential references for the current code.
+implementation, `oracle_unroll` its earlier per-edge unroll, and
+`oracle_hnf_columns` its earlier HNF reduction carrying a separate transform
+matrix; all are kept as differential references for the current code.
 """
 import itertools
 import math
@@ -332,3 +333,62 @@ def oracle_unroll(g: PeriodicGraph, s: IntMatrix) -> PeriodicGraph:
             )
             edges.append(Edge(e.id * k + ci, e.u * k + ci, e.v * k + rep_index[c2], e.value, t, e.raw))
     return PeriodicGraph(g.dim, RealBasis(new_cols), vertices, edges)
+
+
+def oracle_hnf_columns(dim: int, columns, with_transform: bool = False):
+    """Column-operation HNF reduction (negate / swap / subtract a multiple).
+
+    Returns (basis_columns, all_columns, transform) where transform[k] gives
+    integer coefficients x with  input_matrix . x = all_columns[k]; the
+    trailing all-zero columns therefore index a basis of the integer kernel.
+    """
+    cols = [list(c) for c in columns]
+    c = len(cols)
+    trans = [[1 if i == k else 0 for i in range(c)] for k in range(c)] if with_transform else None
+    j = 0
+    for i in range(dim):
+        pivot = None
+        for l in range(j, c):
+            if cols[l][i]:
+                pivot = l
+                break
+        if pivot is None:
+            continue
+        cols[j], cols[pivot] = cols[pivot], cols[j]
+        if trans is not None:
+            trans[j], trans[pivot] = trans[pivot], trans[j]
+        if cols[j][i] < 0:
+            cols[j] = [-e for e in cols[j]]
+            if trans is not None:
+                trans[j] = [-e for e in trans[j]]
+        for k in range(j + 1, c):
+            if cols[k][i] < 0:
+                cols[k] = [-e for e in cols[k]]
+                if trans is not None:
+                    trans[k] = [-e for e in trans[k]]
+            # Euclid on the i-th entries of columns j and k.
+            while cols[j][i] and cols[k][i]:
+                q = cols[j][i] // cols[k][i]
+                if q:
+                    cols[j] = [a - q * b for a, b in zip(cols[j], cols[k])]
+                    if trans is not None:
+                        trans[j] = [a - q * b for a, b in zip(trans[j], trans[k])]
+                cols[j], cols[k] = cols[k], cols[j]
+                if trans is not None:
+                    trans[j], trans[k] = trans[k], trans[j]
+            if cols[j][i] == 0 and cols[k][i]:
+                cols[j], cols[k] = cols[k], cols[j]
+                if trans is not None:
+                    trans[j], trans[k] = trans[k], trans[j]
+        # canonical: entries left of the pivot reduced into [0, pivot)
+        for k in range(j):
+            q = cols[k][i] // cols[j][i]
+            if q:
+                cols[k] = [a - q * b for a, b in zip(cols[k], cols[j])]
+                if trans is not None:
+                    trans[k] = [a - q * b for a, b in zip(trans[k], trans[j])]
+        j += 1
+    basis = tuple(tuple(col) for col in cols[:j])
+    if with_transform:
+        return basis, [tuple(col) for col in cols], [tuple(t) for t in trans]
+    return basis, None, None

@@ -193,7 +193,9 @@ class TestUsageErrors:
         ("validate", "G", "--frobnicate"),        # unknown option
         ("bench", "--n", "64"),                   # removed command
         ("validate",),                            # missing argument
-        ("validate", "G", "--budget", "x"),       # bad option value
+        ("count-shadows", "G", "--component-at", "8", "--radius", "1",
+         "--budget", "x"),                        # bad option value
+        ("tree", "G", "--budget", "5"),           # option of count-shadows only
     ])
     def test_usage_error_exits_1_with_one_line(self, capsys, fixture_paths, argv):
         argv = [str(fixture_paths[0]) if a == "G" else a for a in argv]
@@ -294,6 +296,37 @@ class TestCountShadows:
         code, out, _ = run(capsys, "count-shadows", str(fixture_paths[0]),
                            "--budget", "1000000", "--component-at", "8.0", "--radius", "100")
         assert code == 0
+
+    @pytest.mark.parametrize("env", ["x", "0"])
+    def test_bad_budget_env(self, capsys, fixture_paths, monkeypatch, env):
+        monkeypatch.setenv("PERIMERE_BUDGET", env)
+        code, out, err = run(capsys, "count-shadows", str(fixture_paths[0]),
+                             "--component-at", "8.0", "--radius", "100")
+        assert_one_error_line(code, err)
+        assert out == ""
+
+    @pytest.mark.parametrize("argv", [("tree", "--json"), ("tree", "--dot"),
+                                      ("barcode", "--json"), ("barcode", "--csv")])
+    def test_budget_env_ignored_elsewhere(self, capsys, fixture_paths, monkeypatch, argv):
+        cmd, fmt = argv
+        _, want, _ = run(capsys, cmd, str(fixture_paths[1]), fmt)
+        monkeypatch.setenv("PERIMERE_BUDGET", "x")
+        code, out, err = run(capsys, cmd, str(fixture_paths[1]), fmt)
+        assert (code, out, err) == (0, want, "")
+
+    def test_pivot_beyond_int64(self, capsys, tmp_path):
+        # a loop shift of 2^63 gives the HNF [[2^63]]: the 7 points of [-3, 3]
+        # lie in 7 distinct cosets
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps({
+            "dim": 1, "basis": [[1.0]],
+            "vertices": [{"id": 0, "value": 0.0}],
+            "edges": [{"id": 1, "u": 0, "v": 0, "value": 1.0, "shift": [2 ** 63]}],
+        }))
+        code, out, _ = run(capsys, "count-shadows", str(p), "--component-at", "2", "--radius", "3")
+        assert code == 0
+        [row] = json.loads(out)["components"]
+        assert row["counted"] == 7
 
 
 class TestBounds:

@@ -10,7 +10,7 @@ from perimere.lattice import (BudgetExceeded, IntMatrix, RealBasis,
                               lattice_sum, member, solve, unit_ball_volume,
                               volume)
 
-from .oracles import brute_member
+from .oracles import brute_member, oracle_hnf_columns
 
 I2 = RealBasis([[1.0, 0.0], [0.0, 1.0]])
 I3 = RealBasis([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
@@ -118,6 +118,26 @@ class TestHnfReduce:
                 assert built == col
             for col in cols:
                 assert solve(h, col) is not None
+
+    def test_transform_matches_oracle(self):
+        # seeded matrices with zero, negative and redundant columns
+        rng = random.Random(11)
+        for _ in range(300):
+            d = rng.randint(1, 4)
+            span = rng.choice([3, 1000])
+            cols = [[rng.randint(-span, span) for _ in range(d)] for _ in range(rng.randint(1, 6))]
+            if rng.random() < 0.3:
+                cols.append([0] * d)
+            if rng.random() < 0.3:
+                cols.append([-e for e in rng.choice(cols)])
+            if rng.random() < 0.3:
+                a, b = rng.choice(cols), rng.choice(cols)
+                cols.append([x + 2 * y for x, y in zip(a, b)])
+            rng.shuffle(cols)
+            basis, _, trans = oracle_hnf_columns(d, cols, with_transform=True)
+            h, certs = hnf_transform(IntMatrix.from_columns(cols))
+            assert h == SublatticeBasis(d, basis)
+            assert certs == trans[:len(basis)]
 
     def test_magnitude_bound(self):
         # drift-vector style inputs: magnitude <= Dm gives output <= (sqrt(d) Dm)^d

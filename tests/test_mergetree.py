@@ -117,12 +117,12 @@ def _uf(n):
 class TestUnionFind:
     def test_fresh_vertex_is_own_root(self):
         uf = UnionFind(2, [Vertex(5, 1.0)])
-        assert uf.find(5) == 5
+        assert uf.root[0] == 0
 
     def test_union_shares_root(self):
         uf = UnionFind(2, [Vertex(5, 1.0), Vertex(9, 2.0)])
         uf.union(0, 1, [0, 0], EMPTY2)
-        assert uf.find(5) == uf.find(9)
+        assert uf.root[0] == uf.root[1]
 
     def test_random_sequence_matches_bfs(self):
         rng = random.Random(3)
@@ -138,13 +138,8 @@ class TestUnionFind:
                     uf.union(r, s, [rng.randint(-1, 1), rng.randint(-1, 1)], EMPTY2)
             got = {}
             for i in range(n):
-                got.setdefault(uf.find(i), set()).add(i)
+                got.setdefault(uf.root[i], set()).add(i)
             assert {frozenset(c) for c in got.values()} == bfs_components(range(n), pairs)
-
-    def test_find_unknown_vertex(self):
-        uf = _uf(2)
-        with pytest.raises(KeyError):
-            uf.find(3)
 
     def test_relabel_counts_bounded(self):
         # union relabels the smaller list, so no vertex changes root more

@@ -209,7 +209,7 @@ class TestMultiplicityBound:
                    "edges": []})
         assert g.basis.inverse_norm == pytest.approx(2.0, abs=1e-12)
 
-    def test_power_iteration_norm_above_d8(self):
+    def test_inverse_norm_above_d8(self):
         import numpy as np
         from perimere.lattice import RealBasis
         rng = random.Random(9)
@@ -219,6 +219,13 @@ class TestMultiplicityBound:
         basis = RealBasis(cols)
         want = float(np.linalg.svd(basis.inverse, compute_uv=False)[0])
         assert basis.inverse_norm == pytest.approx(want, rel=1e-6)
+        # I but for [[0.75, 0.25], [0.25, 0.75]] in the top-left block: the
+        # all-ones vector is an eigenvector of the inverse's Gram matrix for
+        # its smaller eigenvalue 1, while the largest is 4 (norm 2)
+        cols = [[1.0 if i == j else 0.0 for i in range(d)] for j in range(d)]
+        cols[0][:2] = [0.75, 0.25]
+        cols[1][:2] = [0.25, 0.75]
+        assert RealBasis(cols).inverse_norm == pytest.approx(2.0, rel=1e-12)
 
 
 class TestPlanDump:
