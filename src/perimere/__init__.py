@@ -11,15 +11,14 @@ from .pgraph import (Edge, GraphError, PeriodicGraph, Vertex, cellular_l1,
 from .mergetree import (Beam, Epoch, Event, PeriodicMergeTree, UnionFind,
                         build, canonical_form, splinters)
 from .barcode import Bar, PeriodicBarcode, equals, extract, from_diagram, to_diagram
-from .transport import (TransportPlan, barcode_distance, multiplicity_bound,
-                        w1, w1_alt)
+from .transport import barcode_distance, multiplicity_bound, w1, w1_alt
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Bar", "Beam", "BudgetExceeded", "Edge", "Epoch", "Event", "GraphError",
     "IntMatrix", "PeriodicBarcode", "PeriodicGraph", "PeriodicMergeTree",
-    "RealBasis", "SublatticeBasis", "TransportPlan", "UnionFind", "Vertex",
+    "RealBasis", "SublatticeBasis", "UnionFind", "Vertex",
     "barcode_distance", "build", "canonical_coset", "canonical_form",
     "cellular_l1", "coset_reps", "count_cosets_in_ball", "equals", "extract",
     "from_diagram", "hnf_reduce", "lattice_sum",

@@ -7,107 +7,39 @@ capacity.  Ground cost between support points is the l1 plane distance,
 the diagonal absorbs mass at cost |death - birth|, points with infinite
 death pair only with each other (at cost |birth1 - birth2|), so the
 distance is +infinity exactly when the infinite-death masses differ.
+
+The kx * ky pair arcs live in one cost matrix, an entry inf while its arc
+is full; capacities and flows stay exact Python ints (scaled masses can pass
+2^63) and are held per arc only once an arc carries flow.  Each augmenting
+path is found by a Dijkstra with potentials.  Its first wave, every X node
+with supply left, sits at label exactly 0 and is relaxed as one matrix pass;
+the other pops go through a heap, a saturated X node relaxing its pair row as
+one vector operation.  A distance costs (number of augmenting paths, about
+one per support point) x (one kx * ky array pass + a heap over the remaining
+pops).
+
+The last digits of the distance depend on the augmenting paths and on the
+order their costs are summed: the same optimal plan summed along other paths
+can differ in the last place.  So the search is the plain arc-by-arc
+successive-shortest-path search done in bulk, its order kept: nodes numbered
+X, Y, source, sink, diagonal and popped in (label, node) order, a label
+replaced only by one smaller by more than 1e-15 (of near-equal offers the
+first popped wins), potentials raised for every reached node, and each path's
+cost summed from the sink back.  `tests/oracles.py` keeps the plain search as
+`oracle_w1`, and the tests hold the two to the same float.
 """
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+
+import numpy as np
 
 from .barcode import PeriodicBarcode
 from .pgraph import PeriodicGraph, max_shift_magnitude
 
 MASS_SCALE = 10**9
-
-
-@dataclass
-class TransportPlan:
-    """Feasible plan for Eq-style marginals: flows pi, absorptions chi/upsilon."""
-    flows: dict        # (x, y) -> mass
-    source_diag: dict  # x -> mass absorbed into the diagonal
-    sink_diag: dict    # y -> mass emitted from the diagonal
-    cost: float
-
-    def to_json_dict(self) -> dict:
-        def key(pt):
-            return [pt[0], None if math.isinf(pt[1]) else pt[1]]
-        return {
-            "cost": self.cost,
-            "flows": [
-                {"from": key(x), "to": key(y), "mass": m}
-                for (x, y), m in sorted(self.flows.items())
-            ],
-            "source_diagonal": [{"point": key(x), "mass": m} for x, m in sorted(self.source_diag.items())],
-            "sink_diagonal": [{"point": key(y), "mass": m} for y, m in sorted(self.sink_diag.items())],
-        }
-
-
-class _MinCostFlow:
-    """Successive shortest paths with potentials (non-negative float costs)."""
-
-    def __init__(self, n):
-        self.n = n
-        self.head = [[] for _ in range(n)]
-        self.to = []
-        self.cap = []
-        self.cost = []
-
-    def add(self, u, v, cap, cost):
-        self.head[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(cap)
-        self.cost.append(cost)
-        self.head[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0)
-        self.cost.append(-cost)
-        return len(self.to) - 2
-
-    def solve(self, src, dst, want):
-        """Ship `want` units src -> dst; returns (shipped, cost)."""
-        n = self.n
-        pot = [0.0] * n
-        shipped = 0
-        total = 0.0
-        INF = math.inf
-        while shipped < want:
-            dist = [INF] * n
-            par = [-1] * n
-            dist[src] = 0.0
-            pq = [(0.0, src)]
-            while pq:
-                dd, u = heapq.heappop(pq)
-                if dd > dist[u] + 1e-12:
-                    continue
-                for ai in self.head[u]:
-                    if self.cap[ai] <= 0:
-                        continue
-                    v = self.to[ai]
-                    nd = dd + max(self.cost[ai] + pot[u] - pot[v], 0.0)
-                    if nd < dist[v] - 1e-15:
-                        dist[v] = nd
-                        par[v] = ai
-                        heapq.heappush(pq, (nd, v))
-            if par[dst] < 0:
-                break
-            for v in range(n):
-                if dist[v] < INF:
-                    pot[v] += dist[v]
-            push = want - shipped
-            v = dst
-            while v != src:
-                ai = par[v]
-                push = min(push, self.cap[ai])
-                v = self.to[ai ^ 1]
-            v = dst
-            while v != src:
-                ai = par[v]
-                self.cap[ai] -= push
-                self.cap[ai ^ 1] += push
-                total += push * self.cost[ai]
-                v = self.to[ai ^ 1]
-            shipped += push
-        return shipped, total
+SLACK = 1e-15   # a label is replaced only by one smaller by more than this
 
 
 def _scaled(mf: dict, what: str, allow_negative: bool) -> dict:
@@ -123,20 +55,179 @@ def _scaled(mf: dict, what: str, allow_negative: bool) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def _pair_cost(x, y) -> float:
-    xinf, yinf = math.isinf(x[1]), math.isinf(y[1])
-    if xinf and yinf:
-        return abs(x[0] - y[0])
-    if xinf or yinf:
-        return math.inf
-    return abs(x[0] - y[0]) + abs(x[1] - y[1])
+def _first_wins(w):
+    """Label and row per column when the rows of w relax one after another.
+
+    A row replaces the kept label only when smaller by more than SLACK, so
+    the column minimum at its first row wins unless a larger entry lies
+    within SLACK of it; such columns are replayed row by row.
+    """
+    best = w.min(axis=0)
+    rows = w.argmin(axis=0)
+    near = (w > best) & (w - SLACK <= best)
+    for j in near.any(axis=0).nonzero()[0].tolist() if near.any() else ():
+        cur, row = math.inf, -1
+        for r, v in enumerate(w[:, j].tolist()):
+            if v < cur - SLACK:
+                cur, row = v, r
+        best[j], rows[j] = cur, row
+    return best, rows
 
 
-def _diag_cost(x) -> float:
-    return abs(x[1] - x[0])
+def _ship(xs: list, mx: list, ys: list, my: list):
+    """Min-cost flow from the points xs (masses mx) to ys (masses my).
+
+    Nodes are X (0..nx-1), Y (nx..nx+ny-1), source, sink and diagonal; the
+    diagonal also takes up the difference between supply and demand.
+    Returns (shipped, wanted, cost) in scaled mass units.
+    """
+    nx, ny = len(xs), len(ys)
+    n = nx + ny + 3
+    src, dst, diag = nx + ny, nx + ny + 1, nx + ny + 2
+    inf = math.inf
+    xb, xd = np.array([p[0] for p in xs], dtype=float), np.array([p[1] for p in xs], dtype=float)
+    yb, yd = np.array([p[0] for p in ys], dtype=float), np.array([p[1] for p in ys], dtype=float)
+    xfin, yfin = np.isfinite(xd), np.isfinite(yd)
+    # l1 ground cost; infinite deaths pair only with each other, at the birth gap
+    pair = np.abs(xb[:, None] - yb) + np.abs(np.where(xfin, xd, 0.0)[:, None] - np.where(yfin, yd, 0.0))
+    pair[xfin[:, None] != yfin] = inf
+
+    # Residual arcs as costs by head, inf while an arc has no capacity left.
+    # `out` has one row per X node, then the sink's and the diagonal's, over
+    # the heads from nx on (Y nodes, source, sink, diagonal); `out_src` holds
+    # the source's arcs, `out_back` the diagonal's arcs back to X, and
+    # `out_y[j]` the few live arcs of Y_j as {head: cost}.
+    out = np.full((nx + 2, ny + 3), inf)
+    out[:nx, :ny] = pair
+    out_src, out_back = np.full(n, inf), np.full(nx, inf)
+    out_y = [{} for _ in range(ny)]
+    # capacity and cost by (tail, head), both directions of every arc; a pair
+    # arc enters on its first use
+    res, arc_cost = {}, {}
+
+    def show(u, v):
+        c = arc_cost[(u, v)] if res[(u, v)] else inf
+        if u == src:
+            out_src[v] = c
+        elif nx <= u < src:
+            if c < inf:
+                out_y[u - nx][v] = c
+            else:
+                out_y[u - nx].pop(v, None)
+        elif v >= nx:
+            out[u if u < nx else u - dst + nx, v - nx] = c
+        elif u == diag:
+            out_back[v] = c
+
+    def add(u, v, cap, c):
+        res[(u, v)], res[(v, u)] = cap, 0
+        arc_cost[(u, v)], arc_cost[(v, u)] = c, -c
+        show(u, v)
+
+    for i, x in enumerate(xs):
+        add(src, i, mx[i], 0.0)
+        if xfin[i]:
+            add(i, diag, mx[i], abs(x[1] - x[0]))
+    for j, y in enumerate(ys):
+        add(nx + j, dst, my[j], 0.0)
+        if yfin[j]:
+            add(diag, nx + j, my[j], abs(y[1] - y[0]))
+    supply, demand = sum(mx), sum(my)
+    if demand > supply:
+        add(src, diag, demand - supply, 0.0)
+    elif supply > demand:
+        add(diag, dst, supply - demand, 0.0)
+    want = max(supply, demand)
+
+    pot = np.zeros(n)
+    lim = np.empty(n)   # a node's label - SLACK: what a new label must beat
+    lim_x, lim_y = lim[:nx], lim[nx:]
+
+    def relax_all(lo, beat, nd, u):
+        """Give node lo + t the label nd[t] from u wherever that beats beat[t]."""
+        hit = (nd < beat).nonzero()[0]
+        if hit.size:
+            got = nd[hit]
+            hit += lo
+            lim[hit] = got - SLACK
+            for v, d in zip(hit.tolist(), got.tolist()):
+                dist[v], par[v] = d, u
+                heapq.heappush(heap, (d, v))
+
+    shipped, total = 0, 0.0
+    while shipped < want:
+        potl = pot.tolist()
+        red = out + np.concatenate((pot[:nx], pot[dst:]))[:, None]
+        red -= pot[nx:]
+        np.maximum(red, 0.0, out=red)
+        dist = [inf] * n
+        lim.fill(inf)
+        par = [-1] * n
+        done = [False] * n
+        heap = []
+
+        # The source is popped first, then every X node it still reaches, at
+        # label exactly 0 and in index order: that wave relaxes as one matrix.
+        dist[src], lim[src], done[src] = 0.0, -SLACK, True
+        free = (out_src[:nx] < inf).nonzero()[0]
+        for i in free.tolist():
+            dist[i], par[i], done[i] = 0.0, src, True
+        lim[free] = -SLACK
+        if out_src[diag] < inf:
+            dist[diag], par[diag], lim[diag] = 0.0, src, -SLACK
+            heap.append((0.0, diag))
+        if free.size:
+            best, rows = _first_wins(red[free])
+            for v, d, r in zip(range(nx, n), best.tolist(), free[rows].tolist()):
+                if d < dist[v] - SLACK:
+                    dist[v], par[v], lim[v] = d, r, d - SLACK
+                    heap.append((d, v))
+        heapq.heapify(heap)
+
+        while heap:
+            dd, u = heapq.heappop(heap)
+            if done[u]:
+                continue
+            done[u] = True
+            if u < nx:         # an X node the source no longer reaches
+                relax_all(nx, lim_y, dd + red[u], u)
+            elif u < src:
+                pu = potl[u]
+                for v, c in out_y[u - nx].items():
+                    nd = dd + max(c + pu - potl[v], 0.0)
+                    if nd < dist[v] - SLACK:
+                        dist[v], par[v], lim[v] = nd, u, nd - SLACK
+                        heapq.heappush(heap, (nd, v))
+            else:
+                relax_all(nx, lim_y, dd + red[u - dst + nx], u)
+                if u == diag:
+                    relax_all(0, lim_x, dd + np.maximum(out_back + potl[diag] - pot[:nx], 0.0), u)
+        if par[dst] < 0:
+            break
+        reached = np.array(dist)
+        np.add(pot, reached, out=pot, where=reached < inf)
+
+        path = []
+        v = dst
+        while v != src:
+            path.append((par[v], v))
+            v = par[v]
+        push = want - shipped
+        for u, v in path:
+            if (u, v) not in res:
+                add(u, v, min(mx[u], my[v - nx]), float(pair[u, v - nx]))
+            push = min(push, res[(u, v)])
+        for u, v in path:
+            total += push * arc_cost[(u, v)]
+            res[(u, v)] -= push
+            res[(v, u)] += push
+            show(u, v)
+            show(v, u)
+        shipped += push
+    return shipped, want, total
 
 
-def w1(xi: dict, eta: dict, with_plan: bool = False):
+def w1(xi: dict, eta: dict) -> float:
     """1-Wasserstein distance between non-negative multiplicity functions.
 
     xi and eta map (birth, death) -> mass >= 0; death may be math.inf.
@@ -144,58 +235,15 @@ def w1(xi: dict, eta: dict, with_plan: bool = False):
     """
     sx = _scaled(xi, "xi", allow_negative=False)
     sy = _scaled(eta, "eta", allow_negative=False)
-    xs = sorted(sx)
-    ys = sorted(sy)
     inf_x = sum(m for p, m in sx.items() if math.isinf(p[1]))
     inf_y = sum(m for p, m in sy.items() if math.isinf(p[1]))
     if inf_x != inf_y:
-        return (math.inf, None) if with_plan else math.inf
-
-    nx, ny = len(xs), len(ys)
-    src, dst, diag = nx + ny, nx + ny + 1, nx + ny + 2
-    net = _MinCostFlow(nx + ny + 3)
-    supply = 0
-    x_arcs = {}
-    y_arcs = {}
-    pair_arcs = {}
-    diag_x = {}
-    diag_y = {}
-    for i, x in enumerate(xs):
-        net.add(src, i, sx[x], 0.0)
-        supply += sx[x]
-        if not math.isinf(x[1]):
-            diag_x[x] = net.add(i, diag, sx[x], _diag_cost(x))
-    for j, y in enumerate(ys):
-        net.add(nx + j, dst, sy[y], 0.0)
-        if not math.isinf(y[1]):
-            diag_y[y] = net.add(diag, nx + j, sy[y], _diag_cost(y))
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            c = _pair_cost(x, y)
-            if math.isfinite(c):
-                pair_arcs[(x, y)] = net.add(i, nx + j, min(sx[x], sy[y]), c)
-    # the diagonal also absorbs the source/sink imbalance
-    demand = sum(sy.values())
-    if demand > supply:
-        net.add(src, diag, demand - supply, 0.0)
-        supply = demand
-    elif supply > demand:
-        net.add(diag, dst, supply - demand, 0.0)
-
-    shipped, cost = net.solve(src, dst, supply)
-    if shipped < supply:
-        return (math.inf, None) if with_plan else math.inf
-    dist = cost / MASS_SCALE
-    if not with_plan:
-        return dist
-    flows = {}
-    for (x, y), ai in pair_arcs.items():
-        f = net.cap[ai ^ 1]
-        if f:
-            flows[(x, y)] = f / MASS_SCALE
-    chi = {x: net.cap[ai ^ 1] / MASS_SCALE for x, ai in diag_x.items() if net.cap[ai ^ 1]}
-    ups = {y: net.cap[ai ^ 1] / MASS_SCALE for y, ai in diag_y.items() if net.cap[ai ^ 1]}
-    return dist, TransportPlan(flows, chi, ups, dist)
+        return math.inf
+    xs, ys = sorted(sx), sorted(sy)
+    shipped, want, cost = _ship(xs, [sx[x] for x in xs], ys, [sy[y] for y in ys])
+    if shipped < want:
+        return math.inf
+    return cost / MASS_SCALE
 
 
 def positive_negative_split(mf: dict):
@@ -212,11 +260,11 @@ def _add(a: dict, b: dict) -> dict:
     return out
 
 
-def w1_alt(xi: dict, eta: dict, with_plan: bool = False):
+def w1_alt(xi: dict, eta: dict) -> float:
     """Alternating 1-Wasserstein distance; signed multiplicities allowed."""
     xp, xn = positive_negative_split(xi)
     yp, yn = positive_negative_split(eta)
-    return w1(_add(xp, yn), _add(xn, yp), with_plan=with_plan)
+    return w1(_add(xp, yn), _add(xn, yp))
 
 
 def barcode_distance(b1: PeriodicBarcode, b2: PeriodicBarcode, per_era: bool = False):

@@ -6,10 +6,14 @@ Hungarian method, connectivity by breadth-first search.  The splinters
 check and canonical form are the library's earlier recursive
 implementation, `oracle_unroll` its earlier per-edge unroll, and
 `oracle_hnf_columns` its earlier HNF reduction carrying a separate transform
-matrix; all are kept as differential references for the current code.
+matrix, and `oracle_w1` its earlier transport solver (one arc record per
+pair, with the transport plan it can report); all are kept as differential
+references for the current code.
 """
+import heapq
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -17,6 +21,7 @@ from scipy.optimize import linear_sum_assignment
 from perimere.lattice import IntMatrix, RealBasis, coset_reps, hnf_transform, reduce_mod, solve
 from perimere.mergetree import Beam, PeriodicMergeTree
 from perimere.pgraph import Edge, GraphError, PeriodicGraph, Vertex
+from perimere.transport import MASS_SCALE, _scaled
 
 
 def brute_member(columns, v, bound=30):
@@ -87,6 +92,173 @@ def assignment_w1(xi, eta):
     cost[nx:, ny:] = 0.0
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].sum() + inf_cost)
+
+
+@dataclass
+class TransportPlan:
+    """Feasible plan for Eq-style marginals: flows pi, absorptions chi/upsilon."""
+    flows: dict        # (x, y) -> mass
+    source_diag: dict  # x -> mass absorbed into the diagonal
+    sink_diag: dict    # y -> mass emitted from the diagonal
+    cost: float
+
+    def to_json_dict(self) -> dict:
+        def key(pt):
+            return [pt[0], None if math.isinf(pt[1]) else pt[1]]
+        return {
+            "cost": self.cost,
+            "flows": [
+                {"from": key(x), "to": key(y), "mass": m}
+                for (x, y), m in sorted(self.flows.items())
+            ],
+            "source_diagonal": [{"point": key(x), "mass": m} for x, m in sorted(self.source_diag.items())],
+            "sink_diagonal": [{"point": key(y), "mass": m} for y, m in sorted(self.sink_diag.items())],
+        }
+
+
+class _MinCostFlow:
+    """Successive shortest paths with potentials (non-negative float costs)."""
+
+    def __init__(self, n):
+        self.n = n
+        self.head = [[] for _ in range(n)]
+        self.to = []
+        self.cap = []
+        self.cost = []
+
+    def add(self, u, v, cap, cost):
+        self.head[u].append(len(self.to))
+        self.to.append(v)
+        self.cap.append(cap)
+        self.cost.append(cost)
+        self.head[v].append(len(self.to))
+        self.to.append(u)
+        self.cap.append(0)
+        self.cost.append(-cost)
+        return len(self.to) - 2
+
+    def solve(self, src, dst, want):
+        """Ship `want` units src -> dst; returns (shipped, cost)."""
+        n = self.n
+        pot = [0.0] * n
+        shipped = 0
+        total = 0.0
+        INF = math.inf
+        while shipped < want:
+            dist = [INF] * n
+            par = [-1] * n
+            dist[src] = 0.0
+            pq = [(0.0, src)]
+            while pq:
+                dd, u = heapq.heappop(pq)
+                if dd > dist[u] + 1e-12:
+                    continue
+                for ai in self.head[u]:
+                    if self.cap[ai] <= 0:
+                        continue
+                    v = self.to[ai]
+                    nd = dd + max(self.cost[ai] + pot[u] - pot[v], 0.0)
+                    if nd < dist[v] - 1e-15:
+                        dist[v] = nd
+                        par[v] = ai
+                        heapq.heappush(pq, (nd, v))
+            if par[dst] < 0:
+                break
+            for v in range(n):
+                if dist[v] < INF:
+                    pot[v] += dist[v]
+            push = want - shipped
+            v = dst
+            while v != src:
+                ai = par[v]
+                push = min(push, self.cap[ai])
+                v = self.to[ai ^ 1]
+            v = dst
+            while v != src:
+                ai = par[v]
+                self.cap[ai] -= push
+                self.cap[ai ^ 1] += push
+                total += push * self.cost[ai]
+                v = self.to[ai ^ 1]
+            shipped += push
+        return shipped, total
+
+
+def _pair_cost(x, y) -> float:
+    xinf, yinf = math.isinf(x[1]), math.isinf(y[1])
+    if xinf and yinf:
+        return abs(x[0] - y[0])
+    if xinf or yinf:
+        return math.inf
+    return abs(x[0] - y[0]) + abs(x[1] - y[1])
+
+
+def _diag_cost(x) -> float:
+    return abs(x[1] - x[0])
+
+
+def oracle_w1(xi: dict, eta: dict, with_plan: bool = False):
+    """The library's earlier dense successive-shortest-path `w1`.
+
+    1-Wasserstein distance between non-negative multiplicity functions.
+
+    xi and eta map (birth, death) -> mass >= 0; death may be math.inf.
+    Returns math.inf iff the total infinite-death masses differ.
+    """
+    sx = _scaled(xi, "xi", allow_negative=False)
+    sy = _scaled(eta, "eta", allow_negative=False)
+    xs = sorted(sx)
+    ys = sorted(sy)
+    inf_x = sum(m for p, m in sx.items() if math.isinf(p[1]))
+    inf_y = sum(m for p, m in sy.items() if math.isinf(p[1]))
+    if inf_x != inf_y:
+        return (math.inf, None) if with_plan else math.inf
+
+    nx, ny = len(xs), len(ys)
+    src, dst, diag = nx + ny, nx + ny + 1, nx + ny + 2
+    net = _MinCostFlow(nx + ny + 3)
+    supply = 0
+    x_arcs = {}
+    y_arcs = {}
+    pair_arcs = {}
+    diag_x = {}
+    diag_y = {}
+    for i, x in enumerate(xs):
+        net.add(src, i, sx[x], 0.0)
+        supply += sx[x]
+        if not math.isinf(x[1]):
+            diag_x[x] = net.add(i, diag, sx[x], _diag_cost(x))
+    for j, y in enumerate(ys):
+        net.add(nx + j, dst, sy[y], 0.0)
+        if not math.isinf(y[1]):
+            diag_y[y] = net.add(diag, nx + j, sy[y], _diag_cost(y))
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            c = _pair_cost(x, y)
+            if math.isfinite(c):
+                pair_arcs[(x, y)] = net.add(i, nx + j, min(sx[x], sy[y]), c)
+    # the diagonal also absorbs the source/sink imbalance
+    demand = sum(sy.values())
+    if demand > supply:
+        net.add(src, diag, demand - supply, 0.0)
+        supply = demand
+    elif supply > demand:
+        net.add(diag, dst, supply - demand, 0.0)
+
+    shipped, cost = net.solve(src, dst, supply)
+    if shipped < supply:
+        return (math.inf, None) if with_plan else math.inf
+    dist = cost / MASS_SCALE
+    if not with_plan:
+        return dist
+    flows = {}
+    for (x, y), ai in pair_arcs.items():
+        f = net.cap[ai ^ 1]
+        if f:
+            flows[(x, y)] = f / MASS_SCALE
+    chi = {x: net.cap[ai ^ 1] / MASS_SCALE for x, ai in diag_x.items() if net.cap[ai ^ 1]}
+    ups = {y: net.cap[ai ^ 1] / MASS_SCALE for y, ai in diag_y.items() if net.cap[ai ^ 1]}
+    return dist, TransportPlan(flows, chi, ups, dist)
 
 
 def bfs_components(n_ids, edge_pairs):

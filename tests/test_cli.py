@@ -196,9 +196,13 @@ class TestUsageErrors:
         ("count-shadows", "G", "--component-at", "8", "--radius", "1",
          "--budget", "x"),                        # bad option value
         ("tree", "G", "--budget", "5"),           # option of count-shadows only
+        ("count-shadows", "H", "--component-at", "8", "--radius", "inf"),
+        ("count-shadows", "H", "--component-at", "8", "--radius=-inf"),
+        ("count-shadows", "H", "--component-at", "8", "--radius", "nan"),
     ])
     def test_usage_error_exits_1_with_one_line(self, capsys, fixture_paths, argv):
-        argv = [str(fixture_paths[0]) if a == "G" else a for a in argv]
+        paths = {"G": str(fixture_paths[0]), "H": str(fixture_paths[1])}
+        argv = [paths.get(a, a) for a in argv]
         code, out, err = run(capsys, *argv)
         assert_one_error_line(code, err)
         assert out == ""

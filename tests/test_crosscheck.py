@@ -1,7 +1,7 @@
-"""Cross-route checks: the flow solver against an LP, splinter checks and
-barcode invariance on random graphs, the splinters check and canonical forms
-against the recursive string-digest reference, shadow counts under a skewed
-basis."""
+"""Cross-route checks: the flow solver against an LP and bit for bit against
+its earlier implementation, splinter checks and barcode invariance on random
+graphs, the splinters check and canonical forms against the recursive
+string-digest reference, shadow counts under a skewed basis."""
 import math
 import random
 
@@ -10,13 +10,14 @@ import pytest
 from scipy.optimize import linprog
 
 from perimere import (GraphError, IntMatrix, build, canonical_form, equals, extract,
-                      parse, serialize, splinters, unroll, w1)
+                      parse, serialize, splinters, unroll, w1, w1_alt)
 from perimere.lattice import RealBasis, count_cosets_in_ball, hnf_reduce
 from perimere.mergetree import _Text, _TreeIndex
-from perimere.synthetic import random_periodic_graph
-from perimere.transport import barcode_distance
+from perimere.synthetic import random_periodic_graph, torus_grid
+from perimere.transport import _add, barcode_distance, positive_negative_split
 
 from . import oracles
+from .oracles import oracle_w1
 
 
 def lp_w1(xi, eta):
@@ -72,6 +73,141 @@ class TestFlowAgainstLP:
                 b = rng.uniform(0, 2)
                 eta[(b, b + rng.uniform(0.5, 2))] = rng.uniform(0.1, 2)
             assert w1(xi, eta) == pytest.approx(lp_w1(xi, eta), abs=5e-8)
+
+    def test_grid_era3_against_twin(self):
+        # workload size: the 64 era-3 bars of a 4^3 grid against its eps-twin
+        for seed in (0, 1):
+            g = torus_grid(4, seed=seed)
+            xi = extract(build(g)).era_function(3)
+            eta = extract(build(_twin(random.Random(seed), g))).era_function(3)
+            assert len(xi) == len(eta) == 64
+            assert w1_alt(xi, eta) == pytest.approx(lp_w1(xi, eta), abs=5e-8)
+
+    def test_signed_irrational_masses(self):
+        rng = random.Random(46)
+        a, b = ({(x, x + rng.uniform(0.1, 4)): rng.choice((-1, 1)) * rng.uniform(0.1, 3) * math.sqrt(2)
+                 for x in (rng.uniform(-2, 2) for _ in range(rng.randint(30, 50)))}
+                for _ in range(2))
+        assert w1_alt(a, b) == pytest.approx(lp_w1(*_split(a, b)), abs=5e-8)
+
+
+def _twin(rng, g, eps=1e-3):
+    """g with every filter value moved by at most eps, the filter property kept."""
+    doc = serialize(g)
+    for rec in doc["vertices"]:
+        rec["value"] += rng.uniform(-eps, eps)
+    value = {rec["id"]: rec["value"] for rec in doc["vertices"]}
+    for rec in doc["edges"]:
+        rec["value"] = max(rec["value"] + rng.uniform(-eps, eps), value[rec["u"]], value[rec["v"]])
+    return parse(doc)
+
+
+def _clusters(rng, clusters):
+    """Six-vertex clusters of twelve edges with shifts in [-2, 2]^3, joined by
+    one cross edge per cluster: many catenations, every era populated."""
+    n = 6 * clusters
+    values = [rng.random() for _ in range(n)]
+    edges = []
+
+    def edge(u, v, value, reach):
+        edges.append({"id": len(edges), "u": u, "v": v, "value": value,
+                      "shift": [rng.randint(-reach, reach) for _ in range(3)]})
+
+    for c in range(clusters):
+        base = 6 * c
+        pairs = [(base + rng.randrange(k), base + k) for k in range(1, 6)]
+        pairs += [(base + rng.randrange(6), base + rng.randrange(6)) for _ in range(7)]
+        for u, v in pairs:
+            edge(u, v, max(values[u], values[v]) + rng.random(), 2)
+    for _ in range(clusters):
+        edge(rng.randrange(n), rng.randrange(n), 2.0 + rng.random(), 1)
+    return parse({"dim": 3, "basis": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                  "vertices": [{"id": i, "value": x} for i, x in enumerate(values)],
+                  "edges": edges})
+
+
+def _signed_mf(rng, max_pts):
+    """Half-integer points (many exact ties), some infinite deaths, signed
+    masses of which about half are irrational."""
+    out = {}
+    for _ in range(rng.randint(0, max_pts)):
+        b = rng.randint(-6, 8) * 0.5
+        d = math.inf if rng.random() < 0.1 else b + rng.randint(1, 10) * 0.5
+        m = rng.randint(1, 4) * (math.sqrt(2) if rng.random() < 0.5 else 1.0)
+        out[(b, d)] = out.get((b, d), 0.0) + rng.choice((-1, 1)) * m
+    return {k: v for k, v in out.items() if v}
+
+
+def _signed_pair(rng, max_pts):
+    """Two signed functions; mostly their infinite points carry the same
+    masses at other births, so the distance is finite."""
+    a, b = _signed_mf(rng, max_pts), _signed_mf(rng, max_pts)
+    if rng.random() < 0.8:
+        b = {p: m for p, m in b.items() if math.isfinite(p[1])}
+        for p, m in a.items():
+            if math.isinf(p[1]):
+                q = (rng.randint(-6, 8) * 0.5, math.inf)
+                b[q] = b.get(q, 0.0) + m
+    return a, b
+
+
+def _split(a, b):
+    """The two non-negative functions w1_alt ships between."""
+    xp, xn = positive_negative_split(a)
+    yp, yn = positive_negative_split(b)
+    return _add(xp, yn), _add(xn, yp)
+
+
+class TestW1Oracle:
+    """w1 against the earlier dense solver: the same augmenting paths in the
+    same order, so the same float, compared with ==."""
+
+    def test_random_signed_instances(self):
+        rng = random.Random(47)
+        finite = 0
+        for trial in range(2000):
+            max_pts = 50 if trial % 40 == 0 else rng.choice((2, 3, 4, 6, 8, 12, 16, 24))
+            xi, eta = _split(*_signed_pair(rng, max_pts))
+            got, want = w1(xi, eta), oracle_w1(xi, eta)
+            assert got == want, (xi, eta)
+            finite += math.isfinite(want)
+        assert finite > 1500
+
+    def test_near_ties_within_slack(self):
+        # points moved by a few ulps give labels within 1e-15 of each other
+        # but not equal: there the first row offering one keeps it, which is
+        # not always the row of the column minimum
+        rng = random.Random(48)
+
+        def nudged(v):
+            for _ in range(rng.randint(0, 3)):
+                v = math.nextafter(v, rng.choice((-math.inf, math.inf)))
+            return v
+
+        for _ in range(1000):
+            xi, eta = {}, {}
+            for mf in (xi, eta):
+                for _ in range(rng.randint(1, 6)):
+                    b = rng.randint(0, 6) * 0.5
+                    mf[(nudged(b), nudged(b + rng.randint(1, 6) * 0.5))] = float(rng.randint(1, 3))
+            assert w1(xi, eta) == oracle_w1(xi, eta), (xi, eta)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_seeded_barcodes_per_era(self, seed):
+        rng = random.Random(seed)
+        for g in (torus_grid(3, seed=seed), torus_grid(4, seed=seed), _clusters(rng, 8)):
+            a, b = extract(build(g)), extract(build(_twin(rng, g)))
+            for era in range(g.dim + 1):
+                xi, eta = a.era_function(era), b.era_function(era)
+                assert w1_alt(xi, eta) == oracle_w1(*_split(xi, eta))
+
+    def test_masses_beyond_int64(self):
+        # 1e12 and 3e12 scale to 1e21 and 3e21 units, past 2^63
+        xi = {(0.0, 4.0): 1e12, (1.0, 5.0): 3e12, (0.0, math.inf): 3e12}
+        eta = {(0.5, 4.0): 1e12, (1.0, 5.5): 3e12, (2.0, math.inf): 3e12}
+        got = w1(xi, eta)
+        assert math.isfinite(got) and got == oracle_w1(xi, eta)
+        assert got == pytest.approx(0.5e12 + 1.5e12 + 6e12, rel=1e-12)
 
 
 class TestRandomGraphInvariance:
