@@ -3,14 +3,13 @@
 complexes with integer shift vectors."""
 
 from .lattice import (BudgetExceeded, IntMatrix, RealBasis, SublatticeBasis,
-                      canonical_coset, coset_reps, count_cosets_in_ball,
-                      hnf_reduce, lattice_sum, member, unit_ball_volume,
-                      volume)
+                      coset_reps, count_cosets_in_ball, hnf_reduce,
+                      lattice_sum, member, unit_ball_volume, volume)
 from .pgraph import (Edge, GraphError, PeriodicGraph, Vertex, cellular_l1,
                      max_shift_magnitude, parse, serialize, unroll)
 from .mergetree import (Beam, Epoch, Event, PeriodicMergeTree, UnionFind,
                         build, canonical_form, splinters)
-from .barcode import Bar, PeriodicBarcode, equals, extract, from_diagram, to_diagram
+from .barcode import Bar, PeriodicBarcode, equals, extract
 from .transport import barcode_distance, multiplicity_bound, w1, w1_alt
 
 __version__ = "0.1.0"
@@ -19,10 +18,9 @@ __all__ = [
     "Bar", "Beam", "BudgetExceeded", "Edge", "Epoch", "Event", "GraphError",
     "IntMatrix", "PeriodicBarcode", "PeriodicGraph", "PeriodicMergeTree",
     "RealBasis", "SublatticeBasis", "UnionFind", "Vertex",
-    "barcode_distance", "build", "canonical_coset", "canonical_form",
-    "cellular_l1", "coset_reps", "count_cosets_in_ball", "equals", "extract",
-    "from_diagram", "hnf_reduce", "lattice_sum",
-    "max_shift_magnitude", "member", "multiplicity_bound", "parse",
-    "serialize", "splinters", "to_diagram", "unit_ball_volume",
-    "unroll", "volume", "w1", "w1_alt",
+    "barcode_distance", "build", "canonical_form", "cellular_l1",
+    "coset_reps", "count_cosets_in_ball", "equals", "extract", "hnf_reduce",
+    "lattice_sum", "max_shift_magnitude", "member", "multiplicity_bound",
+    "parse", "serialize", "splinters", "unit_ball_volume", "unroll",
+    "volume", "w1", "w1_alt",
 ]

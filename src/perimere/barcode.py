@@ -37,9 +37,6 @@ class PeriodicBarcode:
         """Multiplicity function of one era: {(birth, death): mult}."""
         return {(b.birth, b.death): b.mult for b in self.eras[exp]}
 
-    def max_abs_multiplicity(self) -> float:
-        return max((abs(b.mult) for era in self.eras for b in era), default=0.0)
-
 
 def extract(tree: PeriodicMergeTree) -> PeriodicBarcode:
     """Periodic 0-th barcode of a periodic merge tree."""
@@ -73,17 +70,6 @@ def equals(b1: PeriodicBarcode, b2: PeriodicBarcode, tol: float = 1e-9) -> bool:
             if abs(a.mult - b.mult) > tol:
                 return False
     return True
-
-
-def to_diagram(bc: PeriodicBarcode):
-    """Per-era point lists (birth, death, mult); death is math.inf when essential."""
-    return [[(b.birth, b.death, b.mult) for b in era] for era in bc.eras]
-
-
-def from_diagram(dim: int, eras_points) -> PeriodicBarcode:
-    """Inverse of to_diagram."""
-    eras = [[Bar(b, dth, m) for (b, dth, m) in pts] for pts in eras_points]
-    return PeriodicBarcode(dim, eras)
 
 
 def to_json_dict(bc: PeriodicBarcode) -> dict:

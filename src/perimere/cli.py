@@ -37,6 +37,14 @@ def _fin(x: float):
     return "inf" if math.isinf(x) else x
 
 
+def finite(text: str) -> float:
+    """Option type of a finite float (argparse: 'invalid finite value')."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(text)
+    return x
+
+
 def parse_sublattice(spec: str, dim: int) -> IntMatrix:
     """Semicolon-separated rows of comma-separated integers; square, nonsingular."""
     rows = []
@@ -108,8 +116,6 @@ def cmd_count_shadows(args) -> int:
         budget = int(env) if env else DEFAULT_ENUMERATION_BUDGET
     if not 0 < budget <= 10**8:
         raise ValueError("budget must be in (0, 1e8]")
-    if not math.isfinite(args.radius):
-        raise ValueError(f"radius must be finite, got {args.radius}")
     g = pgraph.parse(args.input)
     tree = mt.build(g)
     t = args.component_at
@@ -201,8 +207,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("count-shadows", parents=[common],
                         help="empirical shadow count vs the monomial prediction")
     sp.add_argument("input")
-    sp.add_argument("--component-at", type=float, required=True, dest="component_at")
-    sp.add_argument("--radius", type=float, required=True)
+    sp.add_argument("--component-at", type=finite, required=True, dest="component_at")
+    sp.add_argument("--radius", type=finite, required=True)
     sp.add_argument("--budget", type=int, default=None,
                     help="enumeration point budget in (0, 1e8] (default: env PERIMERE_BUDGET, else 1e8)")
     sp.set_defaults(func=cmd_count_shadows)
@@ -221,8 +227,9 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (GraphError, ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (GraphError, ValueError, OverflowError, OSError, json.JSONDecodeError) as exc:
+        what = "number out of range: " if isinstance(exc, OverflowError) else ""
+        print(f"error: {what}{exc}", file=sys.stderr)
         return 1
 
 

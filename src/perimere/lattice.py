@@ -68,15 +68,6 @@ class IntMatrix:
                 raise ValueError("column length does not match row count")
 
     @classmethod
-    def from_columns(cls, columns: Iterable[Sequence[int]], rows: int | None = None) -> "IntMatrix":
-        cols = tuple(tuple(int(e) for e in col) for col in columns)
-        if rows is None:
-            if not cols:
-                raise ValueError("row count required for an empty matrix")
-            rows = len(cols[0])
-        return cls(rows, cols)
-
-    @classmethod
     def from_rows(cls, row_seq: Iterable[Sequence[int]]) -> "IntMatrix":
         rows = [tuple(int(e) for e in r) for r in row_seq]
         if not rows:
@@ -126,20 +117,12 @@ class SublatticeBasis:
     def magnitude(self) -> int:
         return max((abs(e) for col in self.columns for e in col), default=0)
 
-    def pivots(self):
-        return [(_pivot_row(col), col[_pivot_row(col)]) for col in self.columns]
-
     @classmethod
     def empty(cls, dim: int) -> "SublatticeBasis":
         cached = _EMPTY_CACHE.get(dim)
         if cached is None:
             cached = _EMPTY_CACHE[dim] = cls(dim, ())
         return cached
-
-    @classmethod
-    def full(cls, dim: int) -> "SublatticeBasis":
-        cols = tuple(tuple(1 if i == j else 0 for i in range(dim)) for j in range(dim))
-        return cls(dim, cols)
 
 
 def _hnf_columns(dim: int, columns) -> tuple:
@@ -190,8 +173,6 @@ def hnf_reduce(matrix, dim: int | None = None) -> SublatticeBasis:
     when the column list may be empty).  Redundant, zero, and negative
     columns are all fine.
     """
-    if isinstance(matrix, SublatticeBasis):
-        return matrix
     if isinstance(matrix, IntMatrix):
         cols, d = matrix.columns, matrix.rows
     else:
@@ -296,9 +277,6 @@ class RealBasis:
         gram = self.inverse.T @ self.inverse
         self.inverse_norm = float(math.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
 
-    def columns(self):
-        return [tuple(self.matrix[:, j]) for j in range(self.dim)]
-
 
 def volume(u: RealBasis, l: SublatticeBasis) -> float:
     """p-dimensional volume of the unit cell of the real lattice U . L.
@@ -348,18 +326,6 @@ def reduce_mod(l: SublatticeBasis, v: Sequence[int]):
         if q:
             w = [a - q * b for a, b in zip(w, col)]
     return tuple(w)
-
-
-def canonical_coset(s: IntMatrix, v: Sequence[int]):
-    """The unique coset_reps(S) element congruent to v modulo S.Z^d."""
-    if s.cols != s.rows:
-        raise ValueError("sublattice matrix must be square")
-    h = hnf_reduce(s)
-    if h.rank != s.rows:
-        raise ValueError("singular sublattice matrix")
-    if len(v) != s.rows:
-        raise ValueError("vector length does not match dimension")
-    return reduce_mod(h, v)
 
 
 def count_cosets_in_ball(u: RealBasis, l: SublatticeBasis, radius: float,

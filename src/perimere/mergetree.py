@@ -150,11 +150,10 @@ class UnionFind:
 class PeriodicMergeTree:
     """Beams with monomial epochs; the critical-event log is derived from them."""
 
-    __slots__ = ("dim", "vol_d", "beams")
+    __slots__ = ("dim", "beams")
 
-    def __init__(self, dim, vol_d, beams):
+    def __init__(self, dim, beams):
         self.dim = dim
-        self.vol_d = vol_d
         self.beams = beams
 
     def roots(self):
@@ -371,7 +370,7 @@ def build(graph: PeriodicGraph) -> PeriodicMergeTree:
             beams[p].children.append((b.death, b.index))
     for b in beams:
         b.children.sort()
-    return PeriodicMergeTree(d, vol_d, beams)
+    return PeriodicMergeTree(d, beams)
 
 
 # ---------------------------------------------------------------------------

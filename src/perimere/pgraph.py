@@ -158,18 +158,12 @@ def _bad_record(kind, pos, rec, keys) -> GraphError:
 
 
 def parse(source) -> PeriodicGraph:
-    """Parse and validate a periodic graph from a path, JSON text, file, or dict."""
+    """Parse and validate a periodic graph from a path or a dict."""
     if isinstance(source, dict):
         doc = source
-    elif hasattr(source, "read"):
-        doc = json.load(source)
     else:
-        text = str(source)
-        if text.lstrip().startswith("{"):
-            doc = json.loads(text)
-        else:
-            with open(text, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
+        with open(source, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
     if not isinstance(doc, dict):
         raise GraphError("document root must be a JSON object")
     extra = set(doc) - _TOP_KEYS
@@ -288,12 +282,12 @@ def unroll(g: PeriodicGraph, s: IntMatrix) -> PeriodicGraph:
     h, certs = hnf_transform(s)
     if h.rank != g.dim:
         raise GraphError("singular sublattice matrix")
-    reps = coset_reps(s)
-    k = len(reps)
-    rep_index = {r: i for i, r in enumerate(reps)}
+    k = math.prod(col[i] for i, col in enumerate(h.columns))   # |det S|, from the pivots
     ids = [v.id for v in g.vertices] + [e.id for e in g.edges]
     if ids and not (_ID_MIN <= min(ids) * k and max(ids) * k + k - 1 <= _ID_MAX):
         raise GraphError(f"ids times the sublattice index {k} leave the signed 64-bit range")
+    reps = coset_reps(s)
+    rep_index = {r: i for i, r in enumerate(reps)}
     new_cols = [
         [sum(g.basis.matrix[r, c] * s.columns[j][c] for c in range(g.dim)) for r in range(g.dim)]
         for j in range(g.dim)

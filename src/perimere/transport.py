@@ -42,10 +42,10 @@ MASS_SCALE = 10**9
 SLACK = 1e-15   # a label is replaced only by one smaller by more than this
 
 
-def _scaled(mf: dict, what: str, allow_negative: bool) -> dict:
+def _scaled(mf: dict, what: str) -> dict:
     out = {}
     for (b, dth), m in mf.items():
-        if not allow_negative and m < 0:
+        if m < 0:
             raise ValueError(f"{what}: negative mass at {(b, dth)}")
         if b == dth:
             raise ValueError(f"{what}: support touches the diagonal at {(b, dth)}")
@@ -233,8 +233,8 @@ def w1(xi: dict, eta: dict) -> float:
     xi and eta map (birth, death) -> mass >= 0; death may be math.inf.
     Returns math.inf iff the total infinite-death masses differ.
     """
-    sx = _scaled(xi, "xi", allow_negative=False)
-    sy = _scaled(eta, "eta", allow_negative=False)
+    sx = _scaled(xi, "xi")
+    sy = _scaled(eta, "eta")
     inf_x = sum(m for p, m in sx.items() if math.isinf(p[1]))
     inf_y = sum(m for p, m in sy.items() if math.isinf(p[1]))
     if inf_x != inf_y:

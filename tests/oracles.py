@@ -205,8 +205,8 @@ def oracle_w1(xi: dict, eta: dict, with_plan: bool = False):
     xi and eta map (birth, death) -> mass >= 0; death may be math.inf.
     Returns math.inf iff the total infinite-death masses differ.
     """
-    sx = _scaled(xi, "xi", allow_negative=False)
-    sy = _scaled(eta, "eta", allow_negative=False)
+    sx = _scaled(xi, "xi")
+    sy = _scaled(eta, "eta")
     xs = sorted(sx)
     ys = sorted(sy)
     inf_x = sum(m for p, m in sx.items() if math.isinf(p[1]))

@@ -9,9 +9,9 @@ import time
 
 import pytest
 
-from perimere import (IntMatrix, barcode_distance, build, canonical_coset,
-                      cellular_l1, coset_reps, count_cosets_in_ball, equals,
-                      extract, hnf_reduce, member, multiplicity_bound, parse,
+from perimere import (IntMatrix, barcode_distance, build, cellular_l1,
+                      coset_reps, count_cosets_in_ball, equals, extract,
+                      hnf_reduce, member, multiplicity_bound, parse,
                       splinters, unroll, w1, w1_alt)
 from perimere.barcode import to_csv
 from perimere.lattice import RealBasis, SublatticeBasis, hnf_transform, solve
@@ -136,7 +136,7 @@ def test_c5_hnf_suite():
         # HNF, every HNF column carries an exact certificate over the inputs
         for col in cols:
             assert solve(h, col) is not None
-        _, certs = hnf_transform(IntMatrix.from_columns(cols))
+        _, certs = hnf_transform(IntMatrix.from_rows(zip(*cols)))
         for hcol, x in zip(h.columns, certs):
             built = tuple(sum(x[i] * cols[i][r] for i in range(c)) for r in range(d))
             assert built == hcol

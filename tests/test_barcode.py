@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from perimere import (IntMatrix, build, equals, extract, from_diagram,
-                      multiplicity_bound, parse, to_diagram, unroll)
+from perimere import (IntMatrix, build, equals, extract, multiplicity_bound,
+                      parse, unroll)
 from perimere.barcode import Bar, to_csv, to_json_dict
 from perimere.synthetic import random_periodic_graph
 
@@ -66,17 +66,12 @@ class TestEquals:
 
 class TestDiagram:
     def test_infinite_point_present(self, helix_cross):
-        pts = to_diagram(extract(build(helix_cross)))
-        assert (1.0, INF, 1.0) in pts[0]
+        era0 = extract(build(helix_cross)).eras[0]
+        assert Bar(1.0, INF, 1.0) in era0
 
     def test_empty(self):
         g = parse({"dim": 1, "basis": [[1.0]], "vertices": [], "edges": []})
-        assert to_diagram(extract(build(g))) == [[], []]
-
-    def test_roundtrip(self, helix_cross):
-        code = extract(build(helix_cross))
-        again = from_diagram(code.dim, to_diagram(code))
-        assert equals(code, again, tol=0.0)
+        assert extract(build(g)).eras == ((), ())
 
 
 class TestProperties:
@@ -131,7 +126,8 @@ class TestProperties:
     def test_multiplicities_below_bound(self, helix_cross, fig3_left):
         for g in (helix_cross, fig3_left):
             code = extract(build(g))
-            assert code.max_abs_multiplicity() <= multiplicity_bound(g)
+            most = max(abs(b.mult) for era in code.eras for b in era)
+            assert most <= multiplicity_bound(g)
 
 
 class TestEmitters:

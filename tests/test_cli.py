@@ -199,6 +199,9 @@ class TestUsageErrors:
         ("count-shadows", "H", "--component-at", "8", "--radius", "inf"),
         ("count-shadows", "H", "--component-at", "8", "--radius=-inf"),
         ("count-shadows", "H", "--component-at", "8", "--radius", "nan"),
+        ("count-shadows", "H", "--component-at", "nan", "--radius", "2"),
+        ("count-shadows", "H", "--component-at", "inf", "--radius", "2"),
+        ("count-shadows", "H", "--component-at=-inf", "--radius", "2"),
     ])
     def test_usage_error_exits_1_with_one_line(self, capsys, fixture_paths, argv):
         paths = {"G": str(fixture_paths[0]), "H": str(fixture_paths[1])}
@@ -331,6 +334,45 @@ class TestCountShadows:
         assert code == 0
         [row] = json.loads(out)["components"]
         assert row["counted"] == 7
+
+
+class TestOutOfRange:
+    # valid inputs whose numbers leave the float range or the id range: one
+    # error line and exit 1, never an OverflowError traceback
+    @pytest.mark.parametrize("argv", [
+        ("count-shadows", "H", "--component-at", "8", "--radius", "1e300"),  # R^3
+        ("bounds", "L120"),           # mu0 = (d^2.5 D m ||U^-1||)^d with D = 1e120
+        ("barcode", "L400", "--csv"),  # a loop lattice of volume 1e400
+        ("unroll", "H", "--sublattice", "1,0,0;0,1,0;0,0,99999999999999999999"),
+    ])
+    def test_exits_1_with_one_line(self, capsys, tmp_path, fixture_paths, argv):
+        paths = {"H": str(fixture_paths[1])}
+        for e in (120, 400):
+            p = tmp_path / f"L{e}.json"
+            p.write_text(json.dumps({
+                "dim": 3, "basis": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                "vertices": [{"id": 0, "value": 0.0}],
+                "edges": [{"id": 1, "u": 0, "v": 0, "value": 1.0, "shift": [10 ** e, 0, 0]}],
+            }))
+            paths[f"L{e}"] = str(p)
+        code, out, err = run(capsys, *[paths.get(a, a) for a in argv])
+        assert_one_error_line(code, err)
+        assert out == ""
+
+    @pytest.mark.parametrize("sublattice,ids", [("2", 2 ** 62), (str(2 ** 63), 1)])
+    def test_unroll_index_checked_before_enumerating(self, capsys, tmp_path, monkeypatch,
+                                                     sublattice, ids):
+        def refuse(s):
+            raise AssertionError("coset representatives enumerated")
+
+        monkeypatch.setattr("perimere.pgraph.coset_reps", refuse)
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps({
+            "dim": 1, "basis": [[1.0]], "vertices": [{"id": ids, "value": 0.0}],
+            "edges": [{"id": 5, "u": ids, "v": ids, "value": 1.0, "shift": [1]}]}))
+        code, out, err = run(capsys, "unroll", str(p), "--sublattice", sublattice)
+        assert_one_error_line(code, err)
+        assert "leave the signed 64-bit range" in err and out == ""
 
 
 class TestBounds:

@@ -62,7 +62,7 @@ class TestBuildGolden:
         assert [e.cell for e in by_vertex[1].epochs] == [None, None, 13]
         assert [e.cell for e in by_vertex[2].epochs] == [None, 6, 10, 11]
         assert [e.cell for e in by_vertex[3].epochs] == [None, 9]
-        assert PeriodicMergeTree.__slots__ == ("dim", "vol_d", "beams")
+        assert PeriodicMergeTree.__slots__ == ("dim", "beams")
 
     def test_single_vertex(self):
         g = parse({"dim": 3,

@@ -6,7 +6,6 @@ import pytest
 
 from perimere import (GraphError, IntMatrix, build, cellular_l1, equals,
                       extract, max_shift_magnitude, parse, serialize, unroll)
-from perimere.lattice import canonical_coset
 
 from .conftest import fig3_left_doc, helix_cross_doc
 
