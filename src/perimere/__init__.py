@@ -5,8 +5,8 @@ complexes with integer shift vectors."""
 from .lattice import (BudgetExceeded, IntMatrix, RealBasis, SublatticeBasis,
                       coset_reps, count_cosets_in_ball, hnf_reduce,
                       lattice_sum, member, unit_ball_volume, volume)
-from .pgraph import (Edge, GraphError, PeriodicGraph, Vertex, cellular_l1,
-                     max_shift_magnitude, parse, serialize, unroll)
+from .pgraph import (GraphError, PeriodicGraph, cellular_l1, max_shift_magnitude,
+                     parse, serialize, unroll)
 from .mergetree import (Beam, Epoch, Event, PeriodicMergeTree, UnionFind,
                         build, canonical_form, splinters)
 from .barcode import Bar, PeriodicBarcode, equals, extract
@@ -15,9 +15,9 @@ from .transport import barcode_distance, multiplicity_bound, w1, w1_alt
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bar", "Beam", "BudgetExceeded", "Edge", "Epoch", "Event", "GraphError",
+    "Bar", "Beam", "BudgetExceeded", "Epoch", "Event", "GraphError",
     "IntMatrix", "PeriodicBarcode", "PeriodicGraph", "PeriodicMergeTree",
-    "RealBasis", "SublatticeBasis", "UnionFind", "Vertex",
+    "RealBasis", "SublatticeBasis", "UnionFind",
     "barcode_distance", "build", "canonical_form", "cellular_l1",
     "coset_reps", "count_cosets_in_ball", "equals", "extract", "hnf_reduce",
     "lattice_sum", "max_shift_magnitude", "member", "multiplicity_bound",

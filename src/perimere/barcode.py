@@ -12,7 +12,7 @@ import io
 import math
 from dataclasses import dataclass
 
-from .mergetree import PeriodicMergeTree
+from .mergetree import TOL, PeriodicMergeTree
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,8 +57,8 @@ def extract(tree: PeriodicMergeTree) -> PeriodicBarcode:
     return PeriodicBarcode(d, eras)
 
 
-def equals(b1: PeriodicBarcode, b2: PeriodicBarcode, tol: float = 1e-9) -> bool:
-    """Era-wise equality: births/deaths exact, multiplicities within tol."""
+def equals(b1: PeriodicBarcode, b2: PeriodicBarcode) -> bool:
+    """Era-wise equality: births/deaths exact, multiplicities within TOL."""
     if b1.dim != b2.dim:
         raise ValueError("dimension mismatch")
     for e1, e2 in zip(b1.eras, b2.eras):
@@ -67,7 +67,7 @@ def equals(b1: PeriodicBarcode, b2: PeriodicBarcode, tol: float = 1e-9) -> bool:
         for a, b in zip(e1, e2):
             if a.birth != b.birth or a.death != b.death:
                 return False
-            if abs(a.mult - b.mult) > tol:
+            if abs(a.mult - b.mult) > TOL:
                 return False
     return True
 

@@ -101,20 +101,20 @@ class UnionFind:
 
     Vertices live in per-component singly linked lists; unions relabel the
     smaller list, so every vertex is relabeled at most log2(n) times.  Slot i
-    holds vertices[i], which starts as its own component; `root[i]` is the
-    root slot of its component.
+    holds the vertex with values[i] and ids[i], which starts as its own
+    component; `root[i]` is the root slot of its component.
     """
 
     __slots__ = ("dim", "root", "nxt", "drift", "size", "oldest", "basis", "beam")
 
-    def __init__(self, dim: int, vertices):
-        n = len(vertices)
+    def __init__(self, dim: int, values, ids):
+        n = len(values)
         self.dim = dim
         self.root = list(range(n))
         self.nxt = [-1] * n
         self.drift = [[0] * self.dim for _ in range(n)]
         self.size = [1] * n
-        self.oldest = [(v.value, v.id) for v in vertices]
+        self.oldest = list(zip(values, ids))
         self.basis = [SublatticeBasis.empty(self.dim)] * n
         self.beam = [-1] * n
 
@@ -258,32 +258,21 @@ def build(graph: PeriodicGraph) -> PeriodicMergeTree:
     vol_d = u.volume
     n, m = graph.n, graph.m
 
-    vvals = np.fromiter((v.value for v in graph.vertices), dtype=float, count=n)
-    evals = np.fromiter((e.value for e in graph.edges), dtype=float, count=m)
-    vids = np.fromiter((v.id for v in graph.vertices), dtype=np.int64, count=n)
-    eids = np.fromiter((e.id for e in graph.edges), dtype=np.int64, count=m)
-    kind = np.concatenate([np.zeros(n, dtype=np.int8), np.ones(m, dtype=np.int8)])
-    cid = np.concatenate([vids, eids])
-    val = np.concatenate([vvals, evals])
-    order = np.lexsort((cid, kind, val)).tolist()
-    kinds = kind.tolist()
-    poslist = np.concatenate([np.arange(n, dtype=np.int64), np.arange(m, dtype=np.int64)]).tolist()
-    evlist = evals.tolist()
-    eidlist = eids.tolist()
+    ids = graph.ids.tolist()
+    vals = graph.values.tolist()
+    kind = np.arange(n + m) >= n   # vertices before edges
+    order = np.lexsort((graph.ids, kind, graph.values)).tolist()
 
     beams: list[Beam] = []
     coeff0 = 1.0 / vol_d
     empty = SublatticeBasis.empty(d)
 
-    # union-find slots follow graph order so edge endpoints index directly;
-    # the filter property guarantees both endpoints precede every edge
-    uf = UnionFind(d, graph.vertices)
+    # union-find slots are vertex positions, as edge endpoints are; the
+    # filter property guarantees both endpoints precede every edge
+    uf = UnionFind(d, vals[:n], ids[:n])
     full = [False] * n  # per slot: component lattice is all of Z^d
 
-    vindex = graph.vertex_index
-    ex = [vindex(e.u) for e in graph.edges]
-    ey = [vindex(e.v) for e in graph.edges]
-    eshift = [e.shift for e in graph.edges]
+    ex, ey, eshift = graph.u.tolist(), graph.v.tolist(), graph.shifts
 
     root = uf.root
     drift = uf.drift
@@ -293,14 +282,13 @@ def build(graph: PeriodicGraph) -> PeriodicMergeTree:
     rng_d = range(d)
 
     for oi in order:
-        p = poslist[oi]
-        if kinds[oi] == 0:
-            vtx = graph.vertices[p]
+        if oi < n:
             bi = len(beams)
-            beams.append(Beam(bi, vtx.value, vtx.id, [Epoch(vtx.value, coeff0, d, empty)]))
-            beam_of[p] = bi
+            beams.append(Beam(bi, vals[oi], ids[oi], [Epoch(vals[oi], coeff0, d, empty)]))
+            beam_of[oi] = bi
             continue
 
+        p = oi - n
         x, y = ex[p], ey[p]
         r, s = root[x], root[y]
         if r == s:
@@ -320,10 +308,10 @@ def build(graph: PeriodicGraph) -> PeriodicMergeTree:
                 full[r] = True
             coeff = volume(u, new) / vol_d
             exp = d - new.rank
-            beams[beam_of[r]].epochs.append(Epoch(evlist[p], coeff, exp, new, eidlist[p]))
+            beams[beam_of[r]].epochs.append(Epoch(vals[oi], coeff, exp, new, ids[oi]))
         else:
-            t = evlist[p]
-            eid = eidlist[p]
+            t = vals[oi]
+            eid = ids[oi]
             sh = eshift[p]
             dx, dy = drift[x], drift[y]
             v = [dx[k] + sh[k] - dy[k] for k in rng_d]
@@ -377,21 +365,14 @@ def build(graph: PeriodicGraph) -> PeriodicMergeTree:
 # canonical forms and the splintering check
 # ---------------------------------------------------------------------------
 
-def _rounded(x: float, tol: float) -> float:
-    if math.isinf(x):
-        return x
-    return round(x / tol) * tol
+TOL = 1e-9   # heights, coefficients and multiplicities this close are equal
 
 
 class _Text(dict):
-    """x -> x rounded to tol, written with 12 significant digits; memoized."""
-
-    def __init__(self, tol: float):
-        super().__init__()
-        self.tol = tol
+    """x -> x rounded to TOL, written with 12 significant digits; memoized."""
 
     def __missing__(self, x: float) -> str:
-        text = self[x] = f"{_rounded(x, self.tol):.12g}"
+        text = self[x] = f"{x if math.isinf(x) else round(x / TOL) * TOL:.12g}"
         return text
 
 
@@ -561,7 +542,7 @@ class _TreeIndex:
             lambda x, y: _compare(self.tokens(reps[x], top), self.tokens(reps[y], top))))
 
 
-def canonical_form(tree: PeriodicMergeTree, tol: float = 1e-9) -> str:
+def canonical_form(tree: PeriodicMergeTree) -> str:
     """Digest equal iff trees are identical up to reordering of siblings.
 
     An exact, opaque string, linear in the size of the tree: the labels
@@ -571,7 +552,7 @@ def canonical_form(tree: PeriodicMergeTree, tol: float = 1e-9) -> str:
     lists every key in number order, then the sorted root digests.
     """
     interned = {}
-    idx = _TreeIndex(tree, _Text(tol), interned)
+    idx = _TreeIndex(tree, _Text(), interned)
     roots = [idx.digest(r, math.inf) for r in tree.roots()]
     keys = list(interned)
     del idx, interned
@@ -613,7 +594,7 @@ def canonical_form(tree: PeriodicMergeTree, tol: float = 1e-9) -> str:
     return "\n".join(lines)
 
 
-def splinters(tprime: PeriodicMergeTree, tree: PeriodicMergeTree, tol: float = 1e-9) -> bool:
+def splinters(tprime: PeriodicMergeTree, tree: PeriodicMergeTree) -> bool:
     """True iff a height-preserving surjection tprime -> tree splits subtrees evenly.
 
     Root-down sweep: at every point of `tree` covered by k preimage beams of
@@ -630,7 +611,7 @@ def splinters(tprime: PeriodicMergeTree, tree: PeriodicMergeTree, tol: float = 1
     proots = tprime.roots()
     if not troots or not proots:
         return not troots and not proots
-    text = _Text(tol)
+    text = _Text()
     P = _TreeIndex(tprime, text, {})
     T = P if tree is tprime else _TreeIndex(tree, text, {})
 
@@ -672,7 +653,7 @@ def splinters(tprime: PeriodicMergeTree, tree: PeriodicMergeTree, tol: float = 1
         k = len(pool_w)
         for w in pool_w:
             mw = _monomial(P.spans[w], t)
-            if mw is None or mw[1] != mb[1] or abs(mw[0] - mb[0] / k) > tol:
+            if mw is None or mw[1] != mb[1] or abs(mw[0] - mb[0] / k) > TOL:
                 return False
         return True
 
@@ -705,7 +686,7 @@ def splinters(tprime: PeriodicMergeTree, tree: PeriodicMergeTree, tol: float = 1
         if mx[1] != mc[1] or mx[0] <= 0:
             return ()
         kc = round(mc[0] / mx[0])
-        if kc < 1 or abs(mc[0] / kc - mx[0]) > tol or g * kc > len(items):
+        if kc < 1 or abs(mc[0] / kc - mx[0]) > TOL or g * kc > len(items):
             return ()
         return (kc,)
 

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+
+import numpy as np
+
 from .lattice import IntMatrix, RealBasis, coset_reps, hnf_transform, reduce_mod, solve
 
 
@@ -18,80 +20,52 @@ class GraphError(ValueError):
     """Malformed or invalid periodic-graph input."""
 
 
-@dataclass(frozen=True)
-class Vertex:
-    id: int
-    value: float
-    raw: str | None = None
-
-
-@dataclass(frozen=True)
-class Edge:
-    id: int
-    u: int
-    v: int
-    value: float
-    shift: tuple
-    raw: str | None = None
-
-
 class PeriodicGraph:
-    """Finite quotient of a periodic filtered graph."""
+    """Finite quotient of a periodic filtered graph, stored as columns.
 
-    __slots__ = ("dim", "basis", "vertices", "edges", "_vindex")
+    The cells are the n vertices followed by the m edges: `ids` (int64) and
+    `values` (float64) hold one entry per cell, and `raw` the decimal-string
+    token a value was read from, or None.  The j-th edge runs from vertex
+    position `u[j]` to vertex position `v[j]` (int64) along `shifts[j]`, a
+    tuple of exact ints.  `parse` validates outside input; `unroll` and `synthetic`
+    build valid graphs directly.
+    """
 
-    def __init__(self, dim: int, basis: RealBasis, vertices, edges):
+    __slots__ = ("dim", "basis", "ids", "values", "raw", "u", "v", "shifts")
+
+    def __init__(self, dim: int, basis: RealBasis, ids, values, raw: list, u, v, shifts: list):
         self.dim = dim
         self.basis = basis
-        self.vertices = list(vertices)
-        self.edges = list(edges)
-        self._vindex = {v.id: i for i, v in enumerate(self.vertices)}
-        self._validate()
-
-    def _validate(self):
-        if self.basis.dim != self.dim:
-            raise GraphError("basis dimension does not match dim")
-        if len(self._vindex) != len(self.vertices):
-            raise GraphError("duplicate vertex id")
-        eids = {e.id for e in self.edges}
-        if len(eids) != len(self.edges):
-            raise GraphError("duplicate edge id")
-        for e in self.edges:
-            if e.u not in self._vindex or e.v not in self._vindex:
-                raise GraphError(f"edge {e.id} references a missing vertex")
-            if len(e.shift) != self.dim:
-                raise GraphError(f"edge {e.id} has a shift of wrong length")
-            lo = max(self.vertices[self._vindex[e.u]].value, self.vertices[self._vindex[e.v]].value)
-            if e.value < lo:
-                raise GraphError(
-                    f"edge {e.id} violates the filter property: value {e.value} below endpoint value {lo}")
+        self.ids = np.asarray(ids, dtype=np.int64)
+        self.values = np.asarray(values, dtype=np.float64)
+        self.raw = raw
+        self.u = np.asarray(u, dtype=np.int64)
+        self.v = np.asarray(v, dtype=np.int64)
+        self.shifts = shifts
 
     @property
     def n(self) -> int:
-        return len(self.vertices)
+        return len(self.ids) - len(self.shifts)
 
     @property
     def m(self) -> int:
-        return len(self.edges)
-
-    def vertex_index(self, vid: int) -> int:
-        return self._vindex[vid]
+        return len(self.shifts)
 
     def is_connected(self) -> bool:
-        if not self.vertices:
+        if not self.n:
             return True
-        adj = {v.id: [] for v in self.vertices}
-        for e in self.edges:
-            adj[e.u].append(e.v)
-            adj[e.v].append(e.u)
-        seen = {self.vertices[0].id}
-        stack = [self.vertices[0].id]
+        adj = [[] for _ in range(self.n)]
+        for a, b in zip(self.u.tolist(), self.v.tolist()):
+            adj[a].append(b)
+            adj[b].append(a)
+        seen = {0}
+        stack = [0]
         while stack:
             for w in adj[stack.pop()]:
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
-        return len(seen) == len(self.vertices)
+        return len(seen) == self.n
 
 
 _TOP_KEYS = {"dim", "basis", "vertices", "edges"}
@@ -196,7 +170,8 @@ def parse(source) -> PeriodicGraph:
     for key, recs in (("vertices", vlist), ("edges", elist)):
         if not isinstance(recs, (list, tuple)):
             raise GraphError(f"{key} must be a list of records, not {type(recs).__name__}")
-    vertices = []
+    ids, values, raw = [], [], []
+    index = {}   # vertex id -> position
     for pos, rec in enumerate(vlist):
         try:
             vid, value = rec["id"], rec["value"]
@@ -204,9 +179,12 @@ def parse(source) -> PeriodicGraph:
             raise _bad_record("vertex", pos, rec, ("id", "value"))
         if type(vid) is not int or not _ID_MIN <= vid <= _ID_MAX:   # in-range ints skip the call
             vid = _read_int(vid, f"vertex record {pos}: id")
-        val, raw = _read_value(value, f"vertex {vid}")
-        vertices.append(Vertex(vid, val, raw))
-    edges = []
+        val, tok = _read_value(value, f"vertex {vid}")
+        index[vid] = pos
+        ids.append(vid)
+        values.append(val)
+        raw.append(tok)
+    us, vs, shifts, shared = [], [], [], {}
     for pos, rec in enumerate(elist):
         try:
             eid, u, v, value, shift = rec["id"], rec["u"], rec["v"], rec["value"], rec["shift"]
@@ -219,50 +197,65 @@ def parse(source) -> PeriodicGraph:
             u = _read_int(u, f"{what}: u")
         if type(v) is not int:
             v = _read_int(v, f"{what}: v")
-        val, raw = _read_value(value, what)
-        edges.append(Edge(eid, u, v, val, _read_shift(shift, what), raw))
-    return PeriodicGraph(dim, basis, vertices, edges)
+        val, tok = _read_value(value, what)
+        ids.append(eid)
+        values.append(val)
+        raw.append(tok)
+        us.append(index.get(u, -1))
+        vs.append(index.get(v, -1))
+        shift = _read_shift(shift, what)
+        shifts.append(shared.setdefault(shift, shift))   # equal shifts share one tuple
+    n = len(vlist)
+    if len(index) != n:
+        raise GraphError("duplicate vertex id")
+    if len(set(ids[n:])) != len(elist):
+        raise GraphError("duplicate edge id")
+    for eid, val, a, b, shift in zip(ids[n:], values[n:], us, vs, shifts):
+        if a < 0 or b < 0:
+            raise GraphError(f"edge {eid} references a missing vertex")
+        if len(shift) != dim:
+            raise GraphError(f"edge {eid} has a shift of wrong length")
+        lo = max(values[a], values[b])
+        if val < lo:
+            raise GraphError(
+                f"edge {eid} violates the filter property: value {val} below endpoint value {lo}")
+    return PeriodicGraph(dim, basis, ids, values, raw, us, vs, shifts)
 
 
 def serialize(g: PeriodicGraph) -> dict:
     """JSON-ready dict; decimal-string values reuse their original token."""
+    n = g.n
+    ids = g.ids.tolist()   # jsonfmt writes Python ints and floats only
+    values = [x if tok is None else tok for x, tok in zip(g.values.tolist(), g.raw)]
     return {
         "dim": g.dim,
         "basis": [[float(x) for x in g.basis.matrix[:, j]] for j in range(g.dim)],
-        "vertices": [
-            {"id": v.id, "value": v.raw if v.raw is not None else v.value} for v in g.vertices
-        ],
+        "vertices": [{"id": i, "value": x} for i, x in zip(ids[:n], values[:n])],
         "edges": [
-            {
-                "id": e.id,
-                "u": e.u,
-                "v": e.v,
-                "value": e.raw if e.raw is not None else e.value,
-                "shift": list(e.shift),
-            }
-            for e in g.edges
+            {"id": i, "u": a, "v": b, "value": x, "shift": list(t)} for i, a, b, x, t
+            in zip(ids[n:], g.ids[g.u].tolist(), g.ids[g.v].tolist(), values[n:], g.shifts)
         ],
     }
 
 
 def max_shift_magnitude(g: PeriodicGraph) -> int:
     """D = largest absolute shift entry over all edges (0 without edges)."""
-    return max((abs(s) for e in g.edges for s in e.shift), default=0)
+    return max((abs(s) for t in g.shifts for s in t), default=0)
 
 
 def cellular_l1(f: PeriodicGraph, g: PeriodicGraph) -> float:
     """Sum over all cells of |value_f - value_g| for two filters on one complex."""
     if f.dim != g.dim or f.n != g.n or f.m != g.m:
         raise GraphError("graphs do not share combinatorics")
+    n = f.n
+    if not np.array_equal(f.ids[:n], g.ids[:n]):
+        raise GraphError("vertex ids differ")
+    if not (np.array_equal(f.ids[n:], g.ids[n:]) and np.array_equal(f.u, g.u)
+            and np.array_equal(f.v, g.v) and f.shifts == g.shifts):
+        raise GraphError("edge combinatorics differ")
     total = 0.0
-    for a, b in zip(f.vertices, g.vertices):
-        if a.id != b.id:
-            raise GraphError("vertex ids differ")
-        total += abs(a.value - b.value)
-    for a, b in zip(f.edges, g.edges):
-        if (a.id, a.u, a.v, a.shift) != (b.id, b.u, b.v, b.shift):
-            raise GraphError("edge combinatorics differ")
-        total += abs(a.value - b.value)
+    for x in np.abs(f.values - g.values).tolist():   # left to right, as the cells come
+        total += x
     return total
 
 
@@ -275,7 +268,8 @@ def unroll(g: PeriodicGraph, s: IntMatrix) -> PeriodicGraph:
     new shift solving S.shift' = c + t - c'.  The result has |det S| times
     the vertices and edges of g, with basis U.S.  The copies of an edge
     depend on its shift alone, so the coset work is done once per distinct
-    shift and representative; the rest costs one record per copy.
+    shift and representative; the copies are written as (cells x
+    representatives) arrays.
     """
     if s.rows != g.dim or s.cols != g.dim:
         raise GraphError("sublattice matrix must be d x d")
@@ -283,15 +277,17 @@ def unroll(g: PeriodicGraph, s: IntMatrix) -> PeriodicGraph:
     if h.rank != g.dim:
         raise GraphError("singular sublattice matrix")
     k = math.prod(col[i] for i, col in enumerate(h.columns))   # |det S|, from the pivots
-    ids = [v.id for v in g.vertices] + [e.id for e in g.edges]
-    if ids and not (_ID_MIN <= min(ids) * k and max(ids) * k + k - 1 <= _ID_MAX):
+    if g.ids.size and not (_ID_MIN <= int(g.ids.min()) * k
+                           and int(g.ids.max()) * k + k - 1 <= _ID_MAX):
         raise GraphError(f"ids times the sublattice index {k} leave the signed 64-bit range")
-    reps = coset_reps(s)
-    rep_index = {r: i for i, r in enumerate(reps)}
     new_cols = [
         [sum(g.basis.matrix[r, c] * s.columns[j][c] for c in range(g.dim)) for r in range(g.dim)]
         for j in range(g.dim)
     ]
+    if not g.n:   # no cells, no copies: the index need not fit an array
+        return PeriodicGraph(g.dim, RealBasis(new_cols), g.ids, g.values, [], g.u, g.v, [])
+    reps = coset_reps(s) if g.m else []   # only edge copies need the representatives
+    rep_index = {r: i for i, r in enumerate(reps)}
 
     def hops(shift):
         """(target representative index, new shift) for every representative."""
@@ -307,14 +303,14 @@ def unroll(g: PeriodicGraph, s: IntMatrix) -> PeriodicGraph:
             row.append((rep_index[c2], t))
         return row
 
-    vertices = [Vertex(v.id * k + ci, v.value, v.raw) for v in g.vertices for ci in range(k)]
-    edges = []
-    rows: dict = {}
-    for e in g.edges:
-        row = rows.get(e.shift)
-        if row is None:
-            row = rows[e.shift] = hops(e.shift)
-        eid, u, v = e.id * k, e.u * k, e.v * k
-        edges.extend(Edge(eid + ci, u + ci, v + c2, e.value, t, e.raw)
-                     for ci, (c2, t) in enumerate(row))
-    return PeriodicGraph(g.dim, RealBasis(new_cols), vertices, edges)
+    distinct: dict = {}   # shift -> its number, in order of first use
+    which = np.array([distinct.setdefault(t, len(distinct)) for t in g.shifts], dtype=np.int64)
+    rows = [hops(t) for t in distinct]
+    targets = np.array([[c2 for c2, _ in row] for row in rows], dtype=np.int64)
+    cis = np.arange(k)
+    return PeriodicGraph(
+        g.dim, RealBasis(new_cols),
+        (g.ids[:, None] * k + cis).ravel(), np.repeat(g.values, k),
+        [tok for tok in g.raw for _ in range(k)],
+        (g.u[:, None] * k + cis).ravel(), (g.v[:, None] * k + targets[which]).ravel(),
+        [t for j in which.tolist() for _, t in rows[j]])

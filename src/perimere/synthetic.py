@@ -4,15 +4,14 @@ from __future__ import annotations
 import random
 
 from .lattice import RealBasis
-from .pgraph import Edge, PeriodicGraph, Vertex
+from .pgraph import PeriodicGraph
 
 
 def torus_grid(side: int, seed: int = 0, dim: int = 3) -> PeriodicGraph:
     """Grid on the dim-torus: side^dim vertices, dim*side^dim edges, D = 1."""
     rng = random.Random(seed)
     n = side ** dim
-    vertices = [Vertex(i, rng.random()) for i in range(n)]
-    values = [v.value for v in vertices]
+    values = [rng.random() for _ in range(n)]
 
     def flat(coords):
         acc = 0
@@ -20,8 +19,7 @@ def torus_grid(side: int, seed: int = 0, dim: int = 3) -> PeriodicGraph:
             acc = acc * side + c
         return acc
 
-    edges = []
-    eid = 0
+    us, vs, shifts = [], [], []
     coords = [0] * dim
     for i in range(n):
         rem = i
@@ -36,11 +34,11 @@ def torus_grid(side: int, seed: int = 0, dim: int = 3) -> PeriodicGraph:
                 nb[a] = 0
             j = flat(nb)
             shift = tuple(1 if (wrap and b == a) else 0 for b in range(dim))
-            val = max(values[i], values[j]) + rng.random()
-            edges.append(Edge(eid, i, j, val, shift))
-            eid += 1
-    basis = RealBasis([[1.0 if r == c else 0.0 for r in range(dim)] for c in range(dim)])
-    return PeriodicGraph(dim, basis, vertices, edges)
+            values.append(max(values[i], values[j]) + rng.random())
+            us.append(i)
+            vs.append(j)
+            shifts.append(shift)
+    return _standard(dim, values, us, vs, shifts)
 
 
 def random_periodic_graph(rng: random.Random, dim: int = 3, n: int = 20, m: int = 40,
@@ -49,12 +47,11 @@ def random_periodic_graph(rng: random.Random, dim: int = 3, n: int = 20, m: int 
     if n == 0:
         m = 0
     if tie_values:
-        vertices = [Vertex(i, float(rng.randint(0, max(2, n // 3)))) for i in range(n)]
+        values = [float(rng.randint(0, max(2, n // 3))) for _ in range(n)]
     else:
-        vertices = [Vertex(i, round(rng.random() * 10, 6)) for i in range(n)]
-    values = [v.value for v in vertices]
-    edges = []
-    for e in range(m):
+        values = [round(rng.random() * 10, 6) for _ in range(n)]
+    us, vs, shifts = [], [], []
+    for _ in range(m):
         u = rng.randrange(n)
         v = rng.randrange(n)
         shift = tuple(rng.randint(-shift_range, shift_range) for _ in range(dim))
@@ -63,6 +60,16 @@ def random_periodic_graph(rng: random.Random, dim: int = 3, n: int = 20, m: int 
             val = base + float(rng.randint(1, 4))
         else:
             val = base + round(rng.random() * 10 + 1e-3, 6)
-        edges.append(Edge(e, u, v, val, shift))
+        values.append(val)
+        us.append(u)
+        vs.append(v)
+        shifts.append(shift)
+    return _standard(dim, values, us, vs, shifts)
+
+
+def _standard(dim, values, us, vs, shifts) -> PeriodicGraph:
+    """The graph on the standard lattice with vertex i and edge j of ids i, j."""
+    n = len(values) - len(shifts)
     basis = RealBasis([[1.0 if r == c else 0.0 for r in range(dim)] for c in range(dim)])
-    return PeriodicGraph(dim, basis, vertices, edges)
+    return PeriodicGraph(dim, basis, [*range(n), *range(len(shifts))], values,
+                         [None] * len(values), us, vs, shifts)

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from perimere.lattice import IntMatrix, RealBasis, coset_reps, hnf_transform, reduce_mod, solve
+from perimere.lattice import IntMatrix, coset_reps, hnf_transform, reduce_mod, solve
 from perimere.mergetree import Beam, PeriodicMergeTree
-from perimere.pgraph import Edge, GraphError, PeriodicGraph, Vertex
+from perimere.pgraph import GraphError, PeriodicGraph, parse
 from perimere.transport import MASS_SCALE, _scaled
 
 
@@ -486,14 +486,18 @@ def oracle_unroll(g: PeriodicGraph, s: IntMatrix) -> PeriodicGraph:
         [sum(g.basis.matrix[r, c] * s.columns[j][c] for c in range(g.dim)) for r in range(g.dim)]
         for j in range(g.dim)
     ]
+    n = g.n
+    ids = g.ids.tolist()
+    values = [x if tok is None else tok for x, tok in zip(g.values.tolist(), g.raw)]
     vertices = []
-    for v in g.vertices:
+    for vid, value in zip(ids[:n], values[:n]):
         for ci in range(k):
-            vertices.append(Vertex(v.id * k + ci, v.value, v.raw))
+            vertices.append({"id": vid * k + ci, "value": value})
     edges = []
-    for e in g.edges:
+    for eid, pu, pv, value, shift in zip(ids[n:], g.u.tolist(), g.v.tolist(), values[n:],
+                                        g.shifts):
         for ci, c in enumerate(reps):
-            w = tuple(a + b for a, b in zip(c, e.shift))
+            w = tuple(a + b for a, b in zip(c, shift))
             c2 = reduce_mod(h, w)
             diff = tuple(a - b for a, b in zip(w, c2))
             y = solve(h, diff)
@@ -503,8 +507,9 @@ def oracle_unroll(g: PeriodicGraph, s: IntMatrix) -> PeriodicGraph:
             t = tuple(
                 sum(certs[col][i] * y[col] for col in range(len(y))) for i in range(g.dim)
             )
-            edges.append(Edge(e.id * k + ci, e.u * k + ci, e.v * k + rep_index[c2], e.value, t, e.raw))
-    return PeriodicGraph(g.dim, RealBasis(new_cols), vertices, edges)
+            edges.append({"id": eid * k + ci, "u": ids[pu] * k + ci,
+                          "v": ids[pv] * k + rep_index[c2], "value": value, "shift": list(t)})
+    return parse({"dim": g.dim, "basis": new_cols, "vertices": vertices, "edges": edges})
 
 
 def oracle_hnf_columns(dim: int, columns, with_transform: bool = False):

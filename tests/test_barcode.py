@@ -57,7 +57,7 @@ class TestEquals:
     def test_unrolled_equal(self, fig3_left):
         base = extract(build(fig3_left))
         rolled = extract(build(unroll(fig3_left, IntMatrix.from_rows([[2, 0], [0, 1]]))))
-        assert equals(base, rolled, tol=1e-9)
+        assert equals(base, rolled)
 
     def test_dimension_mismatch(self, fig3_left, helix_cross):
         with pytest.raises(ValueError):

@@ -223,7 +223,7 @@ class TestRandomGraphInvariance:
                     break
             rolled = unroll(g, s)
             rtree = build(rolled)
-            assert equals(code, extract(rtree), tol=1e-9)
+            assert equals(code, extract(rtree))
             assert barcode_distance(code, extract(rtree)) <= 1e-9
             assert splinters(rtree, tree)
 
@@ -237,7 +237,7 @@ class TestRandomGraphInvariance:
                 s = IntMatrix.from_rows([[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)])
                 if 1 <= abs(s.det()) <= 4:
                     break
-            assert equals(code, extract(build(unroll(g, s))), tol=1e-9)
+            assert equals(code, extract(build(unroll(g, s))))
 
 
 def _sublattice(rng, dim, max_det=3):
@@ -251,9 +251,9 @@ def _forest(rng):
     """Two copies of one random block, the second 0.25 higher: a disconnected quotient."""
     g1 = random_periodic_graph(rng, dim=2, n=4, m=5)
     doc = serialize(g1)
-    doc["vertices"] += [{"id": v.id + 100, "value": v.value + 0.25} for v in g1.vertices]
-    doc["edges"] += [{"id": e.id + 100, "u": e.u + 100, "v": e.v + 100,
-                      "value": e.value + 0.25, "shift": list(e.shift)} for e in g1.edges]
+    doc["vertices"] += [{"id": v["id"] + 100, "value": v["value"] + 0.25} for v in doc["vertices"]]
+    doc["edges"] += [{**e, "id": e["id"] + 100, "u": e["u"] + 100, "v": e["v"] + 100,
+                      "value": e["value"] + 0.25} for e in doc["edges"]]
     return parse(doc)
 
 
@@ -320,7 +320,7 @@ class TestSplintersOracle:
         rng = random.Random(50)
         for g in _bases(rng):
             tree = build(g)
-            idx = _TreeIndex(tree, _Text(1e-9), {})
+            idx = _TreeIndex(tree, _Text(), {})
             texts = {}
             for beam in tree.beams:
                 hs = {beam.birth, beam.death, *(h for h, _ in beam.children),

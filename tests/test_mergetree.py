@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from perimere import (IntMatrix, SublatticeBasis, UnionFind, Vertex, build,
-                      canonical_form, extract, parse, splinters, unroll)
+from perimere import (IntMatrix, SublatticeBasis, UnionFind, build,
+                      canonical_form, extract, parse, serialize, splinters, unroll)
 from perimere.mergetree import PeriodicMergeTree, monomial_display
 from perimere.synthetic import random_periodic_graph
 
@@ -111,16 +111,16 @@ EMPTY2 = SublatticeBasis.empty(2)
 
 
 def _uf(n):
-    return UnionFind(2, [Vertex(i, float(i)) for i in range(n)])
+    return UnionFind(2, [float(i) for i in range(n)], list(range(n)))
 
 
 class TestUnionFind:
     def test_fresh_vertex_is_own_root(self):
-        uf = UnionFind(2, [Vertex(5, 1.0)])
+        uf = UnionFind(2, [1.0], [5])
         assert uf.root[0] == 0
 
     def test_union_shares_root(self):
-        uf = UnionFind(2, [Vertex(5, 1.0), Vertex(9, 2.0)])
+        uf = UnionFind(2, [1.0, 2.0], [5, 9])
         uf.union(0, 1, [0, 0], EMPTY2)
         assert uf.root[0] == uf.root[1]
 
@@ -253,15 +253,11 @@ class TestSplinters:
         for _ in range(6):
             # two independent blocks guarantee a disconnected quotient
             g1 = random_periodic_graph(rng, dim=2, n=4, m=5)
-            doc = {"dim": 2, "basis": [[1.0, 0.0], [0.0, 1.0]],
-                   "vertices": ([{"id": v.id, "value": v.value} for v in g1.vertices]
-                                + [{"id": v.id + 100, "value": v.value + 0.25}
-                                   for v in g1.vertices]),
-                   "edges": ([{"id": e.id, "u": e.u, "v": e.v, "value": e.value,
-                               "shift": list(e.shift)} for e in g1.edges]
-                             + [{"id": e.id + 100, "u": e.u + 100, "v": e.v + 100,
-                                 "value": e.value + 0.25, "shift": list(e.shift)}
-                                for e in g1.edges])}
+            doc = serialize(g1)
+            doc["vertices"] += [{"id": v["id"] + 100, "value": v["value"] + 0.25}
+                                for v in doc["vertices"]]
+            doc["edges"] += [{**e, "id": e["id"] + 100, "u": e["u"] + 100, "v": e["v"] + 100,
+                              "value": e["value"] + 0.25} for e in doc["edges"]]
             g = parse(doc)
             tree = build(g)
             assert len(tree.roots()) >= 2

@@ -50,10 +50,34 @@ class TestParse:
         with pytest.raises(GraphError, match="duplicate"):
             parse(doc)
 
+    @pytest.mark.parametrize("fault,message", [
+        (lambda d: d["edges"].append(dict(d["edges"][0])), "duplicate edge id"),
+        (lambda d: d["edges"][1].update(shift=[1, 0, 0]), "edge 11 has a shift of wrong length"),
+        (lambda d: d["edges"][2].update(value=0.5),
+         "edge 12 violates the filter property: value 0.5 below endpoint value 3.0"),
+        # with two faults the first check in order names its fault: duplicate
+        # vertex ids, duplicate edge ids, then per edge in order a missing
+        # vertex, the shift length and the filter property
+        (lambda d: (d["vertices"].append({"id": 1, "value": 2.0}),
+                    d["edges"][2].update(value=0.5)), "duplicate vertex id"),
+        (lambda d: (d["edges"].append(dict(d["edges"][0])), d["edges"][1].update(u=99)),
+         "duplicate edge id"),
+        (lambda d: (d["edges"][0].update(shift=[1]), d["edges"][1].update(u=99)),
+         "edge 10 has a shift of wrong length"),
+        (lambda d: d["edges"][0].update(shift=[1], u=99), "edge 10 references a missing vertex"),
+    ], ids=["dup_edge", "shift_length", "filter", "dup_vertex_then_filter",
+            "dup_edge_then_missing", "shift_length_then_missing", "missing_then_shift_length"])
+    def test_validation_messages_and_order(self, fault, message):
+        doc = fig3_left_doc()
+        fault(doc)
+        with pytest.raises(GraphError) as err:
+            parse(doc)
+        assert str(err.value) == message
+
     def test_shift_entries_must_be_integers(self):
         doc = fig3_left_doc()
         doc["edges"][1]["shift"] = [2.0, -1]
-        assert parse(doc).edges[1].shift == (2, -1)
+        assert parse(doc).shifts[1] == (2, -1)
         for bad in ([1.5, 0], ["1", 0], 1, [float("inf"), 0], [True, 0], [0, False]):
             doc["edges"][1]["shift"] = bad
             with pytest.raises(GraphError, match="edge 11: shift"):
@@ -124,23 +148,25 @@ class TestParse:
             rec["u"], rec["v"] = 2 ** 63 - 1, -2 ** 63
         doc["edges"][0]["id"] = -2 ** 63
         g = parse(doc)
-        assert g.vertices[0].id == 2 ** 63 - 1 and len(build(g).beams) == 2
+        assert g.ids[0] == 2 ** 63 - 1 and len(build(g).beams) == 2
 
     def test_integral_floats_accepted(self):
         doc = self._with(("dim",), 2.0)
         doc["vertices"][1]["id"] = 2.0
         doc["edges"][0].update(id=10.0, u=1.0, v=2.0)
         g = parse(doc)
-        assert g.dim == 2 and g.vertices[1].id == 2
-        assert (g.edges[0].id, g.edges[0].u, g.edges[0].v) == (10, 1, 2)
-        assert all(type(x) is int for x in (g.dim, g.vertices[1].id, g.edges[0].id, g.edges[0].u))
+        out = serialize(g)
+        assert g.dim == 2 and out["vertices"][1]["id"] == 2
+        assert (out["edges"][0]["id"], out["edges"][0]["u"], out["edges"][0]["v"]) == (10, 1, 2)
+        assert all(type(x) is int for x in (g.dim, out["vertices"][1]["id"], out["edges"][0]["id"],
+                                            out["edges"][0]["u"]))
 
     def test_values_as_decimal_strings(self):
         doc = fig3_left_doc()
         doc["vertices"][0]["value"] = "1.00"
         g = parse(doc)
-        assert g.vertices[0].value == 1.0
-        assert g.vertices[0].raw == "1.00"
+        assert g.values[0] == 1.0
+        assert g.raw[0] == "1.00"
 
     def test_parse_serialize_roundtrip_bit_exact(self):
         doc = helix_cross_doc()
@@ -151,7 +177,7 @@ class TestParse:
         g = parse(doc)
         again = parse(json.loads(json.dumps(serialize(g))))
         assert serialize(again) == serialize(g)
-        assert [v.raw for v in again.vertices] == [f"{i}.000" for i in range(1, 6)]
+        assert again.raw[:again.n] == [f"{i}.000" for i in range(1, 6)]
 
 
 class TestMaxShiftMagnitude:
@@ -190,8 +216,7 @@ class TestCellularL1:
             for r in recs:
                 r["value"] = r["value"] + rng.uniform(0, 0.4)
         a, b = parse(doc_a), parse(doc_b)
-        want = sum(abs(x.value - y.value) for x, y in zip(a.vertices, b.vertices))
-        want += sum(abs(x.value - y.value) for x, y in zip(a.edges, b.edges))
+        want = sum(abs(x - y) for x, y in zip(a.values.tolist(), b.values.tolist()))
         assert cellular_l1(a, b) == pytest.approx(want, abs=1e-12)
 
     def test_combinatorics_mismatch(self, fig3_left, helix_cross):
@@ -228,12 +253,14 @@ class TestUnroll:
         g2 = unroll(helix_cross, s)
         from perimere.lattice import coset_reps
         reps = coset_reps(s)
-        for e in helix_cross.edges:
+        ids = g2.ids.tolist()
+        for eid, shift in zip(helix_cross.ids[helix_cross.n:].tolist(), helix_cross.shifts):
             for ci, c in enumerate(reps):
-                ne = next(x for x in g2.edges if x.id == e.id * k + ci)
-                c2 = reps[ne.v % k]
-                want = tuple(a + b - x for a, b, x in zip(c, e.shift, c2))
-                got = tuple(sum(s.columns[j][i] * ne.shift[j] for j in range(3)) for i in range(3))
+                ne = ids.index(eid * k + ci) - g2.n
+                c2 = reps[ids[g2.v[ne]] % k]
+                want = tuple(a + b - x for a, b, x in zip(c, shift, c2))
+                got = tuple(sum(s.columns[j][i] * g2.shifts[ne][j] for j in range(3))
+                            for i in range(3))
                 assert got == want
 
     def test_nested_diagonal_unroll_spans_composite(self, fig3_left):
@@ -267,16 +294,31 @@ class TestUnroll:
         diag2, diag3 = IntMatrix.from_rows([[2, 0], [0, 1]]), IntMatrix.from_rows([[3, 0], [0, 1]])
         # id * det + (det - 1) = 2^63 - 1 still fits, and the output parses again
         rolled = unroll(self._with_vertex_id(2 ** 62 - 1), diag2)
-        assert max(v.id for v in rolled.vertices) == 2 ** 63 - 1
+        assert rolled.ids[:rolled.n].max() == 2 ** 63 - 1
         assert serialize(parse(serialize(rolled))) == serialize(rolled)
         # id * 3 = 2^63 - 2 fits, but the copy at representative 2 does not
         g = self._with_vertex_id((2 ** 63 - 1) // 3)
         with pytest.raises(GraphError, match="64-bit"):
             unroll(g, diag3)
         g = self._with_vertex_id(-2 ** 62)
-        assert min(v.id for v in unroll(g, diag2).vertices) == -2 ** 63
+        rolled = unroll(g, diag2)
+        assert rolled.ids[:rolled.n].min() == -2 ** 63
         with pytest.raises(GraphError, match="64-bit"):
             unroll(g, IntMatrix.from_rows([[1, 1], [0, 3]]))
+
+    def test_graph_without_edges_enumerates_no_representatives(self, monkeypatch):
+        def refuse(s):
+            raise AssertionError("coset representatives enumerated")
+
+        monkeypatch.setattr("perimere.pgraph.coset_reps", refuse)
+        doc = fig3_left_doc()
+        doc["edges"] = []
+        g2 = unroll(parse(doc), IntMatrix.from_rows([[2, 1], [0, 3]]))
+        assert g2.m == 0 and g2.ids.tolist() == list(range(6, 18))
+        # without cells the index need not fit an array
+        doc["vertices"] = []
+        g3 = unroll(parse(doc), IntMatrix.from_rows([[1, 0], [0, 10 ** 20]]))
+        assert g3.n == g3.m == 0 and g3.basis.volume == pytest.approx(1e20)
 
     def test_singular_rejected(self, fig3_left):
         with pytest.raises(GraphError):
