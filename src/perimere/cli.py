@@ -8,7 +8,6 @@ identical inputs and flags.  Exit codes: 0 success, 1 input or usage error,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -133,7 +132,6 @@ def cmd_count_shadows(args) -> int:
                 "predicted": predicted,
                 "counted": counted,
             })
-    rows.sort(key=lambda r: r["beam"])
     _emit(_jdump({"at": t, "radius": args.radius, "components": rows}), args.out)
     return 0
 
@@ -227,7 +225,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (GraphError, ValueError, OverflowError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         what = "number out of range: " if isinstance(exc, OverflowError) else ""
         print(f"error: {what}{exc}", file=sys.stderr)
         return 1

@@ -3,14 +3,14 @@
 Cells of the quotient graph are processed in the total order (value,
 vertices-before-edges, id).  A union-find structure with constant-time find
 carries, per vertex, the drift vector of the spanning-tree path from the
-component root, and, per root, the size, the oldest (value, id) pair, and an
-integer basis V of the periodicity lattice (the real basis is U.V).  Three
-event kinds drive the tree: appearances, mergers, and catenations.
+component root, and, per root, the size; the root's beam holds the elder key
+and the integer basis V of the periodicity lattice (the real basis is U.V).
+Three event kinds drive the tree: appearances, mergers, and catenations.
 
 The beams are the only record of the tree: a beam holds its birth vertex,
 its death and merger edge, its parent, and its epochs, each epoch naming the
-catenation edge that opened it.  The event log is derived from them on
-demand, in build's processing order.
+catenation edge that opened it.  The event log and the child lists are
+derived from them on demand.
 """
 from __future__ import annotations
 
@@ -58,8 +58,7 @@ class Event:
 class Beam:
     """One horizontal interval of the merge tree (a component's lifetime)."""
 
-    __slots__ = ("index", "birth", "birth_vertex", "epochs", "death", "parent", "merge_edge",
-                 "children")
+    __slots__ = ("index", "birth", "birth_vertex", "epochs", "death", "parent", "merge_edge")
 
     def __init__(self, index, birth, birth_vertex, epochs):
         self.index = index
@@ -69,7 +68,6 @@ class Beam:
         self.death = math.inf
         self.parent = None
         self.merge_edge = None   # edge id of the merger that ends the beam
-        self.children = []   # (merge height, child beam index), filled post-build
 
     def spans(self):
         """Normalized (start, end, coeff, exp, basis) spans; zero-width epochs dropped."""
@@ -100,32 +98,26 @@ class UnionFind:
     """Union-find with drift vectors: O(1) find, size-based list splicing.
 
     Vertices live in per-component singly linked lists; unions relabel the
-    smaller list, so every vertex is relabeled at most log2(n) times.  Slot i
-    holds the vertex with values[i] and ids[i], which starts as its own
-    component; `root[i]` is the root slot of its component.
+    smaller list, so every vertex is relabeled at most log2(n) times.  Each of
+    the n slots starts as its own component; `root[i]` is the root slot of
+    slot i's component.
     """
 
-    __slots__ = ("dim", "root", "nxt", "drift", "size", "oldest", "basis", "beam")
+    __slots__ = ("dim", "root", "nxt", "drift", "size")
 
-    def __init__(self, dim: int, values, ids):
-        n = len(values)
+    def __init__(self, dim: int, n: int):
         self.dim = dim
         self.root = list(range(n))
         self.nxt = [-1] * n
-        self.drift = [[0] * self.dim for _ in range(n)]
+        self.drift = [[0] * dim for _ in range(n)]
         self.size = [1] * n
-        self.oldest = list(zip(values, ids))
-        self.basis = [SublatticeBasis.empty(self.dim)] * n
-        self.beam = [-1] * n
 
-    def union(self, r: int, s: int, v, merged_basis: SublatticeBasis) -> int:
+    def union(self, r: int, s: int, v) -> int:
         """Merge roots r and s; v is the drift correction for s's members.
 
         Returns the surviving root.  Callers must pass v = Drift(x) +
-        Shift(a) - Drift(y) for an arc x -> y with Root(x) = r, Root(y) = s,
-        and the reduced sum of the two components' periodicity lattices.
+        Shift(a) - Drift(y) for an arc x -> y with Root(x) = r, Root(y) = s.
         """
-        old = min(self.oldest[r], self.oldest[s])
         if self.size[s] > self.size[r]:
             r, s = s, r
             v = [-e for e in v]
@@ -142,8 +134,6 @@ class UnionFind:
         nxt[last] = nxt[r]
         nxt[r] = s
         self.size[r] += self.size[s]
-        self.oldest[r] = old
-        self.basis[r] = merged_basis
         return r
 
 
@@ -268,17 +258,17 @@ def build(graph: PeriodicGraph) -> PeriodicMergeTree:
     empty = SublatticeBasis.empty(d)
 
     # union-find slots are vertex positions, as edge endpoints are; the
-    # filter property guarantees both endpoints precede every edge
-    uf = UnionFind(d, vals[:n], ids[:n])
+    # filter property guarantees both endpoints precede every edge.  Beam
+    # beam_of[root] holds the component's elder key (birth, birth_vertex)
+    # and, in its last epoch, the component's lattice
+    uf = UnionFind(d, n)
+    beam_of = [-1] * n
     full = [False] * n  # per slot: component lattice is all of Z^d
 
     ex, ey, eshift = graph.u.tolist(), graph.v.tolist(), graph.shifts
 
     root = uf.root
     drift = uf.drift
-    oldest = uf.oldest
-    basis = uf.basis
-    beam_of = uf.beam
     rng_d = range(d)
 
     for oi in order:
@@ -291,31 +281,27 @@ def build(graph: PeriodicGraph) -> PeriodicMergeTree:
         p = oi - n
         x, y = ex[p], ey[p]
         r, s = root[x], root[y]
+        if r == s and full[r]:
+            continue
+        sh = eshift[p]
+        dx, dy = drift[x], drift[y]
+        v = [dx[k] + sh[k] - dy[k] for k in rng_d]
         if r == s:
-            if full[r]:
-                continue
-            sh = eshift[p]
-            dx, dy = drift[x], drift[y]
-            v = [dx[k] + sh[k] - dy[k] for k in rng_d]
             if not any(v):
                 continue
-            cur = basis[r]
+            sb = beams[beam_of[r]]
+            cur = sb.epochs[-1].basis
             if member(cur, v):
                 continue
             new = hnf_reduce(cur.columns + (tuple(v),), dim=d)
-            basis[r] = new
             if new.is_full:
                 full[r] = True
-            coeff = volume(u, new) / vol_d
-            exp = d - new.rank
-            beams[beam_of[r]].epochs.append(Epoch(vals[oi], coeff, exp, new, ids[oi]))
+            sb.epochs.append(Epoch(vals[oi], volume(u, new) / vol_d, d - new.rank, new, ids[oi]))
         else:
             t = vals[oi]
             eid = ids[oi]
-            sh = eshift[p]
-            dx, dy = drift[x], drift[y]
-            v = [dx[k] + sh[k] - dy[k] for k in rng_d]
-            base_r, base_s = basis[r], basis[s]
+            br, bs = beams[beam_of[r]], beams[beam_of[s]]
+            base_r, base_s = br.epochs[-1].basis, bs.epochs[-1].basis
             was_full = full[r] or full[s]
             if not base_s.columns:
                 merged = base_r
@@ -325,19 +311,17 @@ def build(graph: PeriodicGraph) -> PeriodicMergeTree:
                 merged = base_r
             else:
                 merged = hnf_reduce(base_r.columns + base_s.columns, dim=d)
-            if oldest[r] <= oldest[s]:
-                surv_beam, dead_beam = beam_of[r], beam_of[s]
+            if (br.birth, br.birth_vertex) <= (bs.birth, bs.birth_vertex):
+                sb, dying = br, bs
             else:
-                surv_beam, dead_beam = beam_of[s], beam_of[r]
-            w = uf.union(r, s, v, merged)
+                sb, dying = bs, br
+            w = uf.union(r, s, v)
             if was_full or (merged.columns and merged.is_full):
                 full[w] = True
-            beam_of[w] = surv_beam
-            dying = beams[dead_beam]
+            beam_of[w] = sb.index
             dying.death = t
-            dying.parent = surv_beam
+            dying.parent = sb.index
             dying.merge_edge = eid
-            sb = beams[surv_beam]
             prevb = sb.epochs[-1].basis
             if merged is not prevb and merged != prevb:
                 coeff = volume(u, merged) / vol_d
@@ -346,18 +330,6 @@ def build(graph: PeriodicGraph) -> PeriodicMergeTree:
                 # to the absorbed beam's is only taken over
                 cat = eid if merged != base_r and merged != base_s else None
                 sb.epochs.append(Epoch(t, coeff, exp, merged, cat))
-
-    # children lists use the effective survivor: chains of mergers at one
-    # height are a processing-order artifact, topologically all beams join
-    # at a single point
-    for b in beams:
-        if b.parent is not None:
-            p = b.parent
-            while beams[p].parent is not None and beams[p].death == b.death:
-                p = beams[p].parent
-            beams[p].children.append((b.death, b.index))
-    for b in beams:
-        b.children.sort()
     return PeriodicMergeTree(d, beams)
 
 
@@ -414,8 +386,9 @@ class _TreeIndex:
     equal digests exactly when their texts `tokens(b, t)` are equal.  Labels
     are interned bottom-up, one per group of events at one rounded height:
     (label below, rounded height, (coeff, exp) of the spans starting there,
-    sorted digests of the children merging there).  Epochs and children are
-    taken in increasing height, as `build` leaves them.  A cut between two exact
+    sorted digests of the children merging there).  Epochs are taken in
+    increasing height, as `build` leaves them, and so are the children, which
+    the index derives from parents and deaths.  A cut between two exact
     heights of one group gets the label of the events below it.
 
     Label n is the n-th key added to `interned`, which the index does not
@@ -429,7 +402,17 @@ class _TreeIndex:
         n = len(beams)
         self.birth = [b.birth for b in beams]
         self.death = [b.death for b in beams]
-        self.kids = [b.children for b in beams]   # (merge height, child), sorted
+        self.kids = kids = [[] for _ in beams]   # (merge height, child), sorted
+        for b in beams:
+            # a child joins its effective survivor: chained mergers at one height
+            # are a processing-order artifact; all those beams join at one point
+            if b.parent is not None:
+                p = b.parent
+                while beams[p].parent is not None and beams[p].death == b.death:
+                    p = beams[p].parent
+                kids[p].append((b.death, b.index))
+        for ks in kids:
+            ks.sort()
         self.spans = [tuple(b.spans()) for b in beams]
         self.base = [0] * n   # label of a beam's birth alone
         self.cuts = [()] * n  # exact event heights, increasing

@@ -157,9 +157,9 @@ def parse(source) -> PeriodicGraph:
             or any(not isinstance(c, (list, tuple)) or len(c) != dim for c in basis_cols)):
         raise GraphError("basis must be a list of d columns of d reals")
     try:
-        finite = all(type(e) is not bool and math.isfinite(float(e))
+        finite = all(isinstance(e, (int, float)) and type(e) is not bool and math.isfinite(e)
                      for c in basis_cols for e in c)
-    except (TypeError, ValueError, OverflowError):
+    except OverflowError:
         finite = False
     if not finite:
         raise GraphError("basis entries must be finite numbers")

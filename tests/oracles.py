@@ -10,6 +10,7 @@ matrix, and `oracle_w1` its earlier transport solver (one arc record per
 pair, with the transport plan it can report); all are kept as differential
 references for the current code.
 """
+import functools
 import heapq
 import itertools
 import math
@@ -19,7 +20,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from perimere.lattice import IntMatrix, coset_reps, hnf_transform, reduce_mod, solve
-from perimere.mergetree import Beam, PeriodicMergeTree
+from perimere.mergetree import PeriodicMergeTree
 from perimere.pgraph import GraphError, PeriodicGraph, parse
 from perimere.transport import MASS_SCALE, _scaled
 
@@ -297,6 +298,25 @@ def _rounded(x: float, tol: float) -> float:
     return round(x / tol) * tol
 
 
+@functools.lru_cache(maxsize=4)
+def children(tree: PeriodicMergeTree) -> list:
+    """Per beam, its (merge height, child) pairs in increasing order.
+
+    Derived from `parent` and `death` alone; a child is listed under its
+    effective survivor, the first ancestor that outlives the merger height,
+    since mergers chained at one height join all their beams at one point.
+    """
+    kids = [[] for _ in tree.beams]
+    for beam in tree.beams:
+        p = beam.parent
+        if p is None:
+            continue
+        while tree.beams[p].parent is not None and tree.beams[p].death == beam.death:
+            p = tree.beams[p].parent
+        kids[p].append((beam.death, beam.index))
+    return [sorted(ks) for ks in kids]
+
+
 def _digest(tree: PeriodicMergeTree, b: int, top: float, tol: float) -> str:
     """Order-insensitive serialization of the subtree hanging below (beam b, top)."""
     beam = tree.beams[b]
@@ -305,7 +325,7 @@ def _digest(tree: PeriodicMergeTree, b: int, top: float, tol: float) -> str:
                     for st, en, c, e in spans)
     kids = sorted(
         f"{_rounded(h, tol):.12g}>{_digest(tree, c, h, tol)}"
-        for h, c in beam.children if h < top
+        for h, c in children(tree)[b] if h < top
     )
     return f"[{_rounded(beam.birth, tol):.12g}|{body}|{','.join(kids)}]"
 
@@ -316,9 +336,10 @@ def canonical_form(tree: PeriodicMergeTree, tol: float = 1e-9) -> str:
     return "&".join(parts)
 
 
-def _events_below(beam: Beam, top: float):
-    """Heights < top at which the beam gains a child or changes epoch."""
-    hs = {h for h, _ in beam.children if h < top}
+def _events_below(tree: PeriodicMergeTree, b: int, top: float):
+    """Heights < top at which beam b gains a child or changes epoch."""
+    beam = tree.beams[b]
+    hs = {h for h, _ in children(tree)[b] if h < top}
     hs.update(st for st, _, _, _, _ in beam.spans() if beam.birth < st < top)
     return hs
 
@@ -343,9 +364,9 @@ def splinters(tprime: PeriodicMergeTree, tree: PeriodicMergeTree, tol: float = 1
         pool_w = list(ws)
         pos = top
         while True:
-            heights = set(_events_below(beam, pos))
+            heights = set(_events_below(tree, b, pos))
             for w in pool_w:
-                heights |= _events_below(tprime.beams[w], pos)
+                heights |= _events_below(tprime, w, pos)
             t = max(heights) if heights else beam.birth
             # interval (t, pos): constant monomials, each preimage carries 1/k
             if pos > t:
@@ -360,7 +381,7 @@ def splinters(tprime: PeriodicMergeTree, tree: PeriodicMergeTree, tol: float = 1
             if not heights:
                 return all(tprime.beams[w].birth == beam.birth for w in pool_w)
 
-            b_children = [c for h, c in beam.children if h == t]
+            b_children = [c for h, c in children(tree)[b] if h == t]
             groups: dict[str, list] = {}
             for c in b_children:
                 groups.setdefault(_digest(tree, c, t, tol), []).append(c)
@@ -369,7 +390,7 @@ def splinters(tprime: PeriodicMergeTree, tree: PeriodicMergeTree, tol: float = 1
             # at t, plus W-beams themselves sliding onto a child
             classes: dict[str, list] = {}
             for w in pool_w:
-                for h, c2 in tprime.beams[w].children:
+                for h, c2 in children(tprime)[w]:
                     if h == t:
                         classes.setdefault(_digest(tprime, c2, t, tol), []).append(("child", c2))
             for w in pool_w:

@@ -91,6 +91,8 @@ class TestInputErrors:
         ("u", -2 ** 63 - 1, "edge 5 references a missing vertex"),
         ("shift", [True], "edge 5: shift"),
         ("basis", [[True]], "basis entries"),
+        ("basis", [["1"]], "basis entries must be finite numbers"),
+        ("basis", [["2.5"]], "basis entries must be finite numbers"),
     ])
     def test_scalar_null_and_fractional_fields_rejected(self, capsys, tmp_path, field, value,
                                                         named):

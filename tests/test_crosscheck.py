@@ -18,6 +18,7 @@ from perimere.transport import _add, barcode_distance, positive_negative_split
 
 from . import oracles
 from .oracles import oracle_w1
+from .test_lattice import random_unimodular
 
 
 def lp_w1(xi, eta):
@@ -240,6 +241,71 @@ class TestRandomGraphInvariance:
             assert equals(code, extract(build(unroll(g, s))))
 
 
+def _unimodular_inverse(cols):
+    """Columns of the inverse of the unimodular matrix with columns `cols`:
+    its adjugate times its determinant, which is +-1."""
+    d = len(cols)
+    if d == 1:
+        return [list(cols[0])]
+    det = IntMatrix(d, tuple(map(tuple, cols))).det()
+
+    def cofactor(i, j):   # signed determinant without row i and column j
+        rest = tuple(tuple(c[r] for r in range(d) if r != i) for k, c in enumerate(cols) if k != j)
+        return (-1) ** (i + j) * IntMatrix(d - 1, rest).det()
+
+    return [[cofactor(c, r) * det for r in range(d)] for c in range(d)]
+
+
+class TestBasisChangeInvariance:
+    # the abstract's invariance under changing bases, on whole graphs.  The
+    # combined change U' = Q.U.A (a rotation, then a unimodular basis) is left
+    # out: some of its barcodes fail `equals` at the default tol until
+    # `lattice.volume` computes coefficients basis-independently (ROADMAP item 3)
+
+    @staticmethod
+    def _graphs(rng, count):
+        for _ in range(count):
+            yield random_periodic_graph(rng, dim=rng.randint(1, 3), n=rng.randint(2, 9),
+                                        m=rng.randint(2, 18), shift_range=rng.choice((1, 2)),
+                                        tie_values=rng.random() < 0.5)
+
+    def test_unimodular_basis_change(self):
+        # U' = U.A with shifts A^-1 t describes the same periodic graph; bases
+        # too ill-conditioned for `RealBasis` are refused by parse and skipped
+        rng = random.Random(51)
+        checked = 0
+        for g in self._graphs(rng, 60):
+            d = g.dim
+            a = random_unimodular(rng, d)
+            ainv = _unimodular_inverse(a)
+            doc = serialize(g)
+            u = doc["basis"]
+            doc["basis"] = [[sum(u[k][r] * a[j][k] for k in range(d)) for r in range(d)]
+                            for j in range(d)]
+            for rec in doc["edges"]:
+                rec["shift"] = [sum(ainv[k][r] * rec["shift"][k] for k in range(d))
+                                for r in range(d)]
+            try:
+                moved = build(parse(doc))
+            except GraphError:
+                continue
+            tree = build(g)
+            assert equals(extract(tree), extract(moved))
+            assert canonical_form(tree) == canonical_form(moved)
+            checked += 1
+        assert checked >= 40
+
+    def test_rotated_basis(self):
+        # U' = Q.U for an orthogonal Q is an isometric copy
+        rng = random.Random(52)
+        for g in self._graphs(rng, 60):
+            gauss = np.random.default_rng(rng.randrange(2 ** 32)).normal(size=(g.dim, g.dim))
+            q, _ = np.linalg.qr(gauss)
+            doc = serialize(g)
+            doc["basis"] = [(q @ col).tolist() for col in np.array(doc["basis"])]
+            assert equals(extract(build(g)), extract(build(parse(doc))))
+
+
 def _sublattice(rng, dim, max_det=3):
     while True:
         s = IntMatrix.from_rows([[rng.randint(-2, 2) for _ in range(dim)] for _ in range(dim)])
@@ -321,9 +387,10 @@ class TestSplintersOracle:
         for g in _bases(rng):
             tree = build(g)
             idx = _TreeIndex(tree, _Text(), {})
+            kids = oracles.children(tree)
             texts = {}
             for beam in tree.beams:
-                hs = {beam.birth, beam.death, *(h for h, _ in beam.children),
+                hs = {beam.birth, beam.death, *(h for h, _ in kids[beam.index]),
                       *(st for st, *_ in beam.spans())}
                 for h in hs:
                     ref = oracles._digest(tree, beam.index, h, 1e-9)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from perimere import (IntMatrix, SublatticeBasis, UnionFind, build,
+from perimere import (IntMatrix, UnionFind, build,
                       canonical_form, extract, parse, serialize, splinters, unroll)
 from perimere.mergetree import PeriodicMergeTree, monomial_display
 from perimere.synthetic import random_periodic_graph
@@ -107,35 +107,28 @@ class TestBuildGolden:
         assert [e.kind for e in tree.events] == ["appearance"]
 
 
-EMPTY2 = SublatticeBasis.empty(2)
-
-
-def _uf(n):
-    return UnionFind(2, [float(i) for i in range(n)], list(range(n)))
-
-
 class TestUnionFind:
     def test_fresh_vertex_is_own_root(self):
-        uf = UnionFind(2, [1.0], [5])
+        uf = UnionFind(2, 1)
         assert uf.root[0] == 0
 
     def test_union_shares_root(self):
-        uf = UnionFind(2, [1.0, 2.0], [5, 9])
-        uf.union(0, 1, [0, 0], EMPTY2)
+        uf = UnionFind(2, 2)
+        uf.union(0, 1, [0, 0])
         assert uf.root[0] == uf.root[1]
 
     def test_random_sequence_matches_bfs(self):
         rng = random.Random(3)
         for _ in range(20):
             n = rng.randint(2, 30)
-            uf = _uf(n)
+            uf = UnionFind(2, n)
             pairs = []
             for _ in range(rng.randint(0, 40)):
                 u, v = rng.randrange(n), rng.randrange(n)
                 pairs.append((u, v))
                 r, s = uf.root[u], uf.root[v]
                 if r != s:
-                    uf.union(r, s, [rng.randint(-1, 1), rng.randint(-1, 1)], EMPTY2)
+                    uf.union(r, s, [rng.randint(-1, 1), rng.randint(-1, 1)])
             got = {}
             for i in range(n):
                 got.setdefault(uf.root[i], set()).add(i)
@@ -145,14 +138,14 @@ class TestUnionFind:
         # union relabels the smaller list, so no vertex changes root more
         # than floor(log2 n) times; counted by diffing `root` around unions
         def max_relabels(n, pairs):
-            uf = _uf(n)
+            uf = UnionFind(2, n)
             counts = [0] * n
             for a, b in pairs:
                 r, s = uf.root[a], uf.root[b]
                 if r == s:
                     continue
                 before = list(uf.root)
-                uf.union(r, s, [0, 0], EMPTY2)
+                uf.union(r, s, [0, 0])
                 for i, (old, new) in enumerate(zip(before, uf.root)):
                     counts[i] += old != new
             return max(counts)
