@@ -115,6 +115,8 @@ def cmd_count_shadows(args) -> int:
         budget = int(env) if env else DEFAULT_ENUMERATION_BUDGET
     if not 0 < budget <= 10**8:
         raise ValueError("budget must be in (0, 1e8]")
+    if args.radius <= 0:
+        raise ValueError("radius must be positive")
     g = pgraph.parse(args.input)
     tree = mt.build(g)
     t = args.component_at

@@ -88,9 +88,6 @@ class IntMatrix:
         return _int_det([[self.columns[j][i] for j in range(self.rows)] for i in range(self.rows)])
 
 
-_EMPTY_CACHE: dict = {}
-
-
 @dataclass(frozen=True)
 class SublatticeBasis:
     """Canonical HNF basis of a sublattice of Z^dim.
@@ -119,10 +116,7 @@ class SublatticeBasis:
 
     @classmethod
     def empty(cls, dim: int) -> "SublatticeBasis":
-        cached = _EMPTY_CACHE.get(dim)
-        if cached is None:
-            cached = _EMPTY_CACHE[dim] = cls(dim, ())
-        return cached
+        return cls(dim, ())
 
 
 def _hnf_columns(dim: int, columns) -> tuple:
@@ -274,8 +268,13 @@ class RealBasis:
             self.volume = float(abs(_int_det([[ints[j][i] for j in range(self.dim)] for i in range(self.dim)])))
         else:
             self.volume = float(abs(det))
-        gram = self.inverse.T @ self.inverse
-        self.inverse_norm = float(math.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            top = np.linalg.eigvalsh(self.inverse.T @ self.inverse)[-1]
+        # the bounds scale with this norm: refuse a square that overflowed,
+        # underflowed or lost precision as a subnormal
+        if not np.finfo(float).tiny <= top < math.inf:
+            raise ValueError("basis inverse norm out of float range")
+        self.inverse_norm = math.sqrt(top)
 
 
 def volume(u: RealBasis, l: SublatticeBasis) -> float:

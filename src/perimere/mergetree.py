@@ -391,12 +391,12 @@ class _TreeIndex:
     the index derives from parents and deaths.  A cut between two exact
     heights of one group gets the label of the events below it.
 
-    Label n is the n-th key added to `interned`, which the index does not
-    keep; numbers are written by `text`, which may be shared between trees.
+    Labels are numbered per index: digests of two indexes are not comparable.
     """
 
-    def __init__(self, tree: PeriodicMergeTree, text: _Text, interned: dict):
-        self.fmt = fmt = text.__getitem__
+    def __init__(self, tree: PeriodicMergeTree):
+        self.fmt = fmt = _Text().__getitem__
+        interned = {}
         self._kid_orders = {}
         beams = tree.beams
         n = len(beams)
@@ -528,53 +528,11 @@ class _TreeIndex:
 def canonical_form(tree: PeriodicMergeTree) -> str:
     """Digest equal iff trees are identical up to reordering of siblings.
 
-    An exact, opaque string, linear in the size of the tree: the labels
-    reachable from the roots are numbered bottom-up, AHU-style (a label's
-    level is one above the highest label it refers to; each level's keys are
-    written in the numbers of the levels below and sorted), and the string
-    lists every key in number order, then the sorted root digests.
+    The root subtree texts of `_TreeIndex.tokens`, sorted and joined by `&`;
+    numbers are rounded to TOL and written with 12 significant digits.
     """
-    interned = {}
-    idx = _TreeIndex(tree, _Text(), interned)
-    roots = [idx.digest(r, math.inf) for r in tree.roots()]
-    keys = list(interned)
-    del idx, interned
-    # labels of cuts between exact heights that round together are not
-    # reachable from the roots and stay out
-    reached = set()
-    todo = [lab for lab, _ in roots]
-    while todo:
-        lab = todo.pop()
-        if lab not in reached:
-            reached.add(lab)
-            if len(keys[lab]) > 1:
-                todo.append(keys[lab][0])
-                todo.extend(kid for kid, _ in keys[lab][3])
-    level = {}
-    levels = []
-    for lab in sorted(reached):   # a key refers only to smaller labels
-        key = keys[lab]
-        refs = [key[0], *(kid for kid, _ in key[3])] if len(key) > 1 else []
-        lv = level[lab] = 1 + max(level[r] for r in refs) if refs else 0
-        if lv == len(levels):
-            levels.append([])
-        levels[lv].append(lab)
-    number = {}
-    lines = []
-    for labs in levels:
-        written = {}
-        for lab in labs:
-            key = keys[lab]
-            if len(key) > 1:
-                below, rounded, spans, kids = key
-                key = (number[below], rounded, spans,
-                       tuple(sorted((number[kid], cut) for kid, cut in kids)))
-            written[lab] = key
-        for lab in sorted(labs, key=written.__getitem__):
-            number[lab] = len(number)
-            lines.append(repr(written[lab]))
-    lines.append(repr(sorted((number[lab], cut) for lab, cut in roots)))
-    return "\n".join(lines)
+    idx = _TreeIndex(tree)
+    return "&".join(sorted("".join(idx.tokens(r, math.inf)) for r in tree.roots()))
 
 
 def splinters(tprime: PeriodicMergeTree, tree: PeriodicMergeTree) -> bool:
@@ -594,9 +552,8 @@ def splinters(tprime: PeriodicMergeTree, tree: PeriodicMergeTree) -> bool:
     proots = tprime.roots()
     if not troots or not proots:
         return not troots and not proots
-    text = _Text()
-    P = _TreeIndex(tprime, text, {})
-    T = P if tree is tprime else _TreeIndex(tree, text, {})
+    P = _TreeIndex(tprime)
+    T = P if tree is tprime else _TreeIndex(tree)
 
     def check(ws: list, b: int, top: float):
         # every preimage ends in the final pool of an image beam in b's

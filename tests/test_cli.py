@@ -204,6 +204,7 @@ class TestUsageErrors:
         ("count-shadows", "H", "--component-at", "nan", "--radius", "2"),
         ("count-shadows", "H", "--component-at", "inf", "--radius", "2"),
         ("count-shadows", "H", "--component-at=-inf", "--radius", "2"),
+        ("count-shadows", "H", "--component-at", "-100", "--radius", "-5"),  # nothing alive
     ])
     def test_usage_error_exits_1_with_one_line(self, capsys, fixture_paths, argv):
         paths = {"G": str(fixture_paths[0]), "H": str(fixture_paths[1])}
@@ -346,9 +347,18 @@ class TestOutOfRange:
         ("bounds", "L120"),           # mu0 = (d^2.5 D m ||U^-1||)^d with D = 1e120
         ("barcode", "L400", "--csv"),  # a loop lattice of volume 1e400
         ("unroll", "H", "--sublattice", "1,0,0;0,1,0;0,0,99999999999999999999"),
+        ("bounds", "U1e-200"),        # ||U^-1||^2 = 1e400 overflows
+        ("bounds", "U1e+300"),        # ||U^-1||^2 = 1e-600 underflows to 0
     ])
     def test_exits_1_with_one_line(self, capsys, tmp_path, fixture_paths, argv):
         paths = {"H": str(fixture_paths[1])}
+        for x in (1e-200, 1e300):
+            p = tmp_path / f"U{x:g}.json"
+            p.write_text(json.dumps({
+                "dim": 1, "basis": [[x]], "vertices": [{"id": 0, "value": 0.0}],
+                "edges": [{"id": 1, "u": 0, "v": 0, "value": 1.0, "shift": [1]}],
+            }))
+            paths[f"U{x:g}"] = str(p)
         for e in (120, 400):
             p = tmp_path / f"L{e}.json"
             p.write_text(json.dumps({

@@ -12,7 +12,7 @@ from scipy.optimize import linprog
 from perimere import (GraphError, IntMatrix, build, canonical_form, equals, extract,
                       parse, serialize, splinters, unroll, w1, w1_alt)
 from perimere.lattice import RealBasis, count_cosets_in_ball, hnf_reduce
-from perimere.mergetree import _Text, _TreeIndex
+from perimere.mergetree import _TreeIndex
 from perimere.synthetic import random_periodic_graph, torus_grid
 from perimere.transport import _add, barcode_distance, positive_negative_split
 
@@ -372,12 +372,16 @@ class TestSplintersOracle:
         assert 0 < sum(g for g, _ in got) < len(got)
 
     @pytest.mark.parametrize("seed", [49])
-    def test_canonical_form_equality_agrees(self, seed):
+    def test_canonical_form_equality_agrees(self, seed, fig3_left, helix_cross):
         pairs = _tree_pairs(seed)
         for a, b in pairs:
             assert (canonical_form(a) == canonical_form(b)) == \
                 (oracles.canonical_form(a) == oracles.canonical_form(b))
         assert any(canonical_form(a) == canonical_form(b) for a, b in pairs if a is not b)
+        # the string itself is the reference one, byte for byte
+        trees = {id(t): t for pair in pairs for t in pair}.values()
+        for t in [*trees, build(fig3_left), build(helix_cross)]:
+            assert canonical_form(t) == oracles.canonical_form(t)
 
     def test_digests_and_texts_match_reference_strings(self):
         # every cut at an event height, including cuts between exact heights
@@ -386,7 +390,7 @@ class TestSplintersOracle:
         rng = random.Random(50)
         for g in _bases(rng):
             tree = build(g)
-            idx = _TreeIndex(tree, _Text(), {})
+            idx = _TreeIndex(tree)
             kids = oracles.children(tree)
             texts = {}
             for beam in tree.beams:
