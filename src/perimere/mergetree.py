@@ -15,6 +15,7 @@ derived from them on demand.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cmp_to_key
@@ -241,12 +242,21 @@ def build(graph: PeriodicGraph) -> PeriodicMergeTree:
     Cross edge: merger under the elder rule; if the merged lattice strictly
     exceeds both inputs, a catenation happens at the same height.  Each event
     is recorded on a beam: its birth, its death and merger edge, or the cell
-    of the epoch a catenation opens.
+    of the epoch a catenation opens.  A basis volume that is not a normal
+    float, or a coefficient that is not finite, is a ValueError.
     """
     d = graph.dim
     u = graph.basis
     vol_d = u.volume
+    if not sys.float_info.min <= vol_d < math.inf:   # a subnormal has lost digits
+        raise ValueError("basis volume out of float range")
     n, m = graph.n, graph.m
+
+    def coefficient(lat: SublatticeBasis) -> float:
+        c = volume(u, lat) / vol_d
+        if not math.isfinite(c):
+            raise ValueError("monomial coefficient out of float range")
+        return c
 
     ids = graph.ids.tolist()
     vals = graph.values.tolist()
@@ -296,7 +306,7 @@ def build(graph: PeriodicGraph) -> PeriodicMergeTree:
             new = hnf_reduce(cur.columns + (tuple(v),), dim=d)
             if new.is_full:
                 full[r] = True
-            sb.epochs.append(Epoch(vals[oi], volume(u, new) / vol_d, d - new.rank, new, ids[oi]))
+            sb.epochs.append(Epoch(vals[oi], coefficient(new), d - new.rank, new, ids[oi]))
         else:
             t = vals[oi]
             eid = ids[oi]
@@ -324,7 +334,7 @@ def build(graph: PeriodicGraph) -> PeriodicMergeTree:
             dying.merge_edge = eid
             prevb = sb.epochs[-1].basis
             if merged is not prevb and merged != prevb:
-                coeff = volume(u, merged) / vol_d
+                coeff = coefficient(merged)
                 exp = d - merged.rank
                 # a lattice larger than both inputs is a catenation; one equal
                 # to the absorbed beam's is only taken over
@@ -341,19 +351,26 @@ TOL = 1e-9   # heights, coefficients and multiplicities this close are equal
 
 
 class _Text(dict):
-    """x -> x rounded to TOL, written with 12 significant digits; memoized."""
+    """x -> x rounded to TOL, written with 12 significant digits; memoized.
+    An x whose x / TOL overflows is written as it is, since TOL is far below its last digit."""
 
     def __missing__(self, x: float) -> str:
-        text = self[x] = f"{x if math.isinf(x) else round(x / TOL) * TOL:.12g}"
+        q = x / TOL
+        text = self[x] = f"{round(q) * TOL if math.isfinite(q) else x:.12g}"
         return text
 
 
-def _compare(xs, ys) -> int:
-    """-1, 0 or 1 as token stream xs orders before, equal to or after ys."""
-    for x, y in zip_longest(xs, ys):
-        if x != y:
-            return -1 if x is None or (y is not None and x < y) else 1
-    return 0
+def _text_order(items: list, text) -> list:
+    """`items` sorted by their token streams `text(item)`, read lazily."""
+    if len(items) < 2:
+        return items
+
+    def compare(x, y):
+        for a, b in zip_longest(text(x), text(y)):
+            if a != b:
+                return -1 if a is None or (b is not None and a < b) else 1
+        return 0
+    return sorted(items, key=cmp_to_key(compare))
 
 
 def _run(gen):
@@ -375,31 +392,20 @@ def _run(gen):
             value = None
 
 
-class _TreeIndex:
-    """Tables of one merge tree for `splinters` and `canonical_form`.
+class _TreeText:
+    """Text tables of one merge tree: what `canonical_form` reads.
 
-    Per beam: the normalized spans, the exact heights of its events (spans
-    starting, children merging) and a subtree label at each.  The subtree
-    below (beam b, cut height t) is the birth of b, its spans starting below
-    t (the last one cut at t) and the subtrees of the children merging below
-    t.  `digest(b, t)` names it by (label, rounded cut), and two cuts have
-    equal digests exactly when their texts `tokens(b, t)` are equal.  Labels
-    are interned bottom-up, one per group of events at one rounded height:
-    (label below, rounded height, (coeff, exp) of the spans starting there,
-    sorted digests of the children merging there).  Epochs are taken in
-    increasing height, as `build` leaves them, and so are the children, which
-    the index derives from parents and deaths.  A cut between two exact
-    heights of one group gets the label of the events below it.
-
-    Labels are numbered per index: digests of two indexes are not comparable.
+    Per beam: birth, death, the normalized spans and the children, which
+    the tables derive from parents and deaths, each as (merge height, child)
+    in increasing order.  `tokens(b, t)` writes the subtree below (beam b,
+    cut height t): the birth of b, its spans starting below t (the last one
+    cut at t) and the subtrees of the children merging below t.
     """
 
     def __init__(self, tree: PeriodicMergeTree):
-        self.fmt = fmt = _Text().__getitem__
-        interned = {}
+        self.fmt = _Text().__getitem__
         self._kid_orders = {}
         beams = tree.beams
-        n = len(beams)
         self.birth = [b.birth for b in beams]
         self.death = [b.death for b in beams]
         self.kids = kids = [[] for _ in beams]   # (merge height, child), sorted
@@ -414,6 +420,79 @@ class _TreeIndex:
         for ks in kids:
             ks.sort()
         self.spans = [tuple(b.spans()) for b in beams]
+
+    def tokens(self, b: int, top: float):
+        """The text of the subtree below (b, top), cut into tokens.
+
+        The text is `[birth|spans|children]`, spans as start:end:coeff:exp
+        joined by `;`, children as `height>subtree` in text order joined by
+        `,`, numbers written by `fmt`.  Each token ends in its only separator
+        character, so no token is a prefix of another, and comparing token
+        streams orders the texts.  One stack holds the subtrees still to
+        write, as (beam, cut), and the literal tokens that follow them.
+        """
+        fmt = self.fmt
+        stack = [(b, top)]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                yield item
+                continue
+            b, top = item
+            yield "["
+            yield fmt(self.birth[b]) + "|"
+            spans = self.spans[b]
+            k = bisect_left(spans, top, key=_START)
+            if not k:
+                yield "|"
+            for i, (st, en, c, e, _) in enumerate(spans[:k]):
+                yield fmt(st) + ":"
+                yield fmt(min(en, top)) + ":"
+                yield fmt(c) + ":"
+                yield f"{e}{';' if i < k - 1 else '|'}"
+            stack.append("]")
+            kids = self._kid_order(b, bisect_left(self.kids[b], (top, -1)))
+            for j in range(len(kids) - 1, -1, -1):   # pushed last to first
+                h, c = kids[j]
+                stack += ((c, h), fmt(h) + ">", ",") if j else ((c, h), fmt(h) + ">")
+
+    def _kid_order(self, b: int, k: int) -> list:
+        """b's first k children in the text order of `height>subtree`."""
+        if k < 2:
+            return self.kids[b][:k]
+        kids = self._kid_orders.get((b, k))
+        if kids is None:
+            kids = self._kid_orders[b, k] = _text_order(
+                self.kids[b][:k], lambda kid: chain((self.fmt(kid[0]) + ">",),
+                                                    self.tokens(kid[1], kid[0])))
+        return kids
+
+    def ordered(self, reps: dict, top: float) -> list:
+        """The digests in `reps` (digest -> a beam with it at top), in text order."""
+        return _text_order(list(reps), lambda dg: self.tokens(reps[dg], top))
+
+
+class _TreeIndex(_TreeText):
+    """The text tables plus what `splinters` reads: interned subtree labels.
+
+    Per beam: the exact heights of its events (spans starting, children
+    merging) and a subtree label at each.  `digest(b, t)` names the subtree
+    below (b, t) by (label, rounded cut), and two cuts have equal digests
+    exactly when their texts `tokens(b, t)` are equal.  Labels are interned
+    bottom-up, one per group of events at one rounded height: (label below,
+    rounded height, (coeff, exp) of the spans starting there, sorted digests
+    of the children merging there).  Epochs are taken in increasing height,
+    as `build` leaves them, and so are the children.  A cut between two
+    exact heights of one group gets the label of the events below it.
+
+    Labels are numbered per index: digests of two indexes are not comparable.
+    """
+
+    def __init__(self, tree: PeriodicMergeTree):
+        super().__init__(tree)
+        fmt = self.fmt
+        interned = {}
+        n = len(tree.beams)
         self.base = [0] * n   # label of a beam's birth alone
         self.cuts = [()] * n  # exact event heights, increasing
         self.labels = [()] * n  # label of the events at or below each cut
@@ -465,73 +544,14 @@ class _TreeIndex:
         kids = self.kids[b]
         return [c for _, c in kids[bisect_left(kids, (t, -1)):bisect_left(kids, (t, math.inf))]]
 
-    def tokens(self, b: int, top: float):
-        """The text of the subtree below (b, top), cut into tokens.
-
-        The text is `[birth|spans|children]`, spans as start:end:coeff:exp
-        joined by `;`, children as `height>subtree` in text order joined by
-        `,`, numbers written by `fmt`.  Each token ends in its only separator
-        character, so no token is a prefix of another, and comparing token
-        streams orders the texts.
-        """
-        stack = [self._tokens(b, top)]
-        while stack:
-            for tok in stack[-1]:
-                if isinstance(tok, str):
-                    yield tok
-                else:
-                    stack.append(self._tokens(*tok))
-                    break
-            else:
-                stack.pop()
-
-    def _tokens(self, b: int, top: float):
-        """Tokens of (b, top), a child's subtree yielded as (child, height)."""
-        fmt = self.fmt
-        yield "["
-        yield fmt(self.birth[b]) + "|"
-        k = bisect_left(self.spans[b], top, key=_START)
-        if not k:
-            yield "|"
-        for i, (st, en, c, e, _) in enumerate(self.spans[b][:k]):
-            yield fmt(st) + ":"
-            yield fmt(min(en, top)) + ":"
-            yield fmt(c) + ":"
-            yield f"{e}{';' if i < k - 1 else '|'}"
-        for j, (h, c) in enumerate(self._kid_order(b, bisect_left(self.kids[b], (top, -1)))):
-            if j:
-                yield ","
-            yield fmt(h) + ">"
-            yield c, h
-        yield "]"
-
-    def _kid_order(self, b: int, k: int) -> list:
-        """b's first k children in the text order of `height>subtree`."""
-        if k < 2:
-            return self.kids[b][:k]
-        kids = self._kid_orders.get((b, k))
-        if kids is None:
-            def text(kid):
-                return chain((self.fmt(kid[0]) + ">",), self.tokens(kid[1], kid[0]))
-            kids = self._kid_orders[b, k] = sorted(
-                self.kids[b][:k], key=cmp_to_key(lambda x, y: _compare(text(x), text(y))))
-        return kids
-
-    def ordered(self, reps: dict, top: float) -> list:
-        """The digests in `reps` (digest -> a beam with it at top), in text order."""
-        if len(reps) < 2:
-            return list(reps)
-        return sorted(reps, key=cmp_to_key(
-            lambda x, y: _compare(self.tokens(reps[x], top), self.tokens(reps[y], top))))
-
 
 def canonical_form(tree: PeriodicMergeTree) -> str:
     """Digest equal iff trees are identical up to reordering of siblings.
 
-    The root subtree texts of `_TreeIndex.tokens`, sorted and joined by `&`;
+    The root subtree texts of `_TreeText.tokens`, sorted and joined by `&`;
     numbers are rounded to TOL and written with 12 significant digits.
     """
-    idx = _TreeIndex(tree)
+    idx = _TreeText(tree)
     return "&".join(sorted("".join(idx.tokens(r, math.inf)) for r in tree.roots()))
 
 
@@ -543,15 +563,13 @@ def splinters(tprime: PeriodicMergeTree, tree: PeriodicMergeTree) -> bool:
     carry exactly 1/k of the image monomial; preimage mergers not mirrored in
     `tree` grow k on the way down.  Where several assignments of preimages to
     children are possible, the first in the text order of their subtrees is
-    taken.  Each tree is indexed once (`_TreeIndex`), and the checks nest on
-    an explicit stack (`_run`).
+    taken.  The roots are the children of an assignment at t = inf, where a
+    class of roots takes a whole group of preimage roots, and none may be
+    left over.  Each tree is indexed once (`_TreeIndex`), and the checks nest
+    on an explicit stack (`_run`).
     """
     if tprime.dim != tree.dim:
         return False
-    troots = tree.roots()
-    proots = tprime.roots()
-    if not troots or not proots:
-        return not troots and not proots
     P = _TreeIndex(tprime)
     T = P if tree is tprime else _TreeIndex(tree)
 
@@ -571,14 +589,16 @@ def splinters(tprime: PeriodicMergeTree, tree: PeriodicMergeTree) -> bool:
                         and all(P.birth[w] == T.birth[b] for w in pool_w))
             if not even_split(b, pool_w, t, pos):
                 return False
-            group_list, order, classes = candidates(b, pool_w, t)
-            leftover = yield assign_children(group_list, order, t, 0, classes)
+            # candidate preimages: children of W-beams merging at t, plus
+            # W-beams themselves sliding onto a child
+            leftover = yield assignment(T.children_at(b, t), [
+                *(("child", c2) for w in pool_w for c2 in P.children_at(w, t)),
+                *(("slide", w) for w in pool_w)], t)
             if leftover is None:
                 return False
-            slid = ({idx for items in classes.values() for kind, idx in items if kind == "slide"}
-                    - {idx for items in leftover.values() for kind, idx in items if kind == "slide"})
-            pool_w = [w for w in pool_w if w not in slid]
-            pool_w.extend(idx for items in leftover.values() for kind, idx in items if kind == "child")
+            kept = {w for its in leftover.values() for kind, w in its if kind == "slide"}
+            pool_w = [w for w in pool_w if w in kept]
+            pool_w.extend(c for its in leftover.values() for kind, c in its if kind == "child")
             if not pool_w or len({P.digest(w, t) for w in pool_w}) != 1:
                 return False
             pos = t
@@ -597,33 +617,31 @@ def splinters(tprime: PeriodicMergeTree, tree: PeriodicMergeTree) -> bool:
                 return False
         return True
 
-    def candidates(b: int, pool_w: list, t: float) -> tuple:
-        """The children of b merging at t in groups of equal subtrees, the
-        classes of their candidate preimages, and the order to try those in."""
+    def assignment(kids: list, items: list, t: float):
+        """`assign_children` of the preimage `items` (kind, beam) to the
+        image beams `kids` at t: the beams in groups of equal subtrees, the
+        items in classes of equal subtrees, each taken in text order."""
         groups: dict[tuple, list] = {}
-        for c in T.children_at(b, t):
+        for c in kids:
             groups.setdefault(T.digest(c, t), []).append(c)
-        # candidate preimages: children of W-beams merging at t, plus W-beams
-        # themselves sliding onto a child
         classes: dict[tuple, list] = {}
-        for w in pool_w:
-            for c2 in P.children_at(w, t):
-                classes.setdefault(P.digest(c2, t), []).append(("child", c2))
-        for w in pool_w:
-            classes.setdefault(P.digest(w, t), []).append(("slide", w))
-        return ([groups[dg] for dg in T.ordered({dg: cs[0] for dg, cs in groups.items()}, t)],
-                P.ordered({dg: items[0][1] for dg, items in classes.items()}, t), classes)
+        for item in items:
+            classes.setdefault(P.digest(item[1], t), []).append(item)
+        return assign_children(
+            [groups[dg] for dg in T.ordered({dg: cs[0] for dg, cs in groups.items()}, t)],
+            P.ordered({dg: its[0][1] for dg, its in classes.items()}, t), t, 0, classes)
 
     def feasible_counts(cs: list, items: list, t: float):
-        """Preimage count per child, pinned by the monomial ratio."""
+        """Preimage count per child, pinned by the monomial ratio; a root
+        takes its share of a whole class."""
         g = len(cs)
-        if len(items) < g:
-            return ()
+        if t == math.inf:
+            return () if len(items) % g else (len(items) // g,)
         mc = _monomial(T.spans[cs[0]], t, below=True)
         mx = _monomial(P.spans[items[0][1]], t, below=True)
         if mc is None or mx is None:
             return range(1, len(items) // g + 1)
-        if mx[1] != mc[1] or mx[0] <= 0:
+        if mx[1] != mc[1] or mx[0] <= 0 or not math.isfinite(mc[0] / mx[0]):
             return ()
         kc = round(mc[0] / mx[0])
         if kc < 1 or abs(mc[0] / kc - mx[0]) > TOL or g * kc > len(items):
@@ -639,6 +657,8 @@ def splinters(tprime: PeriodicMergeTree, tree: PeriodicMergeTree) -> bool:
         g = len(cs)
         for dg in order:
             items = avail[dg]
+            if len(items) < g:
+                continue
             for kc in feasible_counts(cs, items, t):
                 for i, c in enumerate(cs):
                     if not (yield check([it[1] for it in items[i * kc:(i + 1) * kc]], c, t)):
@@ -651,34 +671,5 @@ def splinters(tprime: PeriodicMergeTree, tree: PeriodicMergeTree) -> bool:
                         return out
         return None
 
-    classes: dict[tuple, list] = {}
-    for r in troots:
-        classes.setdefault(T.digest(r, math.inf), []).append(r)
-    pgroups: dict[tuple, list] = {}
-    for r in proots:
-        pgroups.setdefault(P.digest(r, math.inf), []).append(r)
-    class_list = sorted(classes.values(), key=lambda rs: rs[0])
-    remaining = {dg: list(rs) for dg, rs in pgroups.items()}
-    porder = P.ordered({dg: rs[0] for dg, rs in pgroups.items()}, math.inf)
-
-    def assign(ci: int):
-        if ci == len(class_list):
-            return all(not rs for rs in remaining.values())
-        cs = class_list[ci]
-        g = len(cs)
-        for dg in porder:
-            members = remaining[dg]
-            if not members or len(members) % g:
-                continue
-            kc = len(members) // g
-            for i in range(g):
-                if not (yield check(members[i * kc:(i + 1) * kc], cs[i], math.inf)):
-                    break
-            else:
-                remaining[dg] = []
-                if (yield assign(ci + 1)):
-                    return True
-                remaining[dg] = members
-        return False
-
-    return _run(assign(0))
+    leftover = _run(assignment(tree.roots(), [("root", r) for r in tprime.roots()], math.inf))
+    return leftover is not None and not any(leftover.values())

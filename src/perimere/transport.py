@@ -89,8 +89,14 @@ def _ship(xs: list, mx: list, ys: list, my: list):
     yb, yd = np.array([p[0] for p in ys], dtype=float), np.array([p[1] for p in ys], dtype=float)
     xfin, yfin = np.isfinite(xd), np.isfinite(yd)
     # l1 ground cost; infinite deaths pair only with each other, at the birth gap
-    pair = np.abs(xb[:, None] - yb) + np.abs(np.where(xfin, xd, 0.0)[:, None] - np.where(yfin, yd, 0.0))
-    pair[xfin[:, None] != yfin] = inf
+    apart = xfin[:, None] != yfin
+    with np.errstate(over="ignore"):
+        pair = np.abs(xb[:, None] - yb) + np.abs(np.where(xfin, xd, 0.0)[:, None] - np.where(yfin, yd, 0.0))
+        fits = ((np.isfinite(pair) | apart).all() and np.isfinite(xd[xfin] - xb[xfin]).all()
+                and np.isfinite(yd[yfin] - yb[yfin]).all())
+    if not fits:   # an infinite cost would read as an arc without capacity
+        raise OverflowError("transport cost out of float range")
+    pair[apart] = inf
 
     # Residual arcs as costs by head, inf while an arc has no capacity left.
     # `out` has one row per X node, then the sink's and the diagonal's, over
@@ -231,7 +237,8 @@ def w1(xi: dict, eta: dict) -> float:
     """1-Wasserstein distance between non-negative multiplicity functions.
 
     xi and eta map (birth, death) -> mass >= 0; death may be math.inf.
-    Returns math.inf iff the total infinite-death masses differ.
+    Returns math.inf iff the total infinite-death masses differ; a cost that
+    should be finite but leaves the float range is an OverflowError.
     """
     sx = _scaled(xi, "xi")
     sy = _scaled(eta, "eta")
@@ -243,6 +250,8 @@ def w1(xi: dict, eta: dict) -> float:
     shipped, want, cost = _ship(xs, [sx[x] for x in xs], ys, [sy[y] for y in ys])
     if shipped < want:
         return math.inf
+    if not math.isfinite(cost):
+        raise OverflowError("transport cost out of float range")
     return cost / MASS_SCALE
 
 

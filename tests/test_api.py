@@ -29,12 +29,16 @@ def test_tracer_binds_on_current_api():
     tracer.install()
     try:
         g = perimere.parse(FIXTURE_DIR / "helix_cross_3d.json")
-        perimere.extract(perimere.build(g))
+        t = perimere.build(g)
+        perimere.extract(t)
+        assert perimere.splinters(t, t)
     finally:
         tracer.uninstall()
     names = {tracer.names[i] for i in tracer.name}
-    assert {"pgraph.parse", "mergetree.build", "barcode.extract"} <= names
-    assert tracer.summarize(0, len(tracer))["mergetree.beams"] == 5
+    assert {"pgraph.parse", "mergetree.build", "barcode.extract", "mergetree.splinters"} <= names
+    summary = tracer.summarize(0, len(tracer))
+    assert summary["mergetree.beams"] == 5
+    assert summary["mergetree.splinters_beams"] == 5
 
 
 def test_cli_imports_numpy_only():

@@ -267,6 +267,21 @@ class TestDistance:
         code, out, _ = run(capsys, "distance", str(fixture_paths[0]), str(rolled))
         assert json.loads(out)["total"] == pytest.approx(0.0, abs=1e-9)
 
+    def test_cost_past_the_float_range_exits_1(self, capsys, tmp_path):
+        # one loop at 1e308 against one at 5e307: every finite era distance
+        # is 5e307, whose scaled total overflows; "inf" means unequal
+        # essential masses, so the run refuses instead
+        paths = []
+        for h in (1e308, 5e307):
+            p = tmp_path / f"{h:g}.json"
+            p.write_text(json.dumps({
+                "dim": 1, "basis": [[1.0]], "vertices": [{"id": 0, "value": 0.0}],
+                "edges": [{"id": 1, "u": 0, "v": 0, "value": h, "shift": [1]}]}))
+            paths.append(str(p))
+        code, out, err = run(capsys, "distance", *paths)
+        assert_one_error_line(code, err)
+        assert out == ""
+
 
 class TestUnroll:
     def test_identity_unroll_barcode_byte_identical(self, capsys, tmp_path, fixture_paths):
@@ -349,9 +364,17 @@ class TestOutOfRange:
         ("unroll", "H", "--sublattice", "1,0,0;0,1,0;0,0,99999999999999999999"),
         ("bounds", "U1e-200"),        # ||U^-1||^2 = 1e400 overflows
         ("bounds", "U1e+300"),        # ||U^-1||^2 = 1e-600 underflows to 0
+        # vol_d = 1e-309 is subnormal: 1 / vol_d overflows
+        ("tree", "V", "--json"),
+        ("barcode", "V", "--csv"),
+        ("count-shadows", "V", "--component-at", "0.5", "--radius", "1e-103"),
     ])
     def test_exits_1_with_one_line(self, capsys, tmp_path, fixture_paths, argv):
-        paths = {"H": str(fixture_paths[1])}
+        paths = {"H": str(fixture_paths[1]), "V": str(tmp_path / "V.json")}
+        (tmp_path / "V.json").write_text(json.dumps({
+            "dim": 3, "basis": [[1e-103, 0, 0], [0, 1e-103, 0], [0, 0, 1e-103]],
+            "vertices": [{"id": 0, "value": 0.0}],
+            "edges": [{"id": 1, "u": 0, "v": 0, "value": 1.0, "shift": [1, 0, 0]}]}))
         for x in (1e-200, 1e300):
             p = tmp_path / f"U{x:g}.json"
             p.write_text(json.dumps({

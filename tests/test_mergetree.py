@@ -9,6 +9,7 @@ from perimere.mergetree import PeriodicMergeTree, monomial_display
 from perimere.synthetic import random_periodic_graph
 
 from .conftest import fig3_left_doc, helix_cross_doc
+from . import oracles
 from .oracles import bfs_components
 
 SQRT2 = math.sqrt(2)
@@ -229,6 +230,14 @@ class TestSplinters:
     def test_mismatched_graphs(self, fig3_left, helix_cross):
         assert not splinters(build(fig3_left), build(helix_cross))
 
+    def test_empty_trees(self):
+        # no roots on either side is the empty assignment; roots on one side only fail
+        empty = build(parse({"dim": 1, "basis": [[1.0]], "vertices": [], "edges": []}))
+        one = build(parse({"dim": 1, "basis": [[1.0]], "edges": [],
+                           "vertices": [{"id": 0, "value": 0.0}]}))
+        assert splinters(empty, empty)
+        assert not splinters(empty, one) and not splinters(one, empty)
+
     def test_random_sublattices_3d(self, helix_cross):
         rng = random.Random(7)
         t = build(helix_cross)
@@ -288,6 +297,52 @@ class TestDeepChains:
         assert splinters(cover, t)
         assert not splinters(t, cover)
         assert canonical_form(cover) != canonical_form(t)
+
+    def test_depth_300_canonical_form_is_the_reference_string(self):
+        # deep enough for the token stack, shallow enough for the recursive oracle
+        t = build(chain(300))
+        assert canonical_form(t) == oracles.canonical_form(t)
+
+
+def _graph(basis, values, edges):
+    """Vertices 0.. at `values`; edges (u, v, value, shift) with ids 100.."""
+    return parse({
+        "dim": len(basis), "basis": basis,
+        "vertices": [{"id": k, "value": x} for k, x in enumerate(values)],
+        "edges": [{"id": 100 + k, "u": u, "v": v, "value": x, "shift": sh}
+                  for k, (u, v, x, sh) in enumerate(edges)],
+    })
+
+
+def _diag(*entries):
+    return [[x if i == j else 0.0 for j in range(len(entries))] for i, x in enumerate(entries)]
+
+
+class TestFloatRange:
+    # heights and coefficients far from 1 are valid: x / TOL may overflow,
+    # and so may the ratio of two coefficients
+    def test_heights_near_the_float_limit(self):
+        t = build(_graph([[1.0]], [0.0, 1e300],
+                         [(0, 1, 1e300, [0]), (0, 0, 1.5e300, [1])]))
+        assert "1e+300>[1e+300|" in canonical_form(t)
+        assert splinters(t, t)
+
+    @pytest.mark.parametrize("edges,small", [
+        ([(0, 0, 1.0, [1, 0, 0])], _diag(1e100, 1e100, 1e100)),
+        ([(0, 1, 1.0, [0, 0, 0])], _diag(1e100, 1e100, 1e100)),
+        # above the merger the roots carry 0.0 (the Gram determinant of
+        # volume 1e-200 underflows) and 1e-300, equal within TOL; below it
+        # the children carry 1e300 and 1e-300, whose ratio is inf
+        ([(0, 0, 0.1, [1, 0, 0]), (0, 0, 0.2, [0, 1, 0]), (0, 1, 1.0, [0, 0, 0])],
+         _diag(1.0, 1.0, 1e300)),
+    ])
+    def test_coefficients_near_the_float_limit(self, edges, small):
+        big = build(_graph(_diag(1e-100, 1e-100, 1e-100), [0.0, 0.5], edges))
+        small = build(_graph(small, [0.0, 0.5], edges))
+        assert not splinters(big, small)
+        assert not splinters(small, big)
+        assert splinters(big, big) and splinters(small, small)
+        assert canonical_form(big) != canonical_form(small)
 
 
 class TestCanonicalForm:

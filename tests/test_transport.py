@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import pytest
 
@@ -95,6 +96,26 @@ class TestW1:
             recost += sum(f * (x[1] - x[0]) for x, f in plan.source_diag.items())
             recost += sum(f * (y[1] - y[0]) for y, f in plan.sink_diag.items())
             assert recost == pytest.approx(dist, abs=1e-9)
+
+    @pytest.mark.parametrize("xi,eta", [
+        ({(0.0, 1e308): 1.0}, {(0.0, 5e307): 1.0}),      # 1e9 * 5e307 in total
+        ({(-1e308, 1e308): 1.0}, {}),                     # diagonal cost
+        ({(-1e308, 1e308): 1.0}, {(0.0, 1.0): 1.0}),
+        ({(-1e308, 1.0): 1.0}, {(1e308, 1.5e308): 1.0}),  # pair cost
+        ({(-1e308, INF): 1.0}, {(1e308, INF): 1.0}),      # essential pair cost
+    ])
+    def test_cost_past_the_float_range_raises(self, xi, eta):
+        # inf is reserved for unequal essential masses; an overflowed cost
+        # must not read as it, nor as an arc without capacity
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError):
+                w1(xi, eta)
+
+    def test_cost_below_the_float_limit_is_finite(self):
+        # the scaled total is 1e9 times the distance
+        assert w1({(0.0, 1e290): 1.0}, {(0.0, 5e289): 1.0}) == pytest.approx(5e289, rel=1e-15)
+        assert w1({(-1e290, INF): 1.0}, {(1e290, INF): 1.0}) == pytest.approx(2e290, rel=1e-15)
 
     def test_mass_shift_invariance(self):
         rng = random.Random(3)
