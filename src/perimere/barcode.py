@@ -12,6 +12,8 @@ import io
 import math
 from dataclasses import dataclass
 
+from . import jsonfmt
+from .jsonfmt import HOLE
 from .mergetree import TOL, PeriodicMergeTree
 
 
@@ -73,6 +75,9 @@ def equals(b1: PeriodicBarcode, b2: PeriodicBarcode) -> bool:
 
 
 def to_json_dict(bc: PeriodicBarcode) -> dict:
+    """The reference dict form of `json_chunks`, which the CLI writes
+    barcodes with; kept for the tests and the benchmark's tracer until
+    ROADMAP item 1 step C."""
     return {
         "dim": bc.dim,
         "eras": [
@@ -90,6 +95,21 @@ def to_json_dict(bc: PeriodicBarcode) -> dict:
             for exp, era in enumerate(bc.eras)
         ],
     }
+
+
+_BAR = {"birth": HOLE, "death": HOLE, "mult": HOLE}
+
+
+def json_chunks(bc: PeriodicBarcode):
+    """Chunks of `jsonfmt.dumps(to_json_dict(bc))`, one template fill per bar."""
+    bar = jsonfmt.template(_BAR, 4)
+    return jsonfmt.chunks(
+        {"dim": bc.dim, "eras": [{"bars": HOLE, "exp": exp} for exp in range(len(bc.eras))]},
+        *(jsonfmt.items(map(bar.__mod__, zip(
+            jsonfmt.floats([b.birth for b in era]),
+            jsonfmt.floats([None if math.isinf(b.death) else b.death for b in era]),
+            jsonfmt.floats([b.mult for b in era]))), 3)
+          for era in bc.eras))
 
 
 def to_csv(bc: PeriodicBarcode) -> str:

@@ -11,6 +11,7 @@ import argparse
 import math
 import os
 import sys
+from itertools import chain
 
 from . import barcode as bc
 from . import mergetree as mt
@@ -20,16 +21,22 @@ from .lattice import (BudgetExceeded, DEFAULT_ENUMERATION_BUDGET, IntMatrix,
 from .pgraph import GraphError
 
 
-def _jdump(obj) -> str:
-    return jsonfmt.dumps(obj) + "\n"
+def _jdump(obj) -> tuple:
+    return jsonfmt.dumps(obj), "\n"
 
 
-def _emit(text: str, out: str | None):
+def _jchunks(chunks):
+    """A record writer's document chunks, ending with one newline as `_jdump`'s."""
+    return chain(chunks, ("\n",))
+
+
+def _emit(chunks, out: str | None):
+    """Write text chunks, in order, to the file `out` or else to stdout."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _fin(x: float):
@@ -64,7 +71,7 @@ def cmd_validate(args) -> int:
     g = pgraph.parse(args.input)
     d = pgraph.max_shift_magnitude(g)
     conn = "connected" if g.is_connected() else "disconnected"
-    _emit(f"n={g.n} m={g.m} D={d} {conn}\n", args.out)
+    _emit((f"n={g.n} m={g.m} D={d} {conn}\n",), args.out)
     return 0
 
 
@@ -72,9 +79,9 @@ def cmd_tree(args) -> int:
     g = pgraph.parse(args.input)
     tree = mt.build(g)
     if args.fmt == "dot":
-        _emit(tree.to_dot(), args.out)
+        _emit((tree.to_dot(),), args.out)
     else:
-        _emit(_jdump(tree.to_json_dict()), args.out)
+        _emit(_jchunks(tree.json_chunks()), args.out)
     return 0
 
 
@@ -82,9 +89,9 @@ def cmd_barcode(args) -> int:
     g = pgraph.parse(args.input)
     code = bc.extract(mt.build(g))
     if args.fmt == "csv":
-        _emit(bc.to_csv(code), args.out)
+        _emit((bc.to_csv(code),), args.out)
     else:
-        _emit(_jdump(bc.to_json_dict(code)), args.out)
+        _emit(_jchunks(bc.json_chunks(code)), args.out)
     return 0
 
 
@@ -104,7 +111,7 @@ def cmd_distance(args) -> int:
 def cmd_unroll(args) -> int:
     g = pgraph.parse(args.input)
     s = parse_sublattice(args.sublattice, g.dim)
-    _emit(_jdump(pgraph.serialize(pgraph.unroll(g, s))), args.out)
+    _emit(_jchunks(pgraph.json_chunks(pgraph.unroll(g, s))), args.out)
     return 0
 
 

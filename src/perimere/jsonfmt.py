@@ -7,10 +7,22 @@ TypeError on anything else.  The standard library writes indented JSON with
 its pure-Python generator encoder; this writer appends one chunk per line to
 a list instead, a container of scalars becomes one chunk, and the sorted,
 quoted keys of each distinct dict shape are computed once per call.  It does
-not detect reference cycles.
+not detect reference cycles.  `dumps` writes the small documents.
+
+The large documents (merge trees, graphs, barcodes) are written from record
+templates, with no dict per record: `template(shape, depth)` lays a record
+shape out once, exactly as `dumps` would at that depth, with a `%s` for each
+`HOLE`, so a record costs one `%` with its fills.  `items` lays a list out
+around the texts of its items, `nested` writes a value that repeats (such
+as a shift) for the caller to keep, `floats` writes a column of floats, and
+`chunks` fills the holes of a whole document, yielding its text in pieces
+that can be written one after another.  The depth of a value is the number
+of containers around it: a top-level key's value has depth 1.
 """
 from __future__ import annotations
 
+import math
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote
 
 _INF = float("inf")
@@ -26,9 +38,20 @@ def _float(o) -> str:
     return float.__repr__(o)
 
 
+class _Hole:
+    __slots__ = ()
+
+    def __repr__(self):
+        return "HOLE"
+
+
+HOLE = _Hole()   # a value `template` leaves open, filled per record
+_MARK = "\0"     # a hole's text inside `dumps`; a str's NUL is written escaped
+
 # exact scalar types; subclasses take the isinstance path in _scalar
 _EXACT = {str: _quote, int: int.__repr__, float: _float,
-          bool: lambda o: "true" if o else "false", type(None): lambda o: "null"}
+          bool: lambda o: "true" if o else "false", type(None): lambda o: "null",
+          _Hole: lambda o: _MARK}
 
 
 def _scalar(o) -> str | None:
@@ -98,3 +121,57 @@ def dumps(obj) -> str:
 
     write(obj, "", "", "")
     return "\n".join(out)
+
+
+def nested(obj, depth: int) -> str:
+    """`dumps(obj)` as the value of a key or item `depth` containers deep."""
+    return dumps(obj).replace("\n", "\n" + "  " * depth)
+
+
+def template(shape, depth: int) -> str:
+    """`nested(shape, depth)` as a %-format: each HOLE is a `%s`, filled in
+    text order (sorted keys, depth first) by an exact int or a JSON text
+    (one of `floats`, `nested`, `items`' joined chunks, or a constant)."""
+    return "%s".join(part.replace("%", "%%") for part in nested(shape, depth).split(_MARK))
+
+
+def floats(xs: list) -> list:
+    """The JSON texts of a list of floats, where None is null."""
+    try:
+        if all(map(math.isfinite, xs)):
+            return list(map(float.__repr__, xs))
+    except TypeError:   # a None
+        pass
+    return [_float(x) if x is not None else "null" for x in xs]
+
+
+_BLOCK = 4096   # items joined per chunk
+
+
+def items(texts, depth: int):
+    """Chunks of the list, `depth` containers deep, whose items have these
+    texts (each laid out `depth + 1` deep, as `template` and `nested` do)."""
+    it = iter(texts)
+    block = list(islice(it, _BLOCK))
+    if not block:
+        yield "[]"
+        return
+    pad = "\n" + "  " * (depth + 1)
+    sep = "," + pad
+    yield "[" + pad + sep.join(block)
+    while block := list(islice(it, _BLOCK)):
+        yield sep + sep.join(block)
+    yield "\n" + "  " * depth + "]"
+
+
+def chunks(shape, *fills):
+    """Chunks of `dumps(shape)` with its HOLEs replaced, in text order, by
+    `fills`: each a JSON text or an iterable of chunks (such as `items`)."""
+    parts = dumps(shape).split(_MARK)
+    yield parts[0]
+    for fill, part in zip(fills, parts[1:], strict=True):
+        if isinstance(fill, str):
+            yield fill
+        else:
+            yield from fill
+        yield part

@@ -291,7 +291,12 @@ def volume(u: RealBasis, l: SublatticeBasis) -> float:
         d = u.dim
         g = [[sum(ucols[c][r] * col[c] for c in range(d)) for r in range(d)] for col in l.columns]
         gram = [[sum(g[i][r] * g[j][r] for r in range(d)) for j in range(p)] for i in range(p)]
-        return math.sqrt(_int_det(gram))
+        det = _int_det(gram)
+        try:
+            return math.sqrt(det)
+        except OverflowError:   # det is past the float range: sqrt(det / 4^k) * 2^k
+            k = (det.bit_length() - 1000) // 2
+            return math.ldexp(math.sqrt(det >> 2 * k), k)
     g = u.matrix @ np.array(l.columns, dtype=float).T
     gram = g.T @ g
     return float(math.sqrt(max(np.linalg.det(gram), 0.0)))

@@ -24,6 +24,8 @@ from operator import itemgetter
 
 import numpy as np
 
+from . import jsonfmt
+from .jsonfmt import HOLE
 from .lattice import SublatticeBasis, hnf_reduce, member, unit_ball_volume, volume
 from .pgraph import PeriodicGraph
 
@@ -176,6 +178,9 @@ class PeriodicMergeTree:
                 for t, _, cell, _, kind, beams, ep in self._event_rows()]
 
     def to_json_dict(self) -> dict:
+        """The reference dict form of `json_chunks`, which the CLI writes
+        trees with; kept for the tests and the benchmark's tracer until
+        ROADMAP item 1 step C."""
         return {
             "dim": self.dim,
             "beams": [
@@ -210,6 +215,58 @@ class PeriodicMergeTree:
             ],
         }
 
+    def json_chunks(self):
+        """Chunks of `jsonfmt.dumps(self.to_json_dict())`, one template fill
+        per beam and per event; a beam of k epochs fills the beam template
+        with k epochs inside.  The texts of an epoch's coeff, display, exp and
+        lattice are written once per distinct (coeff, exp, basis), in effect
+        once per lattice, and all before the first chunk, so writing the
+        chunks raises nothing."""
+        beams, d = self.beams, self.dim
+        by_count: dict = {}   # k -> the template of a beam of k epochs
+        by_rank = [jsonfmt.template([[HOLE] * d] * p, 5) for p in range(d + 1)]
+        kinds = {kind: jsonfmt.template(shape, 2) for kind, shape in _EVENT_SHAPES.items()}
+        heads: dict = {}   # (coeff, exp, basis) -> texts of the coeff, display, exp, lattice
+        fills = []   # per epoch, in beam order: its head texts, then its start
+        epochs = [ep for b in beams for ep in b.epochs]
+        for ep, start in zip(epochs, jsonfmt.floats([ep.start for ep in epochs])):
+            key = (ep.coeff, ep.exp, ep.basis)
+            head = heads.get(key)
+            if head is None:
+                lattice = by_rank[ep.basis.rank] % tuple(chain.from_iterable(ep.basis.columns))
+                head = heads[key] = (*jsonfmt.floats([ep.coeff]),
+                                     jsonfmt.dumps(monomial_display(ep.coeff, ep.exp)), ep.exp,
+                                     lattice)
+            fills += head
+            fills.append(start)
+        births = jsonfmt.floats([b.birth for b in beams])
+        deaths = jsonfmt.floats([None if math.isinf(b.death) else b.death for b in beams])
+        rows = self._event_rows()
+        times = jsonfmt.floats([row[0] for row in rows])
+
+        def beam_texts():
+            at = 0
+            for b, birth, death in zip(beams, births, deaths):
+                k = len(b.epochs)
+                text = by_count.get(k)
+                if text is None:
+                    text = by_count[k] = jsonfmt.template({**_BEAM, "epochs": [_EPOCH] * k}, 2)
+                parent = "null" if b.parent is None else b.parent
+                end = at + len(_EPOCH) * k
+                yield text % (birth, b.birth_vertex, death, *fills[at:end], b.index, parent)
+                at = end
+
+        def event_texts():
+            for (_, _, cell, _, kind, pair, ep), time in zip(rows, times):
+                if ep is None:
+                    yield kinds[kind] % (*pair, cell, time)
+                else:
+                    coeff, _, exp, _ = heads[ep.coeff, ep.exp, ep.basis]
+                    yield kinds[kind] % (*pair, cell, coeff, exp, time)
+
+        return jsonfmt.chunks({"beams": HOLE, "dim": d, "events": HOLE},
+                              jsonfmt.items(beam_texts(), 1), jsonfmt.items(event_texts(), 1))
+
     def to_dot(self) -> str:
         lines = ["digraph mergetree {", "  rankdir=LR;"]
         for b in self.beams:
@@ -221,6 +278,16 @@ class PeriodicMergeTree:
                 lines.append(f'  n{b.index} -> n{b.parent} [label="{b.death:g}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+_EPOCH = {"coeff": HOLE, "display": HOLE, "exp": HOLE, "lattice": HOLE, "start": HOLE}
+_BEAM = {"birth": HOLE, "birth_vertex": HOLE, "death": HOLE, "index": HOLE, "parent": HOLE}
+_EVENT_SHAPES = {
+    "appearance": {"beams": [HOLE], "cell": HOLE, "kind": "appearance", "time": HOLE},
+    "merger": {"beams": [HOLE, HOLE], "cell": HOLE, "kind": "merger", "time": HOLE},
+    "catenation": {"beams": [HOLE], "cell": HOLE, "coeff": HOLE, "exp": HOLE,
+                   "kind": "catenation", "time": HOLE},
+}
 
 
 def monomial_display(coeff: float, exp: int) -> str:

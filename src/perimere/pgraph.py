@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 
+from . import jsonfmt
+from .jsonfmt import HOLE
 from .lattice import IntMatrix, RealBasis, coset_reps, hnf_transform, reduce_mod, solve
 
 
@@ -223,7 +225,12 @@ def parse(source) -> PeriodicGraph:
 
 
 def serialize(g: PeriodicGraph) -> dict:
-    """JSON-ready dict; decimal-string values reuse their original token."""
+    """JSON-ready dict; decimal-string values reuse their original token.
+
+    The reference dict form of `json_chunks`, which the CLI writes graphs
+    with; kept for the tests and the benchmark's tracer until ROADMAP item 1
+    step C.
+    """
     n = g.n
     ids = g.ids.tolist()   # jsonfmt writes Python ints and floats only
     values = [x if tok is None else tok for x, tok in zip(g.values.tolist(), g.raw)]
@@ -236,6 +243,29 @@ def serialize(g: PeriodicGraph) -> dict:
             in zip(ids[n:], g.ids[g.u].tolist(), g.ids[g.v].tolist(), values[n:], g.shifts)
         ],
     }
+
+
+_VERTEX = {"id": HOLE, "value": HOLE}
+_EDGE = {"id": HOLE, "shift": HOLE, "u": HOLE, "v": HOLE, "value": HOLE}
+
+
+def json_chunks(g: PeriodicGraph):
+    """Chunks of `jsonfmt.dumps(serialize(g))`, written from the columns:
+    one record template per cell kind and one text per distinct shift."""
+    n = g.n
+    ids = g.ids.tolist()
+    values = jsonfmt.floats(g.values.tolist())
+    if any(g.raw):
+        values = [x if tok is None else jsonfmt.dumps(tok) for x, tok in zip(values, g.raw)]
+    shift = {t: jsonfmt.nested(t, 3) for t in set(g.shifts)}
+    vertex, edge = jsonfmt.template(_VERTEX, 2), jsonfmt.template(_EDGE, 2)
+    edges = zip(ids[n:], map(shift.__getitem__, g.shifts),
+                g.ids[g.u].tolist(), g.ids[g.v].tolist(), values[n:])
+    return jsonfmt.chunks(
+        {"basis": [[float(x) for x in g.basis.matrix[:, j]] for j in range(g.dim)],
+         "dim": g.dim, "edges": HOLE, "vertices": HOLE},
+        jsonfmt.items(map(edge.__mod__, edges), 1),
+        jsonfmt.items(map(vertex.__mod__, zip(ids[:n], values[:n])), 1))
 
 
 def max_shift_magnitude(g: PeriodicGraph) -> int:

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perimere import serialize
-from perimere.cli import main
+from perimere import build, extract, jsonfmt, parse, serialize, unroll
+from perimere.barcode import to_json_dict
+from perimere.cli import main, parse_sublattice
 from perimere.synthetic import random_periodic_graph
 
 from .conftest import FIXTURE_DIR, fig3_left_doc, helix_cross_doc
@@ -394,6 +395,22 @@ class TestOutOfRange:
         assert_one_error_line(code, err)
         assert out == ""
 
+    def test_gram_determinant_past_the_float_range(self, capsys, tmp_path):
+        # diag(1e100): the rank-2 lattice's Gram determinant is 1e400 as an
+        # exact int, its volume 1e200 and its coefficient 1e200 / 1e300
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps({
+            "dim": 3, "basis": [[1e100, 0, 0], [0, 1e100, 0], [0, 0, 1e100]],
+            "vertices": [{"id": 0, "value": 0.0}],
+            "edges": [{"id": 1, "u": 0, "v": 0, "value": 1.0, "shift": [1, 0, 0]},
+                      {"id": 2, "u": 0, "v": 0, "value": 2.0, "shift": [0, 1, 0]}]}))
+        code, out, err = run(capsys, "barcode", str(p), "--csv")
+        assert code == 0 and err == ""
+        c1 = repr(1e200 / 1e300)
+        assert out.splitlines()[1:] == [
+            "2,0.0,1.0,-1e-200", "3,0.0,1.0,1e-300", f"1,0.0,2.0,-{c1}", "2,0.0,2.0,1e-200",
+            f"1,0.0,inf,{c1}"]
+
     @pytest.mark.parametrize("sublattice,ids", [("2", 2 ** 62), (str(2 ** 63), 1)])
     def test_unroll_index_checked_before_enumerating(self, capsys, tmp_path, monkeypatch,
                                                      sublattice, ids):
@@ -431,6 +448,28 @@ class TestDeterminism:
             _, out, _ = run(capsys, "barcode", str(fixture_paths[1]), "--csv")
             outs.add(out)
         assert len(outs) == 1
+
+
+class TestOutFile:
+    # the record writers write their documents in chunks, to stdout or to
+    # the --out file; both must be the bytes of `dumps` of the dict form
+    @pytest.mark.parametrize("argv", [
+        ("tree", "--json"), ("barcode", "--json"), ("unroll", "--sublattice", "2,0,0;1,3,0;0,1,1"),
+    ])
+    def test_out_file_is_stdout(self, capsys, tmp_path, fixture_paths, monkeypatch, argv):
+        monkeypatch.setattr("perimere.jsonfmt._BLOCK", 2)
+        src = str(fixture_paths[1])
+        code, out, _ = run(capsys, argv[0], src, *argv[1:])
+        assert code == 0
+        path = tmp_path / "out.json"
+        code, printed, _ = run(capsys, argv[0], src, *argv[1:], "--out", str(path))
+        assert code == 0 and printed == ""
+        assert path.read_bytes() == out.encode()
+        g = parse(src)
+        ref = {"tree": lambda: build(g).to_json_dict(),
+               "barcode": lambda: to_json_dict(extract(build(g))),
+               "unroll": lambda: serialize(unroll(g, parse_sublattice(argv[2], 3)))}[argv[0]]()
+        assert out == jsonfmt.dumps(ref) + "\n"
 
 
 class TestTreeGolden:

@@ -1,11 +1,17 @@
-"""The indent-2 sorted-key writer against `json.dumps(indent=2, sort_keys=True)`."""
+"""The indent-2 sorted-key writer against `json.dumps(indent=2, sort_keys=True)`,
+and the record writers of trees, graphs and barcodes against `dumps` of their
+reference dict forms."""
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perimere import jsonfmt
+from perimere import barcode, jsonfmt, mergetree, parse, pgraph
+from perimere.jsonfmt import HOLE
+from perimere.lattice import IntMatrix
+from perimere.synthetic import random_periodic_graph
 
 
 def reference(obj):
@@ -54,3 +60,102 @@ class TestAgainstStdlib:
     def test_rejects_what_the_writer_does_not_handle(self, obj):
         with pytest.raises(TypeError):
             jsonfmt.dumps(obj)
+
+
+def _holes(obj, fills):
+    """obj with every scalar that is not a dict key replaced by HOLE; the
+    replaced scalars' texts go to `fills` in text order."""
+    if isinstance(obj, dict):
+        return {k: _holes(obj[k], fills) for k in sorted(obj)}
+    if isinstance(obj, (list, tuple)):
+        return [_holes(x, fills) for x in obj]
+    fills.append(jsonfmt.dumps(obj))
+    return HOLE
+
+
+class TestRecordTemplates:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(obj=DOCS, depth=st.integers(0, 4))
+    def test_filled_template_is_nested_dumps(self, obj, depth):
+        fills = []
+        shape = _holes(obj, fills)
+        assert jsonfmt.template(shape, depth) % tuple(fills) == jsonfmt.nested(obj, depth)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(objs=st.lists(DOCS, max_size=6), depth=st.integers(0, 4))
+    def test_items_lay_out_a_list(self, objs, depth):
+        texts = [jsonfmt.nested(x, depth + 1) for x in objs]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(jsonfmt, "_BLOCK", 2)   # several chunks
+            assert "".join(jsonfmt.items(texts, depth)) == jsonfmt.nested(objs, depth)
+
+    def test_constant_percent_signs_survive(self):
+        shape = {"a%s": "100%", "b": HOLE, "c": ["%d", HOLE]}
+        assert jsonfmt.template(shape, 1) % (1, "2.5") == jsonfmt.nested(
+            {"a%s": "100%", "b": 1, "c": ["%d", 2.5]}, 1)
+
+    def test_chunks_fill_holes_with_texts_and_chunks(self):
+        got = "".join(jsonfmt.chunks({"x": HOLE, "y": [HOLE, 2]}, "1.5", iter(["[", "]"])))
+        assert got == jsonfmt.dumps({"x": 1.5, "y": [[], 2]})
+        with pytest.raises(ValueError):
+            list(jsonfmt.chunks({"x": HOLE}))
+
+    def test_floats(self):
+        xs = [0.1, -0.0, 1e-07, 1e22, 5e-324]
+        assert jsonfmt.floats(xs) == [jsonfmt.dumps(x) for x in xs]
+        assert jsonfmt.floats([1.0, None, float("inf"), float("nan")]) == [
+            "1.0", "null", "Infinity", "NaN"]
+
+
+def _written(g):
+    """The three record writers' texts and `dumps` of the dict forms."""
+    tree = mergetree.build(g)
+    code = barcode.extract(tree)
+    return [("".join(pgraph.json_chunks(g)), jsonfmt.dumps(pgraph.serialize(g))),
+            ("".join(tree.json_chunks()), jsonfmt.dumps(tree.to_json_dict())),
+            ("".join(barcode.json_chunks(code)), jsonfmt.dumps(barcode.to_json_dict(code)))]
+
+
+EDGE_CASES = {
+    "empty": {"dim": 2, "basis": [[1.0, 0.0], [0.0, 1.0]], "vertices": [], "edges": []},
+    "tokens_exponents_big_ids_negative_shifts": {
+        "dim": 2, "basis": [[2.0, 0.0], [0.5, 1e-07]],
+        "vertices": [{"id": 2 ** 53 + 1, "value": "0.10"}, {"id": -2 ** 62, "value": 1e-07},
+                     {"id": 7, "value": 1e22}],
+        "edges": [
+            {"id": 2 ** 62, "u": 2 ** 53 + 1, "v": -2 ** 62, "value": "0.250", "shift": [-3, 0]},
+            {"id": 3, "u": 7, "v": 7, "value": 2e22, "shift": [0, -1]},
+            {"id": 4, "u": -2 ** 62, "v": -2 ** 62, "value": 1e+22, "shift": [-2, 5]},
+        ],
+    },
+}
+
+
+class TestRecordWriters:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("tie_values", [False, True])
+    def test_random_graphs_and_their_unrolls(self, dim, tie_values):
+        rng = random.Random(1200 + dim)
+        for _ in range(8):
+            g = random_periodic_graph(rng, dim=dim, n=rng.randint(0, 12), m=rng.randint(0, 24),
+                                      shift_range=2, tie_values=tie_values)
+            rows = [[rng.randint(1, 2) if r == c else rng.randint(0, 1) * (r > c)
+                     for c in range(dim)] for r in range(dim)]
+            for h in (g, pgraph.unroll(g, IntMatrix.from_rows(rows))):
+                for got, want in _written(h):
+                    assert got == want
+
+    @pytest.mark.parametrize("name", sorted(EDGE_CASES))
+    def test_edge_cases(self, name):
+        written = _written(parse(EDGE_CASES[name]))
+        for got, want in written:
+            assert got == want
+        graph, tree, code = (got for got, _ in written)
+        if name == "empty":
+            assert '"vertices": []' in graph and '"beams": []' in tree
+            assert code.count('"bars": []') == 3
+        else:
+            assert '"value": "0.10"' in graph and str(2 ** 53 + 1) in graph
+            assert "-3," in graph and "1e-07" in graph and "1e+22" in graph
+            assert '"lattice": []' in tree and '"parent": null' in tree
+            assert '"death": null' in tree and '"death": null' in code
