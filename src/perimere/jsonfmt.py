@@ -39,10 +39,7 @@ def _float(o) -> str:
 
 
 class _Hole:
-    __slots__ = ()
-
-    def __repr__(self):
-        return "HOLE"
+    """The type of HOLE."""
 
 
 HOLE = _Hole()   # a value `template` leaves open, filled per record
