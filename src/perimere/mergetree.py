@@ -20,6 +20,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cmp_to_key
 from itertools import chain, zip_longest
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
 import numpy as np
@@ -234,9 +235,9 @@ class PeriodicMergeTree:
             head = heads.get(key)
             if head is None:
                 lattice = by_rank[ep.basis.rank] % tuple(chain.from_iterable(ep.basis.columns))
-                head = heads[key] = (*jsonfmt.floats([ep.coeff]),
-                                     jsonfmt.dumps(monomial_display(ep.coeff, ep.exp)), ep.exp,
-                                     lattice)
+                head = heads[key] = (
+                    *jsonfmt.floats([ep.coeff]),
+                    encode_basestring_ascii(monomial_display(ep.coeff, ep.exp)), ep.exp, lattice)
             fills += head
             fills.append(start)
         births = jsonfmt.floats([b.birth for b in beams])

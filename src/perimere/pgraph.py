@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -139,7 +140,10 @@ def parse(source) -> PeriodicGraph:
         doc = source
     else:
         with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except RecursionError:
+                raise GraphError("document nested too deeply") from None
     if not isinstance(doc, dict):
         raise GraphError("document root must be a JSON object")
     extra = set(doc) - _TOP_KEYS
@@ -256,8 +260,10 @@ def json_chunks(g: PeriodicGraph):
     ids = g.ids.tolist()
     values = jsonfmt.floats(g.values.tolist())
     if any(g.raw):
-        values = [x if tok is None else jsonfmt.dumps(tok) for x, tok in zip(values, g.raw)]
-    shift = {t: jsonfmt.nested(t, 3) for t in set(g.shifts)}
+        values = [x if tok is None else encode_basestring_ascii(tok)
+                  for x, tok in zip(values, g.raw)]
+    vector = jsonfmt.template([HOLE] * g.dim, 3)
+    shift = {t: vector % t for t in set(g.shifts)}
     vertex, edge = jsonfmt.template(_VERTEX, 2), jsonfmt.template(_EDGE, 2)
     edges = zip(ids[n:], map(shift.__getitem__, g.shifts),
                 g.ids[g.u].tolist(), g.ids[g.v].tolist(), values[n:])

@@ -109,6 +109,13 @@ class TestInputErrors:
         assert_one_error_line(code, err)
         assert named in err and out == ""
 
+    def test_deeply_nested_document_rejected(self, capsys, tmp_path):
+        p = tmp_path / "deep.json"
+        p.write_text("[" * 200000 + "]" * 200000)
+        code, out, err = run(capsys, "validate", str(p))
+        assert_one_error_line(code, err)
+        assert "nested too deeply" in err and out == ""
+
     def test_unroll_past_int64_ids_rejected(self, capsys, tmp_path):
         doc = {"dim": 1, "basis": [[1.0]], "vertices": [{"id": 2 ** 62, "value": 0.0}],
                "edges": [{"id": 5, "u": 2 ** 62, "v": 2 ** 62, "value": 1.0, "shift": [1]}]}
@@ -491,20 +498,23 @@ class TestTreeGolden:
 
 class TestUnrollGolden:
     # sha256 of the CLI output on the fixture files: pins the unrolled graph
-    # (non-diagonal sublattices), `barcode --json`, `bounds`, and `distance`
-    # between each fixture and its unrolled graph
+    # (non-diagonal sublattices), `barcode --json`, `bounds`, `count-shadows`
+    # at a time inside a beam, and `distance` between each fixture and its
+    # unrolled graph
     CASES = {
         "helix_cross_3d": ("2,0,0;1,3,0;0,1,1", {
             "unroll": "a2debba08e8c8c75835953565d6a1cbe4d24380c1aa1e0dc94a0586b1e60a50d",
             "barcode": "2c13fa027ac053583d03320736c68f0381e2a837df948dd8eafdef8174dbdc8d",
             "distance": "1249d4053f6bc29bf2323fe2c8e7344cdacea14ccaf0d7c15782f45a3aadffc5",
             "bounds": "c83d642742da49bee7b84b75590dd95ab32aa9fab468dba132ed6b5eeb963473",
+            "count-shadows": "8982ce5a68ab3a8f496a16e76f1e1e14094db7974950a263754c7bd3052726dd",
         }),
         "diagonal_loop_2d": ("2,1;0,3", {
             "unroll": "61816ff2e185c2c8c7ddd7b0a53a552ec89661029ef43fc8b4ac383d73b201a5",
             "barcode": "e1a4f08e45b93d303ee40c4b9c3231f739324c07d1a9684dc8796aa13bcad0b1",
             "distance": "87dea9a4e6b8096ffa71f19bc65439fa0d2ec10d2658b13920ddf801658d46ec",
             "bounds": "9a9439db90460bba10530ef2733ce5965313fa481fe260d8343746989066c234",
+            "count-shadows": "30664e3c156697b64239ee197e804608256100a167153e6794530534ad44a124",
         }),
     }
 
@@ -516,7 +526,9 @@ class TestUnrollGolden:
         outs = {}
         for op, argv in (("unroll", ("unroll", src, "--sublattice", sublattice)),
                          ("barcode", ("barcode", src, "--json")),
-                         ("bounds", ("bounds", src))):
+                         ("bounds", ("bounds", src)),
+                         ("count-shadows", ("count-shadows", src, "--component-at", "6.5",
+                                            "--radius", "2"))):
             code, outs[op], _ = run(capsys, *argv)
             assert code == 0
         with open(rolled, "w", encoding="utf-8") as fh:

@@ -1,6 +1,5 @@
-"""The indent-2 sorted-key writer against `json.dumps(indent=2, sort_keys=True)`,
-and the record writers of trees, graphs and barcodes against `dumps` of their
-reference dict forms."""
+"""The record templates and the record writers of trees, graphs and barcodes
+against `json.dumps(indent=2, sort_keys=True)` of their reference forms."""
 import json
 import random
 
@@ -16,6 +15,11 @@ from perimere.synthetic import random_periodic_graph
 
 def reference(obj):
     return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def nested(obj, depth):
+    """`reference(obj)` as the value of a key or item `depth` containers deep."""
+    return reference(obj).replace("\n", "\n" + "  " * depth)
 
 
 class Int(int):
@@ -44,18 +48,8 @@ DOCS = st.recursive(
 
 
 class TestAgainstStdlib:
-    @settings(max_examples=600, derandomize=True, database=None, deadline=None)
-    @given(obj=DOCS)
-    def test_same_text(self, obj):
-        assert jsonfmt.dumps(obj) == reference(obj)
-
-    def test_empty_and_nested_containers(self):
-        for obj in ({}, [], (), [[]], {"a": {}}, [{}, []], {"k": [[1], [], {"x": ()}]},
-                    [{"b": 1, "a": [2.5, None]}, {"a": 1, "b": 2}], {"é": {"\n": [True]}}):
-            assert jsonfmt.dumps(obj) == reference(obj)
-
     @pytest.mark.parametrize("obj", [
-        {1: 2}, {"a": {None: 1}}, [set()], {"a": b"x"}, object(), [1, [2, {3}]], {"a": 1j},
+        {(1,): 2}, {"a": {b"k": 1}}, [set()], {"a": b"x"}, object(), [1, [2, {3}]], {"a": 1j},
     ])
     def test_rejects_what_the_writer_does_not_handle(self, obj):
         with pytest.raises(TypeError):
@@ -69,7 +63,7 @@ def _holes(obj, fills):
         return {k: _holes(obj[k], fills) for k in sorted(obj)}
     if isinstance(obj, (list, tuple)):
         return [_holes(x, fills) for x in obj]
-    fills.append(jsonfmt.dumps(obj))
+    fills.append(reference(obj))
     return HOLE
 
 
@@ -79,41 +73,46 @@ class TestRecordTemplates:
     def test_filled_template_is_nested_dumps(self, obj, depth):
         fills = []
         shape = _holes(obj, fills)
-        assert jsonfmt.template(shape, depth) % tuple(fills) == jsonfmt.nested(obj, depth)
+        assert jsonfmt.template(shape, depth) % tuple(fills) == nested(obj, depth)
 
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(objs=st.lists(DOCS, max_size=6), depth=st.integers(0, 4))
     def test_items_lay_out_a_list(self, objs, depth):
-        texts = [jsonfmt.nested(x, depth + 1) for x in objs]
+        texts = [nested(x, depth + 1) for x in objs]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(jsonfmt, "_BLOCK", 2)   # several chunks
-            assert "".join(jsonfmt.items(texts, depth)) == jsonfmt.nested(objs, depth)
+            assert "".join(jsonfmt.items(texts, depth)) == nested(objs, depth)
 
     def test_constant_percent_signs_survive(self):
         shape = {"a%s": "100%", "b": HOLE, "c": ["%d", HOLE]}
-        assert jsonfmt.template(shape, 1) % (1, "2.5") == jsonfmt.nested(
+        assert jsonfmt.template(shape, 1) % (1, "2.5") == nested(
             {"a%s": "100%", "b": 1, "c": ["%d", 2.5]}, 1)
+
+    def test_keys_and_strings_spelling_nan_stay_constant(self):
+        shape = {"NaN": HOLE, "b": ["NaN", "x NaN", HOLE], "c\nNaN": "NaN,", "d": "NaN\n"}
+        assert jsonfmt.template(shape, 2) % (1, 2) == nested(
+            {"NaN": 1, "b": ["NaN", "x NaN", 2], "c\nNaN": "NaN,", "d": "NaN\n"}, 2)
 
     def test_chunks_fill_holes_with_texts_and_chunks(self):
         got = "".join(jsonfmt.chunks({"x": HOLE, "y": [HOLE, 2]}, "1.5", iter(["[", "]"])))
-        assert got == jsonfmt.dumps({"x": 1.5, "y": [[], 2]})
+        assert got == reference({"x": 1.5, "y": [[], 2]})
         with pytest.raises(ValueError):
             list(jsonfmt.chunks({"x": HOLE}))
 
     def test_floats(self):
         xs = [0.1, -0.0, 1e-07, 1e22, 5e-324]
-        assert jsonfmt.floats(xs) == [jsonfmt.dumps(x) for x in xs]
+        assert jsonfmt.floats(xs) == [reference(x) for x in xs]
         assert jsonfmt.floats([1.0, None, float("inf"), float("nan")]) == [
             "1.0", "null", "Infinity", "NaN"]
 
 
 def _written(g):
-    """The three record writers' texts and `dumps` of the dict forms."""
+    """The three record writers' texts and `reference` of the dict forms."""
     tree = mergetree.build(g)
     code = barcode.extract(tree)
-    return [("".join(pgraph.json_chunks(g)), jsonfmt.dumps(pgraph.serialize(g))),
-            ("".join(tree.json_chunks()), jsonfmt.dumps(tree.to_json_dict())),
-            ("".join(barcode.json_chunks(code)), jsonfmt.dumps(barcode.to_json_dict(code)))]
+    return [("".join(pgraph.json_chunks(g)), reference(pgraph.serialize(g))),
+            ("".join(tree.json_chunks()), reference(tree.to_json_dict())),
+            ("".join(barcode.json_chunks(code)), reference(barcode.to_json_dict(code)))]
 
 
 EDGE_CASES = {
