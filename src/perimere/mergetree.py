@@ -19,7 +19,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cmp_to_key
-from itertools import chain, zip_longest
+from itertools import chain, groupby, zip_longest
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
@@ -336,9 +336,9 @@ def build(graph: PeriodicGraph) -> PeriodicMergeTree:
     empty = SublatticeBasis.empty(d)
 
     # union-find slots are vertex positions, as edge endpoints are; the
-    # filter property guarantees both endpoints precede every edge.  Beam
-    # beam_of[root] holds the component's elder key (birth, birth_vertex)
-    # and, in its last epoch, the component's lattice
+    # filter property guarantees both endpoints precede every edge.  Beams
+    # are made in (birth, birth_vertex) order, so a beam's index is its elder
+    # key; beam beam_of[root] holds, in its last epoch, the component's lattice
     uf = UnionFind(d, n)
     beam_of = [-1] * n
     full = [False] * n  # per slot: component lattice is all of Z^d
@@ -380,7 +380,6 @@ def build(graph: PeriodicGraph) -> PeriodicMergeTree:
             eid = ids[oi]
             br, bs = beams[beam_of[r]], beams[beam_of[s]]
             base_r, base_s = br.epochs[-1].basis, bs.epochs[-1].basis
-            was_full = full[r] or full[s]
             if not base_s.columns:
                 merged = base_r
             elif not base_r.columns:
@@ -389,13 +388,12 @@ def build(graph: PeriodicGraph) -> PeriodicMergeTree:
                 merged = base_r
             else:
                 merged = hnf_reduce(base_r.columns + base_s.columns, dim=d)
-            if (br.birth, br.birth_vertex) <= (bs.birth, bs.birth_vertex):
+            if br.index < bs.index:
                 sb, dying = br, bs
             else:
                 sb, dying = bs, br
             w = uf.union(r, s, v)
-            if was_full or (merged.columns and merged.is_full):
-                full[w] = True
+            full[w] = merged.is_full
             beam_of[w] = sb.index
             dying.death = t
             dying.parent = sb.index
@@ -477,13 +475,14 @@ class _TreeText:
         self.birth = [b.birth for b in beams]
         self.death = [b.death for b in beams]
         self.kids = kids = [[] for _ in beams]   # (merge height, child), sorted
+        # a child joins its effective survivor: chained mergers at one height
+        # are a processing-order artifact; all those beams join at one point.
+        # A parent precedes its children, and a root never dies
+        joins = [None] * len(beams)   # the effective survivor of each child
         for b in beams:
-            # a child joins its effective survivor: chained mergers at one height
-            # are a processing-order artifact; all those beams join at one point
             if b.parent is not None:
-                p = b.parent
-                while beams[p].parent is not None and beams[p].death == b.death:
-                    p = beams[p].parent
+                p = joins[b.parent] if self.death[b.parent] == b.death else b.parent
+                joins[b.index] = p
                 kids[p].append((b.death, b.index))
         for ks in kids:
             ks.sort()
@@ -547,7 +546,8 @@ class _TreeIndex(_TreeText):
     merging) and a subtree label at each.  `digest(b, t)` names the subtree
     below (b, t) by (label, rounded cut), and two cuts have equal digests
     exactly when their texts `tokens(b, t)` are equal.  Labels are interned
-    bottom-up, one per group of events at one rounded height: (label below,
+    bottom-up, in decreasing beam index since a beam joins one made before
+    it, one per group of events at one rounded height: (label below,
     rounded height, (coeff, exp) of the spans starting there, sorted digests
     of the children merging there).  Epochs are taken in increasing height,
     as `build` leaves them, and so are the children.  A cut between two
@@ -564,27 +564,17 @@ class _TreeIndex(_TreeText):
         self.base = [0] * n   # label of a beam's birth alone
         self.cuts = [()] * n  # exact event heights, increasing
         self.labels = [()] * n  # label of the events at or below each cut
-        self.low = [0.0] * n  # earliest birth in the beam's subtree
-        order = tree.roots()
-        for b in order:   # breadth first: every beam after the beam it joins
-            order.extend(c for _, c in self.kids[b])
-        for b in reversed(order):
-            self.low[b] = min([self.birth[b], *(self.low[c] for _, c in self.kids[b])])
+        for b in range(n - 1, -1, -1):   # a beam joins one made before it
             events = [(st, 0, (fmt(c), e)) for st, _, c, e, _ in self.spans[b]]
             events += [(h, 1, self.digest(c, h)) for h, c in self.kids[b]]
             events.sort(key=_START)
             lab = self.base[b] = interned.setdefault((fmt(self.birth[b]),), len(interned))
             cuts, labels = [], []
-            i = 0
-            while i < len(events):   # one group of events per rounded height
-                below, rounded = lab, fmt(events[i][0])
-                spans, kids = [], []
-                while i < len(events) and fmt(events[i][0]) == rounded:
-                    h = events[i][0]
-                    while i < len(events) and events[i][0] == h:
-                        _, kind, item = events[i]
+            for rounded, group in groupby(events, key=lambda ev: fmt(ev[0])):
+                below, spans, kids = lab, [], []
+                for h, same in groupby(group, key=_START):
+                    for _, kind, item in same:
                         (kids if kind else spans).append(item)
-                        i += 1
                     key = (below, rounded, tuple(spans), tuple(sorted(kids)))
                     lab = interned.setdefault(key, len(interned))
                     cuts.append(h)
@@ -603,10 +593,10 @@ class _TreeIndex(_TreeText):
         """Highest height below pos where b gains a child or starts a span
         after its birth; -inf when there is none."""
         cuts = self.cuts[b]
-        for i in range(bisect_left(cuts, pos) - 1, -1, -1):
-            if cuts[i] > self.birth[b] or self.children_at(b, cuts[i]):
-                return cuts[i]
-        return -math.inf
+        i = bisect_left(cuts, pos) - 1   # no cut lies below the birth
+        if i < 0 or cuts[i] == self.birth[b] and not self.children_at(b, cuts[i]):
+            return -math.inf
+        return cuts[i]
 
     def children_at(self, b: int, t: float) -> list:
         kids = self.kids[b]
@@ -633,8 +623,9 @@ def splinters(tprime: PeriodicMergeTree, tree: PeriodicMergeTree) -> bool:
     children are possible, the first in the text order of their subtrees is
     taken.  The roots are the children of an assignment at t = inf, where a
     class of roots takes a whole group of preimage roots, and none may be
-    left over.  Each tree is indexed once (`_TreeIndex`), and the checks nest
-    on an explicit stack (`_run`).
+    left over.  Each tree is indexed once (`_TreeIndex`), the checks nest on
+    an explicit stack (`_run`), and an assignment takes its preimages from
+    the pool in place, so the children at one stop cost linear memory.
     """
     if tprime.dim != tree.dim:
         return False
@@ -642,11 +633,10 @@ def splinters(tprime: PeriodicMergeTree, tree: PeriodicMergeTree) -> bool:
     T = P if tree is tprime else _TreeIndex(tree)
 
     def check(ws: list, b: int, top: float):
-        # every preimage ends in the final pool of an image beam in b's
-        # subtree and has its birth
-        if not ws or any(P.birth[w] < T.low[b] for w in ws):
-            return False
-        if len({P.digest(w, top) for w in ws}) != 1:
+        # ws is one non-empty class of equal digests at top.  Every preimage
+        # ends in the final pool of an image beam in b's subtree and has its
+        # birth, and b is the eldest beam of its subtree
+        if any(P.birth[w] < T.birth[b] for w in ws):
             return False
         pool_w = list(ws)
         pos = top
@@ -732,11 +722,11 @@ def splinters(tprime: PeriodicMergeTree, tree: PeriodicMergeTree) -> bool:
                     if not (yield check([it[1] for it in items[i * kc:(i + 1) * kc]], c, t)):
                         break
                 else:
-                    rest = dict(avail)
-                    rest[dg] = items[g * kc:]
-                    out = yield assign_children(group_list, order, t, gi + 1, rest)
+                    avail[dg] = items[g * kc:]
+                    out = yield assign_children(group_list, order, t, gi + 1, avail)
                     if out is not None:
                         return out
+                    avail[dg] = items
         return None
 
     leftover = _run(assignment(tree.roots(), [("root", r) for r in tprime.roots()], math.inf))

@@ -1,11 +1,12 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
 from perimere import (IntMatrix, UnionFind, build,
                       canonical_form, extract, parse, serialize, splinters, unroll)
-from perimere.mergetree import PeriodicMergeTree, monomial_display
+from perimere.mergetree import PeriodicMergeTree, _TreeText, monomial_display
 from perimere.synthetic import random_periodic_graph
 
 from .conftest import fig3_left_doc, helix_cross_doc
@@ -195,6 +196,23 @@ class TestInvariants:
             assert kinds.count("appearance") == g.n
             assert kinds.count("merger") == g.n - len(tree.roots())
 
+    def test_beams_are_in_elder_order(self):
+        # build makes beams in (birth, birth_vertex) order, so a survivor is
+        # the lower index, a parent precedes its children and the child
+        # lists can be derived in one pass
+        rng = random.Random(15)
+        for _ in range(30):
+            g = random_periodic_graph(rng, dim=rng.randint(1, 3), n=rng.randint(1, 30),
+                                      m=rng.randint(0, 60), tie_values=True)
+            tree = build(g)
+            assert all(b.parent < b.index for b in tree.beams if b.parent is not None)
+            keys = [(b.birth, b.birth_vertex) for b in tree.beams]
+            assert keys == sorted(keys)
+            assert _TreeText(tree).kids == oracles.children(tree)
+
+    def test_children_of_an_equal_height_chain(self):
+        t = build(level_chain(2_000))
+        assert _TreeText(t).kids == oracles.children(t)
 
     def test_edge_event_partition(self):
         # every edge is a merger, a catenation, or a no-op; an edge may pair a
@@ -269,6 +287,42 @@ class TestSplinters:
                     break
             assert splinters(build(unroll(g, s)), tree)
 
+    def test_star_splinters_in_little_memory(self):
+        # the assignment of 2,000 children at one stop takes its preimages in
+        # place, not by copying the pool of preimages per child group
+        t = build(star(2_000))
+        tracemalloc.start()
+        try:
+            assert splinters(t, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
+
+
+def star(leaves):
+    """Vertex k at height k and edges (0, k) at height leaves + 1: one root
+    with `leaves` children merging at one height."""
+    n = leaves + 1
+    return parse({
+        "dim": 1, "basis": [[1.0]],
+        "vertices": [{"id": k, "value": float(k)} for k in range(n)],
+        "edges": [{"id": n + k, "u": 0, "v": k, "value": float(n), "shift": [0]}
+                  for k in range(1, n)],
+    })
+
+
+def level_chain(n):
+    """Vertex k at height k and edge j joining n - 2 - j and n - 1 - j at
+    height n: beam k joins beam k - 1, all at one height, so each beam's
+    effective survivor is beam 0."""
+    return parse({
+        "dim": 1, "basis": [[1.0]],
+        "vertices": [{"id": k, "value": float(k)} for k in range(n)],
+        "edges": [{"id": n + j, "u": n - 2 - j, "v": n - 1 - j, "value": float(n), "shift": [0]}
+                  for j in range(n - 1)],
+    })
+
 
 def chain(n):
     """Vertex k at height k and edge (k - 1, k) at 2n - k: beam k joins beam
@@ -289,6 +343,14 @@ class TestDeepChains:
         assert all(b.parent == b.index - 1 for b in t.beams[1:])
         assert canonical_form(t)
         assert splinters(t, t)
+
+    def test_equal_height_chain_1e5_canonical_form(self):
+        # the survivor of each merger is resolved in one pass, not by walking
+        # up the chain of mergers at one height
+        n = 100_000
+        t = build(level_chain(n))
+        assert all(b.parent == b.index - 1 and b.death == n for b in t.beams[1:])
+        assert canonical_form(t).count(f"{n}>") == n - 1
 
     def test_depth_1e4_cover(self):
         g = chain(10_000)
