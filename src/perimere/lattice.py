@@ -149,8 +149,6 @@ def _hnf_columns(dim: int, columns) -> tuple:
                 if q:
                     cols[j] = [a - q * b for a, b in zip(cols[j], cols[k])]
                 cols[j], cols[k] = cols[k], cols[j]
-            if cols[j][i] == 0 and cols[k][i]:
-                cols[j], cols[k] = cols[k], cols[j]
         # canonical: entries left of the pivot reduced into [0, pivot)
         for k in range(j):
             q = cols[k][i] // cols[j][i]
@@ -347,7 +345,7 @@ def count_cosets_in_ball(u: RealBasis, l: SublatticeBasis, radius: float,
     if l.dim != u.dim:
         raise ValueError("ambient dimension mismatch")
     d = u.dim
-    bounds = [int(math.floor(np.linalg.norm(u.inverse[i, :]) * radius + 1e-9)) for i in range(d)]
+    bounds = [int(math.floor(np.linalg.norm(u.inverse[i, :]) * radius * (1 + 1e-9))) for i in range(d)]
     total = 1
     for b in bounds:
         total *= 2 * b + 1
@@ -356,7 +354,7 @@ def count_cosets_in_ball(u: RealBasis, l: SublatticeBasis, radius: float,
     axes = [np.arange(-b, b + 1, dtype=np.int64) for b in bounds]
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
     real = pts @ u.matrix.T
-    keep = pts[np.einsum("ij,ij->i", real, real) <= radius * radius + 1e-9].astype(object)
+    keep = pts[np.einsum("ij,ij->i", real, real) <= radius * radius * (1 + 1e-9)].astype(object)
     for col in l.columns:
         r = _pivot_row(col)
         q = keep[:, r] // col[r]

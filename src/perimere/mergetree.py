@@ -713,7 +713,7 @@ def splinters(tprime: PeriodicMergeTree, tree: PeriodicMergeTree) -> bool:
             return avail
         cs = group_list[gi]
         g = len(cs)
-        for dg in order:
+        for j, dg in enumerate(order):
             items = avail[dg]
             if len(items) < g:
                 continue
@@ -723,9 +723,13 @@ def splinters(tprime: PeriodicMergeTree, tree: PeriodicMergeTree) -> bool:
                         break
                 else:
                     avail[dg] = items[g * kc:]
+                    if not avail[dg]:   # a used-up class leaves `order` until a backtrack
+                        del order[j]
                     out = yield assign_children(group_list, order, t, gi + 1, avail)
                     if out is not None:
                         return out
+                    if not avail[dg]:
+                        order.insert(j, dg)
                     avail[dg] = items
         return None
 

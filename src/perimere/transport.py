@@ -8,15 +8,19 @@ the diagonal absorbs mass at cost |death - birth|, points with infinite
 death pair only with each other (at cost |birth1 - birth2|), so the
 distance is +infinity exactly when the infinite-death masses differ.
 
-The kx * ky pair arcs live in one cost matrix, an entry inf while its arc
-is full; capacities and flows stay exact Python ints (scaled masses can pass
-2^63) and are held per arc only once an arc carries flow.  Each augmenting
-path is found by a Dijkstra with potentials.  Its first wave, every X node
-with supply left, sits at label exactly 0 and is relaxed as one matrix pass;
-the other pops go through a heap, a saturated X node relaxing its pair row as
-one vector operation.  A distance costs (number of augmenting paths, about
-one per support point) x (one kx * ky array pass + a heap over the remaining
-pops).
+The residual arcs out of the X nodes, the sink and the diagonal into the Y
+nodes, source, sink and diagonal live in one cost matrix, the kx * ky pair
+arcs among them, an entry inf while its arc is full; every other arc (the
+source's, the Y nodes', the diagonal's back to X) is an entry of one
+{head: cost} dict per node while it has capacity.  Capacities and flows stay
+exact Python ints (scaled masses can pass 2^63) and are held per arc only
+once an arc carries flow.  Each augmenting path is found by a Dijkstra with
+potentials.  Its first wave, every X node with supply left, sits at label
+exactly 0 and is relaxed as one matrix pass; the other pops go through a
+heap, a popped X node, the sink or the diagonal relaxing its matrix row as
+one vector operation and every popped node its dict.  A distance costs
+(number of augmenting paths, about one per support point) x (one kx * ky
+array pass + a heap over the remaining pops).
 
 The last digits of the distance depend on the augmenting paths and on the
 order their costs are summed: the same optimal plan summed along other paths
@@ -98,32 +102,25 @@ def _ship(xs: list, mx: list, ys: list, my: list):
         raise OverflowError("transport cost out of float range")
     pair[apart] = inf
 
-    # Residual arcs as costs by head, inf while an arc has no capacity left.
-    # `out` has one row per X node, then the sink's and the diagonal's, over
-    # the heads from nx on (Y nodes, source, sink, diagonal); `out_src` holds
-    # the source's arcs, `out_back` the diagonal's arcs back to X, and
-    # `out_y[j]` the few live arcs of Y_j as {head: cost}.
+    # Residual arc costs by head.  `out` has one row per X node, then the
+    # sink's and the diagonal's, over the heads from nx on (Y nodes, source,
+    # sink, diagonal), inf while an arc has no capacity left; `adj[u]` holds
+    # every other arc of u with capacity as {head: cost}.
     out = np.full((nx + 2, ny + 3), inf)
     out[:nx, :ny] = pair
-    out_src, out_back = np.full(n, inf), np.full(nx, inf)
-    out_y = [{} for _ in range(ny)]
+    adj = [{} for _ in range(n)]
     # capacity and cost by (tail, head), both directions of every arc; a pair
     # arc enters on its first use
     res, arc_cost = {}, {}
 
     def show(u, v):
         c = arc_cost[(u, v)] if res[(u, v)] else inf
-        if u == src:
-            out_src[v] = c
-        elif nx <= u < src:
-            if c < inf:
-                out_y[u - nx][v] = c
-            else:
-                out_y[u - nx].pop(v, None)
-        elif v >= nx:
+        if v >= nx and (u < nx or u >= dst):
             out[u if u < nx else u - dst + nx, v - nx] = c
-        elif u == diag:
-            out_back[v] = c
+        elif c < inf:
+            adj[u][v] = c
+        else:
+            adj[u].pop(v, None)
 
     def add(u, v, cap, c):
         res[(u, v)], res[(v, u)] = cap, 0
@@ -147,14 +144,14 @@ def _ship(xs: list, mx: list, ys: list, my: list):
 
     pot = np.zeros(n)
     lim = np.empty(n)   # a node's label - SLACK: what a new label must beat
-    lim_x, lim_y = lim[:nx], lim[nx:]
+    lim_y = lim[nx:]
 
-    def relax_all(lo, beat, nd, u):
-        """Give node lo + t the label nd[t] from u wherever that beats beat[t]."""
-        hit = (nd < beat).nonzero()[0]
+    def relax_all(nd, u):
+        """Give node nx + t the label nd[t] from u wherever that beats its label."""
+        hit = (nd < lim_y).nonzero()[0]
         if hit.size:
             got = nd[hit]
-            hit += lo
+            hit += nx
             lim[hit] = got - SLACK
             for v, d in zip(hit.tolist(), got.tolist()):
                 dist[v], par[v] = d, u
@@ -175,11 +172,10 @@ def _ship(xs: list, mx: list, ys: list, my: list):
         # The source is popped first, then every X node it still reaches, at
         # label exactly 0 and in index order: that wave relaxes as one matrix.
         dist[src], lim[src], done[src] = 0.0, -SLACK, True
-        free = (out_src[:nx] < inf).nonzero()[0]
+        free = np.array(sorted(v for v in adj[src] if v < nx), dtype=int)
         for i in free.tolist():
             dist[i], par[i], done[i] = 0.0, src, True
-        lim[free] = -SLACK
-        if out_src[diag] < inf:
+        if diag in adj[src]:
             dist[diag], par[diag], lim[diag] = 0.0, src, -SLACK
             heap.append((0.0, diag))
         if free.size:
@@ -195,19 +191,14 @@ def _ship(xs: list, mx: list, ys: list, my: list):
             if done[u]:
                 continue
             done[u] = True
-            if u < nx:         # an X node the source no longer reaches
-                relax_all(nx, lim_y, dd + red[u], u)
-            elif u < src:
-                pu = potl[u]
-                for v, c in out_y[u - nx].items():
-                    nd = dd + max(c + pu - potl[v], 0.0)
-                    if nd < dist[v] - SLACK:
-                        dist[v], par[v], lim[v] = nd, u, nd - SLACK
-                        heapq.heappush(heap, (nd, v))
-            else:
-                relax_all(nx, lim_y, dd + red[u - dst + nx], u)
-                if u == diag:
-                    relax_all(0, lim_x, dd + np.maximum(out_back + potl[diag] - pot[:nx], 0.0), u)
+            if u < nx or u >= dst:   # a row of `out`: an X node, the sink, the diagonal
+                relax_all(dd + red[u if u < nx else u - dst + nx], u)
+            pu = potl[u]
+            for v, c in adj[u].items():
+                nd = dd + max(c + pu - potl[v], 0.0)
+                if nd < dist[v] - SLACK:
+                    dist[v], par[v], lim[v] = nd, u, nd - SLACK
+                    heapq.heappush(heap, (nd, v))
         if par[dst] < 0:
             break
         reached = np.array(dist)

@@ -5,7 +5,8 @@ import pytest
 
 from perimere import (IntMatrix, build, equals, extract, multiplicity_bound,
                       parse, unroll)
-from perimere.barcode import Bar, to_csv, to_json_dict
+from perimere.barcode import Bar, PeriodicBarcode, to_csv, to_json_dict
+from perimere.mergetree import TOL
 from perimere.synthetic import random_periodic_graph
 
 from .conftest import fig3_left_doc, helix_cross_doc
@@ -62,6 +63,18 @@ class TestEquals:
     def test_dimension_mismatch(self, fig3_left, helix_cross):
         with pytest.raises(ValueError):
             equals(extract(build(fig3_left)), extract(build(helix_cross)))
+
+    @pytest.mark.parametrize("bar,same", [
+        (Bar(1.0, 2.0, 1.0), True),
+        (Bar(1.0, 2.0, 1.0 + TOL / 2), True),     # mults within TOL
+        (Bar(1.0 + TOL / 2, 2.0, 1.0), False),    # births and deaths are exact
+        (Bar(1.0, 2.5, 1.0), False),
+        (Bar(1.0, INF, 1.0), False),
+        (Bar(1.0, 2.0, 1.0 + 2 * TOL), False),
+    ])
+    def test_same_length_eras(self, bar, same):
+        ref = PeriodicBarcode(1, [[Bar(0.0, INF, 1.0)], [Bar(1.0, 2.0, 1.0)]])
+        assert equals(ref, PeriodicBarcode(1, [[Bar(0.0, INF, 1.0)], [bar]])) is same
 
 
 class TestDiagram:

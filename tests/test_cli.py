@@ -109,6 +109,18 @@ class TestInputErrors:
         assert_one_error_line(code, err)
         assert named in err and out == ""
 
+    @pytest.mark.parametrize("missing", [None, "dim", "basis", "vertices", "edges"])
+    def test_root_not_an_object_or_missing_a_key(self, capsys, tmp_path, missing):
+        doc = {"dim": 1, "basis": [[1.0]], "vertices": [], "edges": []}
+        if missing is None:
+            doc, named = [], "root must be a JSON object"
+        else:
+            del doc[missing]
+            named = f"missing required key '{missing}'"
+        code, out, err = self._run_doc(capsys, tmp_path, doc)
+        assert_one_error_line(code, err)
+        assert named in err and out == ""
+
     def test_deeply_nested_document_rejected(self, capsys, tmp_path):
         p = tmp_path / "deep.json"
         p.write_text("[" * 200000 + "]" * 200000)
@@ -213,6 +225,7 @@ class TestUsageErrors:
         ("count-shadows", "H", "--component-at", "inf", "--radius", "2"),
         ("count-shadows", "H", "--component-at=-inf", "--radius", "2"),
         ("count-shadows", "H", "--component-at", "-100", "--radius", "-5"),  # nothing alive
+        ("unroll", "G", "--sublattice", "2"),     # 1x1 sublattice of a 2-d graph
     ])
     def test_usage_error_exits_1_with_one_line(self, capsys, fixture_paths, argv):
         paths = {"G": str(fixture_paths[0]), "H": str(fixture_paths[1])}

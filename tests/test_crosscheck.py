@@ -365,7 +365,9 @@ def _tree_pairs(seed):
 
 
 class TestSplintersOracle:
-    @pytest.mark.parametrize("seed", [47, 48])
+    # on seeds 88 and 159 an assignment of children backtracks before a
+    # pair splinters
+    @pytest.mark.parametrize("seed", [47, 48, 88, 159])
     def test_bools_agree(self, seed):
         got = [(splinters(a, b), oracles.splinters(a, b)) for a, b in _tree_pairs(seed)]
         assert [g for g, _ in got] == [r for _, r in got]

@@ -315,3 +315,11 @@ class TestCountCosetsInBall:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             count_cosets_in_ball(I2, SublatticeBasis.empty(2), 1000.0, budget=100)
+
+    @pytest.mark.parametrize("scale", [1e-5, 1.0, 1e5])
+    def test_counts_do_not_depend_on_the_scale(self, scale):
+        # the slack on the ball and the box is relative to the radius, so a
+        # small basis counts no points outside the ball
+        u = RealBasis([[scale, 0.0], [0.0, scale]])
+        got = [count_cosets_in_ball(u, SublatticeBasis.empty(2), f * scale) for f in (1.2, 2.2, 1.0)]
+        assert got == [5, 13, 5]

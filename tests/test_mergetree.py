@@ -1,5 +1,6 @@
 import math
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -298,6 +299,19 @@ class TestSplinters:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2 ** 20
+
+    def test_star_splinters_in_linear_time(self):
+        # a child group skips the classes that earlier groups used up, so
+        # twice the leaves take about twice the time (x3.5 when each group
+        # scanned every class)
+        def best(t):
+            times = []
+            for _ in range(3):
+                t0 = time.perf_counter()
+                assert splinters(t, t)
+                times.append(time.perf_counter() - t0)
+            return min(times)
+        assert best(build(star(8_000))) / best(build(star(4_000))) < 3.0
 
 
 def star(leaves):
