@@ -9,13 +9,13 @@ from .pgraph import (GraphError, PeriodicGraph, cellular_l1, max_shift_magnitude
                      parse, serialize, unroll)
 from .mergetree import (Beam, Epoch, Event, PeriodicMergeTree, UnionFind,
                         build, canonical_form, splinters)
-from .barcode import Bar, PeriodicBarcode, equals, extract
+from .barcode import PeriodicBarcode, equals, extract
 from .transport import barcode_distance, multiplicity_bound, w1, w1_alt
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bar", "Beam", "BudgetExceeded", "Epoch", "Event", "GraphError",
+    "Beam", "BudgetExceeded", "Epoch", "Event", "GraphError",
     "IntMatrix", "PeriodicBarcode", "PeriodicGraph", "PeriodicMergeTree",
     "RealBasis", "SublatticeBasis", "UnionFind",
     "barcode_distance", "build", "canonical_form", "cellular_l1",

@@ -1,62 +1,98 @@
-"""Periodic 0-th barcodes: extraction from merge trees, canonical form, emitters.
+"""Periodic 0-th barcodes: extraction from merge trees, comparison, emitters.
 
 Every epoch of a beam contributes at most two bars to the era matching its
 monomial exponent: one positive bar from the beam's birth to the epoch's
 end, one negative bar from the beam's birth to the epoch's start.  Empty
 bars are skipped, equal bars have their signed multiplicities summed, and
 exact cancellations (e.g. from zero-width epochs at tied heights) drop out.
+
+A barcode is held as columns, with no object per bar: `bars` is one record
+array with the columns exp, birth, death (inf for an essential bar) and
+mult, its rows in (birth, death, exp) order, which is the CSV row order;
+`eras[e]` holds the rows of era e in the same order, so `len(eras[e])` is
+the era's bar count and `eras[e]["mult"]` its multiplicities.
 """
 from __future__ import annotations
 
-import io
 import math
-from dataclasses import dataclass
+
+import numpy as np
 
 from . import jsonfmt
 from .jsonfmt import HOLE
 from .mergetree import TOL, PeriodicMergeTree
 
-
-@dataclass(frozen=True, slots=True)
-class Bar:
-    birth: float
-    death: float          # math.inf for essential bars
-    mult: float           # signed, nonzero after canonicalization
+BAR_ROW = np.dtype([("exp", np.int64), ("birth", float), ("death", float), ("mult", float)])
 
 
 class PeriodicBarcode:
-    """d+1 era barcodes, indexed by monomial exponent 0..d."""
+    """d+1 era barcodes, indexed by monomial exponent 0..d.
 
-    __slots__ = ("dim", "eras")
+    `bars` are (exp, birth, death, mult) rows sorted by (birth, death, exp),
+    one per distinct bar, as `extract` makes them.
+    """
 
-    def __init__(self, dim: int, eras):
+    __slots__ = ("dim", "bars", "eras")
+
+    def __init__(self, dim: int, bars):
         self.dim = dim
-        self.eras = tuple(tuple(e) for e in eras)
-        if len(self.eras) != dim + 1:
-            raise ValueError("need one era per exponent 0..d")
+        self.bars = np.asarray(bars, dtype=BAR_ROW)
+        exp = self.bars["exp"]
+        if len(exp) and not 0 <= exp.min() <= exp.max() <= dim:
+            raise ValueError("bar exponent outside 0..d")
+        self.eras = tuple(self.bars[exp == e] for e in range(dim + 1))
 
     def era_function(self, exp: int) -> dict:
         """Multiplicity function of one era: {(birth, death): mult}."""
-        return {(b.birth, b.death): b.mult for b in self.eras[exp]}
+        era = self.eras[exp]
+        return dict(zip(zip(era["birth"].tolist(), era["death"].tolist()), era["mult"].tolist()))
 
 
 def extract(tree: PeriodicMergeTree) -> PeriodicBarcode:
-    """Periodic 0-th barcode of a periodic merge tree."""
-    d = tree.dim
-    contribs: dict = {}
-    for beam in tree.beams:
-        birth = beam.birth
-        for start, end, coeff, exp, _ in beam.spans():
-            if end > birth:
-                contribs.setdefault((exp, birth, end), []).append(coeff)
-            if start > birth:
-                contribs.setdefault((exp, birth, start), []).append(-coeff)
-    eras = [[] for _ in range(d + 1)]
-    for (exp, birth, death) in sorted(contribs, key=lambda k: (k[1], k[2], k[0])):
-        mult = math.fsum(sorted(contribs[(exp, birth, death)]))
-        if mult != 0.0:
-            eras[exp].append(Bar(birth, death, mult))
-    return PeriodicBarcode(d, eras)
+    """Periodic 0-th barcode of a periodic merge tree.
+
+    The epochs' columns (start, end, coeff, exp and their beam's birth) give
+    the signed contributions, which one stable lexsort orders by (birth,
+    death, exp); a key met once keeps its value as its mult, a repeated key
+    sums its values with `math.fsum`, and zero mults drop out.
+    """
+    beams = tree.beams
+    epochs = [ep for b in beams for ep in b.epochs]
+    counts = [len(b.epochs) for b in beams]
+    start = np.array([ep.start for ep in epochs], dtype=float)
+    coeff = np.array([ep.coeff for ep in epochs], dtype=float)
+    exp = np.array([ep.exp for ep in epochs], dtype=np.int64)
+    birth = np.repeat(np.array([b.birth for b in beams], dtype=float), counts)
+    end = np.empty_like(start)   # the next epoch's start; the beam's death after its last
+    end[:-1] = start[1:]
+    end[np.cumsum(counts, dtype=np.intp) - 1] = [b.death for b in beams]
+    # the spans (epochs of nonzero width), each giving its + and - contribution
+    # in turn, in the order of the beams and their epochs
+    span = end > start
+    death = np.stack((end[span], start[span]), axis=1).ravel()
+    value = np.stack((coeff[span], -coeff[span]), axis=1).ravel()
+    birth = np.repeat(birth[span], 2)
+    exp = np.repeat(exp[span], 2)
+    keep = death > birth
+    order = np.flatnonzero(keep)[np.lexsort((exp[keep], death[keep], birth[keep]))]
+    birth, death, exp, value = birth[order], death[order], exp[order], value[order]
+
+    n = len(order)
+    first = np.ones(n, dtype=bool)
+    first[1:] = (birth[1:] != birth[:-1]) | (death[1:] != death[:-1]) | (exp[1:] != exp[:-1])
+    lo = np.flatnonzero(first)
+    size = np.diff(lo, append=n)
+    mult = value[lo]
+    rep = np.flatnonzero(size > 1)
+    if len(rep):
+        mult[rep] = [math.fsum(value[a:a + k].tolist())
+                     for a, k in zip(lo[rep].tolist(), size[rep].tolist())]
+    nonzero = mult != 0.0
+    lo = lo[nonzero]
+    bars = np.empty(len(lo), dtype=BAR_ROW)
+    bars["exp"], bars["birth"], bars["death"] = exp[lo], birth[lo], death[lo]
+    bars["mult"] = mult[nonzero]
+    return PeriodicBarcode(tree.dim, bars)
 
 
 def equals(b1: PeriodicBarcode, b2: PeriodicBarcode) -> bool:
@@ -64,13 +100,11 @@ def equals(b1: PeriodicBarcode, b2: PeriodicBarcode) -> bool:
     if b1.dim != b2.dim:
         raise ValueError("dimension mismatch")
     for e1, e2 in zip(b1.eras, b2.eras):
-        if len(e1) != len(e2):
+        if len(e1) != len(e2) or not (np.array_equal(e1["birth"], e2["birth"])
+                                      and np.array_equal(e1["death"], e2["death"])):
             return False
-        for a, b in zip(e1, e2):
-            if a.birth != b.birth or a.death != b.death:
-                return False
-            if abs(a.mult - b.mult) > TOL:
-                return False
+        if np.any(np.abs(e1["mult"] - e2["mult"]) > TOL):
+            return False
     return True
 
 
@@ -84,12 +118,8 @@ def to_json_dict(bc: PeriodicBarcode) -> dict:
             {
                 "exp": exp,
                 "bars": [
-                    {
-                        "birth": b.birth,
-                        "death": None if math.isinf(b.death) else b.death,
-                        "mult": b.mult,
-                    }
-                    for b in era
+                    {"birth": birth, "death": None if math.isinf(death) else death, "mult": mult}
+                    for _, birth, death, mult in era.tolist()
                 ],
             }
             for exp, era in enumerate(bc.eras)
@@ -106,22 +136,13 @@ def json_chunks(bc: PeriodicBarcode):
     return jsonfmt.chunks(
         {"dim": bc.dim, "eras": [{"bars": HOLE, "exp": exp} for exp in range(len(bc.eras))]},
         *(jsonfmt.items(map(bar.__mod__, zip(
-            jsonfmt.floats([b.birth for b in era]),
-            jsonfmt.floats([None if math.isinf(b.death) else b.death for b in era]),
-            jsonfmt.floats([b.mult for b in era]))), 3)
+            jsonfmt.floats(era["birth"].tolist()),
+            jsonfmt.floats([None if math.isinf(x) else x for x in era["death"].tolist()]),
+            jsonfmt.floats(era["mult"].tolist()))), 3)
           for era in bc.eras))
 
 
 def to_csv(bc: PeriodicBarcode) -> str:
-    """Rows era,birth,death,mult in the canonical (birth, death, era) order."""
-    rows = []
-    for exp, era in enumerate(bc.eras):
-        for b in era:
-            rows.append((b.birth, b.death, exp, b.mult))
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    out = io.StringIO()
-    out.write("era,birth,death,mult\n")
-    for birth, death, exp, mult in rows:
-        dtxt = "inf" if math.isinf(death) else repr(death)
-        out.write(f"{exp},{birth!r},{dtxt},{mult!r}\n")
-    return out.getvalue()
+    """Rows era,birth,death,mult in the canonical (birth, death, era) order,
+    which is the order of `bc.bars`; `repr` writes an essential death as inf."""
+    return "era,birth,death,mult\n" + "".join(map("%d,%r,%r,%r\n".__mod__, bc.bars.tolist()))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -168,7 +169,7 @@ def hnf_reduce(matrix, dim: int | None = None) -> SublatticeBasis:
     if isinstance(matrix, IntMatrix):
         cols, d = matrix.columns, matrix.rows
     else:
-        cols = tuple(tuple(int(e) for e in col) for col in matrix)
+        cols = tuple([tuple(map(int, col)) for col in matrix])
         if cols:
             d = len(cols[0])
             if any(len(c) != d for c in cols):
@@ -239,12 +240,12 @@ class RealBasis:
     """Real d x d basis matrix U (columns are lattice vectors) with caches.
 
     Caches the inverse, the operator norm of the inverse (largest singular
-    value), and vol_d = |det U|.  When every entry is an exact integer, an
-    integer copy is kept so sublattice volumes come out of exact Gram
-    determinants.
+    value), and vol_d = |det U|.  When every entry is an exact integer, U's
+    integer rows and the exact |det U| are kept too (else both are None),
+    so sublattice volumes come out of exact integer determinants.
     """
 
-    __slots__ = ("dim", "matrix", "inverse", "volume", "inverse_norm", "int_columns")
+    __slots__ = ("dim", "matrix", "inverse", "volume", "inverse_norm", "int_rows", "int_det")
 
     def __init__(self, columns):
         u = np.array([[float(e) for e in col] for col in columns], dtype=float).T
@@ -258,12 +259,11 @@ class RealBasis:
         self.inverse = np.linalg.inv(u)
         if np.max(np.abs(u @ self.inverse - np.eye(self.dim))) > 1e-12:
             raise ValueError("basis too ill-conditioned to invert reliably")
-        ints = None
+        self.int_rows = self.int_det = None
         if all(float(e).is_integer() for col in columns for e in col):
-            ints = tuple(tuple(int(e) for e in col) for col in columns)
-        self.int_columns = ints
-        if ints is not None:
-            self.volume = float(abs(_int_det([[ints[j][i] for j in range(self.dim)] for i in range(self.dim)])))
+            self.int_rows = tuple(zip(*(tuple(int(e) for e in col) for col in columns)))
+            self.int_det = abs(_int_det(self.int_rows))
+            self.volume = float(self.int_det)
         else:
             self.volume = float(abs(det))
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
@@ -280,16 +280,29 @@ def volume(u: RealBasis, l: SublatticeBasis) -> float:
 
     sqrt(det(G^T G)) with G = U . columns(L); the rank-0 lattice has
     volume 1 by convention.
+
+    On an integer basis U, det(G^T G) is an exact int, found by one of two
+    routes.  At full rank the HNF is lower triangular, so det G is det U
+    times the product of the pivots, and det(G^T G) = (|det U| * pivots)^2.
+    Below full rank, G is U's integer rows times L's columns, and its
+    p x p Gram matrix goes to an exact (Bareiss) determinant.  Both give
+    the very int the Gram determinant is, and `math.sqrt` rounds an int the
+    same way whichever route made it, so every volume, and every byte
+    written from one, is that of the plain Gram computation.  A float
+    basis takes the numpy Gram determinant.
     """
     p = l.rank
     if p == 0:
         return 1.0
-    if u.int_columns is not None:
-        ucols = u.int_columns
-        d = u.dim
-        g = [[sum(ucols[c][r] * col[c] for c in range(d)) for r in range(d)] for col in l.columns]
-        gram = [[sum(g[i][r] * g[j][r] for r in range(d)) for j in range(p)] for i in range(p)]
-        det = _int_det(gram)
+    if u.int_rows is not None:
+        if p == u.dim:
+            root = u.int_det
+            for i, col in enumerate(l.columns):
+                root *= col[i]
+            det = root * root
+        else:
+            g = [[sum(map(mul, row, col)) for row in u.int_rows] for col in l.columns]
+            det = _int_det([[sum(map(mul, a, b)) for b in g] for a in g])
         try:
             return math.sqrt(det)
         except OverflowError:   # det is past the float range: sqrt(det / 4^k) * 2^k

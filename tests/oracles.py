@@ -6,20 +6,26 @@ Hungarian method, connectivity by breadth-first search.  The splinters
 check and canonical form are the library's earlier recursive
 implementation, `oracle_unroll` its earlier per-edge unroll, and
 `oracle_hnf_columns` its earlier HNF reduction carrying a separate transform
-matrix, and `oracle_w1` its earlier transport solver (one arc record per
-pair, with the transport plan it can report); all are kept as differential
-references for the current code.
+matrix, `oracle_w1` its earlier transport solver (one arc record per
+pair, with the transport plan it can report), `oracle_extract` its earlier
+barcode extraction (a dict of contributions per bar key, with its CSV and
+JSON renderings) and `oracle_volume` its earlier sublattice volume (an
+integer Gram matrix and a Bareiss determinant on integer bases); all are
+kept as differential references for the current code.
 """
 import functools
 import heapq
+import io
 import itertools
+import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from perimere.lattice import IntMatrix, coset_reps, hnf_transform, reduce_mod, solve
+from perimere.lattice import (IntMatrix, RealBasis, SublatticeBasis, _int_det, coset_reps,
+                              hnf_transform, reduce_mod, solve)
 from perimere.mergetree import PeriodicMergeTree
 from perimere.pgraph import GraphError, PeriodicGraph, parse
 from perimere.transport import MASS_SCALE, _scaled
@@ -590,3 +596,69 @@ def oracle_hnf_columns(dim: int, columns, with_transform: bool = False):
     if with_transform:
         return basis, [tuple(col) for col in cols], [tuple(t) for t in trans]
     return basis, None, None
+
+
+def oracle_extract(tree: PeriodicMergeTree) -> list:
+    """Per era 0..d, the (birth, death, mult) bars in (birth, death) order.
+
+    Every span of a beam adds +coeff to the key (exp, birth, end) and
+    -coeff to (exp, birth, start) when those bars are not empty; each key's
+    mult is the `math.fsum` of its values, and zero mults drop out.
+    """
+    contribs: dict = {}
+    for beam in tree.beams:
+        birth = beam.birth
+        for start, end, coeff, exp, _ in beam.spans():
+            if end > birth:
+                contribs.setdefault((exp, birth, end), []).append(coeff)
+            if start > birth:
+                contribs.setdefault((exp, birth, start), []).append(-coeff)
+    eras = [[] for _ in range(tree.dim + 1)]
+    for (exp, birth, death) in sorted(contribs, key=lambda k: (k[1], k[2], k[0])):
+        mult = math.fsum(sorted(contribs[(exp, birth, death)]))
+        if mult != 0.0:
+            eras[exp].append((birth, death, mult))
+    return eras
+
+
+def oracle_csv(eras: list) -> str:
+    """`oracle_extract`'s bars as CSV rows, sorted by (birth, death, era)."""
+    rows = sorted((birth, death, exp, mult)
+                  for exp, era in enumerate(eras) for birth, death, mult in era)
+    out = io.StringIO()
+    out.write("era,birth,death,mult\n")
+    for birth, death, exp, mult in rows:
+        dtxt = "inf" if math.isinf(death) else repr(death)
+        out.write(f"{exp},{birth!r},{dtxt},{mult!r}\n")
+    return out.getvalue()
+
+
+def oracle_json(eras: list) -> str:
+    """`oracle_extract`'s bars as the indent-2, sorted-key barcode JSON."""
+    return json.dumps({
+        "dim": len(eras) - 1,
+        "eras": [{"exp": exp, "bars": [
+            {"birth": birth, "death": None if math.isinf(death) else death, "mult": mult}
+            for birth, death, mult in era]} for exp, era in enumerate(eras)],
+    }, indent=2, sort_keys=True)
+
+
+def oracle_volume(u: RealBasis, l: SublatticeBasis) -> float:
+    """sqrt(det(G^T G)), G = U . columns(L): on an integer basis the Gram
+    matrix of G's integer columns and its Bareiss determinant, else numpy."""
+    p = l.rank
+    if p == 0:
+        return 1.0
+    if u.int_rows is not None:
+        d = u.dim
+        g = [[sum(u.int_rows[r][c] * col[c] for c in range(d)) for r in range(d)]
+             for col in l.columns]
+        gram = [[sum(g[i][r] * g[j][r] for r in range(d)) for j in range(p)] for i in range(p)]
+        det = _int_det(gram)
+        try:
+            return math.sqrt(det)
+        except OverflowError:
+            k = (det.bit_length() - 1000) // 2
+            return math.ldexp(math.sqrt(det >> 2 * k), k)
+    g = u.matrix @ np.array(l.columns, dtype=float).T
+    return float(math.sqrt(max(np.linalg.det(g.T @ g), 0.0)))

@@ -71,12 +71,12 @@ def test_c1_golden_fixture_steps(helix_cross):
 
 @criterion(2, "barcode-remark")
 def test_c2_barcode_remark(helix_cross):
-    era0 = {(b.birth, b.death): b.mult for b in extract(build(helix_cross)).eras[0]}
+    era0 = extract(build(helix_cross)).era_function(0)
     assert abs(era0[(2.0, 12.0)] - 2.0) <= 1e-9
     assert abs(era0[(1.0, 12.0)] + 2.0) <= 1e-9
     doc = helix_cross_doc()
     doc["vertices"][1]["value"] = 0.99
-    keys = {(b.birth, b.death) for b in extract(build(parse(doc))).eras[0]}
+    keys = set(extract(build(parse(doc))).era_function(0))
     assert (2.0, 12.0) not in keys
     assert (1.0, 12.0) not in keys
     assert all(abs(k[0] - 0.99) <= 1e-9 for k in keys)

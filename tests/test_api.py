@@ -30,7 +30,7 @@ def test_tracer_binds_on_current_api():
     try:
         g = perimere.parse(FIXTURE_DIR / "helix_cross_3d.json")
         t = perimere.build(g)
-        perimere.extract(t)
+        code = perimere.extract(t)
         assert perimere.splinters(t, t)
     finally:
         tracer.uninstall()
@@ -39,6 +39,10 @@ def test_tracer_binds_on_current_api():
     summary = tracer.summarize(0, len(tracer))
     assert summary["mergetree.beams"] == 5
     assert summary["mergetree.splinters_beams"] == 5
+    assert [summary[f"barcode.bars.era{e}"] for e in range(4)] == [len(era) for era in code.eras]
+    # the fixture catenates, and build reaches the lattice through the traced names
+    assert summary["mergetree.catenations"] > 0
+    assert summary["lattice.volume_calls"] > 0 and summary["lattice.hnf_reduce_calls"] > 0
 
 
 def test_cli_imports_numpy_only():

@@ -5,7 +5,7 @@ import pytest
 
 from perimere import (IntMatrix, build, equals, extract, multiplicity_bound,
                       parse, unroll)
-from perimere.barcode import Bar, PeriodicBarcode, to_csv, to_json_dict
+from perimere.barcode import PeriodicBarcode, to_csv, to_json_dict
 from perimere.mergetree import TOL
 from perimere.synthetic import random_periodic_graph
 
@@ -16,7 +16,7 @@ INF = math.inf
 
 
 def bars(code, exp):
-    return [(b.birth, b.death, round(b.mult, 9)) for b in code.eras[exp]]
+    return [(birth, death, round(mult, 9)) for _, birth, death, mult in code.eras[exp].tolist()]
 
 
 class TestExtractGolden:
@@ -31,11 +31,11 @@ class TestExtractGolden:
                    "vertices": [{"id": 0, "value": 1.5}], "edges": []})
         code = extract(build(g))
         assert bars(code, 2) == [(1.5, INF, 0.25)]
-        assert code.eras[0] == () and code.eras[1] == ()
+        assert len(code.eras[0]) == len(code.eras[1]) == 0
 
     def test_helix_constant_era_remark(self, helix_cross):
         code = extract(build(helix_cross))
-        era0 = {(b.birth, b.death): b.mult for b in code.eras[0]}
+        era0 = code.era_function(0)
         assert era0[(2.0, 12.0)] == pytest.approx(2.0, abs=1e-9)
         assert era0[(1.0, 12.0)] == pytest.approx(-2.0, abs=1e-9)
         assert era0[(1.0, INF)] == pytest.approx(1.0, abs=1e-9)
@@ -44,7 +44,7 @@ class TestExtractGolden:
         doc = helix_cross_doc()
         doc["vertices"][1]["value"] = 0.99
         code = extract(build(parse(doc)))
-        keys = {(b.birth, b.death) for b in code.eras[0]}
+        keys = set(code.era_function(0))
         assert (2.0, 12.0) not in keys
         assert (1.0, 12.0) not in keys
         assert not equals(code, extract(build(parse(helix_cross_doc()))))
@@ -64,27 +64,29 @@ class TestEquals:
         with pytest.raises(ValueError):
             equals(extract(build(fig3_left)), extract(build(helix_cross)))
 
+    # bars are (birth, death, mult) in era 1, next to one era-0 bar
     @pytest.mark.parametrize("bar,same", [
-        (Bar(1.0, 2.0, 1.0), True),
-        (Bar(1.0, 2.0, 1.0 + TOL / 2), True),     # mults within TOL
-        (Bar(1.0 + TOL / 2, 2.0, 1.0), False),    # births and deaths are exact
-        (Bar(1.0, 2.5, 1.0), False),
-        (Bar(1.0, INF, 1.0), False),
-        (Bar(1.0, 2.0, 1.0 + 2 * TOL), False),
+        ((1.0, 2.0, 1.0), True),
+        ((1.0, 2.0, 1.0 + TOL / 2), True),     # mults within TOL
+        ((1.0 + TOL / 2, 2.0, 1.0), False),    # births and deaths are exact
+        ((1.0, 2.5, 1.0), False),
+        ((1.0, INF, 1.0), False),
+        ((1.0, 2.0, 1.0 + 2 * TOL), False),
     ])
     def test_same_length_eras(self, bar, same):
-        ref = PeriodicBarcode(1, [[Bar(0.0, INF, 1.0)], [Bar(1.0, 2.0, 1.0)]])
-        assert equals(ref, PeriodicBarcode(1, [[Bar(0.0, INF, 1.0)], [bar]])) is same
+        ref = PeriodicBarcode(1, [(0, 0.0, INF, 1.0), (1, 1.0, 2.0, 1.0)])
+        assert equals(ref, PeriodicBarcode(1, [(0, 0.0, INF, 1.0), (1, *bar)])) is same
 
 
 class TestDiagram:
     def test_infinite_point_present(self, helix_cross):
         era0 = extract(build(helix_cross)).eras[0]
-        assert Bar(1.0, INF, 1.0) in era0
+        assert (0, 1.0, INF, 1.0) in era0.tolist()
 
     def test_empty(self):
         g = parse({"dim": 1, "basis": [[1.0]], "vertices": [], "edges": []})
-        assert extract(build(g)).eras == ((), ())
+        code = extract(build(g))
+        assert len(code.bars) == 0 and [len(era) for era in code.eras] == [0, 0]
 
 
 class TestProperties:
@@ -96,8 +98,8 @@ class TestProperties:
             code = extract(tree)
             for exp, era in enumerate(code.eras):
                 by_birth = {}
-                for b in era:
-                    by_birth[b.birth] = by_birth.get(b.birth, 0.0) + b.mult
+                for _, birth, _, mult in era.tolist():
+                    by_birth[birth] = by_birth.get(birth, 0.0) + mult
                 for birth, total in by_birth.items():
                     cap = max((ep.coeff for beam in tree.beams if beam.birth == birth
                                for ep in beam.epochs if ep.exp == exp), default=0.0)
@@ -116,7 +118,8 @@ class TestProperties:
             probes = [h + 0.01 for h in heights] + [heights[0] - 1.0 if heights else 0.0]
             for t in probes:
                 for exp, era in enumerate(code.eras):
-                    alive = sum(b.mult for b in era if b.birth <= t < b.death)
+                    alive = sum(mult for _, birth, death, mult in era.tolist()
+                                if birth <= t < death)
                     active = 0.0
                     for beam in tree.beams:
                         if beam.birth <= t < beam.death:
@@ -131,15 +134,15 @@ class TestProperties:
             g = random_periodic_graph(rng, n=rng.randint(1, 25), m=rng.randint(0, 40))
             tree = build(g)
             code = extract(tree)
-            essential = [b for era in code.eras for b in era if math.isinf(b.death)]
+            essential = [mult for _, _, death, mult in code.bars.tolist() if math.isinf(death)]
             assert len(essential) == len(tree.roots())
             finals = sorted(round(tree.beams[r].epochs[-1].coeff, 9) for r in tree.roots())
-            assert sorted(round(b.mult, 9) for b in essential) == finals
+            assert sorted(round(mult, 9) for mult in essential) == finals
 
     def test_multiplicities_below_bound(self, helix_cross, fig3_left):
         for g in (helix_cross, fig3_left):
             code = extract(build(g))
-            most = max(abs(b.mult) for era in code.eras for b in era)
+            most = max(abs(code.bars["mult"]))
             assert most <= multiplicity_bound(g)
 
 

@@ -11,8 +11,9 @@ from scipy.optimize import linprog
 
 from perimere import (GraphError, IntMatrix, build, canonical_form, equals, extract,
                       parse, serialize, splinters, unroll, w1, w1_alt)
-from perimere.lattice import RealBasis, count_cosets_in_ball, hnf_reduce
-from perimere.mergetree import _TreeIndex
+from perimere.barcode import json_chunks, to_csv
+from perimere.lattice import RealBasis, SublatticeBasis, count_cosets_in_ball, hnf_reduce
+from perimere.mergetree import Beam, Epoch, PeriodicMergeTree, _TreeIndex
 from perimere.synthetic import random_periodic_graph, torus_grid
 from perimere.transport import _add, barcode_distance, positive_negative_split
 
@@ -364,7 +365,33 @@ def _tree_pairs(seed):
     return pairs
 
 
+def _leaves(coeffs, below=None):
+    """A merge tree in d = 1 of leaves born at 0, each one epoch of exponent 1
+    with the given coefficient: the roots, or, when `below` is given, the
+    children of one root born at -1 with that coefficient, all merging at 10."""
+    empty = SublatticeBasis.empty(1)
+    beams = [] if below is None else [Beam(0, -1.0, 0, [Epoch(-1.0, below, 1, empty)])]
+    for c in coeffs:
+        beam = Beam(len(beams), 0.0, len(beams), [Epoch(0.0, c, 1, empty)])
+        if below is not None:
+            beam.death, beam.parent, beam.merge_edge = 10.0, 0, len(beams)
+        beams.append(beam)
+    return PeriodicMergeTree(1, beams)
+
+
 class TestSplintersOracle:
+    @pytest.mark.parametrize("below", [None, 1.0])
+    def test_first_pick_starves_a_later_group(self, below):
+        # text order tries the image group A (one leaf of coeff 12) before B
+        # (two of 6), and the preimage class X (four leaves of 3) before Y
+        # (three of 4).  A <- X comes first and leaves B only Y, which two
+        # beams cannot split evenly; only the backtrack to A <- Y, B <- X
+        # splinters.  Roots take whole classes, children their ratio count
+        image = _leaves([12.0, 6.0, 6.0], below)
+        cover = _leaves([4.0, 4.0, 4.0, 3.0, 3.0, 3.0, 3.0], below)
+        assert splinters(cover, image) and oracles.splinters(cover, image)
+        assert not splinters(image, cover) and not oracles.splinters(image, cover)
+
     # on seeds 88 and 159 an assignment of children backtracks before a
     # pair splinters
     @pytest.mark.parametrize("seed", [47, 48, 88, 159])
@@ -410,6 +437,35 @@ class TestSplintersOracle:
                         if b.birth <= top <= b.death}
                 want = sorted(reps, key=lambda dg: oracles._digest(tree, reps[dg], top, 1e-9))
                 assert idx.ordered(reps, top) == want
+
+
+class TestExtractOracle:
+    # the column extract against the dict-per-key reference: per era the
+    # bar count, births and deaths with ==, and mults with == too, since
+    # fsum is correctly rounded in any order; and the CSV and JSON bytes
+    def test_bars_and_bytes_match(self):
+        rng = random.Random(16)
+        graphs = [parse({"dim": 2, "basis": [[1.0, 0.0], [0.0, 1.0]], "vertices": [], "edges": []}),
+                  parse({"dim": 1, "basis": [[2.0]], "vertices": [{"id": 0, "value": 1.5}],
+                         "edges": []})]
+        for _ in range(520):
+            n = rng.randint(1, 12)
+            graphs.append(random_periodic_graph(
+                rng, dim=rng.choice((1, 2, 3)), n=n, m=rng.randint(0, 3 * n),
+                shift_range=rng.choice((1, 2)), tie_values=rng.random() < 0.6))
+        merged = 0
+        for g in graphs:
+            tree = build(g)
+            code, want = extract(tree), oracles.oracle_extract(tree)
+            assert [len(era) for era in code.eras] == [len(era) for era in want]
+            for era, ref in zip(code.eras, want):
+                assert era[["birth", "death", "mult"]].tolist() == ref
+            assert to_csv(code) == oracles.oracle_csv(want)
+            assert "".join(json_chunks(code)) == oracles.oracle_json(want)
+            # a span adds a + contribution, and a - one when it starts after the birth
+            contribs = sum(1 + (st > beam.birth) for beam in tree.beams for st, *_ in beam.spans())
+            merged += len(code.bars) < contribs
+        assert merged > 100   # keys that repeat, and sums that cancel, are common
 
 
 class TestUnrollOracle:

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from perimere.lattice import (BudgetExceeded, IntMatrix, RealBasis,
-                              SublatticeBasis, coset_reps, count_cosets_in_ball,
+                              SublatticeBasis, _int_det, coset_reps, count_cosets_in_ball,
                               hnf_reduce, hnf_transform, lattice_sum, member,
                               reduce_mod, solve, unit_ball_volume, volume)
 
-from .oracles import brute_member, oracle_hnf_columns
+from .oracles import brute_member, oracle_hnf_columns, oracle_volume
 
 I2 = RealBasis([[1.0, 0.0], [0.0, 1.0]])
 I3 = RealBasis([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
@@ -229,6 +229,88 @@ class TestVolume:
                      for j in range(2)]
             l2 = hnf_reduce(mixed)
             assert volume(u, l2) == pytest.approx(volume(u, l), rel=1e-9)
+
+
+def _lattices(rng, d, rank, count=4, reach=6):
+    """`count` HNF lattices of the given rank in Z^d, from redundant generators."""
+    out = []
+    while len(out) < count:
+        gens = [tuple(rng.randint(-reach, reach) for _ in range(d)) for _ in range(rank)]
+        gens += [tuple(sum(rng.randint(-2, 2) * g[r] for g in gens) for r in range(d))
+                 for _ in range(rng.randint(0, 2))]
+        l = hnf_reduce(gens, dim=d)
+        if l.rank == rank:
+            out.append(l)
+    return out
+
+
+class TestVolumeExactness:
+    # on integer bases `volume` takes the pivot product at full rank and an
+    # integer-row Gram below it; both must give the very float of the plain
+    # Gram determinant (`oracle_volume`), bit for bit, at every rank 0..d
+
+    # |det U| > 2^53, and sqrt(float(det U ** 2)) != float(|det U|): a volume
+    # rounded from |det U| * pivots without the square would differ
+    BIG = [[2**20 + 8, 5, 0], [3, 2**20 + 7, 2], [0, 1, 2**20 + 3]]
+
+    def _check(self, u, rng):
+        for rank in range(u.dim + 1):
+            for l in _lattices(rng, u.dim, rank):
+                assert volume(u, l).hex() == oracle_volume(u, l).hex()
+
+    def test_random_integer_bases(self):
+        rng = random.Random(16)
+        signs, checked = set(), 0
+        for _ in range(150):
+            d = rng.choice((1, 2, 3))
+            cols = [[rng.randint(-9, 9) for _ in range(d)] for _ in range(d)]
+            try:
+                u = RealBasis(cols)
+            except ValueError:   # singular or ill-conditioned
+                continue
+            det = _int_det(u.int_rows)
+            assert u.int_det == abs(det) and u.volume == float(abs(det))
+            signs.add(det > 0)
+            self._check(u, rng)
+            checked += 1
+        assert signs == {True, False} and checked > 100
+
+    def test_non_diagonal_and_unimodular_bases(self):
+        rng = random.Random(17)
+        for d in (2, 3):
+            for _ in range(10):
+                u = RealBasis(random_unimodular(rng, d, ops=4))
+                assert u.int_det == 1
+                self._check(u, rng)
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_det_above_two_to_the_53(self, swap):
+        cols = [self.BIG[1], self.BIG[0], self.BIG[2]] if swap else self.BIG
+        u = RealBasis(cols)
+        assert (_int_det(u.int_rows) < 0) is swap
+        assert u.int_det > 2**53 and u.int_det != int(u.volume)   # the float lost digits
+        assert math.sqrt(u.int_det ** 2) != float(u.int_det)
+        assert volume(u, hnf_reduce(IntMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))) \
+            == math.sqrt(u.int_det ** 2)
+        self._check(u, random.Random(18))
+        self._check(u, random.Random(19))
+
+    def test_gram_determinant_past_float_range(self):
+        # sqrt of an int above the float range raises OverflowError; both
+        # routes then scale by a power of four, as the oracle does
+        big = 10**80
+        u = RealBasis([[big, 0, 0], [3, big, 0], [0, 1, big]])
+        rng = random.Random(20)
+        for rank in (2, 3):
+            for l in _lattices(rng, 3, rank):
+                v = volume(u, l)
+                assert v > 1.4e154   # v * v is past the float range
+                assert v.hex() == oracle_volume(u, l).hex()
+
+    def test_float_basis_takes_numpy_gram(self):
+        u = RealBasis([[1.5, 0.25, 0.0], [-0.5, 2.0, 0.1], [0.0, 0.3, 1.2]])
+        assert u.int_rows is None and u.int_det is None
+        self._check(u, random.Random(21))
 
 
 class TestUnitBallVolume:

@@ -306,7 +306,7 @@ class TestSplinters:
         # scanned every class)
         def best(t):
             times = []
-            for _ in range(3):
+            for _ in range(5):
                 t0 = time.perf_counter()
                 assert splinters(t, t)
                 times.append(time.perf_counter() - t0)
