@@ -7,15 +7,15 @@ from .lattice import (BudgetExceeded, IntMatrix, RealBasis, SublatticeBasis,
                       lattice_sum, member, unit_ball_volume, volume)
 from .pgraph import (GraphError, PeriodicGraph, cellular_l1, max_shift_magnitude,
                      parse, serialize, unroll)
-from .mergetree import (Beam, Epoch, Event, PeriodicMergeTree, UnionFind,
-                        build, canonical_form, splinters)
+from .mergetree import (Event, PeriodicMergeTree, UnionFind, build, canonical_form,
+                        splinters)
 from .barcode import PeriodicBarcode, equals, extract
 from .transport import barcode_distance, multiplicity_bound, w1, w1_alt
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Beam", "BudgetExceeded", "Epoch", "Event", "GraphError",
+    "BudgetExceeded", "Event", "GraphError",
     "IntMatrix", "PeriodicBarcode", "PeriodicGraph", "PeriodicMergeTree",
     "RealBasis", "SublatticeBasis", "UnionFind",
     "barcode_distance", "build", "canonical_form", "cellular_l1",

@@ -51,21 +51,13 @@ class PeriodicBarcode:
 def extract(tree: PeriodicMergeTree) -> PeriodicBarcode:
     """Periodic 0-th barcode of a periodic merge tree.
 
-    The epochs' columns (start, end, coeff, exp and their beam's birth) give
-    the signed contributions, which one stable lexsort orders by (birth,
+    The tree's epoch columns (start, end, coeff, exp and their beam's birth)
+    give the signed contributions, which one stable lexsort orders by (birth,
     death, exp); a key met once keeps its value as its mult, a repeated key
     sums its values with `math.fsum`, and zero mults drop out.
     """
-    beams = tree.beams
-    epochs = [ep for b in beams for ep in b.epochs]
-    counts = [len(b.epochs) for b in beams]
-    start = np.array([ep.start for ep in epochs], dtype=float)
-    coeff = np.array([ep.coeff for ep in epochs], dtype=float)
-    exp = np.array([ep.exp for ep in epochs], dtype=np.int64)
-    birth = np.repeat(np.array([b.birth for b in beams], dtype=float), counts)
-    end = np.empty_like(start)   # the next epoch's start; the beam's death after its last
-    end[:-1] = start[1:]
-    end[np.cumsum(counts, dtype=np.intp) - 1] = [b.death for b in beams]
+    start, coeff, exp, end = tree.start, tree.coeff, tree.exp, tree.epoch_ends()
+    birth = np.repeat(tree.birth, np.diff(tree.offsets))
     # the spans (epochs of nonzero width), each giving its + and - contribution
     # in turn, in the order of the beams and their epochs
     span = end > start

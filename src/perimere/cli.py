@@ -128,14 +128,15 @@ def cmd_count_shadows(args) -> int:
     tree = mt.build(g)
     t = args.component_at
     rows = []
-    for beam in tree.beams:
-        if beam.birth <= t < beam.death:
-            coeff, exp, basis = beam.monomial(t)
+    for b in tree.beams:
+        active = tree.monomial(b, t)
+        if active is not None:
+            coeff, exp, basis = active
             predicted = coeff * unit_ball_volume(exp) * args.radius ** exp
             counted = count_cosets_in_ball(g.basis, basis, args.radius, budget)
             rows.append({
-                "beam": beam.index,
-                "birth_vertex": beam.birth_vertex,
+                "beam": b,
+                "birth_vertex": tree.birth_vertex[b].item(),
                 "coeff": coeff,
                 "exp": exp,
                 "predicted": predicted,

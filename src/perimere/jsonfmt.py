@@ -8,10 +8,11 @@ The large documents (merge trees, graphs, barcodes) are written from record
 templates, with no dict per record: `template(shape, depth)` lays a record
 shape out once, exactly as `dumps` would at that depth, with a `%s` for each
 `HOLE`, so a record costs one `%` with its fills.  `items` lays a list out
-around the texts of its items, `floats` writes a column of floats, and
-`chunks` fills the holes of a whole document, yielding its text in pieces
-that can be written one after another.  The depth of a value is the number
-of containers around it: a top-level key's value has depth 1.
+around the texts of its items, `blocks` splits a writer's rows into the
+blocks it makes texts for at a time, `floats` writes a column of floats,
+and `chunks` fills the holes of a whole document, yielding its text in
+pieces that can be written one after another.  The depth of a value is the
+number of containers around it: a top-level key's value has depth 1.
 """
 from __future__ import annotations
 
@@ -62,12 +63,22 @@ def floats(xs: list) -> list:
     return [_float(x) if x is not None else "null" for x in xs]
 
 
-_BLOCK = 4096   # items joined per chunk
+_BLOCK = 256   # items joined per chunk, and rows a record writer turns into texts at once
+
+
+def blocks(n: int):
+    """The ranges (a, b) that split range(n) into blocks of `_BLOCK` rows:
+    a writer that makes its texts a block at a time holds one block's, as
+    `items` does."""
+    return ((a, min(a + _BLOCK, n)) for a in range(0, n, _BLOCK))
 
 
 def items(texts, depth: int):
     """Chunks of the list, `depth` containers deep, whose items have these
-    texts (each laid out `depth + 1` deep, as `template` does)."""
+    texts (each laid out `depth + 1` deep, as `template` does).  The texts
+    are joined `_BLOCK` at a time; a block's list is dropped before its text
+    is yielded, and that text before the next block is read, so at most one
+    block is held, twice."""
     it = iter(texts)
     block = list(islice(it, _BLOCK))
     if not block:
@@ -75,9 +86,15 @@ def items(texts, depth: int):
         return
     pad = "\n" + "  " * (depth + 1)
     sep = "," + pad
-    yield "[" + pad + sep.join(block)
-    while block := list(islice(it, _BLOCK)):
-        yield sep + sep.join(block)
+    yield "[" + pad
+    while block:
+        text = sep.join(block)
+        block = None
+        yield text
+        text = None
+        block = list(islice(it, _BLOCK))
+        if block:
+            yield sep
     yield "\n" + "  " * depth + "]"
 
 

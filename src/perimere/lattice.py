@@ -120,14 +120,14 @@ class SublatticeBasis:
         return cls(dim, ())
 
 
-def _hnf_columns(dim: int, columns) -> tuple:
+def _hnf_columns(dim: int, cols: list) -> tuple:
     """Column-operation HNF reduction (negate / swap / subtract a multiple)
-    over rows 0..dim-1; the basis columns, in order.
+    over rows 0..dim-1 of `cols`, a list of column lists of ints that it
+    reduces in place; the basis columns, in order.
 
     Columns may be longer than `dim`: the operations carry the extra rows
     along, which is how `hnf_transform` records its certificates.
     """
-    cols = [list(c) for c in columns]
     c = len(cols)
     j = 0
     for i in range(dim):
@@ -164,12 +164,13 @@ def hnf_reduce(matrix, dim: int | None = None) -> SublatticeBasis:
 
     Accepts an IntMatrix or a plain iterable of integer columns (pass `dim`
     when the column list may be empty).  Redundant, zero, and negative
-    columns are all fine.
+    columns are all fine.  Each column is converted once, to the list of
+    ints that the reduction works on.
     """
     if isinstance(matrix, IntMatrix):
-        cols, d = matrix.columns, matrix.rows
+        cols, d = [list(col) for col in matrix.columns], matrix.rows
     else:
-        cols = tuple([tuple(map(int, col)) for col in matrix])
+        cols = [list(map(int, col)) for col in matrix]
         if cols:
             d = len(cols[0])
             if any(len(c) != d for c in cols):
@@ -190,7 +191,7 @@ def hnf_transform(matrix: IntMatrix):
     writes each basis column's coefficients in the rows below it.
     """
     d, c = matrix.rows, matrix.cols
-    stacked = [col + tuple(int(i == k) for i in range(c)) for k, col in enumerate(matrix.columns)]
+    stacked = [[*col, *(int(i == k) for i in range(c))] for k, col in enumerate(matrix.columns)]
     basis = _hnf_columns(d, stacked)
     return SublatticeBasis(d, tuple(col[:d] for col in basis)), [col[d:] for col in basis]
 
@@ -205,7 +206,7 @@ def lattice_sum(a: SublatticeBasis, b: SublatticeBasis) -> SublatticeBasis:
         return b
     if a == b:
         return a
-    return SublatticeBasis(a.dim, _hnf_columns(a.dim, a.columns + b.columns))
+    return SublatticeBasis(a.dim, _hnf_columns(a.dim, [list(col) for col in a.columns + b.columns]))
 
 
 def solve(l: SublatticeBasis, v: Sequence[int]):

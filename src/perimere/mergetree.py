@@ -7,10 +7,16 @@ component root, and, per root, the size; the root's beam holds the elder key
 and the integer basis V of the periodicity lattice (the real basis is U.V).
 Three event kinds drive the tree: appearances, mergers, and catenations.
 
-The beams are the only record of the tree: a beam holds its birth vertex,
-its death and merger edge, its parent, and its epochs, each epoch naming the
-catenation edge that opened it.  The event log and the child lists are
-derived from them on demand.
+The tree is held as columns, with no object per beam or epoch.  Beams are
+numbered in elder order, (birth, birth_vertex), the order `build` makes
+them in; per beam there are `birth`, `birth_vertex`, `death` (inf for a
+root), `parent` (-1 for a root) and `merge_edge` (the edge of the merger
+that ends a beam with a parent).  Epochs are beam-major, beam b's being
+rows `offsets[b]:offsets[b + 1]` in increasing start, the first at its
+birth; per epoch there are `start`, `coeff`, `exp`, `catenation` (the epoch
+was opened by a catenation of the edge `cell`) and `basis`, its lattice,
+one `SublatticeBasis` per lattice change shared by the epochs that keep it.
+The event log, the spans and the child lists are derived on demand.
 """
 from __future__ import annotations
 
@@ -34,22 +40,8 @@ _START = itemgetter(0)
 
 
 @dataclass(frozen=True, slots=True)
-class Epoch:
-    """Maximal beam interval of constant shadow monomial.
-
-    `cell` is the edge whose catenation opened the epoch; None for a birth
-    epoch and for a survivor taking over the lattice of the beam it absorbed.
-    """
-    start: float
-    coeff: float
-    exp: int
-    basis: SublatticeBasis
-    cell: int | None = None
-
-
-@dataclass(frozen=True, slots=True)
 class Event:
-    """One critical event, derived from the beams (see PeriodicMergeTree.events)."""
+    """One critical event, derived from the columns (see PeriodicMergeTree.events)."""
     kind: str            # appearance | merger | catenation
     time: float
     cell: int            # vertex or edge id
@@ -57,45 +49,6 @@ class Event:
     coeff: float | None = None
     exp: int | None = None
     basis: SublatticeBasis | None = None
-
-
-class Beam:
-    """One horizontal interval of the merge tree (a component's lifetime)."""
-
-    __slots__ = ("index", "birth", "birth_vertex", "epochs", "death", "parent", "merge_edge")
-
-    def __init__(self, index, birth, birth_vertex, epochs):
-        self.index = index
-        self.birth = birth
-        self.birth_vertex = birth_vertex
-        self.epochs = epochs
-        self.death = math.inf
-        self.parent = None
-        self.merge_edge = None   # edge id of the merger that ends the beam
-
-    def spans(self):
-        """Normalized (start, end, coeff, exp, basis) spans; zero-width epochs dropped."""
-        out = []
-        eps = self.epochs
-        for i, ep in enumerate(eps):
-            end = eps[i + 1].start if i + 1 < len(eps) else self.death
-            if end > ep.start:
-                out.append((ep.start, end, ep.coeff, ep.exp, ep.basis))
-        return out
-
-    def monomial(self, t: float, below: bool = False):
-        """(coeff, exp, basis) of the span active at height t, or just below t
-        when `below` is set; None when the beam is not alive there."""
-        return _monomial(self.spans(), t, below)
-
-
-def _monomial(spans, t: float, below: bool = False):
-    """`Beam.monomial` over the beam's normalized spans, by bisection."""
-    i = (bisect_left if below else bisect_right)(spans, t, key=_START) - 1
-    if i < 0:
-        return None
-    _, en, c, e, basis = spans[i]
-    return (c, e, basis) if (t <= en if below else t < en) else None
 
 
 class UnionFind:
@@ -142,141 +95,235 @@ class UnionFind:
 
 
 class PeriodicMergeTree:
-    """Beams with monomial epochs; the critical-event log is derived from them."""
+    """Beam and epoch columns (see the module docstring); the critical-event
+    log is derived from them."""
 
-    __slots__ = ("dim", "beams")
+    __slots__ = ("dim", "birth", "birth_vertex", "death", "parent", "merge_edge",
+                 "offsets", "start", "coeff", "exp", "catenation", "cell", "basis")
 
-    def __init__(self, dim, beams):
+    def __init__(self, dim, *, birth, birth_vertex, death, parent, merge_edge,
+                 offsets, start, coeff, exp, catenation, cell, basis):
         self.dim = dim
-        self.beams = beams
+        self.birth = np.asarray(birth, dtype=float)
+        self.birth_vertex = np.asarray(birth_vertex, dtype=np.int64)
+        self.death = np.asarray(death, dtype=float)
+        self.parent = np.asarray(parent, dtype=np.int64)
+        self.merge_edge = np.asarray(merge_edge, dtype=np.int64)
+        self.offsets = np.asarray(offsets, dtype=np.int64)
+        self.start = np.asarray(start, dtype=float)
+        self.coeff = np.asarray(coeff, dtype=float)
+        self.exp = np.asarray(exp, dtype=np.int64)
+        self.catenation = np.asarray(catenation, dtype=bool)
+        self.cell = np.asarray(cell, dtype=np.int64)
+        self.basis = list(basis)
 
-    def roots(self):
-        return [b.index for b in self.beams if b.parent is None]
+    @property
+    def beams(self) -> range:
+        """The beam indices."""
+        return range(len(self.birth))
 
-    def _event_rows(self) -> list:
-        """(time, is_edge, cell, is_catenation, kind, beams, epoch) per event.
+    def roots(self) -> list:
+        return np.flatnonzero(self.parent < 0).tolist()
 
-        Sorted in build's processing order (value, vertices before edges, id;
-        an edge's merger before its catenation); the first four entries are
-        unique per event, so the sort never compares the rest.
-        """
-        rows = []
-        for b in self.beams:
-            rows.append((b.birth, 0, b.birth_vertex, 0, "appearance", (b.index,), None))
-            if b.parent is not None:
-                rows.append((b.death, 1, b.merge_edge, 0, "merger", (b.parent, b.index), None))
-            for ep in b.epochs:
-                if ep.cell is not None:
-                    rows.append((ep.start, 1, ep.cell, 1, "catenation", (b.index,), ep))
-        rows.sort()
-        return rows
+    def epoch_ends(self) -> np.ndarray:
+        """Per epoch, the height where it ends: the next epoch's start, or
+        its beam's death after the beam's last epoch."""
+        end = np.empty_like(self.start)
+        end[:-1] = self.start[1:]
+        end[self.offsets[1:] - 1] = self.death
+        return end
+
+    def monomial(self, b: int, t: float):
+        """(coeff, exp, basis) of beam b's epoch active at height t; None
+        when b is not alive at t."""
+        if not self.birth[b] <= t < self.death[b]:
+            return None
+        lo, hi = self.offsets[b:b + 2].tolist()
+        i = bisect_right(self.start, t, lo, hi) - 1   # its first epoch starts at the birth
+        return self.coeff[i].item(), self.exp[i].item(), self.basis[i]
+
+    def _event_columns(self) -> tuple:
+        """(kind, time, cell, row) per event, in build's processing order
+        (value, vertices before edges, id; an edge's merger before its
+        catenation), which one lexsort gives: kind 0 is the appearance of
+        beam `row`, 1 the merger of beam `row` into its parent, and 2 the
+        catenation that opens epoch `row`."""
+        n = len(self.birth)
+        child = np.flatnonzero(self.parent >= 0)
+        cats = np.flatnonzero(self.catenation)
+        kind = np.repeat(np.arange(3, dtype=np.int8), (n, len(child), len(cats)))
+        time = np.concatenate((self.birth, self.death[child], self.start[cats]))
+        cell = np.concatenate((self.birth_vertex, self.merge_edge[child], self.cell[cats]))
+        order = np.lexsort((kind == 2, cell, kind > 0, time))
+        # each column is reordered in turn, so one unsorted copy is held at a time
+        time = time[order]
+        cell = cell[order]
+        row = np.concatenate((np.arange(n), child, cats))[order]
+        return kind[order], time, cell, row
+
+    def _event_beams(self, kind, row) -> np.ndarray:
+        """Per event of `_event_columns`, the first of its beams: the beam
+        that appears, the survivor of a merger, the beam a catenation is on."""
+        beam = row.copy()
+        merger, cat = kind == 1, kind == 2
+        beam[merger] = self.parent[row[merger]]
+        beam[cat] = np.searchsorted(self.offsets, row[cat], side="right") - 1
+        return beam
+
+    def _event_rows(self):
+        """(kind, time, cell, beam, row) per event: `_event_columns` with
+        `_event_beams`, as Python values."""
+        kind, time, cell, row = self._event_columns()
+        return zip(kind.tolist(), time.tolist(), cell.tolist(),
+                   self._event_beams(kind, row).tolist(), row.tolist())
 
     @property
     def events(self) -> list:
         """Appearance, merger and catenation events in build's processing order."""
-        return [Event(kind, t, cell, beams)
-                if ep is None else Event(kind, t, cell, beams, ep.coeff, ep.exp, ep.basis)
-                for t, _, cell, _, kind, beams, ep in self._event_rows()]
+        coeff, exp = self.coeff, self.exp
+        return [Event("appearance", t, c, (b,)) if k == 0
+                else Event("merger", t, c, (b, r)) if k == 1
+                else Event("catenation", t, c, (b,), coeff[r].item(), exp[r].item(), self.basis[r])
+                for k, t, c, b, r in self._event_rows()]
 
     def to_json_dict(self) -> dict:
         """The reference dict form of `json_chunks`, which the CLI writes
         trees with; kept for the tests and the benchmark's tracer until
         ROADMAP item 1 step C."""
+        start, coeff, exp = self.start.tolist(), self.coeff.tolist(), self.exp.tolist()
+        offsets = self.offsets.tolist()
+        kinds = ("appearance", "merger", "catenation")
         return {
             "dim": self.dim,
             "beams": [
                 {
-                    "index": b.index,
-                    "birth": b.birth,
-                    "birth_vertex": b.birth_vertex,
-                    "death": None if math.isinf(b.death) else b.death,
-                    "parent": b.parent,
+                    "index": b,
+                    "birth": birth,
+                    "birth_vertex": vertex,
+                    "death": None if math.isinf(death) else death,
+                    "parent": None if parent < 0 else parent,
                     "epochs": [
                         {
-                            "start": ep.start,
-                            "coeff": ep.coeff,
-                            "exp": ep.exp,
-                            "display": monomial_display(ep.coeff, ep.exp),
-                            "lattice": [list(c) for c in ep.basis.columns],
+                            "start": start[i],
+                            "coeff": coeff[i],
+                            "exp": exp[i],
+                            "display": monomial_display(coeff[i], exp[i]),
+                            "lattice": [list(c) for c in self.basis[i].columns],
                         }
-                        for ep in b.epochs
+                        for i in range(offsets[b], offsets[b + 1])
                     ],
                 }
-                for b in self.beams
+                for b, (birth, vertex, death, parent) in enumerate(zip(
+                    self.birth.tolist(), self.birth_vertex.tolist(), self.death.tolist(),
+                    self.parent.tolist()))
             ],
             "events": [
                 {
-                    "kind": kind,
+                    "kind": kinds[k],
                     "time": t,
-                    "cell": cell,
-                    "beams": list(beams),
-                    **({} if ep is None else {"coeff": ep.coeff, "exp": ep.exp}),
+                    "cell": c,
+                    "beams": [b] if k != 1 else [b, r],
+                    **({"coeff": coeff[r], "exp": exp[r]} if k == 2 else {}),
                 }
-                for t, _, cell, _, kind, beams, ep in self._event_rows()
+                for k, t, c, b, r in self._event_rows()
             ],
         }
+
+    def _heads(self) -> tuple:
+        """(head, texts): per epoch the index of its head in `texts`, which
+        holds per distinct (coeff, exp, lattice) the texts of the coeff,
+        display, exp and lattice.  The epochs are grouped by (coeff, exp,
+        lattice object) with one lexsort, and the groups by value, so a
+        lattice is hashed once per object."""
+        by_rank = [jsonfmt.template([[HOLE] * self.dim] * p, 5) for p in range(self.dim + 1)]
+        ident = np.fromiter(map(id, self.basis), np.uint64, len(self.basis))
+        order = np.lexsort((self.coeff, self.exp, ident))
+        key, coeff, exp = ident[order], self.coeff[order], self.exp[order]
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = (key[1:] != key[:-1]) | (exp[1:] != exp[:-1]) | (coeff[1:] != coeff[:-1])
+        coeffs, exps = coeff[new].tolist(), exp[new].tolist()
+        texts, by_value, group = [], {}, []
+        for text, c, e, basis in zip(jsonfmt.floats(coeffs), coeffs, exps,
+                                     map(self.basis.__getitem__, order[new].tolist())):
+            h = by_value.setdefault((c, e, basis), len(texts))
+            if h == len(texts):
+                texts.append((text, encode_basestring_ascii(monomial_display(c, e)), e,
+                              by_rank[basis.rank] % tuple(chain.from_iterable(basis.columns))))
+            group.append(h)
+        head = np.empty(len(order), dtype=np.int64)
+        head[order] = np.array(group, dtype=np.int64)[np.cumsum(new) - 1]
+        return head, texts
 
     def json_chunks(self):
         """Chunks of `jsonfmt.dumps(self.to_json_dict())`, one template fill
         per beam and per event; a beam of k epochs fills the beam template
         with k epochs inside.  The texts of an epoch's coeff, display, exp and
-        lattice are written once per distinct (coeff, exp, basis), in effect
-        once per lattice, and all before the first chunk, so writing the
-        chunks raises nothing."""
-        beams, d = self.beams, self.dim
+        lattice are written once per distinct (coeff, exp, lattice object),
+        in effect once per lattice change, and all before the first chunk, so
+        writing the chunks raises nothing.  The other texts are written one
+        block of rows at a time (`jsonfmt.blocks`), as `jsonfmt.items` joins
+        them, so the texts held at once are one block's."""
+        head, heads = self._heads()
         by_count: dict = {}   # k -> the template of a beam of k epochs
-        by_rank = [jsonfmt.template([[HOLE] * d] * p, 5) for p in range(d + 1)]
-        kinds = {kind: jsonfmt.template(shape, 2) for kind, shape in _EVENT_SHAPES.items()}
-        heads: dict = {}   # (coeff, exp, basis) -> texts of the coeff, display, exp, lattice
-        fills = []   # per epoch, in beam order: its head texts, then its start
-        epochs = [ep for b in beams for ep in b.epochs]
-        for ep, start in zip(epochs, jsonfmt.floats([ep.start for ep in epochs])):
-            key = (ep.coeff, ep.exp, ep.basis)
-            head = heads.get(key)
-            if head is None:
-                lattice = by_rank[ep.basis.rank] % tuple(chain.from_iterable(ep.basis.columns))
-                head = heads[key] = (
-                    *jsonfmt.floats([ep.coeff]),
-                    encode_basestring_ascii(monomial_display(ep.coeff, ep.exp)), ep.exp, lattice)
-            fills += head
-            fills.append(start)
-        births = jsonfmt.floats([b.birth for b in beams])
-        deaths = jsonfmt.floats([None if math.isinf(b.death) else b.death for b in beams])
-        rows = self._event_rows()
-        times = jsonfmt.floats([row[0] for row in rows])
+        kinds = [jsonfmt.template(_EVENT_SHAPES[kind], 2)
+                 for kind in ("appearance", "merger", "catenation")]
 
         def beam_texts():
-            at = 0
-            for b, birth, death in zip(beams, births, deaths):
-                k = len(b.epochs)
-                text = by_count.get(k)
-                if text is None:
-                    text = by_count[k] = jsonfmt.template({**_BEAM, "epochs": [_EPOCH] * k}, 2)
-                parent = "null" if b.parent is None else b.parent
-                end = at + len(_EPOCH) * k
-                yield text % (birth, b.birth_vertex, death, *fills[at:end], b.index, parent)
-                at = end
+            for a, z in jsonfmt.blocks(len(self.birth)):
+                offsets = self.offsets[a:z + 1].tolist()
+                lo, hi = offsets[0], offsets[-1]
+                starts = jsonfmt.floats(self.start[lo:hi].tolist())
+                hs = head[lo:hi].tolist()
+                rows = zip(range(a, z), offsets, offsets[1:],
+                           jsonfmt.floats(self.birth[a:z].tolist()),
+                           self.birth_vertex[a:z].tolist(),
+                           jsonfmt.floats([None if math.isinf(x) else x
+                                           for x in self.death[a:z].tolist()]),
+                           self.parent[a:z].tolist())
+                for b, i, j, birth, vertex, death, parent in rows:
+                    fills = []
+                    for e in range(i - lo, j - lo):
+                        fills += heads[hs[e]]
+                        fills.append(starts[e])
+                    text = by_count.get(j - i)
+                    if text is None:
+                        text = by_count[j - i] = jsonfmt.template(
+                            {**_BEAM, "epochs": [_EPOCH] * (j - i)}, 2)
+                    yield text % (birth, vertex, death, *fills, b,
+                                  "null" if parent < 0 else parent)
 
         def event_texts():
-            for (_, _, cell, _, kind, pair, ep), time in zip(rows, times):
-                if ep is None:
-                    yield kinds[kind] % (*pair, cell, time)
-                else:
-                    coeff, _, exp, _ = heads[ep.coeff, ep.exp, ep.basis]
-                    yield kinds[kind] % (*pair, cell, coeff, exp, time)
+            # made once the beams are written, so the two lists' state is never held at once
+            kind, time, cell, row = self._event_columns()
+            for a, z in jsonfmt.blocks(len(kind)):
+                ks, rs = kind[a:z], row[a:z]
+                rows = zip(ks.tolist(), jsonfmt.floats(time[a:z].tolist()), cell[a:z].tolist(),
+                           self._event_beams(ks, rs).tolist(), rs.tolist(),
+                           head[np.where(ks == 2, rs, 0)].tolist())
+                for k, t, c, b, r, h in rows:
+                    if k == 0:
+                        yield kinds[0] % (b, c, t)
+                    elif k == 1:
+                        yield kinds[1] % (b, r, c, t)
+                    else:
+                        coeff, _, exp, _ = heads[h]
+                        yield kinds[2] % (b, c, coeff, exp, t)
 
-        return jsonfmt.chunks({"beams": HOLE, "dim": d, "events": HOLE},
+        return jsonfmt.chunks({"beams": HOLE, "dim": self.dim, "events": HOLE},
                               jsonfmt.items(beam_texts(), 1), jsonfmt.items(event_texts(), 1))
 
     def to_dot(self) -> str:
         lines = ["digraph mergetree {", "  rankdir=LR;"]
-        for b in self.beams:
-            label = f"b{b.index} t={b.birth:g}\\n" + "\\n".join(
-                f"{ep.start:g}: {monomial_display(ep.coeff, ep.exp)}" for ep in b.epochs)
-            lines.append(f'  n{b.index} [shape=box, label="{label}"];')
-        for b in self.beams:
-            if b.parent is not None:
-                lines.append(f'  n{b.index} -> n{b.parent} [label="{b.death:g}"];')
+        start, coeff, exp = self.start.tolist(), self.coeff.tolist(), self.exp.tolist()
+        offsets = self.offsets.tolist()
+        for b, birth in enumerate(self.birth.tolist()):
+            label = f"b{b} t={birth:g}\\n" + "\\n".join(
+                f"{start[i]:g}: {monomial_display(coeff[i], exp[i])}"
+                for i in range(offsets[b], offsets[b + 1]))
+            lines.append(f'  n{b} [shape=box, label="{label}"];')
+        for b, (parent, death) in enumerate(zip(self.parent.tolist(), self.death.tolist())):
+            if parent >= 0:
+                lines.append(f'  n{b} -> n{parent} [label="{death:g}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -308,17 +355,18 @@ def build(graph: PeriodicGraph) -> PeriodicMergeTree:
     1/vol_d, exponent d).  Loop edge: drift v = Drift(x) + Shift - Drift(y);
     no event when v lies in the current lattice, otherwise a catenation.
     Cross edge: merger under the elder rule; if the merged lattice strictly
-    exceeds both inputs, a catenation happens at the same height.  Each event
-    is recorded on a beam: its birth, its death and merger edge, or the cell
-    of the epoch a catenation opens.  A basis volume that is not a normal
-    float, or a coefficient that is not finite, is a ValueError.
+    exceeds both inputs, a catenation happens at the same height.  A merger
+    sets the dying beam's death, parent and merge edge; every epoch past
+    the birth epochs is appended to one list in processing order, and one
+    stable argsort by beam makes the epoch columns beam-major.  A basis volume that is not
+    a normal float, or a coefficient that is not finite, is a ValueError.
     """
     d = graph.dim
     u = graph.basis
     vol_d = u.volume
     if not sys.float_info.min <= vol_d < math.inf:   # a subnormal has lost digits
         raise ValueError("basis volume out of float range")
-    n, m = graph.n, graph.m
+    n = graph.n
 
     def coefficient(lat: SublatticeBasis) -> float:
         c = volume(u, lat) / vol_d
@@ -326,37 +374,31 @@ def build(graph: PeriodicGraph) -> PeriodicMergeTree:
             raise ValueError("monomial coefficient out of float range")
         return c
 
-    ids = graph.ids.tolist()
-    vals = graph.values.tolist()
-    kind = np.arange(n + m) >= n   # vertices before edges
-    order = np.lexsort((graph.ids, kind, graph.values)).tolist()
-
-    beams: list[Beam] = []
-    coeff0 = 1.0 / vol_d
-    empty = SublatticeBasis.empty(d)
-
-    # union-find slots are vertex positions, as edge endpoints are; the
-    # filter property guarantees both endpoints precede every edge.  Beams
-    # are made in (birth, birth_vertex) order, so a beam's index is its elder
-    # key; beam beam_of[root] holds, in its last epoch, the component's lattice
-    uf = UnionFind(d, n)
-    beam_of = [-1] * n
-    full = [False] * n  # per slot: component lattice is all of Z^d
-
+    kind = np.arange(len(graph.ids)) >= n   # vertices before edges
+    order = np.lexsort((graph.ids, kind, graph.values))
+    # beams are made in (birth, birth_vertex) order, so a beam's index is its
+    # elder key; a vertex makes no other change, and the filter property
+    # guarantees both endpoints precede every edge, so only edges are walked
+    vertices = order[order < n]
+    beam_of = np.empty(n, dtype=np.int64)
+    beam_of[vertices] = np.arange(n)
+    beam_of = beam_of.tolist()   # per root slot, the beam of its component
+    eids, evals = graph.ids[n:].tolist(), graph.values[n:].tolist()
     ex, ey, eshift = graph.u.tolist(), graph.v.tolist(), graph.shifts
 
+    empty = SublatticeBasis.empty(d)
+    lattice = [empty] * n   # per beam, the lattice of its last epoch
+    death, parent, merge_edge = [math.inf] * n, [-1] * n, [0] * n
+    epochs = []   # past the birth epochs: (beam, start, coeff, exp, catenation, cell, basis)
+
+    # union-find slots are vertex positions, as edge endpoints are
+    uf = UnionFind(d, n)
+    full = [False] * n  # per slot: component lattice is all of Z^d
     root = uf.root
     drift = uf.drift
     rng_d = range(d)
 
-    for oi in order:
-        if oi < n:
-            bi = len(beams)
-            beams.append(Beam(bi, vals[oi], ids[oi], [Epoch(vals[oi], coeff0, d, empty)]))
-            beam_of[oi] = bi
-            continue
-
-        p = oi - n
+    for p in (order[order >= n] - n).tolist():
         x, y = ex[p], ey[p]
         r, s = root[x], root[y]
         if r == s and full[r]:
@@ -367,19 +409,19 @@ def build(graph: PeriodicGraph) -> PeriodicMergeTree:
         if r == s:
             if not any(v):
                 continue
-            sb = beams[beam_of[r]]
-            cur = sb.epochs[-1].basis
+            sb = beam_of[r]
+            cur = lattice[sb]
             if member(cur, v):
                 continue
             new = hnf_reduce(cur.columns + (tuple(v),), dim=d)
             if new.is_full:
                 full[r] = True
-            sb.epochs.append(Epoch(vals[oi], coefficient(new), d - new.rank, new, ids[oi]))
+            lattice[sb] = new
+            epochs.append((sb, evals[p], coefficient(new), d - new.rank, True, eids[p], new))
         else:
-            t = vals[oi]
-            eid = ids[oi]
-            br, bs = beams[beam_of[r]], beams[beam_of[s]]
-            base_r, base_s = br.epochs[-1].basis, bs.epochs[-1].basis
+            t = evals[p]
+            br, bs = beam_of[r], beam_of[s]
+            base_r, base_s = lattice[br], lattice[bs]
             if not base_s.columns:
                 merged = base_r
             elif not base_r.columns:
@@ -388,25 +430,42 @@ def build(graph: PeriodicGraph) -> PeriodicMergeTree:
                 merged = base_r
             else:
                 merged = hnf_reduce(base_r.columns + base_s.columns, dim=d)
-            if br.index < bs.index:
-                sb, dying = br, bs
-            else:
-                sb, dying = bs, br
+            sb, dying = (br, bs) if br < bs else (bs, br)
             w = uf.union(r, s, v)
             full[w] = merged.is_full
-            beam_of[w] = sb.index
-            dying.death = t
-            dying.parent = sb.index
-            dying.merge_edge = eid
-            prevb = sb.epochs[-1].basis
+            beam_of[w] = sb
+            death[dying] = t
+            parent[dying] = sb
+            merge_edge[dying] = eids[p]
+            prevb = lattice[sb]
             if merged is not prevb and merged != prevb:
-                coeff = coefficient(merged)
-                exp = d - merged.rank
+                lattice[sb] = merged
                 # a lattice larger than both inputs is a catenation; one equal
                 # to the absorbed beam's is only taken over
-                cat = eid if merged != base_r and merged != base_s else None
-                sb.epochs.append(Epoch(t, coeff, exp, merged, cat))
-    return PeriodicMergeTree(d, beams)
+                cat = merged != base_r and merged != base_s
+                epochs.append((sb, t, coefficient(merged), d - merged.rank, cat,
+                               eids[p] if cat else 0, merged))
+
+    # the birth epochs first, so the stable argsort keeps each beam's epochs
+    # in processing order, its birth epoch first
+    beam, start, coeff, exp, cat, cell, basis = zip(*epochs) if epochs else ((),) * 7
+    beam = np.concatenate((np.arange(n), np.array(beam, dtype=np.int64)))
+    rows = np.argsort(beam, kind="stable")
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(beam, minlength=n), out=offsets[1:])
+    birth = graph.values[vertices]
+
+    def column(births, rest, dtype):
+        return np.concatenate((births, np.array(rest, dtype=dtype)))[rows]
+
+    return PeriodicMergeTree(
+        d, birth=birth, birth_vertex=graph.ids[vertices], death=death, parent=parent,
+        merge_edge=merge_edge, offsets=offsets, start=column(birth, start, float),
+        coeff=column(np.full(n, 1.0 / vol_d), coeff, float),
+        exp=column(np.full(n, d), exp, np.int64), catenation=column(np.zeros(n, bool), cat, bool),
+        cell=column(np.zeros(n, np.int64), cell, np.int64),
+        basis=list(map(([empty] * n + list(basis)).__getitem__, rows.tolist())))
+
 
 
 # ---------------------------------------------------------------------------
@@ -461,32 +520,48 @@ def _run(gen):
 class _TreeText:
     """Text tables of one merge tree: what `canonical_form` reads.
 
-    Per beam: birth, death, the normalized spans and the children, which
-    the tables derive from parents and deaths, each as (merge height, child)
-    in increasing order.  `tokens(b, t)` writes the subtree below (beam b,
-    cut height t): the birth of b, its spans starting below t (the last one
-    cut at t) and the subtrees of the children merging below t.
+    Per beam: birth, death, the normalized spans (its epochs of nonzero
+    width, as flat start, end, coeff and exp lists, beam b's at rows
+    first[b]:first[b + 1]) and the children, which the tables derive from
+    parents and deaths, each as (merge height, child) in increasing order.
+    `tokens(b, t)` writes the subtree below (beam b, cut height t): the
+    birth of b, its spans starting below t (the last one cut at t) and the
+    subtrees of the children merging below t.
     """
 
     def __init__(self, tree: PeriodicMergeTree):
         self.fmt = _Text().__getitem__
         self._kid_orders = {}
-        beams = tree.beams
-        self.birth = [b.birth for b in beams]
-        self.death = [b.death for b in beams]
-        self.kids = kids = [[] for _ in beams]   # (merge height, child), sorted
+        self.birth = tree.birth.tolist()
+        self.death = death = tree.death.tolist()
+        self.kids = kids = [[] for _ in death]   # (merge height, child), sorted
         # a child joins its effective survivor: chained mergers at one height
         # are a processing-order artifact; all those beams join at one point.
         # A parent precedes its children, and a root never dies
-        joins = [None] * len(beams)   # the effective survivor of each child
-        for b in beams:
-            if b.parent is not None:
-                p = joins[b.parent] if self.death[b.parent] == b.death else b.parent
-                joins[b.index] = p
-                kids[p].append((b.death, b.index))
+        joins = [None] * len(death)   # the effective survivor of each child
+        for b, p in enumerate(tree.parent.tolist()):
+            if p >= 0:
+                if death[p] == death[b]:
+                    p = joins[p]
+                joins[b] = p
+                kids[p].append((death[b], b))
         for ks in kids:
             ks.sort()
-        self.spans = [tuple(b.spans()) for b in beams]
+        end = tree.epoch_ends()
+        rows = np.flatnonzero(end > tree.start)
+        self.first = np.searchsorted(rows, tree.offsets).tolist()
+        self.start, self.end = tree.start[rows].tolist(), end[rows].tolist()
+        self.coeff, self.exp = tree.coeff[rows].tolist(), tree.exp[rows].tolist()
+
+    def monomial(self, b: int, t: float, below: bool = False):
+        """(coeff, exp) of beam b's span active at height t, or just below t
+        when `below` is set; None when the beam is not alive there."""
+        lo = self.first[b]
+        i = (bisect_left if below else bisect_right)(self.start, t, lo, self.first[b + 1]) - 1
+        if i < lo:
+            return None
+        en = self.end[i]
+        return (self.coeff[i], self.exp[i]) if (t <= en if below else t < en) else None
 
     def tokens(self, b: int, top: float):
         """The text of the subtree below (b, top), cut into tokens.
@@ -508,15 +583,15 @@ class _TreeText:
             b, top = item
             yield "["
             yield fmt(self.birth[b]) + "|"
-            spans = self.spans[b]
-            k = bisect_left(spans, top, key=_START)
-            if not k:
+            lo = self.first[b]
+            k = bisect_left(self.start, top, lo, self.first[b + 1])
+            if k == lo:
                 yield "|"
-            for i, (st, en, c, e, _) in enumerate(spans[:k]):
-                yield fmt(st) + ":"
-                yield fmt(min(en, top)) + ":"
-                yield fmt(c) + ":"
-                yield f"{e}{';' if i < k - 1 else '|'}"
+            for i in range(lo, k):
+                yield fmt(self.start[i]) + ":"
+                yield fmt(min(self.end[i], top)) + ":"
+                yield fmt(self.coeff[i]) + ":"
+                yield f"{self.exp[i]}{';' if i < k - 1 else '|'}"
             stack.append("]")
             kids = self._kid_order(b, bisect_left(self.kids[b], (top, -1)))
             for j in range(len(kids) - 1, -1, -1):   # pushed last to first
@@ -560,12 +635,13 @@ class _TreeIndex(_TreeText):
         super().__init__(tree)
         fmt = self.fmt
         interned = {}
-        n = len(tree.beams)
+        n = len(self.birth)
         self.base = [0] * n   # label of a beam's birth alone
         self.cuts = [()] * n  # exact event heights, increasing
         self.labels = [()] * n  # label of the events at or below each cut
         for b in range(n - 1, -1, -1):   # a beam joins one made before it
-            events = [(st, 0, (fmt(c), e)) for st, _, c, e, _ in self.spans[b]]
+            events = [(self.start[i], 0, (fmt(self.coeff[i]), self.exp[i]))
+                      for i in range(self.first[b], self.first[b + 1])]
             events += [(h, 1, self.digest(c, h)) for h, c in self.kids[b]]
             events.sort(key=_START)
             lab = self.base[b] = interned.setdefault((fmt(self.birth[b]),), len(interned))
@@ -586,8 +662,9 @@ class _TreeIndex(_TreeText):
         when no span starts below top."""
         i = bisect_left(self.cuts[b], top)
         lab = self.labels[b][i - 1] if i else self.base[b]
-        spans = self.spans[b]
-        return lab, (self.fmt(min(top, self.death[b])) if spans and spans[0][0] < top else None)
+        lo = self.first[b]
+        started = lo < self.first[b + 1] and self.start[lo] < top
+        return lab, (self.fmt(min(top, self.death[b])) if started else None)
 
     def last_stop(self, b: int, pos: float) -> float:
         """Highest height below pos where b gains a child or starts a span
@@ -665,12 +742,12 @@ def splinters(tprime: PeriodicMergeTree, tree: PeriodicMergeTree) -> bool:
         """On (t, pos) the monomials are constant; each preimage carries 1/k."""
         if pos <= t:
             return True
-        mb = _monomial(T.spans[b], t)
+        mb = T.monomial(b, t)
         if mb is None:
             return False
         k = len(pool_w)
         for w in pool_w:
-            mw = _monomial(P.spans[w], t)
+            mw = P.monomial(w, t)
             if mw is None or mw[1] != mb[1] or abs(mw[0] - mb[0] / k) > TOL:
                 return False
         return True
@@ -695,8 +772,8 @@ def splinters(tprime: PeriodicMergeTree, tree: PeriodicMergeTree) -> bool:
         g = len(cs)
         if t == math.inf:
             return () if len(items) % g else (len(items) // g,)
-        mc = _monomial(T.spans[cs[0]], t, below=True)
-        mx = _monomial(P.spans[items[0][1]], t, below=True)
+        mc = T.monomial(cs[0], t, below=True)
+        mx = P.monomial(items[0][1], t, below=True)
         if mc is None or mx is None:
             return range(1, len(items) // g + 1)
         if mx[1] != mc[1] or mx[0] <= 0 or not math.isfinite(mc[0] / mx[0]):

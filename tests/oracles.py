@@ -9,9 +9,12 @@ implementation, `oracle_unroll` its earlier per-edge unroll, and
 matrix, `oracle_w1` its earlier transport solver (one arc record per
 pair, with the transport plan it can report), `oracle_extract` its earlier
 barcode extraction (a dict of contributions per bar key, with its CSV and
-JSON renderings) and `oracle_volume` its earlier sublattice volume (an
-integer Gram matrix and a Bareiss determinant on integer bases); all are
-kept as differential references for the current code.
+JSON renderings), `oracle_volume` its earlier sublattice volume (an
+integer Gram matrix and a Bareiss determinant on integer bases) and
+`oracle_build` its earlier merge tree (one `Beam` object per beam and one
+`Epoch` per epoch); all are kept as differential references for the
+current code.  `view` shows a columnar tree as those objects, for the
+oracles and tests that walk beams and epochs.
 """
 import functools
 import heapq
@@ -19,14 +22,17 @@ import io
 import itertools
 import json
 import math
+import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from perimere.lattice import (IntMatrix, RealBasis, SublatticeBasis, _int_det, coset_reps,
-                              hnf_transform, reduce_mod, solve)
-from perimere.mergetree import PeriodicMergeTree
+                              hnf_reduce, hnf_transform, member, reduce_mod, solve, volume)
+from perimere.mergetree import Event, PeriodicMergeTree, UnionFind
 from perimere.pgraph import GraphError, PeriodicGraph, parse
 from perimere.transport import MASS_SCALE, _scaled
 
@@ -312,20 +318,21 @@ def children(tree: PeriodicMergeTree) -> list:
     effective survivor, the first ancestor that outlives the merger height,
     since mergers chained at one height join all their beams at one point.
     """
-    kids = [[] for _ in tree.beams]
-    for beam in tree.beams:
+    beams = view(tree)
+    kids = [[] for _ in beams]
+    for beam in beams:
         p = beam.parent
         if p is None:
             continue
-        while tree.beams[p].parent is not None and tree.beams[p].death == beam.death:
-            p = tree.beams[p].parent
+        while beams[p].parent is not None and beams[p].death == beam.death:
+            p = beams[p].parent
         kids[p].append((beam.death, beam.index))
     return [sorted(ks) for ks in kids]
 
 
 def _digest(tree: PeriodicMergeTree, b: int, top: float, tol: float) -> str:
     """Order-insensitive serialization of the subtree hanging below (beam b, top)."""
-    beam = tree.beams[b]
+    beam = view(tree)[b]
     spans = [(st, min(en, top), c, e) for st, en, c, e, _ in beam.spans() if st < top]
     body = ";".join(f"{_rounded(st, tol):.12g}:{_rounded(en, tol):.12g}:{_rounded(c, tol):.12g}:{e}"
                     for st, en, c, e in spans)
@@ -344,7 +351,7 @@ def canonical_form(tree: PeriodicMergeTree, tol: float = 1e-9) -> str:
 
 def _events_below(tree: PeriodicMergeTree, b: int, top: float):
     """Heights < top at which beam b gains a child or changes epoch."""
-    beam = tree.beams[b]
+    beam = view(tree)[b]
     hs = {h for h, _ in children(tree)[b] if h < top}
     hs.update(st for st, _, _, _, _ in beam.spans() if beam.birth < st < top)
     return hs
@@ -361,8 +368,10 @@ def splinters(tprime: PeriodicMergeTree, tree: PeriodicMergeTree, tol: float = 1
     if tprime.dim != tree.dim:
         return False
 
+    beams, pbeams = view(tree), view(tprime)
+
     def check(ws: list, b: int, top: float) -> bool:
-        beam = tree.beams[b]
+        beam = beams[b]
         if not ws:
             return False
         if len({_digest(tprime, w, top, tol) for w in ws}) != 1:
@@ -381,11 +390,11 @@ def splinters(tprime: PeriodicMergeTree, tree: PeriodicMergeTree, tol: float = 1
                     return False
                 k = len(pool_w)
                 for w in pool_w:
-                    mw = tprime.beams[w].monomial(t)
+                    mw = pbeams[w].monomial(t)
                     if mw is None or mw[1] != mb[1] or abs(mw[0] - mb[0] / k) > tol:
                         return False
             if not heights:
-                return all(tprime.beams[w].birth == beam.birth for w in pool_w)
+                return all(pbeams[w].birth == beam.birth for w in pool_w)
 
             b_children = [c for h, c in children(tree)[b] if h == t]
             groups: dict[str, list] = {}
@@ -407,8 +416,8 @@ def splinters(tprime: PeriodicMergeTree, tree: PeriodicMergeTree, tol: float = 1
                 g = len(cs)
                 if len(items) < g:
                     return []
-                mc = tree.beams[cs[0]].monomial(t, below=True)
-                mx = tprime.beams[items[0][1]].monomial(t, below=True)
+                mc = beams[cs[0]].monomial(t, below=True)
+                mx = pbeams[items[0][1]].monomial(t, below=True)
                 if mc is None or mx is None:
                     return [kc for kc in range(1, len(items) // g + 1)]
                 if mx[1] != mc[1] or mx[0] <= 0:
@@ -606,7 +615,7 @@ def oracle_extract(tree: PeriodicMergeTree) -> list:
     mult is the `math.fsum` of its values, and zero mults drop out.
     """
     contribs: dict = {}
-    for beam in tree.beams:
+    for beam in view(tree):
         birth = beam.birth
         for start, end, coeff, exp, _ in beam.spans():
             if end > birth:
@@ -662,3 +671,249 @@ def oracle_volume(u: RealBasis, l: SublatticeBasis) -> float:
             return math.ldexp(math.sqrt(det >> 2 * k), k)
     g = u.matrix @ np.array(l.columns, dtype=float).T
     return float(math.sqrt(max(np.linalg.det(g.T @ g), 0.0)))
+
+
+# ---------------------------------------------------------------------------
+# reference merge tree: the object-per-beam-and-epoch `build` that
+# `perimere.mergetree` replaced with columns, kept verbatim, and a view of a
+# columnar tree as the same objects
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, slots=True)
+class Epoch:
+    """Maximal beam interval of constant shadow monomial.
+
+    `cell` is the edge whose catenation opened the epoch; None for a birth
+    epoch and for a survivor taking over the lattice of the beam it absorbed.
+    """
+    start: float
+    coeff: float
+    exp: int
+    basis: SublatticeBasis
+    cell: int | None = None
+
+
+_START = itemgetter(0)
+
+
+class Beam:
+    """One horizontal interval of the merge tree (a component's lifetime)."""
+
+    __slots__ = ("index", "birth", "birth_vertex", "epochs", "death", "parent", "merge_edge")
+
+    def __init__(self, index, birth, birth_vertex, epochs):
+        self.index = index
+        self.birth = birth
+        self.birth_vertex = birth_vertex
+        self.epochs = epochs
+        self.death = math.inf
+        self.parent = None
+        self.merge_edge = None   # edge id of the merger that ends the beam
+
+    def __eq__(self, other):
+        return all(getattr(self, a) == getattr(other, a) for a in self.__slots__)
+
+    def __repr__(self):
+        return "Beam(%s)" % ", ".join(f"{a}={getattr(self, a)!r}" for a in self.__slots__)
+
+    def spans(self):
+        """Normalized (start, end, coeff, exp, basis) spans; zero-width epochs dropped."""
+        out = []
+        eps = self.epochs
+        for i, ep in enumerate(eps):
+            end = eps[i + 1].start if i + 1 < len(eps) else self.death
+            if end > ep.start:
+                out.append((ep.start, end, ep.coeff, ep.exp, ep.basis))
+        return out
+
+    def monomial(self, t: float, below: bool = False):
+        """(coeff, exp, basis) of the span active at height t, or just below t
+        when `below` is set; None when the beam is not alive there."""
+        spans = self.spans()
+        i = (bisect_left if below else bisect_right)(spans, t, key=_START) - 1
+        if i < 0:
+            return None
+        _, en, c, e, basis = spans[i]
+        return (c, e, basis) if (t <= en if below else t < en) else None
+
+
+class ObjectTree:
+    """Beams with monomial epochs; the critical-event log is derived from them."""
+
+    __slots__ = ("dim", "beams")
+
+    def __init__(self, dim, beams):
+        self.dim = dim
+        self.beams = beams
+
+    def roots(self):
+        return [b.index for b in self.beams if b.parent is None]
+
+    def _event_rows(self) -> list:
+        """(time, is_edge, cell, is_catenation, kind, beams, epoch) per event.
+
+        Sorted in build's processing order (value, vertices before edges, id;
+        an edge's merger before its catenation); the first four entries are
+        unique per event, so the sort never compares the rest.
+        """
+        rows = []
+        for b in self.beams:
+            rows.append((b.birth, 0, b.birth_vertex, 0, "appearance", (b.index,), None))
+            if b.parent is not None:
+                rows.append((b.death, 1, b.merge_edge, 0, "merger", (b.parent, b.index), None))
+            for ep in b.epochs:
+                if ep.cell is not None:
+                    rows.append((ep.start, 1, ep.cell, 1, "catenation", (b.index,), ep))
+        rows.sort()
+        return rows
+
+    @property
+    def events(self) -> list:
+        """Appearance, merger and catenation events in build's processing order."""
+        return [Event(kind, t, cell, beams)
+                if ep is None else Event(kind, t, cell, beams, ep.coeff, ep.exp, ep.basis)
+                for t, _, cell, _, kind, beams, ep in self._event_rows()]
+
+
+def oracle_build(graph: PeriodicGraph) -> ObjectTree:
+    """Construct the periodic merge tree of a quotient graph.
+
+    Appearance: new beam with the zero periodicity lattice (coefficient
+    1/vol_d, exponent d).  Loop edge: drift v = Drift(x) + Shift - Drift(y);
+    no event when v lies in the current lattice, otherwise a catenation.
+    Cross edge: merger under the elder rule; if the merged lattice strictly
+    exceeds both inputs, a catenation happens at the same height.  Each event
+    is recorded on a beam: its birth, its death and merger edge, or the cell
+    of the epoch a catenation opens.  A basis volume that is not a normal
+    float, or a coefficient that is not finite, is a ValueError.
+    """
+    d = graph.dim
+    u = graph.basis
+    vol_d = u.volume
+    if not sys.float_info.min <= vol_d < math.inf:   # a subnormal has lost digits
+        raise ValueError("basis volume out of float range")
+    n, m = graph.n, graph.m
+
+    def coefficient(lat: SublatticeBasis) -> float:
+        c = volume(u, lat) / vol_d
+        if not math.isfinite(c):
+            raise ValueError("monomial coefficient out of float range")
+        return c
+
+    ids = graph.ids.tolist()
+    vals = graph.values.tolist()
+    kind = np.arange(n + m) >= n   # vertices before edges
+    order = np.lexsort((graph.ids, kind, graph.values)).tolist()
+
+    beams: list[Beam] = []
+    coeff0 = 1.0 / vol_d
+    empty = SublatticeBasis.empty(d)
+
+    # union-find slots are vertex positions, as edge endpoints are; the
+    # filter property guarantees both endpoints precede every edge.  Beams
+    # are made in (birth, birth_vertex) order, so a beam's index is its elder
+    # key; beam beam_of[root] holds, in its last epoch, the component's lattice
+    uf = UnionFind(d, n)
+    beam_of = [-1] * n
+    full = [False] * n  # per slot: component lattice is all of Z^d
+
+    ex, ey, eshift = graph.u.tolist(), graph.v.tolist(), graph.shifts
+
+    root = uf.root
+    drift = uf.drift
+    rng_d = range(d)
+
+    for oi in order:
+        if oi < n:
+            bi = len(beams)
+            beams.append(Beam(bi, vals[oi], ids[oi], [Epoch(vals[oi], coeff0, d, empty)]))
+            beam_of[oi] = bi
+            continue
+
+        p = oi - n
+        x, y = ex[p], ey[p]
+        r, s = root[x], root[y]
+        if r == s and full[r]:
+            continue
+        sh = eshift[p]
+        dx, dy = drift[x], drift[y]
+        v = [dx[k] + sh[k] - dy[k] for k in rng_d]
+        if r == s:
+            if not any(v):
+                continue
+            sb = beams[beam_of[r]]
+            cur = sb.epochs[-1].basis
+            if member(cur, v):
+                continue
+            new = hnf_reduce(cur.columns + (tuple(v),), dim=d)
+            if new.is_full:
+                full[r] = True
+            sb.epochs.append(Epoch(vals[oi], coefficient(new), d - new.rank, new, ids[oi]))
+        else:
+            t = vals[oi]
+            eid = ids[oi]
+            br, bs = beams[beam_of[r]], beams[beam_of[s]]
+            base_r, base_s = br.epochs[-1].basis, bs.epochs[-1].basis
+            if not base_s.columns:
+                merged = base_r
+            elif not base_r.columns:
+                merged = base_s
+            elif base_r is base_s or base_r == base_s:
+                merged = base_r
+            else:
+                merged = hnf_reduce(base_r.columns + base_s.columns, dim=d)
+            if br.index < bs.index:
+                sb, dying = br, bs
+            else:
+                sb, dying = bs, br
+            w = uf.union(r, s, v)
+            full[w] = merged.is_full
+            beam_of[w] = sb.index
+            dying.death = t
+            dying.parent = sb.index
+            dying.merge_edge = eid
+            prevb = sb.epochs[-1].basis
+            if merged is not prevb and merged != prevb:
+                coeff = coefficient(merged)
+                exp = d - merged.rank
+                # a lattice larger than both inputs is a catenation; one equal
+                # to the absorbed beam's is only taken over
+                cat = eid if merged != base_r and merged != base_s else None
+                sb.epochs.append(Epoch(t, coeff, exp, merged, cat))
+    return ObjectTree(d, beams)
+
+
+@functools.lru_cache(maxsize=4)
+def view(tree: PeriodicMergeTree) -> list:
+    """The beams of a columnar tree as `Beam`s with their `Epoch`s, in index
+    order: what `oracle_build` makes of the same graph."""
+    start, coeff, exp = tree.start.tolist(), tree.coeff.tolist(), tree.exp.tolist()
+    cell = [c if cat else None for c, cat in zip(tree.cell.tolist(), tree.catenation.tolist())]
+    offsets = tree.offsets.tolist()
+    beams = []
+    for b, (birth, vertex, death, parent, edge) in enumerate(zip(
+            tree.birth.tolist(), tree.birth_vertex.tolist(), tree.death.tolist(),
+            tree.parent.tolist(), tree.merge_edge.tolist())):
+        beam = Beam(b, birth, vertex, [Epoch(start[i], coeff[i], exp[i], tree.basis[i], cell[i])
+                                       for i in range(offsets[b], offsets[b + 1])])
+        beam.death = death
+        if parent >= 0:
+            beam.parent, beam.merge_edge = parent, edge
+        beams.append(beam)
+    return beams
+
+
+def tree_of(dim: int, beams: list) -> PeriodicMergeTree:
+    """The columnar tree of `Beam`s given in index order (the inverse of `view`)."""
+    epochs = [ep for b in beams for ep in b.epochs]
+    return PeriodicMergeTree(
+        dim,
+        birth=[b.birth for b in beams], birth_vertex=[b.birth_vertex for b in beams],
+        death=[b.death for b in beams],
+        parent=[-1 if b.parent is None else b.parent for b in beams],
+        merge_edge=[0 if b.merge_edge is None else b.merge_edge for b in beams],
+        offsets=np.cumsum([0] + [len(b.epochs) for b in beams]),
+        start=[ep.start for ep in epochs], coeff=[ep.coeff for ep in epochs],
+        exp=[ep.exp for ep in epochs], catenation=[ep.cell is not None for ep in epochs],
+        cell=[0 if ep.cell is None else ep.cell for ep in epochs],
+        basis=[ep.basis for ep in epochs])

@@ -19,7 +19,7 @@ from perimere.lattice import RealBasis, SublatticeBasis, hnf_transform, solve
 from perimere.synthetic import random_periodic_graph, torus_grid
 
 from .conftest import fig3_left_doc, helix_cross_doc
-from .oracles import assignment_w1, brute_member
+from .oracles import assignment_w1, brute_member, view
 from .test_lattice import certify_member, random_unimodular
 
 SQRT2 = math.sqrt(2)
@@ -50,7 +50,7 @@ def test_c1_golden_fixture_steps(helix_cross):
     mergers = sorted(e.time for e in tree.events if e.kind == "merger")
     assert mergers == [7.0, 8.0, 10.0, 12.0]
     # appearances carry the ball-volume monomial: coeff 1, exponent 3
-    for b in tree.beams:
+    for b in view(tree):
         assert b.epochs[0].exp == 3
         assert abs(b.epochs[0].coeff - 1.0) <= 1e-9
     expected = {
@@ -277,7 +277,7 @@ def test_c9_monotonicity():
         g = random_periodic_graph(rng, dim=3, n=rng.randint(2, 50), m=rng.randint(0, 150),
                                   shift_range=1)
         tree = build(g)
-        for beam in tree.beams:
+        for beam in view(tree):
             for a, b in zip(beam.epochs, beam.epochs[1:]):
                 checked_epochs += 1
                 assert b.exp < a.exp or (b.exp == a.exp and b.coeff < a.coeff)

@@ -7,6 +7,7 @@ import sys
 
 import perimere
 
+from . import oracles
 from .conftest import FIXTURE_DIR
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
@@ -38,6 +39,7 @@ def test_tracer_binds_on_current_api():
     assert {"pgraph.parse", "mergetree.build", "barcode.extract", "mergetree.splinters"} <= names
     summary = tracer.summarize(0, len(tracer))
     assert summary["mergetree.beams"] == 5
+    assert summary["mergetree.events"] == len(oracles.oracle_build(g).events) == 14
     assert summary["mergetree.splinters_beams"] == 5
     assert [summary[f"barcode.bars.era{e}"] for e in range(4)] == [len(era) for era in code.eras]
     # the fixture catenates, and build reaches the lattice through the traced names

@@ -10,6 +10,7 @@ from perimere.mergetree import TOL
 from perimere.synthetic import random_periodic_graph
 
 from .conftest import fig3_left_doc, helix_cross_doc
+from .oracles import view
 
 SQRT2 = math.sqrt(2)
 INF = math.inf
@@ -101,7 +102,7 @@ class TestProperties:
                 for _, birth, _, mult in era.tolist():
                     by_birth[birth] = by_birth.get(birth, 0.0) + mult
                 for birth, total in by_birth.items():
-                    cap = max((ep.coeff for beam in tree.beams if beam.birth == birth
+                    cap = max((ep.coeff for beam in view(tree) if beam.birth == birth
                                for ep in beam.epochs if ep.exp == exp), default=0.0)
                     assert total >= -1e-9
                     assert total <= cap + 1e-9
@@ -121,7 +122,7 @@ class TestProperties:
                     alive = sum(mult for _, birth, death, mult in era.tolist()
                                 if birth <= t < death)
                     active = 0.0
-                    for beam in tree.beams:
+                    for beam in view(tree):
                         if beam.birth <= t < beam.death:
                             for st, en, coeff, e_exp, _ in beam.spans():
                                 if st <= t < en and e_exp == exp:
@@ -136,7 +137,7 @@ class TestProperties:
             code = extract(tree)
             essential = [mult for _, _, death, mult in code.bars.tolist() if math.isinf(death)]
             assert len(essential) == len(tree.roots())
-            finals = sorted(round(tree.beams[r].epochs[-1].coeff, 9) for r in tree.roots())
+            finals = sorted(round(view(tree)[r].epochs[-1].coeff, 9) for r in tree.roots())
             assert sorted(round(mult, 9) for mult in essential) == finals
 
     def test_multiplicities_below_bound(self, helix_cross, fig3_left):

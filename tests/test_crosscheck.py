@@ -13,13 +13,14 @@ from perimere import (GraphError, IntMatrix, build, canonical_form, equals, extr
                       parse, serialize, splinters, unroll, w1, w1_alt)
 from perimere.barcode import json_chunks, to_csv
 from perimere.lattice import RealBasis, SublatticeBasis, count_cosets_in_ball, hnf_reduce
-from perimere.mergetree import Beam, Epoch, PeriodicMergeTree, _TreeIndex
+from perimere.mergetree import _TreeIndex
 from perimere.synthetic import random_periodic_graph, torus_grid
 from perimere.transport import _add, barcode_distance, positive_negative_split
 
 from . import oracles
-from .oracles import oracle_w1
+from .oracles import Beam, Epoch, oracle_w1, view
 from .test_lattice import random_unimodular
+from .test_mergetree import chain, level_chain, star
 
 
 def lp_w1(xi, eta):
@@ -376,7 +377,7 @@ def _leaves(coeffs, below=None):
         if below is not None:
             beam.death, beam.parent, beam.merge_edge = 10.0, 0, len(beams)
         beams.append(beam)
-    return PeriodicMergeTree(1, beams)
+    return oracles.tree_of(1, beams)
 
 
 class TestSplintersOracle:
@@ -422,7 +423,8 @@ class TestSplintersOracle:
             idx = _TreeIndex(tree)
             kids = oracles.children(tree)
             texts = {}
-            for beam in tree.beams:
+            beams = view(tree)
+            for beam in beams:
                 hs = {beam.birth, beam.death, *(h for h, _ in kids[beam.index]),
                       *(st for st, *_ in beam.spans())}
                 for h in hs:
@@ -432,11 +434,36 @@ class TestSplintersOracle:
                     assert texts[idx.digest(beam.index, h)] == ref
             assert len(set(texts.values())) == len(texts)
             # text order of the subtrees of all beams alive at one height
-            for top in {b.birth for b in tree.beams} | {b.death for b in tree.beams}:
-                reps = {idx.digest(b.index, top): b.index for b in tree.beams
+            for top in {b.birth for b in beams} | {b.death for b in beams}:
+                reps = {idx.digest(b.index, top): b.index for b in beams
                         if b.birth <= top <= b.death}
                 want = sorted(reps, key=lambda dg: oracles._digest(tree, reps[dg], top, 1e-9))
                 assert idx.ordered(reps, top) == want
+
+
+class TestBuildOracle:
+    # the columnar build against the object build it replaced: every field of
+    # every beam and epoch, the sharing of lattice objects and the event log
+    def test_view_equals_object_build(self):
+        rng = random.Random(17)
+        graphs = [chain(60), star(40), level_chain(60),
+                  parse({"dim": 2, "basis": [[1.0, 0.0], [0.0, 1.0]], "vertices": [], "edges": []})]
+        for _ in range(420):
+            n = rng.randint(1, 14)
+            graphs.append(random_periodic_graph(
+                rng, dim=rng.choice((1, 2, 3)), n=n, m=rng.randint(0, 3 * n),
+                shift_range=rng.choice((1, 2)), tie_values=rng.random() < 0.6))
+        cats = takeovers = 0
+        for g in graphs:
+            tree, ref = build(g), oracles.oracle_build(g)
+            assert view(tree) == ref.beams
+            assert len({id(basis) for basis in tree.basis}) == len(
+                {id(ep.basis) for b in ref.beams for ep in b.epochs})
+            assert tree.events == ref.events
+            assert tree.roots() == ref.roots()
+            cats += int(tree.catenation.sum())
+            takeovers += sum(ep.cell is None for b in ref.beams for ep in b.epochs[1:])
+        assert cats > 500 and takeovers > 100
 
 
 class TestExtractOracle:
@@ -463,7 +490,7 @@ class TestExtractOracle:
             assert to_csv(code) == oracles.oracle_csv(want)
             assert "".join(json_chunks(code)) == oracles.oracle_json(want)
             # a span adds a + contribution, and a - one when it starts after the birth
-            contribs = sum(1 + (st > beam.birth) for beam in tree.beams for st, *_ in beam.spans())
+            contribs = sum(1 + (st > beam.birth) for beam in view(tree) for st, *_ in beam.spans())
             merged += len(code.bars) < contribs
         assert merged > 100   # keys that repeat, and sums that cancel, are common
 

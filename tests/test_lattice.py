@@ -55,6 +55,27 @@ class TestHnfReduce:
         got = hnf_reduce([], dim=3)
         assert got.rank == 0 and got.dim == 3
 
+    @pytest.mark.parametrize("cols,dim,message", [
+        ([(1, 2), (3,)], None, "ragged columns"),
+        ([(1, 2, 3), (4, 5)], 3, "ragged columns"),
+        ([(1, 2)], 3, "columns do not match dim"),
+        ([], None, "dim required for an empty column list"),
+        (iter(()), None, "dim required for an empty column list"),
+    ])
+    def test_refusals(self, cols, dim, message):
+        with pytest.raises(ValueError, match=message):
+            hnf_reduce(cols, dim=dim)
+
+    def test_input_columns_are_left_as_they_are(self):
+        cols = [[4, 6], [2, 0]]
+        lists = [list(c) for c in cols]
+        assert hnf_reduce(lists).columns == ((2, 0), (0, 6))
+        assert lists == cols
+        # exact ints of any kind; IntMatrix columns too
+        assert hnf_reduce([np.array([4, 6]), (2, 0)]) == hnf_reduce(cols)
+        m = IntMatrix.from_rows([[4, 2], [6, 0]])
+        assert hnf_reduce(m) == hnf_reduce(cols) and m.columns == ((4, 6), (2, 0))
+
     def test_canonical_shape(self):
         rng = random.Random(0)
         for _ in range(100):

@@ -8,11 +8,11 @@ import pytest
 from perimere import (IntMatrix, UnionFind, build,
                       canonical_form, extract, parse, serialize, splinters, unroll)
 from perimere.mergetree import PeriodicMergeTree, _TreeText, monomial_display
-from perimere.synthetic import random_periodic_graph
+from perimere.synthetic import random_periodic_graph, torus_grid
 
 from .conftest import fig3_left_doc, helix_cross_doc
 from . import oracles
-from .oracles import bfs_components
+from .oracles import bfs_components, view
 
 SQRT2 = math.sqrt(2)
 
@@ -43,11 +43,12 @@ class TestBuildGolden:
     def test_helix_cross_beams(self, helix_cross):
         tree = build(helix_cross)
         assert len(tree.beams) == 5
-        root = tree.beams[tree.roots()[0]]
+        beams = view(tree)
+        root = beams[tree.roots()[0]]
         assert root.birth == 1.0 and root.birth_vertex == 1
         assert [(e.start, e.exp) for e in root.epochs] == [(1.0, 3), (12.0, 0), (13.0, 0)]
         assert [round(e.coeff, 9) for e in root.epochs] == [1.0, 2.0, 1.0]
-        by_vertex = {b.birth_vertex: b for b in tree.beams}
+        by_vertex = {b.birth_vertex: b for b in beams}
         assert [(e.start, round(e.coeff, 9), e.exp) for e in by_vertex[2].epochs] == [
             (2.0, 1.0, 3), (6.0, round(SQRT2, 9), 2), (10.0, 2.0, 1), (11.0, 2.0, 0)]
         assert by_vertex[2].death == 12.0
@@ -59,13 +60,16 @@ class TestBuildGolden:
         # merger edges sit on the dying beams; catenation edges on the epochs
         # they open (None for birth epochs and for a lattice taken over at 12)
         tree = build(helix_cross)
-        by_vertex = {b.birth_vertex: b for b in tree.beams}
+        by_vertex = {b.birth_vertex: b for b in view(tree)}
         assert {v: b.merge_edge for v, b in by_vertex.items()} == {
             1: None, 2: 12, 3: 10, 4: 7, 5: 8}
         assert [e.cell for e in by_vertex[1].epochs] == [None, None, 13]
         assert [e.cell for e in by_vertex[2].epochs] == [None, 6, 10, 11]
         assert [e.cell for e in by_vertex[3].epochs] == [None, 9]
-        assert PeriodicMergeTree.__slots__ == ("dim", "beams")
+        # the columns are the whole record: no event log is stored
+        assert PeriodicMergeTree.__slots__ == (
+            "dim", "birth", "birth_vertex", "death", "parent", "merge_edge",
+            "offsets", "start", "coeff", "exp", "catenation", "cell", "basis")
 
     def test_single_vertex(self):
         g = parse({"dim": 3,
@@ -73,7 +77,7 @@ class TestBuildGolden:
                    "vertices": [{"id": 7, "value": 4.5}], "edges": []})
         tree = build(g)
         assert len(tree.beams) == 1
-        b = tree.beams[0]
+        b = view(tree)[0]
         assert b.death == math.inf and b.parent is None
         assert len(b.epochs) == 1
         assert b.epochs[0].coeff == pytest.approx(0.5)  # 1 / vol_d
@@ -81,10 +85,10 @@ class TestBuildGolden:
 
     def test_fig3_left_epochs(self, fig3_left):
         tree = build(fig3_left)
-        root = tree.beams[tree.roots()[0]]
+        root = view(tree)[tree.roots()[0]]
         assert [(e.start, round(e.coeff, 9), e.exp) for e in root.epochs] == [
             (1.0, 1.0, 2), (7.0, round(SQRT2, 9), 1), (9.0, 1.0, 0)]
-        other = tree.beams[1 - tree.roots()[0]]
+        other = view(tree)[1 - tree.roots()[0]]
         assert other.birth == 3.0 and other.death == 5.0
 
     def test_event_counts(self, helix_cross):
@@ -171,7 +175,7 @@ class TestInvariants:
         for _ in range(20):
             g = random_periodic_graph(rng, n=rng.randint(2, 40), m=rng.randint(0, 100))
             tree = build(g)
-            for beam in tree.beams:
+            for beam in view(tree):
                 eps = beam.epochs
                 for a, b in zip(eps, eps[1:]):
                     assert b.exp < a.exp or (b.exp == a.exp and b.coeff < a.coeff)
@@ -206,8 +210,9 @@ class TestInvariants:
             g = random_periodic_graph(rng, dim=rng.randint(1, 3), n=rng.randint(1, 30),
                                       m=rng.randint(0, 60), tie_values=True)
             tree = build(g)
-            assert all(b.parent < b.index for b in tree.beams if b.parent is not None)
-            keys = [(b.birth, b.birth_vertex) for b in tree.beams]
+            beams = view(tree)
+            assert all(b.parent < b.index for b in beams if b.parent is not None)
+            keys = [(b.birth, b.birth_vertex) for b in beams]
             assert keys == sorted(keys)
             assert _TreeText(tree).kids == oracles.children(tree)
 
@@ -354,7 +359,7 @@ class TestDeepChains:
     # the recursive digest and sweep raised RecursionError a few hundred deep
     def test_depth_1e5_canonical_form_and_self_splinters(self):
         t = build(chain(100_000))
-        assert all(b.parent == b.index - 1 for b in t.beams[1:])
+        assert t.parent[1:].tolist() == list(range(len(t.beams) - 1))
         assert canonical_form(t)
         assert splinters(t, t)
 
@@ -363,7 +368,7 @@ class TestDeepChains:
         # up the chain of mergers at one height
         n = 100_000
         t = build(level_chain(n))
-        assert all(b.parent == b.index - 1 and b.death == n for b in t.beams[1:])
+        assert t.parent[1:].tolist() == list(range(n - 1)) and (t.death[1:] == n).all()
         assert canonical_form(t).count(f"{n}>") == n - 1
 
     def test_depth_1e4_cover(self):
@@ -458,6 +463,20 @@ class TestSerialization:
         assert len(doc["beams"]) == 5
         assert doc["beams"][0]["death"] is None
         assert doc["events"][0]["kind"] == "appearance"
+
+    def test_json_chunks_hold_a_block_at_a_time(self):
+        # the texts are made one block of rows at a time, after one text per
+        # lattice, so writing a tree of a 4.7 MB document holds a fraction of
+        # it (the whole-tree texts, or the document, before)
+        tree = build(torus_grid(20))
+        tracemalloc.start()
+        try:
+            size = sum(map(len, tree.json_chunks()))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size > 4 * 2 ** 20
+        assert peak < size / 4
 
     def test_dot_output(self, fig3_left):
         dot = build(fig3_left).to_dot()
