@@ -344,15 +344,34 @@ def reduce_mod(l: SublatticeBasis, v: Sequence[int]):
     return tuple(w)
 
 
+def reduce_many(l: SublatticeBasis, vectors):
+    """Residues and quotients of many vectors along L's pivot rows.
+
+    `vectors` is an (N, dim) array or nested list; it is reduced as an
+    object array of Python ints, so entries of any size stay exact.  Row i
+    of the (N, dim) residues is `reduce_mod(l, vectors[i])`, and row i of
+    the (N, rank) quotients holds the multiples of L's columns taken off it,
+    so vectors = residues + quotients . columns.  Where L is a full-rank HNF
+    the quotients are what `solve` finds for vectors - residues.
+    """
+    w = np.array(vectors, dtype=object).reshape(-1, l.dim)
+    q = np.empty((len(w), l.rank), dtype=object)
+    for j, col in enumerate(l.columns):
+        r = _pivot_row(col)
+        q[:, j] = w[:, r] // col[r]
+        w[:, r:] -= q[:, j, None] * np.array(col[r:], dtype=object)
+    return w, q
+
+
 def count_cosets_in_ball(u: RealBasis, l: SublatticeBasis, radius: float,
                          budget: int = DEFAULT_ENUMERATION_BUDGET) -> int:
     """Brute-force count of elements of Lambda/Lambda_C meeting the R-ball.
 
     Enumerates the integer coordinates of all lattice points U.n with
     ||U.n|| <= R and deduplicates them by canonical reduction along L's
-    pivot rows (`reduce_mod` over the whole array, in Python ints, so HNF
-    entries of any size are exact).  Raises BudgetExceeded if the
-    enclosing coordinate box holds more than `budget` points.
+    pivot rows (`reduce_many`, in Python ints, so HNF entries of any size
+    are exact).  Raises BudgetExceeded if the enclosing coordinate box
+    holds more than `budget` points.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -368,9 +387,5 @@ def count_cosets_in_ball(u: RealBasis, l: SublatticeBasis, radius: float,
     axes = [np.arange(-b, b + 1, dtype=np.int64) for b in bounds]
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
     real = pts @ u.matrix.T
-    keep = pts[np.einsum("ij,ij->i", real, real) <= radius * radius * (1 + 1e-9)].astype(object)
-    for col in l.columns:
-        r = _pivot_row(col)
-        q = keep[:, r] // col[r]
-        keep = keep - q[:, None] * np.array(col, dtype=object)
-    return len(set(map(tuple, keep.tolist())))
+    keep = pts[np.einsum("ij,ij->i", real, real) <= radius * radius * (1 + 1e-9)]
+    return len(set(map(tuple, reduce_many(l, keep)[0].tolist())))

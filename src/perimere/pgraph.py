@@ -16,7 +16,7 @@ import numpy as np
 
 from . import jsonfmt
 from .jsonfmt import HOLE
-from .lattice import IntMatrix, RealBasis, coset_reps, hnf_transform, reduce_mod, solve
+from .lattice import IntMatrix, RealBasis, coset_reps, hnf_transform, reduce_many
 
 
 class GraphError(ValueError):
@@ -304,7 +304,10 @@ def unroll(g: PeriodicGraph, s: IntMatrix) -> PeriodicGraph:
     new shift solving S.shift' = c + t - c'.  The result has |det S| times
     the vertices and edges of g, with basis U.S.  The copies of an edge
     depend on its shift alone, so the coset work is done once per distinct
-    shift and representative; the copies are written as (cells x
+    shift t and representative c: all the vectors c + t are reduced along
+    the HNF H's pivots in one pass over an object array of exact ints
+    (`reduce_many`), whose quotients y are the certificate H.y = c + t - c'
+    and give shift' = certs.y.  The copies are written as (cells x
     representatives) arrays.
     """
     if s.rows != g.dim or s.cols != g.dim:
@@ -312,7 +315,8 @@ def unroll(g: PeriodicGraph, s: IntMatrix) -> PeriodicGraph:
     h, certs = hnf_transform(s)
     if h.rank != g.dim:
         raise GraphError("singular sublattice matrix")
-    k = math.prod(col[i] for i, col in enumerate(h.columns))   # |det S|, from the pivots
+    pivots = [col[i] for i, col in enumerate(h.columns)]   # H is lower triangular
+    k = math.prod(pivots)   # |det S|
     if g.ids.size and not (_ID_MIN <= int(g.ids.min()) * k
                            and int(g.ids.max()) * k + k - 1 <= _ID_MAX):
         raise GraphError(f"ids times the sublattice index {k} leave the signed 64-bit range")
@@ -322,31 +326,25 @@ def unroll(g: PeriodicGraph, s: IntMatrix) -> PeriodicGraph:
     ]
     if not g.n:   # no cells, no copies: the index need not fit an array
         return PeriodicGraph(g.dim, RealBasis(new_cols), g.ids, g.values, [], g.u, g.v, [])
-    reps = coset_reps(s) if g.m else []   # only edge copies need the representatives
-    rep_index = {r: i for i, r in enumerate(reps)}
-
-    def hops(shift):
-        """(target representative index, new shift) for every representative."""
-        row = []
-        for c in reps:
-            w = tuple(a + b for a, b in zip(c, shift))
-            c2 = reduce_mod(h, w)
-            y = solve(h, tuple(a - b for a, b in zip(w, c2)))
-            if y is None:
-                raise AssertionError("coset reduction left a non-lattice difference")
-            # H = S . certs, so S . (certs . y) = w - c2
-            t = tuple(sum(certs[col][i] * y[col] for col in range(len(y))) for i in range(g.dim))
-            row.append((rep_index[c2], t))
-        return row
-
     distinct: dict = {}   # shift -> its number, in order of first use
     which = np.array([distinct.setdefault(t, len(distinct)) for t in g.shifts], dtype=np.int64)
-    rows = [hops(t) for t in distinct]
-    targets = np.array([[c2 for c2, _ in row] for row in rows], dtype=np.int64)
+    # only edge copies need the representatives
+    reps = np.array(coset_reps(s) if g.m else [], dtype=object).reshape(-1, g.dim)
+    w = (np.array(list(distinct), dtype=object).reshape(-1, 1, g.dim) + reps).reshape(-1, g.dim)
+    c2, y = reduce_many(h, w)   # row j * k + i: shift j from representative i
+    if not np.array_equal(y.dot(np.array(h.columns, dtype=object)), w - c2):
+        raise AssertionError("coset reduction left a non-lattice difference")
+    if not ((c2 >= 0) & (c2 < pivots)).all():
+        raise AssertionError("coset reduction left a non-canonical representative")
+    # c2's digits, mixed radix over the pivots, are its index in `coset_reps`
+    targets = (c2.astype(np.int64) @ np.cumprod([1, *pivots[:0:-1]])[::-1]).reshape(-1, k)
+    shared: dict = {}   # equal new shifts share one tuple, as in `parse`
+    new_shifts = [shared.setdefault(t, t)   # H = S . certs, so S . (certs . y) = c + t - c2
+                  for t in map(tuple, y.dot(np.array(certs, dtype=object)).tolist())]
     cis = np.arange(k)
     return PeriodicGraph(
         g.dim, RealBasis(new_cols),
         (g.ids[:, None] * k + cis).ravel(), np.repeat(g.values, k),
         [tok for tok in g.raw for _ in range(k)],
         (g.u[:, None] * k + cis).ravel(), (g.v[:, None] * k + targets[which]).ravel(),
-        [t for j in which.tolist() for _, t in rows[j]])
+        list(map(new_shifts.__getitem__, (which[:, None] * k + cis).ravel().tolist())))

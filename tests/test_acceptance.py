@@ -292,8 +292,10 @@ def test_c9_monotonicity():
 def test_c10_performance():
     g1 = torus_grid(47, seed=10)   # 103,823 vertices, 311,469 edges
     g2 = torus_grid(59, seed=10)   # 205,379 vertices (roughly doubled)
-    t1 = min(_timed_build(g1) for _ in range(2))
-    t2 = min(_timed_build(g2) for _ in range(2))
+    # the sizes alternate, so host drift over the run reaches both alike
+    times = [(_timed_build(g1), _timed_build(g2)) for _ in range(3)]
+    t1 = min(a for a, _ in times)
+    t2 = min(b for _, b in times)
     assert g1.n > 100000 and g1.m > 300000
     assert t1 < 5.0
     assert t2 / t1 < 2.6

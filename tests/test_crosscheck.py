@@ -315,6 +315,20 @@ def _sublattice(rng, dim, max_det=3):
             return s
 
 
+def _skewed_sublattice(rng, dim, max_det):
+    """S = T.U with U unimodular and T lower triangular, |det S| <= max_det,
+    T's entries below a pivot p drawn from [0, p): S's HNF is T."""
+    while True:
+        pivots = [rng.randint(1, max_det) for _ in range(dim)]
+        if math.prod(pivots) <= max_det:
+            break
+    t = [[pivots[i] if i == j else rng.randrange(pivots[i]) if i > j else 0 for j in range(dim)]
+         for i in range(dim)]
+    u = random_unimodular(rng, dim, ops=4)   # columns, small enough for a well-conditioned U.S
+    return IntMatrix.from_rows([[sum(t[i][k] * u[j][k] for k in range(dim)) for j in range(dim)]
+                                for i in range(dim)])
+
+
 def _forest(rng):
     """Two copies of one random block, the second 0.25 higher: a disconnected quotient."""
     g1 = random_periodic_graph(rng, dim=2, n=4, m=5)
@@ -518,6 +532,32 @@ class TestUnrollOracle:
             skew += any(col[r] for j, col in enumerate(h.columns) for r in range(j + 1, dim))
             assert serialize(unroll(g, s)) == serialize(oracles.oracle_unroll(g, s))
         assert dim == 1 or skew > 0
+
+    def test_wide_shifts_and_skewed_lattices(self):
+        # shifts near +-2^70, |det S| up to 12 with off-diagonal HNF entries, a
+        # graph whose every edge has its own shift and one with no edges
+        rng = random.Random(70)
+        wide = skew = own = bare = 0
+        for trial in range(240):
+            dim = rng.choice([1, 2, 3])
+            doc = serialize(random_periodic_graph(
+                rng, dim=dim, n=rng.randint(1, 6), m=rng.randint(0, 12) if trial else 0,
+                shift_range=rng.choice([1, 2, 3])))
+            far = rng.random() < 0.3
+            for j, rec in enumerate(doc["edges"]):
+                if trial % 4 == 1:
+                    rec["shift"][0] = j
+                if far:
+                    rec["shift"] = [e + rng.choice([-1, 0, 1]) * 2 ** 70 for e in rec["shift"]]
+            g = parse(doc)
+            s = _skewed_sublattice(rng, dim, 12)
+            h = hnf_reduce(s)
+            wide += max(map(abs, sum(g.shifts, ())), default=0) > 2 ** 63
+            skew += any(col[r] for j, col in enumerate(h.columns) for r in range(j + 1, dim))
+            own += g.m > 1 and len(set(g.shifts)) == g.m
+            bare += g.m == 0
+            assert serialize(unroll(g, s)) == serialize(oracles.oracle_unroll(g, s))
+        assert wide > 20 and skew > 20 and own > 20 and bare > 0
 
 
 class TestSkewedBasisShadows:

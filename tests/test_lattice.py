@@ -7,7 +7,7 @@ import pytest
 from perimere.lattice import (BudgetExceeded, IntMatrix, RealBasis,
                               SublatticeBasis, _int_det, coset_reps, count_cosets_in_ball,
                               hnf_reduce, hnf_transform, lattice_sum, member,
-                              reduce_mod, solve, unit_ball_volume, volume)
+                              reduce_many, reduce_mod, solve, unit_ball_volume, volume)
 
 from .oracles import brute_member, oracle_hnf_columns, oracle_volume
 
@@ -394,6 +394,28 @@ class TestCosets:
         s = IntMatrix.from_rows([[1, 1], [1, 1]])
         with pytest.raises(ValueError):
             coset_reps(s)
+
+    def test_reduce_many_is_reduce_mod_and_solve_per_row(self):
+        # any rank, entries past int64: residues are reduce_mod's, quotients
+        # solve's at full rank, and vectors = residues + quotients . columns
+        rng = random.Random(12)
+        full = 0
+        for trial in range(60):
+            d = rng.choice([1, 2, 3])
+            cols = [[rng.randint(-4, 4) for _ in range(d)] for _ in range(rng.randint(0, d))]
+            l = hnf_reduce(cols, dim=d)
+            vs = [[rng.randint(-9, 9) + rng.choice([0, 2 ** 70, -2 ** 70]) for _ in range(d)]
+                  for _ in range(rng.randint(0, 6))]
+            res, q = reduce_many(l, vs)
+            assert res.shape == (len(vs), d) and q.shape == (len(vs), l.rank)
+            assert [tuple(r) for r in res.tolist()] == [reduce_mod(l, v) for v in vs]
+            back = res + q.dot(np.array(l.columns, dtype=object).reshape(l.rank, d))
+            assert back.tolist() == vs
+            if l.rank == d:
+                full += 1
+                assert [tuple(r) for r in q.tolist()] == [
+                    solve(l, [a - b for a, b in zip(v, r)]) for v, r in zip(vs, res.tolist())]
+        assert 10 < full < 50
 
 
 class TestCountCosetsInBall:

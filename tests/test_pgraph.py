@@ -2,10 +2,12 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from perimere import (GraphError, IntMatrix, build, cellular_l1, equals,
                       extract, max_shift_magnitude, parse, serialize, unroll)
+from perimere.lattice import hnf_reduce, reduce_many
 
 from .conftest import fig3_left_doc, helix_cross_doc
 
@@ -319,6 +321,24 @@ class TestUnroll:
         doc["vertices"] = []
         g3 = unroll(parse(doc), IntMatrix.from_rows([[1, 0], [0, 10 ** 20]]))
         assert g3.n == g3.m == 0 and g3.basis.volume == pytest.approx(1e20)
+
+    @pytest.mark.parametrize("bend,match", [
+        # quotients one off: H.y no longer equals c + t - c2
+        (lambda c2, y, col: (c2, y + 1), "non-lattice difference"),
+        # one pivot column moved from the quotients into the residues: the
+        # certificate holds, the residue is past its pivot
+        (lambda c2, y, col: (c2 + col, y - [1, 0]), "non-canonical representative"),
+    ])
+    def test_unroll_checks_its_reduction(self, fig3_left, monkeypatch, bend, match):
+        s = IntMatrix.from_rows([[2, 0], [1, 3]])
+        col = np.array(hnf_reduce(s).columns[0], dtype=object)
+
+        def bent(l, vectors):
+            return bend(*reduce_many(l, vectors), col)
+
+        monkeypatch.setattr("perimere.pgraph.reduce_many", bent)
+        with pytest.raises(AssertionError, match=match):
+            unroll(fig3_left, s)
 
     def test_singular_rejected(self, fig3_left):
         with pytest.raises(GraphError):
