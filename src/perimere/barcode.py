@@ -6,11 +6,10 @@ end, one negative bar from the beam's birth to the epoch's start.  Empty
 bars are skipped, equal bars have their signed multiplicities summed, and
 exact cancellations (e.g. from zero-width epochs at tied heights) drop out.
 
-A barcode is held as columns, with no object per bar: `bars` is one record
-array with the columns exp, birth, death (inf for an essential bar) and
-mult, its rows in (birth, death, exp) order, which is the CSV row order;
-`eras[e]` holds the rows of era e in the same order, so `len(eras[e])` is
-the era's bar count and `eras[e]["mult"]` its multiplicities.
+A barcode is held as columns, each row once: `bars` is one record array of
+exp, birth, death (inf for an essential bar) and mult, its rows strictly
+increasing in (birth, death, exp), the CSV row order; `eras[e]` selects the
+rows of era e on access, so `len(eras[e])` is the era's bar count.
 """
 from __future__ import annotations
 
@@ -28,23 +27,32 @@ BAR_ROW = np.dtype([("exp", np.int64), ("birth", float), ("death", float), ("mul
 class PeriodicBarcode:
     """d+1 era barcodes, indexed by monomial exponent 0..d.
 
-    `bars` are (exp, birth, death, mult) rows sorted by (birth, death, exp),
-    one per distinct bar, as `extract` makes them.
+    `bars` are (exp, birth, death, mult) rows, one per distinct bar, strictly
+    increasing in (birth, death, exp) as `extract` makes them, or a ValueError.
     """
 
-    __slots__ = ("dim", "bars", "eras")
+    __slots__ = ("dim", "bars")
 
     def __init__(self, dim: int, bars):
         self.dim = dim
         self.bars = np.asarray(bars, dtype=BAR_ROW)
-        exp = self.bars["exp"]
+        exp, birth, death = self.bars["exp"], self.bars["birth"], self.bars["death"]
         if len(exp) and not 0 <= exp.min() <= exp.max() <= dim:
             raise ValueError("bar exponent outside 0..d")
-        self.eras = tuple(self.bars[exp == e] for e in range(dim + 1))
+        same_birth = birth[1:] == birth[:-1]
+        same_death = death[1:] == death[:-1]
+        if not ((birth[1:] > birth[:-1]) | same_birth & (death[1:] > death[:-1])
+                | same_birth & same_death & (exp[1:] > exp[:-1])).all():
+            raise ValueError("bars must be strictly increasing in (birth, death, exp)")
+
+    @property
+    def eras(self) -> tuple:
+        """Per era e, a copy of the rows of `bars` with exp e, made on each access."""
+        return tuple(self.bars[self.bars["exp"] == e] for e in range(self.dim + 1))
 
     def era_function(self, exp: int) -> dict:
         """Multiplicity function of one era: {(birth, death): mult}."""
-        era = self.eras[exp]
+        era = self.bars[self.bars["exp"] == exp]
         return dict(zip(zip(era["birth"].tolist(), era["death"].tolist()), era["mult"].tolist()))
 
 
@@ -88,16 +96,14 @@ def extract(tree: PeriodicMergeTree) -> PeriodicBarcode:
 
 
 def equals(b1: PeriodicBarcode, b2: PeriodicBarcode) -> bool:
-    """Era-wise equality: births/deaths exact, multiplicities within TOL."""
+    """Era-wise equality: births/deaths exact, multiplicities within TOL, in
+    one pass over the rows, which are in one strict order in both."""
     if b1.dim != b2.dim:
         raise ValueError("dimension mismatch")
-    for e1, e2 in zip(b1.eras, b2.eras):
-        if len(e1) != len(e2) or not (np.array_equal(e1["birth"], e2["birth"])
-                                      and np.array_equal(e1["death"], e2["death"])):
-            return False
-        if np.any(np.abs(e1["mult"] - e2["mult"]) > TOL):
-            return False
-    return True
+    r1, r2 = b1.bars, b2.bars
+    return (len(r1) == len(r2) and all(np.array_equal(r1[c], r2[c])
+                                       for c in ("exp", "birth", "death"))
+            and not np.any(np.abs(r1["mult"] - r2["mult"]) > TOL))
 
 
 def to_json_dict(bc: PeriodicBarcode) -> dict:
@@ -126,7 +132,7 @@ def json_chunks(bc: PeriodicBarcode):
     """Chunks of `jsonfmt.dumps(to_json_dict(bc))`, one template fill per bar."""
     bar = jsonfmt.template(_BAR, 4)
     return jsonfmt.chunks(
-        {"dim": bc.dim, "eras": [{"bars": HOLE, "exp": exp} for exp in range(len(bc.eras))]},
+        {"dim": bc.dim, "eras": [{"bars": HOLE, "exp": exp} for exp in range(bc.dim + 1)]},
         *(jsonfmt.items(map(bar.__mod__, zip(
             jsonfmt.floats(era["birth"].tolist()),
             jsonfmt.floats([None if math.isinf(x) else x for x in era["death"].tolist()]),

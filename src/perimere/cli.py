@@ -132,7 +132,12 @@ def cmd_count_shadows(args) -> int:
         active = tree.monomial(b, t)
         if active is not None:
             coeff, exp, basis = active
-            predicted = coeff * unit_ball_volume(exp) * args.radius ** exp
+            try:
+                predicted = coeff * unit_ball_volume(exp) * args.radius ** exp
+            except OverflowError:
+                predicted = math.inf
+            if math.isinf(predicted):
+                raise OverflowError("predicted count out of float range")
             counted = count_cosets_in_ball(g.basis, basis, args.radius, budget)
             rows.append({
                 "beam": b,

@@ -3,8 +3,8 @@
 A periodic graph is stored as its finite quotient: vertices and edges on the
 d-torus, each edge carrying the integer shift vector of its u -> v direction
 (the v -> u direction uses the negation).  Filter values may arrive as JSON
-numbers or as decimal strings; the original token is kept so serialization
-round-trips bit-exactly.
+numbers or as decimal strings; the original token of a string value is kept,
+for that cell only, so serialization round-trips bit-exactly.
 """
 from __future__ import annotations
 
@@ -27,8 +27,9 @@ class PeriodicGraph:
     """Finite quotient of a periodic filtered graph, stored as columns.
 
     The cells are the n vertices followed by the m edges: `ids` (int64) and
-    `values` (float64) hold one entry per cell, and `raw` the decimal-string
-    token a value was read from, or None.  The j-th edge runs from vertex
+    `values` (float64) hold one entry per cell, and `raw` maps the position
+    of each cell whose value was read from a decimal string to that token
+    (empty when every value was a number).  The j-th edge runs from vertex
     position `u[j]` to vertex position `v[j]` (int64) along `shifts[j]`, a
     tuple of exact ints.  `parse` validates outside input; `unroll` and `synthetic`
     build valid graphs directly.
@@ -36,7 +37,7 @@ class PeriodicGraph:
 
     __slots__ = ("dim", "basis", "ids", "values", "raw", "u", "v", "shifts")
 
-    def __init__(self, dim: int, basis: RealBasis, ids, values, raw: list, u, v, shifts: list):
+    def __init__(self, dim: int, basis: RealBasis, ids, values, raw: dict, u, v, shifts: list):
         self.dim = dim
         self.basis = basis
         self.ids = np.asarray(ids, dtype=np.int64)
@@ -77,23 +78,17 @@ _INT = frozenset({int})   # the entry types of a shift read as is
 
 
 def _read_value(obj, what):
-    if isinstance(obj, str):
-        try:
-            val = float(obj)
-        except ValueError:
-            raise GraphError(f"{what}: bad decimal string {obj!r}")
-        if not math.isfinite(val):
-            raise GraphError(f"{what}: value must be finite")
-        return val, obj
-    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
+    if isinstance(obj, bool) or not isinstance(obj, (int, float, str)):
         raise GraphError(f"{what}: value must be a number or decimal string")
     try:
         val = float(obj)
-    except OverflowError:
+    except ValueError:
+        raise GraphError(f"{what}: bad decimal string {obj!r}")
+    except OverflowError:   # an int past the float range
         val = math.inf
     if not math.isfinite(val):
         raise GraphError(f"{what}: value must be finite")
-    return val, None
+    return val
 
 
 def _read_int(obj, what):
@@ -176,7 +171,7 @@ def parse(source) -> PeriodicGraph:
     for key, recs in (("vertices", vlist), ("edges", elist)):
         if not isinstance(recs, (list, tuple)):
             raise GraphError(f"{key} must be a list of records, not {type(recs).__name__}")
-    ids, values, raw = [], [], []
+    ids, values, raw = [], [], {}   # raw: cell position -> decimal-string token
     index = {}   # vertex id -> position
     for pos, rec in enumerate(vlist):
         try:
@@ -185,11 +180,11 @@ def parse(source) -> PeriodicGraph:
             raise _bad_record("vertex", pos, rec, ("id", "value"))
         if type(vid) is not int or not _ID_MIN <= vid <= _ID_MAX:   # in-range ints skip the call
             vid = _read_int(vid, f"vertex record {pos}: id")
-        val, tok = _read_value(value, f"vertex {vid}")
+        if isinstance(value, str):
+            raw[pos] = value
         index[vid] = pos
         ids.append(vid)
-        values.append(val)
-        raw.append(tok)
+        values.append(_read_value(value, f"vertex {vid}"))
     us, vs, shifts, shared = [], [], [], {}
     for pos, rec in enumerate(elist):
         try:
@@ -203,10 +198,10 @@ def parse(source) -> PeriodicGraph:
             u = _read_int(u, f"{what}: u")
         if type(v) is not int:
             v = _read_int(v, f"{what}: v")
-        val, tok = _read_value(value, what)
+        if isinstance(value, str):
+            raw[len(values)] = value
         ids.append(eid)
-        values.append(val)
-        raw.append(tok)
+        values.append(_read_value(value, what))
         us.append(index.get(u, -1))
         vs.append(index.get(v, -1))
         shift = _read_shift(shift, what)
@@ -236,8 +231,9 @@ def serialize(g: PeriodicGraph) -> dict:
     step C.
     """
     n = g.n
-    ids = g.ids.tolist()   # jsonfmt writes Python ints and floats only
-    values = [x if tok is None else tok for x, tok in zip(g.values.tolist(), g.raw)]
+    ids, values = g.ids.tolist(), g.values.tolist()   # jsonfmt writes Python ints and floats
+    for pos, tok in g.raw.items():
+        values[pos] = tok
     return {
         "dim": g.dim,
         "basis": [[float(x) for x in g.basis.matrix[:, j]] for j in range(g.dim)],
@@ -259,9 +255,8 @@ def json_chunks(g: PeriodicGraph):
     n = g.n
     ids = g.ids.tolist()
     values = jsonfmt.floats(g.values.tolist())
-    if any(g.raw):
-        values = [x if tok is None else encode_basestring_ascii(tok)
-                  for x, tok in zip(values, g.raw)]
+    for pos, tok in g.raw.items():
+        values[pos] = encode_basestring_ascii(tok)
     vector = jsonfmt.template([HOLE] * g.dim, 3)
     shift = {t: vector % t for t in set(g.shifts)}
     vertex, edge = jsonfmt.template(_VERTEX, 2), jsonfmt.template(_EDGE, 2)
@@ -325,7 +320,7 @@ def unroll(g: PeriodicGraph, s: IntMatrix) -> PeriodicGraph:
         for j in range(g.dim)
     ]
     if not g.n:   # no cells, no copies: the index need not fit an array
-        return PeriodicGraph(g.dim, RealBasis(new_cols), g.ids, g.values, [], g.u, g.v, [])
+        return PeriodicGraph(g.dim, RealBasis(new_cols), g.ids, g.values, {}, g.u, g.v, [])
     distinct: dict = {}   # shift -> its number, in order of first use
     which = np.array([distinct.setdefault(t, len(distinct)) for t in g.shifts], dtype=np.int64)
     # only edge copies need the representatives
@@ -345,6 +340,6 @@ def unroll(g: PeriodicGraph, s: IntMatrix) -> PeriodicGraph:
     return PeriodicGraph(
         g.dim, RealBasis(new_cols),
         (g.ids[:, None] * k + cis).ravel(), np.repeat(g.values, k),
-        [tok for tok in g.raw for _ in range(k)],
+        {pos * k + c: tok for pos, tok in g.raw.items() for c in range(k)},
         (g.u[:, None] * k + cis).ravel(), (g.v[:, None] * k + targets[which]).ravel(),
         list(map(new_shifts.__getitem__, (which[:, None] * k + cis).ravel().tolist())))

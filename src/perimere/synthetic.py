@@ -71,5 +71,4 @@ def _standard(dim, values, us, vs, shifts) -> PeriodicGraph:
     """The graph on the standard lattice with vertex i and edge j of ids i, j."""
     n = len(values) - len(shifts)
     basis = RealBasis([[1.0 if r == c else 0.0 for r in range(dim)] for c in range(dim)])
-    return PeriodicGraph(dim, basis, [*range(n), *range(len(shifts))], values,
-                         [None] * len(values), us, vs, shifts)
+    return PeriodicGraph(dim, basis, [*range(n), *range(len(shifts))], values, {}, us, vs, shifts)

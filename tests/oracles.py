@@ -524,7 +524,9 @@ def oracle_unroll(g: PeriodicGraph, s: IntMatrix) -> PeriodicGraph:
     ]
     n = g.n
     ids = g.ids.tolist()
-    values = [x if tok is None else tok for x, tok in zip(g.values.tolist(), g.raw)]
+    values = g.values.tolist()
+    for pos, tok in g.raw.items():
+        values[pos] = tok
     vertices = []
     for vid, value in zip(ids[:n], values[:n]):
         for ci in range(k):

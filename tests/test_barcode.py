@@ -1,13 +1,16 @@
+import gc
 import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from perimere import (IntMatrix, build, equals, extract, multiplicity_bound,
                       parse, unroll)
 from perimere.barcode import PeriodicBarcode, to_csv, to_json_dict
 from perimere.mergetree import TOL
-from perimere.synthetic import random_periodic_graph
+from perimere.synthetic import random_periodic_graph, torus_grid
 
 from .conftest import fig3_left_doc, helix_cross_doc
 from .oracles import view
@@ -77,6 +80,105 @@ class TestEquals:
     def test_same_length_eras(self, bar, same):
         ref = PeriodicBarcode(1, [(0, 0.0, INF, 1.0), (1, 1.0, 2.0, 1.0)])
         assert equals(ref, PeriodicBarcode(1, [(0, 0.0, INF, 1.0), (1, *bar)])) is same
+
+
+def per_era_equals(b1, b2):
+    """The era-by-era comparison that `equals` does in one pass."""
+    for e in range(b1.dim + 1):
+        e1, e2 = (b.bars[b.bars["exp"] == e] for b in (b1, b2))
+        if len(e1) != len(e2) or not (np.array_equal(e1["birth"], e2["birth"])
+                                      and np.array_equal(e1["death"], e2["death"])):
+            return False
+        if np.any(np.abs(e1["mult"] - e2["mult"]) > TOL):
+            return False
+    return True
+
+
+def canonical(dim, rows):
+    """A barcode of the rows sorted by (birth, death, exp), the first of a repeated key kept."""
+    rows = sorted(rows, key=lambda r: (r[1], r[2], r[0]))
+    return PeriodicBarcode(dim, [r for i, r in enumerate(rows)
+                                 if not i or r[:3] != rows[i - 1][:3]])
+
+
+class TestWholeArrayEquals:
+    def test_agrees_with_per_era_reference(self):
+        # small integer births and deaths, so a key often sits in several eras
+        rng = random.Random(19)
+        seen = {True: 0, False: 0}
+        for _ in range(600):
+            dim = rng.randint(1, 3)
+            rows = []
+            for _ in range(rng.randint(0, 8)):
+                birth = float(rng.randint(0, 3))
+                death = rng.choice([birth + rng.randint(1, 3), INF])
+                rows.append((rng.randint(0, dim), birth, death, rng.choice([-1.0, 0.5, 2.0])))
+            a = canonical(dim, rows)
+            other = [list(r) for r in a.bars.tolist()]
+            if other:
+                row = rng.choice(other)
+                change = rng.randrange(6)
+                if change == 0:
+                    row[0] = (row[0] + rng.randint(1, dim)) % (dim + 1)   # another era
+                elif change == 1:
+                    row[3] += rng.choice([-1, 1]) * TOL * 1.01   # mult just past TOL
+                elif change == 2:
+                    row[3] += rng.choice([-1, 1]) * TOL * 0.99   # mult just within TOL
+                elif change == 3:
+                    row[2] = row[2] + 1.0 if rng.random() < 0.8 else INF
+                elif change == 4:
+                    other.remove(row)
+            b = canonical(dim, map(tuple, other))
+            same = per_era_equals(a, b)
+            assert equals(a, b) is same and equals(b, a) is same
+            seen[same] += 1
+        assert min(seen.values()) > 150
+
+
+class TestRowOrder:
+    @pytest.mark.parametrize("rows", [
+        # a repeated key: era_function would keep one of the two mults
+        [(0, 0.0, 1.0, 1.0), (0, 0.0, 1.0, 1.0)],
+        [(1, 0.0, 2.0, 1.0), (0, 0.0, 1.0, 1.0)],   # era-first, deaths decreasing
+        [(1, 0.0, 1.0, 1.0), (0, 0.0, 1.0, 1.0)],   # one key in two eras, exps decreasing
+        [(0, 1.0, 2.0, 1.0), (0, 0.0, 3.0, 1.0)],   # births decreasing
+        [(0, 0.0, INF, 1.0), (0, 0.0, 1.0, 1.0)],   # an essential bar before a finite one
+        [(0, math.nan, 1.0, 1.0), (0, 0.0, 1.0, 1.0)],
+    ])
+    def test_refused(self, rows):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            PeriodicBarcode(1, rows)
+
+    def test_canonical_rows_accepted(self):
+        rows = [(0, 0.0, 1.0, 1.0), (1, 0.0, 1.0, 1.0), (1, 0.0, 2.0, 1.0),
+                (0, 0.0, INF, 1.0), (0, 1.0, 2.0, -1.0)]
+        code = PeriodicBarcode(1, rows)
+        assert code.bars.tolist() == rows
+        assert to_csv(code).splitlines()[1:] == ["0,0.0,1.0,1.0", "1,0.0,1.0,1.0", "1,0.0,2.0,1.0",
+                                                 "0,0.0,inf,1.0", "0,1.0,2.0,-1.0"]
+        assert len(PeriodicBarcode(2, []).bars) == 0
+
+
+class TestRowsHeldOnce:
+    def test_slots_and_eras_on_access(self, fig3_left):
+        code = extract(build(fig3_left))
+        assert PeriodicBarcode.__slots__ == ("dim", "bars")
+        assert [e.tolist() for e in code.eras] == [
+            [r for r in code.bars.tolist() if r[0] == exp] for exp in range(3)]
+
+    def test_extract_retains_one_copy_of_its_rows(self):
+        tree = build(torus_grid(20))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            code = extract(tree)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(code.bars) > 5000
+        assert held <= 1.1 * code.bars.nbytes + 64 * 1024
 
 
 class TestDiagram:

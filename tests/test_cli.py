@@ -415,6 +415,16 @@ class TestOutOfRange:
         assert_one_error_line(code, err)
         assert out == ""
 
+    # R^exp overflows before the count is made: the error names the prediction
+    @pytest.mark.parametrize("which,at,radius", [(0, "5", "1e200"), (1, "8", "1e300")])
+    def test_predicted_count_past_the_float_range(self, capsys, fixture_paths, which, at,
+                                                  radius):
+        code, out, err = run(capsys, "count-shadows", str(fixture_paths[which]),
+                             "--component-at", at, "--radius", radius)
+        assert_one_error_line(code, err)
+        assert err == "error: number out of range: predicted count out of float range\n"
+        assert out == ""
+
     def test_gram_determinant_past_the_float_range(self, capsys, tmp_path):
         # diag(1e100): the rank-2 lattice's Gram determinant is 1e400 as an
         # exact int, its volume 1e200 and its coefficient 1e200 / 1e300

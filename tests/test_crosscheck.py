@@ -1,7 +1,9 @@
 """Cross-route checks: the flow solver against an LP and bit for bit against
 its earlier implementation, splinter checks and barcode invariance on random
 graphs, the splinters check and canonical forms against the recursive
-string-digest reference, shadow counts under a skewed basis."""
+string-digest reference, shadow counts under a skewed basis, the components
+of k-fold covers against the tree's lattices."""
+import itertools
 import math
 import random
 
@@ -18,7 +20,7 @@ from perimere.synthetic import random_periodic_graph, torus_grid
 from perimere.transport import _add, barcode_distance, positive_negative_split
 
 from . import oracles
-from .oracles import Beam, Epoch, oracle_w1, view
+from .oracles import Beam, Epoch, bfs_components, oracle_w1, view
 from .test_lattice import random_unimodular
 from .test_mergetree import chain, level_chain, star
 
@@ -558,6 +560,55 @@ class TestUnrollOracle:
             bare += g.m == 0
             assert serialize(unroll(g, s)) == serialize(oracles.oracle_unroll(g, s))
         assert wide > 20 and skew > 20 and own > 20 and bare > 0
+
+
+def _image_mod(columns, k, dim) -> int:
+    """|image of the lattice spanned by `columns` in (Z/k)^dim|, by closing
+    the columns mod k under addition."""
+    gens = {tuple(x % k for x in col) for col in columns}
+    image, todo = {(0,) * dim}, [(0,) * dim]
+    while todo:
+        p = todo.pop()
+        for col in gens:
+            q = tuple((a + b) % k for a, b in zip(p, col))
+            if q not in image:
+                image.add(q)
+                todo.append(q)
+    return len(image)
+
+
+class TestCoverComponentsOracle:
+    # For S = k.I, the cover G/kZ^d has, at each height t, as many components
+    # as the sum over the beams alive at t of k^d / |image of L in (Z/k)^d|,
+    # L the beam's lattice at t.  The left side searches the cover, whose
+    # vertices are (v, c mod k) and whose edge copies run from (u, c) to
+    # (v, c + shift mod k); the right side closes L's columns mod k.  Neither
+    # uses HNF, drifts or build's union-find.
+    def test_counts_match_live_lattices(self):
+        rng = random.Random(23)
+        checks = lifted = 0
+        for _ in range(300):
+            dim = rng.randint(1, 3)
+            n = rng.randint(1, 7)
+            g = random_periodic_graph(rng, dim=dim, n=n, m=rng.randint(0, 2 * n + 2),
+                                      shift_range=rng.choice((1, 2)),
+                                      tie_values=rng.random() < 0.5)
+            tree = build(g)
+            values = g.values.tolist()
+            edges = list(zip(g.u.tolist(), g.v.tolist(), g.shifts, values[n:]))
+            for k in (2, 3):
+                cosets = list(itertools.product(range(k), repeat=dim))
+                for t in sorted(set(values)):
+                    verts = [(p, c) for p in range(n) if values[p] <= t for c in cosets]
+                    pairs = [((a, c), (b, tuple((x + y) % k for x, y in zip(c, shift))))
+                             for a, b, shift, h in edges if h <= t for c in cosets]
+                    live = [tree.monomial(beam, t) for beam in range(len(tree.birth))]
+                    live = [lat for _, _, lat in filter(None, live)]
+                    want = sum(k ** dim // _image_mod(lat.columns, k, dim) for lat in live)
+                    assert len(bfs_components(verts, pairs)) == want
+                    checks += 1
+                    lifted += want > len(live)   # some beam splits in the cover
+        assert checks > 4000 and lifted > 500
 
 
 class TestSkewedBasisShadows:

@@ -170,6 +170,26 @@ class TestParse:
         assert g.values[0] == 1.0
         assert g.raw[0] == "1.00"
 
+    def test_tokens_only_for_string_values(self):
+        assert parse(helix_cross_doc()).raw == {}
+        doc = fig3_left_doc()
+        doc["vertices"][1]["value"] = "3.00"
+        doc["edges"][0]["value"] = "5.000"
+        g = parse(doc)
+        assert g.raw == {1: "3.00", 2: "5.000"}   # cell positions, vertices then edges
+
+    def test_unroll_copies_each_token(self):
+        doc = fig3_left_doc()
+        doc["vertices"][1]["value"] = "3.00"
+        doc["edges"][2]["value"] = "9.000"
+        rolled = unroll(parse(doc), IntMatrix.from_rows([[2, 0], [0, 1]]))
+        # cell p's copy c sits at p * 2 + c
+        assert rolled.raw == {2: "3.00", 3: "3.00", 8: "9.000", 9: "9.000"}
+        out = serialize(rolled)
+        assert [r["value"] for r in out["vertices"]] == [1.0, 1.0, "3.00", "3.00"]
+        assert [r["value"] for r in out["edges"]] == [5.0, 5.0, 7.0, 7.0, "9.000", "9.000"]
+        assert unroll(parse(fig3_left_doc()), IntMatrix.from_rows([[2, 0], [0, 1]])).raw == {}
+
     def test_parse_serialize_roundtrip_bit_exact(self):
         doc = helix_cross_doc()
         for v in doc["vertices"]:
@@ -179,7 +199,7 @@ class TestParse:
         g = parse(doc)
         again = parse(json.loads(json.dumps(serialize(g))))
         assert serialize(again) == serialize(g)
-        assert again.raw[:again.n] == [f"{i}.000" for i in range(1, 6)]
+        assert [again.raw[pos] for pos in range(again.n)] == [f"{i}.000" for i in range(1, 6)]
 
 
 class TestMaxShiftMagnitude:
