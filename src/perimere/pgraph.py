@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain, compress, count, repeat, tee
 from json.encoder import encode_basestring_ascii
+from operator import eq, itemgetter
 
 import numpy as np
 
@@ -74,7 +76,7 @@ class PeriodicGraph:
 
 _TOP_KEYS = {"dim", "basis", "vertices", "edges"}
 _ID_MIN, _ID_MAX = -2 ** 63, 2 ** 63 - 1   # ids are int64 in build
-_INT = frozenset({int})   # the entry types of a shift read as is
+_INT = frozenset({int})   # the types of ids and shift entries read as they are
 
 
 def _read_value(obj, what):
@@ -171,56 +173,127 @@ def parse(source) -> PeriodicGraph:
     for key, recs in (("vertices", vlist), ("edges", elist)):
         if not isinstance(recs, (list, tuple)):
             raise GraphError(f"{key} must be a list of records, not {type(recs).__name__}")
-    ids, values, raw = [], [], {}   # raw: cell position -> decimal-string token
-    index = {}   # vertex id -> position
+    cols = _columns(dim, vlist, elist)
+    if cols is None:
+        _name_fault(dim, vlist, elist)
+    return PeriodicGraph(dim, basis, *cols)
+
+
+_ID, _VALUE, _U, _V, _SHIFT = map(itemgetter, ("id", "value", "u", "v", "shift"))
+
+
+def _integral(types) -> bool:
+    """Whether entries of these types can be int64 ids or endpoints: ints,
+    or floats that are then checked to be integral (never bools)."""
+    return all(t is int or issubclass(t, float) for t in types)
+
+
+def _columns(dim, vlist, elist):
+    """(ids, values, raw, u, v, shifts) of the records, each field read in
+    one pass straight into its column; None when any check fails.
+
+    The type checks come first, since `np.fromiter` would read True as 1
+    and '1e999' as inf; finiteness, duplicate ids, endpoints, shift lengths
+    and the filter property are then checked on whole columns.
+    """
+    n, m = len(vlist), len(elist)
+
+    def cells(get):   # one field over the vertex records, then the edge records
+        return chain(map(get, vlist), map(get, elist))
+
+    try:
+        id_types = set(map(type, cells(_ID)))
+        value_types = set(map(type, cells(_VALUE)))
+        end_types = set(map(type, chain(map(_U, elist), map(_V, elist))))
+        entry_types = set(map(type, chain.from_iterable(map(_SHIFT, elist))))
+        if not (_integral(id_types) and _integral(end_types) and bool not in entry_types
+                and all(issubclass(t, (int, float, str)) and t is not bool for t in value_types)):
+            return None
+        index = dict(zip(map(_ID, vlist), range(n)))   # vertex id -> position
+        if len(index) != n:
+            return None
+        u = np.fromiter(map(index.get, map(_U, elist), repeat(-1)), np.int64, m)
+        v = np.fromiter(map(index.get, map(_V, elist), repeat(-1)), np.int64, m)
+        del index   # freed before the other columns are made
+        if m and min(u.min(), v.min()) < 0:   # an endpoint that matches no vertex id
+            return None
+        if id_types <= _INT:   # out of the int64 range raises
+            ids = np.fromiter(cells(_ID), np.int64, n + m)
+        else:
+            if not all(map(eq, map(int, cells(_ID)), cells(_ID))):
+                return None
+            ids = np.fromiter(map(int, cells(_ID)), np.int64, n + m)
+        if not np.diff(np.sort(ids[n:])).all():   # a zero step: a duplicate edge id
+            return None
+        plain = value_types <= {int, float}   # else every value goes through float()
+        values = np.fromiter(cells(_VALUE) if plain else map(float, cells(_VALUE)),
+                             np.float64, n + m)
+        if not np.isfinite(values).all():
+            return None
+        if (values[n:] < np.maximum(values[u], values[v])).any():
+            return None
+        raw = {}   # cell position -> decimal-string token
+        if not plain:
+            def strings():
+                return map(isinstance, cells(_VALUE), repeat(str))
+            raw = dict(zip(compress(count(), strings()), compress(cells(_VALUE), strings())))
+        rows = map(tuple, map(_SHIFT, elist))
+        if not entry_types <= _INT:   # integral floats (or other numbers) read as ints
+            def int_rows():
+                return map(tuple, map(map, repeat(int), map(_SHIFT, elist)))
+            if not all(map(eq, int_rows(), rows)):
+                return None
+            rows = int_rows()
+        shared = {}   # equal shifts share one tuple
+        shifts = list(map(shared.setdefault, *tee(rows)))
+        if any(len(t) != dim for t in shared):
+            return None
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return None
+    return ids, values, raw, u, v, shifts
+
+
+def _name_fault(dim, vlist, elist):
+    """Raise the error of the records' first fault, found by walking them in
+    order with the one-value readers: each vertex record, then each edge
+    record (its keys, id, u, v, value and shift), then duplicate vertex ids
+    and duplicate edge ids, then per edge a missing vertex, the shift length
+    and the filter property.  Called only after a column check failed."""
+    vertex_values = {}   # vertex id -> value
     for pos, rec in enumerate(vlist):
         try:
             vid, value = rec["id"], rec["value"]
         except (KeyError, TypeError):
             raise _bad_record("vertex", pos, rec, ("id", "value"))
-        if type(vid) is not int or not _ID_MIN <= vid <= _ID_MAX:   # in-range ints skip the call
-            vid = _read_int(vid, f"vertex record {pos}: id")
-        if isinstance(value, str):
-            raw[pos] = value
-        index[vid] = pos
-        ids.append(vid)
-        values.append(_read_value(value, f"vertex {vid}"))
-    us, vs, shifts, shared = [], [], [], {}
+        vid = _read_int(vid, f"vertex record {pos}: id")
+        vertex_values[vid] = _read_value(value, f"vertex {vid}")
+    edges = []
     for pos, rec in enumerate(elist):
         try:
             eid, u, v, value, shift = rec["id"], rec["u"], rec["v"], rec["value"], rec["shift"]
         except (KeyError, TypeError):
             raise _bad_record("edge", pos, rec, ("id", "u", "v", "value", "shift"))
-        if type(eid) is not int or not _ID_MIN <= eid <= _ID_MAX:
-            eid = _read_int(eid, f"edge record {pos}: id")
+        eid = _read_int(eid, f"edge record {pos}: id")
         what = f"edge {eid}"
         if type(u) is not int:   # an endpoint out of range matches no vertex
             u = _read_int(u, f"{what}: u")
         if type(v) is not int:
             v = _read_int(v, f"{what}: v")
-        if isinstance(value, str):
-            raw[len(values)] = value
-        ids.append(eid)
-        values.append(_read_value(value, what))
-        us.append(index.get(u, -1))
-        vs.append(index.get(v, -1))
-        shift = _read_shift(shift, what)
-        shifts.append(shared.setdefault(shift, shift))   # equal shifts share one tuple
-    n = len(vlist)
-    if len(index) != n:
+        edges.append((eid, u, v, _read_value(value, what), _read_shift(shift, what)))
+    if len(vertex_values) != len(vlist):
         raise GraphError("duplicate vertex id")
-    if len(set(ids[n:])) != len(elist):
+    if len({e[0] for e in edges}) != len(edges):
         raise GraphError("duplicate edge id")
-    for eid, val, a, b, shift in zip(ids[n:], values[n:], us, vs, shifts):
-        if a < 0 or b < 0:
+    for eid, u, v, val, shift in edges:
+        if u not in vertex_values or v not in vertex_values:
             raise GraphError(f"edge {eid} references a missing vertex")
         if len(shift) != dim:
             raise GraphError(f"edge {eid} has a shift of wrong length")
-        lo = max(values[a], values[b])
+        lo = max(vertex_values[u], vertex_values[v])
         if val < lo:
             raise GraphError(
                 f"edge {eid} violates the filter property: value {val} below endpoint value {lo}")
-    return PeriodicGraph(dim, basis, ids, values, raw, us, vs, shifts)
+    raise AssertionError("a column check failed on records without a fault")
 
 
 def serialize(g: PeriodicGraph) -> dict:
@@ -321,11 +394,12 @@ def unroll(g: PeriodicGraph, s: IntMatrix) -> PeriodicGraph:
     ]
     if not g.n:   # no cells, no copies: the index need not fit an array
         return PeriodicGraph(g.dim, RealBasis(new_cols), g.ids, g.values, {}, g.u, g.v, [])
-    distinct: dict = {}   # shift -> its number, in order of first use
-    which = np.array([distinct.setdefault(t, len(distinct)) for t in g.shifts], dtype=np.int64)
+    # each distinct shift's number, in order of first use
+    number = {t: i for i, t in enumerate(dict.fromkeys(g.shifts))}
+    which = np.fromiter(map(number.__getitem__, g.shifts), np.int64, g.m)
     # only edge copies need the representatives
     reps = np.array(coset_reps(s) if g.m else [], dtype=object).reshape(-1, g.dim)
-    w = (np.array(list(distinct), dtype=object).reshape(-1, 1, g.dim) + reps).reshape(-1, g.dim)
+    w = (np.array(list(number), dtype=object).reshape(-1, 1, g.dim) + reps).reshape(-1, g.dim)
     c2, y = reduce_many(h, w)   # row j * k + i: shift j from representative i
     if not np.array_equal(y.dot(np.array(h.columns, dtype=object)), w - c2):
         raise AssertionError("coset reduction left a non-lattice difference")

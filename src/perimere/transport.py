@@ -6,7 +6,10 @@ successive-shortest-path min-cost flow with one diagonal node of unlimited
 capacity.  Ground cost between support points is the l1 plane distance,
 the diagonal absorbs mass at cost |death - birth|, points with infinite
 death pair only with each other (at cost |birth1 - birth2|), so the
-distance is +infinity exactly when the infinite-death masses differ.
+distance is +infinity exactly when the infinite-death masses differ in
+total by more than TOL.  Finite masses are rounded one by one; the
+infinite-death masses of both sides are rounded to one common total, so
+that equal totals stay equal after rounding.
 
 The residual arcs out of the X nodes, the sink and the diagonal into the Y
 nodes, source, sink and diagonal live in one cost matrix, the kx * ky pair
@@ -40,23 +43,67 @@ import math
 import numpy as np
 
 from .barcode import PeriodicBarcode
+from .mergetree import TOL
 from .pgraph import PeriodicGraph, max_shift_magnitude
 
 MASS_SCALE = 10**9
 SLACK = 1e-15   # a label is replaced only by one smaller by more than this
 
 
-def _scaled(mf: dict, what: str) -> dict:
-    out = {}
+def _scaled(mf: dict, what: str) -> tuple:
+    """(finite, essential) masses of mf, checked: the finite masses (death <
+    inf) rounded one by one to integer multiples of 1/MASS_SCALE, zeros
+    dropped, and the essential masses (death = inf) as given."""
+    out, essential = {}, {}
     for (b, dth), m in mf.items():
         if m < 0:
             raise ValueError(f"{what}: negative mass at {(b, dth)}")
         if b == dth:
             raise ValueError(f"{what}: support touches the diagonal at {(b, dth)}")
+        key = (float(b), float(dth))
+        if math.isinf(key[1]):
+            if m:
+                essential[key] = essential.get(key, 0.0) + m
+            continue
         s = round(m * MASS_SCALE)
         if s:
-            out[(float(b), float(dth))] = out.get((float(b), float(dth)), 0) + s
-    return {k: v for k, v in out.items() if v}
+            out[key] = out.get(key, 0) + s
+    return out, essential
+
+
+def _apportion(scaled: dict, total: int) -> dict:
+    """Integer masses summing to `total` by the largest-remainder method:
+    each scaled mass its floor, then one unit more for the masses of the
+    largest remainders (ties in key order); `total` is at least the sum of
+    the floors."""
+    out = {p: math.floor(x) for p, x in scaled.items()}
+    q, r = divmod(total - sum(out.values()), len(out))
+    for rank, p in enumerate(sorted(out, key=lambda p: (out[p] - scaled[p], p))):
+        out[p] += q + (rank < r)
+    return {p: s for p, s in out.items() if s}
+
+
+def _masses(xi: dict, eta: dict):
+    """Both sides' masses as {point: integer multiple of 1/MASS_SCALE}, or
+    None when their essential totals differ by more than TOL.
+
+    The essential masses of each side are apportioned to one common total,
+    the mean of the two scaled totals rounded (raised, if need be, to each
+    side's sum of floors), so that equal totals stay equal; where rounding
+    each mass on its own already reaches that total, the masses are the
+    same.  Essential masses on one side only, within TOL of none, are
+    dropped.
+    """
+    (sx, ex), (sy, ey) = _scaled(xi, "xi"), _scaled(eta, "eta")
+    if abs(math.fsum(ex.values()) - math.fsum(ey.values())) > TOL:
+        return None
+    if ex and ey:
+        ex, ey = ({p: m * MASS_SCALE for p, m in e.items()} for e in (ex, ey))
+        total = max(round(math.fsum([*ex.values(), *ey.values()]) / 2),
+                    *(sum(map(math.floor, e.values())) for e in (ex, ey)))
+        sx.update(_apportion(ex, total))
+        sy.update(_apportion(ey, total))
+    return sx, sy
 
 
 def _first_wins(w):
@@ -228,15 +275,14 @@ def w1(xi: dict, eta: dict) -> float:
     """1-Wasserstein distance between non-negative multiplicity functions.
 
     xi and eta map (birth, death) -> mass >= 0; death may be math.inf.
-    Returns math.inf iff the total infinite-death masses differ; a cost that
-    should be finite but leaves the float range is an OverflowError.
+    Returns math.inf iff the total infinite-death masses differ by more than
+    TOL; a cost that should be finite but leaves the float range is an
+    OverflowError.
     """
-    sx = _scaled(xi, "xi")
-    sy = _scaled(eta, "eta")
-    inf_x = sum(m for p, m in sx.items() if math.isinf(p[1]))
-    inf_y = sum(m for p, m in sy.items() if math.isinf(p[1]))
-    if inf_x != inf_y:
+    masses = _masses(xi, eta)
+    if masses is None:
         return math.inf
+    sx, sy = masses
     xs, ys = sorted(sx), sorted(sy)
     shipped, want, cost = _ship(xs, [sx[x] for x in xs], ys, [sy[y] for y in ys])
     if shipped < want:

@@ -4,7 +4,8 @@ These deliberately avoid the library's own algorithms: lattice membership by
 bounded coefficient enumeration, optimal transport by unit-splitting plus the
 Hungarian method, connectivity by breadth-first search.  The splinters
 check and canonical form are the library's earlier recursive
-implementation, `oracle_unroll` its earlier per-edge unroll, and
+implementation, `oracle_unroll` its earlier per-edge unroll,
+`oracle_parse` its earlier record-by-record parse, and
 `oracle_hnf_columns` its earlier HNF reduction carrying a separate transform
 matrix, `oracle_w1` its earlier transport solver (one arc record per
 pair, with the transport plan it can report), `oracle_extract` its earlier
@@ -33,8 +34,9 @@ from scipy.optimize import linear_sum_assignment
 from perimere.lattice import (IntMatrix, RealBasis, SublatticeBasis, _int_det, coset_reps,
                               hnf_reduce, hnf_transform, member, reduce_mod, solve, volume)
 from perimere.mergetree import Event, PeriodicMergeTree, UnionFind
-from perimere.pgraph import GraphError, PeriodicGraph, parse
-from perimere.transport import MASS_SCALE, _scaled
+from perimere.pgraph import (_ID_MAX, _ID_MIN, _TOP_KEYS, GraphError, PeriodicGraph, _bad_record,
+                             _read_int, _read_shift, _read_value, parse)
+from perimere.transport import MASS_SCALE, _masses
 
 
 def brute_member(columns, v, bound=30):
@@ -216,16 +218,15 @@ def oracle_w1(xi: dict, eta: dict, with_plan: bool = False):
     1-Wasserstein distance between non-negative multiplicity functions.
 
     xi and eta map (birth, death) -> mass >= 0; death may be math.inf.
-    Returns math.inf iff the total infinite-death masses differ.
+    Returns math.inf iff the total infinite-death masses differ by more
+    than TOL; the masses are rounded as the library rounds them.
     """
-    sx = _scaled(xi, "xi")
-    sy = _scaled(eta, "eta")
+    masses = _masses(xi, eta)
+    if masses is None:
+        return (math.inf, None) if with_plan else math.inf
+    sx, sy = masses
     xs = sorted(sx)
     ys = sorted(sy)
-    inf_x = sum(m for p, m in sx.items() if math.isinf(p[1]))
-    inf_y = sum(m for p, m in sy.items() if math.isinf(p[1]))
-    if inf_x != inf_y:
-        return (math.inf, None) if with_plan else math.inf
 
     nx, ny = len(xs), len(ys)
     src, dst, diag = nx + ny, nx + ny + 1, nx + ny + 2
@@ -548,6 +549,101 @@ def oracle_unroll(g: PeriodicGraph, s: IntMatrix) -> PeriodicGraph:
             edges.append({"id": eid * k + ci, "u": ids[pu] * k + ci,
                           "v": ids[pv] * k + rep_index[c2], "value": value, "shift": list(t)})
     return parse({"dim": g.dim, "basis": new_cols, "vertices": vertices, "edges": edges})
+
+
+def oracle_parse(source) -> PeriodicGraph:
+    """The library's earlier `parse`: one loop over the records, reading and
+    checking each value as it comes."""
+    if isinstance(source, dict):
+        doc = source
+    else:
+        with open(source, "r", encoding="utf-8") as fh:
+            try:
+                doc = json.load(fh)
+            except RecursionError:
+                raise GraphError("document nested too deeply") from None
+    if not isinstance(doc, dict):
+        raise GraphError("document root must be a JSON object")
+    extra = set(doc) - _TOP_KEYS
+    if extra:
+        # cells above dimension 1 (or anything else unrecognized) are rejected
+        raise GraphError(f"unsupported keys in document: {sorted(extra)}")
+    try:
+        dim = _read_int(doc["dim"], "dim")
+        basis_cols = doc["basis"]
+        vlist = doc["vertices"]
+        elist = doc["edges"]
+    except KeyError as missing:
+        raise GraphError(f"missing required key {missing}")
+    if dim < 1:
+        raise GraphError("dim must be >= 1")
+    if (not isinstance(basis_cols, (list, tuple)) or len(basis_cols) != dim
+            or any(not isinstance(c, (list, tuple)) or len(c) != dim for c in basis_cols)):
+        raise GraphError("basis must be a list of d columns of d reals")
+    try:
+        finite = all(isinstance(e, (int, float)) and type(e) is not bool and math.isfinite(e)
+                     for c in basis_cols for e in c)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise GraphError("basis entries must be finite numbers")
+    try:
+        basis = RealBasis(basis_cols)
+    except ValueError as exc:
+        raise GraphError(str(exc))
+    for key, recs in (("vertices", vlist), ("edges", elist)):
+        if not isinstance(recs, (list, tuple)):
+            raise GraphError(f"{key} must be a list of records, not {type(recs).__name__}")
+    ids, values, raw = [], [], {}   # raw: cell position -> decimal-string token
+    index = {}   # vertex id -> position
+    for pos, rec in enumerate(vlist):
+        try:
+            vid, value = rec["id"], rec["value"]
+        except (KeyError, TypeError):
+            raise _bad_record("vertex", pos, rec, ("id", "value"))
+        if type(vid) is not int or not _ID_MIN <= vid <= _ID_MAX:   # in-range ints skip the call
+            vid = _read_int(vid, f"vertex record {pos}: id")
+        if isinstance(value, str):
+            raw[pos] = value
+        index[vid] = pos
+        ids.append(vid)
+        values.append(_read_value(value, f"vertex {vid}"))
+    us, vs, shifts, shared = [], [], [], {}
+    for pos, rec in enumerate(elist):
+        try:
+            eid, u, v, value, shift = rec["id"], rec["u"], rec["v"], rec["value"], rec["shift"]
+        except (KeyError, TypeError):
+            raise _bad_record("edge", pos, rec, ("id", "u", "v", "value", "shift"))
+        if type(eid) is not int or not _ID_MIN <= eid <= _ID_MAX:
+            eid = _read_int(eid, f"edge record {pos}: id")
+        what = f"edge {eid}"
+        if type(u) is not int:   # an endpoint out of range matches no vertex
+            u = _read_int(u, f"{what}: u")
+        if type(v) is not int:
+            v = _read_int(v, f"{what}: v")
+        if isinstance(value, str):
+            raw[len(values)] = value
+        ids.append(eid)
+        values.append(_read_value(value, what))
+        us.append(index.get(u, -1))
+        vs.append(index.get(v, -1))
+        shift = _read_shift(shift, what)
+        shifts.append(shared.setdefault(shift, shift))   # equal shifts share one tuple
+    n = len(vlist)
+    if len(index) != n:
+        raise GraphError("duplicate vertex id")
+    if len(set(ids[n:])) != len(elist):
+        raise GraphError("duplicate edge id")
+    for eid, val, a, b, shift in zip(ids[n:], values[n:], us, vs, shifts):
+        if a < 0 or b < 0:
+            raise GraphError(f"edge {eid} references a missing vertex")
+        if len(shift) != dim:
+            raise GraphError(f"edge {eid} has a shift of wrong length")
+        lo = max(values[a], values[b])
+        if val < lo:
+            raise GraphError(
+                f"edge {eid} violates the filter property: value {val} below endpoint value {lo}")
+    return PeriodicGraph(dim, basis, ids, values, raw, us, vs, shifts)
 
 
 def oracle_hnf_columns(dim: int, columns, with_transform: bool = False):

@@ -12,7 +12,7 @@ import pytest
 from scipy.optimize import linprog
 
 from perimere import (GraphError, IntMatrix, build, canonical_form, equals, extract,
-                      parse, serialize, splinters, unroll, w1, w1_alt)
+                      parse, pgraph, serialize, splinters, unroll, w1, w1_alt)
 from perimere.barcode import json_chunks, to_csv
 from perimere.lattice import RealBasis, SublatticeBasis, count_cosets_in_ball, hnf_reduce
 from perimere.mergetree import _TreeIndex
@@ -560,6 +560,131 @@ class TestUnrollOracle:
             bare += g.m == 0
             assert serialize(unroll(g, s)) == serialize(oracles.oracle_unroll(g, s))
         assert wide > 20 and skew > 20 and own > 20 and bare > 0
+
+
+_BAD = {   # one wrong entry per field, of the kinds the message tests name
+    "id": [None, 0.5, "2", True, 2 ** 63, 1e19, -2 ** 63 - 1, 10.5, math.nan, math.inf],
+    "u": [None, 0.5, "2", True, 2 ** 63, 2 ** 64, 1e19, 12345678, math.nan],
+    "value": [None, True, "abc", "inf", "1e999", math.nan, math.inf, 10 ** 400, [1.0]],
+    "shift": [1, None, "12", [1.5], ["1"], [math.inf], [True], [0, False], [None], [0] * 4],
+}
+_BAD["v"] = _BAD["u"]
+
+
+def _bad_field(doc, rng):
+    kind = rng.choice(["vertices", "edges"])
+    key = rng.choice(["id", "value"] if kind == "vertices" else ["id", "u", "v", "value", "shift"])
+    rng.choice(doc[kind])[key] = rng.choice(_BAD[key])
+
+
+def _del_key(rec, key):
+    del rec[key]
+
+
+def _set_top(key, value):
+    return lambda doc, rng: doc.__setitem__(key, value)
+
+
+_FAULTS = [
+    _bad_field, _bad_field, _bad_field, _bad_field,
+    lambda d, r: d["edges"].append(dict(r.choice(d["edges"]))),   # duplicate edge id
+    lambda d, r: d["vertices"].append(dict(r.choice(d["vertices"]), value=0.25)),
+    lambda d, r: r.choice(d["edges"]).update(shift=[0] * (d["dim"] + r.choice([-1, 1]))),
+    lambda d, r: r.choice(d["edges"]).update(value=-1e6),   # below every endpoint
+    lambda d, r: r.choice(d["edges"]).update({r.choice("uv"): 12345678}),   # no such vertex
+    lambda d, r: _del_key(r.choice(d["vertices"]), r.choice(["id", "value"])),
+    lambda d, r: _del_key(r.choice(d["edges"]), r.choice(["id", "u", "v", "value", "shift"])),
+    lambda d, r: d["edges"].__setitem__(r.randrange(len(d["edges"])), [10, 1, 2]),
+    lambda d, r: d["vertices"].__setitem__(r.randrange(len(d["vertices"])), 5),
+    _set_top("vertices", 3), _set_top("edges", {"id": 10}), _set_top("dim", 1.5),
+    lambda d, r: d["basis"][0].__setitem__(0, r.choice([None, True, False])),
+]
+
+
+def _valid_doc(rng):
+    """A random valid document in every form `parse` accepts: ids at the int64
+    extremes, integral floats for ids, endpoints and shift entries, shift
+    entries past 64 bits, values as ints, floats and decimal strings."""
+    dim = rng.randint(1, 3)
+    n = rng.choice([0, 1, 2, 5, 9])
+    doc = serialize(random_periodic_graph(
+        rng, dim=dim, n=n, m=rng.choice([0, 1, 4, 12]), shift_range=rng.choice([1, 2]),
+        tie_values=rng.random() < 0.5))
+    pool = [-2 ** 63, 2 ** 63 - 1, -2 ** 63 + 1, 2 ** 63 - 2, *rng.sample(range(-999, 999), 30)]
+    vid = dict(zip(range(n), rng.sample(pool, n)))
+    eid = dict(zip(range(len(doc["edges"])), rng.sample(pool, len(doc["edges"]))))
+    as_int = rng.random() < 0.3   # rounding keeps the filter property
+    for rec in doc["vertices"] + doc["edges"]:
+        rec["id"] = (eid if "u" in rec else vid)[rec["id"]]
+        if as_int:
+            rec["value"] = round(rec["value"] * 4)
+        elif rng.random() < 0.3:
+            rec["value"] = rng.choice([repr(rec["value"]), f" {rec['value']:.12f}"])
+    for rec in doc["edges"]:
+        rec["u"], rec["v"] = vid[rec["u"]], vid[rec["v"]]
+        if rng.random() < 0.3:
+            rec["shift"] = [rng.choice([-1, 1]) * 2 ** 70 + e for e in rec["shift"]]
+    for rec in doc["vertices"] + doc["edges"]:
+        for key in ("id", "u", "v"):
+            if key in rec and abs(rec[key]) < 2 ** 53 and rng.random() < 0.2:
+                rec[key] = float(rec[key])
+        if "shift" in rec and rng.random() < 0.2:
+            rec["shift"] = [float(e) if abs(e) < 2 ** 53 else e for e in rec["shift"]]
+    return doc
+
+
+def _outcome(parse_fn, doc):
+    try:
+        g = parse_fn(doc)
+    except GraphError as err:
+        return str(err)
+    return g
+
+
+class TestParseOracle:
+    # the column-wise parse against the earlier record loop, on valid and faulty documents
+    def test_valid_documents_read_alike(self, monkeypatch):
+        def no_walk(*args):
+            raise AssertionError("a valid document reached the record walk")
+        monkeypatch.setattr(pgraph, "_name_fault", no_walk)
+        rng = random.Random(81)
+        seen = {"empty": 0, "edgeless": 0, "raw": 0, "float": 0, "wide": 0, "extreme": 0}
+        for _ in range(400):
+            doc = _valid_doc(rng)
+            g, want = parse(doc), oracles.oracle_parse(doc)
+            for name in ("ids", "values", "u", "v"):
+                col = getattr(g, name)
+                assert col.dtype == getattr(want, name).dtype
+                assert np.array_equal(col, getattr(want, name))
+            assert g.raw == want.raw and g.shifts == want.shifts and g.dim == want.dim
+            assert all(type(e) is int for t in g.shifts for e in t)
+            assert len(set(map(id, g.shifts))) == len(set(g.shifts))   # one tuple per shift
+            recs = doc["vertices"] + doc["edges"]
+            seen["empty"] += not recs
+            seen["edgeless"] += bool(doc["vertices"]) and not doc["edges"]
+            seen["raw"] += bool(g.raw)
+            seen["float"] += any(type(r[k]) is float for r in recs for k in ("id", "u", "v")
+                                 if k in r)
+            seen["wide"] += any(abs(e) > 2 ** 63 for t in g.shifts for e in t)
+            seen["extreme"] += any(abs(i) >= 2 ** 63 - 2 for i in g.ids.tolist())
+        assert min(seen.values()) > 10, seen
+
+    @pytest.mark.parametrize("faults", [1, 2])
+    def test_faulty_documents_name_the_same_fault(self, faults):
+        rng = random.Random(90 + faults)
+        errors = 0
+        for _ in range(500):
+            doc = serialize(random_periodic_graph(
+                rng, dim=rng.randint(1, 3), n=rng.randint(2, 6), m=rng.randint(2, 8)))
+            for i in sorted(rng.sample(range(len(_FAULTS)), faults)):   # whole lists last
+                _FAULTS[i](doc, rng)
+            got, want = _outcome(parse, doc), _outcome(oracles.oracle_parse, doc)
+            if isinstance(want, str):
+                errors += 1
+                assert got == want
+            else:
+                assert serialize(got) == serialize(want)
+        assert errors > 450
 
 
 def _image_mod(columns, k, dim) -> int:

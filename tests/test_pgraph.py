@@ -1,6 +1,8 @@
+import gc
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from perimere import (GraphError, IntMatrix, build, cellular_l1, equals,
                       extract, max_shift_magnitude, parse, serialize, unroll)
 from perimere.lattice import hnf_reduce, reduce_many
+from perimere.synthetic import torus_grid
 
 from .conftest import fig3_left_doc, helix_cross_doc
 
@@ -200,6 +203,19 @@ class TestParse:
         again = parse(json.loads(json.dumps(serialize(g))))
         assert serialize(again) == serialize(g)
         assert [again.raw[pos] for pos in range(again.n)] == [f"{i}.000" for i in range(1, 6)]
+
+    def test_parse_peaks_below_twice_the_graph(self):
+        # fields go straight into their columns, with no list per field beside the document
+        doc = serialize(torus_grid(14))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            g = parse(doc)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.n == 14 ** 3 and peak - base <= 2 * (kept - base)
 
 
 class TestMaxShiftMagnitude:

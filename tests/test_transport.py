@@ -47,6 +47,18 @@ class TestW1:
         assert w1({(1.0, INF): 1.0}, {}) == INF
         assert w1({(1.0, INF): 2.0}, {(1.0, INF): 1.0}) == INF
 
+    def test_equal_essential_totals_stay_finite(self):
+        # 2*sqrt(2) against sqrt(2) twice: equal float totals, whose masses
+        # rounded one by one to 1e-9 differ by a unit (2828427125 against
+        # 2 * 1414213562); the infinite distance is decided before rounding
+        r = math.sqrt(2)
+        assert 2 * r == r + r
+        d = w1({(0.0, INF): 2 * r}, {(0.0, INF): r, (0.5, INF): r})
+        assert d == pytest.approx(0.5 * r, abs=1e-9)
+        assert w1({(0.0, INF): r, (0.5, INF): r}, {(0.0, INF): 2 * r}) == d
+        assert w1({(0.0, INF): 1.0}, {(0.0, INF): 1.0 + 2e-9}) == INF   # apart by over TOL
+        assert w1({(0.0, INF): 1.0}, {(0.0, INF): 1.0 + 5e-10}) == 0.0
+
     def test_infinite_points_pair_by_birth(self):
         assert w1({(1.0, INF): 1.0}, {(4.0, INF): 1.0}) == pytest.approx(3.0)
 
