@@ -1,10 +1,13 @@
 """Incremental periodic merge tree construction.
 
 Cells of the quotient graph are processed in the total order (value,
-vertices-before-edges, id).  A union-find structure with constant-time find
-carries, per vertex, the drift vector of the spanning-tree path from the
-component root, and, per root, the size; the root's beam holds the elder key
-and the integer basis V of the periodicity lattice (the real basis is U.V).
+vertices-before-edges, id).  A union-find with constant-time find, inlined
+in `build`, carries per vertex its root and the drift vector of the
+spanning-tree path from the component root, and per root the size; the
+root's beam holds the elder key and the integer basis V of the periodicity
+lattice (the real basis is U.V).  Each drift is packed into one Python int
+(`pack`, digits of `drift_bits` bits), so a relabel is one int addition and
+an edge's drift one int expression, unpacked only for a lattice step.
 Three event kinds drive the tree: appearances, mergers, and catenations.
 
 The tree is held as columns, with no object per beam or epoch.  Beams are
@@ -49,49 +52,6 @@ class Event:
     coeff: float | None = None
     exp: int | None = None
     basis: SublatticeBasis | None = None
-
-
-class UnionFind:
-    """Union-find with drift vectors: O(1) find, size-based list splicing.
-
-    Vertices live in per-component singly linked lists; unions relabel the
-    smaller list, so every vertex is relabeled at most log2(n) times.  Each of
-    the n slots starts as its own component; `root[i]` is the root slot of
-    slot i's component.
-    """
-
-    __slots__ = ("dim", "root", "nxt", "drift", "size")
-
-    def __init__(self, dim: int, n: int):
-        self.dim = dim
-        self.root = list(range(n))
-        self.nxt = [-1] * n
-        self.drift = [[0] * dim for _ in range(n)]
-        self.size = [1] * n
-
-    def union(self, r: int, s: int, v) -> int:
-        """Merge roots r and s; v is the drift correction for s's members.
-
-        Returns the surviving root.  Callers must pass v = Drift(x) +
-        Shift(a) - Drift(y) for an arc x -> y with Root(x) = r, Root(y) = s.
-        """
-        if self.size[s] > self.size[r]:
-            r, s = s, r
-            v = [-e for e in v]
-        root, nxt, drift = self.root, self.nxt, self.drift
-        z = s
-        last = s
-        while z != -1:
-            root[z] = r
-            dz = drift[z]
-            for k in range(self.dim):
-                dz[k] += v[k]
-            last = z
-            z = nxt[z]
-        nxt[last] = nxt[r]
-        nxt[r] = s
-        self.size[r] += self.size[s]
-        return r
 
 
 class PeriodicMergeTree:
@@ -348,6 +308,35 @@ def monomial_display(coeff: float, exp: int) -> str:
     return f"{value:.9g}R^{exp}"
 
 
+def drift_bits(n: int, max_shift: int) -> int:
+    """Digit width, in bits, of the packed drifts of a graph on n vertices
+    whose shift entries are at most `max_shift` in absolute value.  A drift
+    is a signed sum of at most n - 1 shifts along a spanning-tree path, and
+    an edge's v of at most 2n - 1, so every coordinate is below
+    2n * (max_shift + 1) <= 2^(bits - 1) in absolute value."""
+    return (n * (max_shift + 1)).bit_length() + 2
+
+
+def pack(vec, bits: int) -> int:
+    """The Z^d vector `vec` as one int, sum of vec[k] * 2^(bits * k): base
+    2^bits with balanced digits, exact for entries below 2^(bits - 1) in
+    absolute value.  Packing is linear, so packed vectors add and negate
+    as the vectors do, and a packed vector is 0 only when the vector is."""
+    return sum(c << (bits * k) for k, c in enumerate(vec))
+
+
+def unpack(packed: int, bits: int, d: int) -> tuple:
+    """The d entries of `pack`'s int, as a tuple of ints."""
+    half = 1 << (bits - 1)
+    mask = (1 << bits) - 1
+    out = []
+    for _ in range(d):
+        c = ((packed + half) & mask) - half   # the low digit, in [-half, half)
+        out.append(c)
+        packed = (packed - c) >> bits
+    return tuple(out)
+
+
 def build(graph: PeriodicGraph) -> PeriodicMergeTree:
     """Construct the periodic merge tree of a quotient graph.
 
@@ -360,6 +349,12 @@ def build(graph: PeriodicGraph) -> PeriodicMergeTree:
     the birth epochs is appended to one list in processing order, and one
     stable argsort by beam makes the epoch columns beam-major.  A basis volume that is not
     a normal float, or a coefficient that is not finite, is a ValueError.
+
+    Drifts and shifts are packed ints (`pack`) with digits wide enough for
+    any sum of 2n shifts, so v is one int expression and `not v` its zero
+    test; v is unpacked only for `member` and `hnf_reduce`.  A union
+    relabels the members of the smaller cyclic list, adding v (or -v) to
+    their drifts, so each vertex is relabeled at most log2(n) times.
     """
     d = graph.dim
     u = graph.basis
@@ -383,45 +378,50 @@ def build(graph: PeriodicGraph) -> PeriodicMergeTree:
     beam_of = np.empty(n, dtype=np.int64)
     beam_of[vertices] = np.arange(n)
     beam_of = beam_of.tolist()   # per root slot, the beam of its component
-    eids, evals = graph.ids[n:].tolist(), graph.values[n:].tolist()
-    ex, ey, eshift = graph.u.tolist(), graph.v.tolist(), graph.shifts
+    walk = order[order >= n]   # the edges' cell positions, in processing order
 
     empty = SublatticeBasis.empty(d)
     lattice = [empty] * n   # per beam, the lattice of its last epoch
     death, parent, merge_edge = [math.inf] * n, [-1] * n, [0] * n
     epochs = []   # past the birth epochs: (beam, start, coeff, exp, catenation, cell, basis)
 
-    # union-find slots are vertex positions, as edge endpoints are
-    uf = UnionFind(d, n)
+    # union-find slots are vertex positions, as edge endpoints are; per
+    # slot, its root, the next member of its component's cyclic list and its
+    # packed drift from the root; per root slot, the component's size
+    root, nxt, drift, size = list(range(n)), list(range(n)), [0] * n, [1] * n
     full = [False] * n  # per slot: component lattice is all of Z^d
-    root = uf.root
-    drift = uf.drift
-    rng_d = range(d)
+    psh = dict.fromkeys(graph.shifts)   # distinct shift -> packed; most graphs have few
+    bits = drift_bits(n, max((abs(c) for t in psh for c in t), default=0))
+    for t in psh:
+        psh[t] = pack(t, bits)
+    # each edge's endpoints, packed shift, value and id, in processing order
+    pos = walk - n
+    edges = zip(graph.u[pos].tolist(), graph.v[pos].tolist(),
+                map(psh.__getitem__, map(graph.shifts.__getitem__, pos.tolist())),
+                graph.values[walk].tolist(), graph.ids[walk].tolist())
 
-    for p in (order[order >= n] - n).tolist():
-        x, y = ex[p], ey[p]
+    for x, y, sh, t, eid in edges:
         r, s = root[x], root[y]
         if r == s and full[r]:
             continue
-        sh = eshift[p]
-        dx, dy = drift[x], drift[y]
-        v = [dx[k] + sh[k] - dy[k] for k in rng_d]
+        pv = drift[x] + sh - drift[y]   # v = Drift(x) + Shift - Drift(y), packed
         if r == s:
-            if not any(v):
+            if not pv:
                 continue
             sb = beam_of[r]
             cur = lattice[sb]
+            v = unpack(pv, bits, d)
             if member(cur, v):
                 continue
-            new = hnf_reduce(cur.columns + (tuple(v),), dim=d)
+            new = hnf_reduce(cur.columns + (v,), dim=d)
             if new.is_full:
                 full[r] = True
             lattice[sb] = new
-            epochs.append((sb, evals[p], coefficient(new), d - new.rank, True, eids[p], new))
+            epochs.append((sb, t, coefficient(new), d - new.rank, True, eid, new))
         else:
-            t = evals[p]
             br, bs = beam_of[r], beam_of[s]
             base_r, base_s = lattice[br], lattice[bs]
+            whole = full[r] or full[s]   # unless a reduction makes a new lattice
             if not base_s.columns:
                 merged = base_r
             elif not base_r.columns:
@@ -430,13 +430,28 @@ def build(graph: PeriodicGraph) -> PeriodicMergeTree:
                 merged = base_r
             else:
                 merged = hnf_reduce(base_r.columns + base_s.columns, dim=d)
+                whole = merged.is_full
             sb, dying = (br, bs) if br < bs else (bs, br)
-            w = uf.union(r, s, v)
-            full[w] = merged.is_full
-            beam_of[w] = sb
+            # the union: the smaller list is relabeled and its drifts moved by
+            # v (by -v when it is x's); most unions carry v = 0
+            if size[s] > size[r]:
+                r, s = s, r
+                pv = -pv
+            z = s
+            while True:
+                root[z] = r
+                if pv:
+                    drift[z] += pv
+                z = nxt[z]
+                if z == s:
+                    break
+            nxt[r], nxt[s] = nxt[s], nxt[r]   # the two cycles become one
+            size[r] += size[s]
+            full[r] = whole
+            beam_of[r] = sb
             death[dying] = t
             parent[dying] = sb
-            merge_edge[dying] = eids[p]
+            merge_edge[dying] = eid
             prevb = lattice[sb]
             if merged is not prevb and merged != prevb:
                 lattice[sb] = merged
@@ -444,7 +459,7 @@ def build(graph: PeriodicGraph) -> PeriodicMergeTree:
                 # to the absorbed beam's is only taken over
                 cat = merged != base_r and merged != base_s
                 epochs.append((sb, t, coefficient(merged), d - merged.rank, cat,
-                               eids[p] if cat else 0, merged))
+                               eid if cat else 0, merged))
 
     # the birth epochs first, so the stable argsort keeps each beam's epochs
     # in processing order, its birth epoch first

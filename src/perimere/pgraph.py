@@ -77,6 +77,7 @@ class PeriodicGraph:
 _TOP_KEYS = {"dim", "basis", "vertices", "edges"}
 _ID_MIN, _ID_MAX = -2 ** 63, 2 ** 63 - 1   # ids are int64 in build
 _INT = frozenset({int})   # the types of ids and shift entries read as they are
+_SEQUENCE = (list, tuple)   # the types a shift may have
 
 
 def _read_value(obj, what):
@@ -109,8 +110,11 @@ def _read_int(obj, what):
 def _read_shift(obj, what):
     """Integer shift vector; an integral float such as 2.0 is read as 2, a
     non-integral, boolean or non-numeric entry is an error, never truncated
-    or coerced."""
+    or coerced, and so is a shift that is not a list or tuple, such as a
+    dict or a set, whose entries would come in key or hash order."""
     try:
+        if not isinstance(obj, _SEQUENCE):
+            raise TypeError
         shift = tuple(obj)
         types = set(map(type, shift))
         if types <= _INT:
@@ -205,8 +209,10 @@ def _columns(dim, vlist, elist):
         id_types = set(map(type, cells(_ID)))
         value_types = set(map(type, cells(_VALUE)))
         end_types = set(map(type, chain(map(_U, elist), map(_V, elist))))
+        shift_types = set(map(type, map(_SHIFT, elist)))   # a dict or a set has no order
         entry_types = set(map(type, chain.from_iterable(map(_SHIFT, elist))))
-        if not (_integral(id_types) and _integral(end_types) and bool not in entry_types
+        if not (_integral(id_types) and _integral(end_types)
+                and all(issubclass(t, _SEQUENCE) for t in shift_types) and bool not in entry_types
                 and all(issubclass(t, (int, float, str)) and t is not bool for t in value_types)):
             return None
         index = dict(zip(map(_ID, vlist), range(n)))   # vertex id -> position

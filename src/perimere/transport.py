@@ -9,7 +9,9 @@ death pair only with each other (at cost |birth1 - birth2|), so the
 distance is +infinity exactly when the infinite-death masses differ in
 total by more than TOL.  Finite masses are rounded one by one; the
 infinite-death masses of both sides are rounded to one common total, so
-that equal totals stay equal after rounding.
+that equal totals stay equal after rounding.  A call with a nonzero mass
+below 10^-3 scales by a larger power of ten, so that no mass keeps fewer
+than 10^6 units (six digits) and none is rounded away.
 
 The residual arcs out of the X nodes, the sink and the diagonal into the Y
 nodes, source, sink and diagonal live in one cost matrix, the kx * ky pair
@@ -46,14 +48,26 @@ from .barcode import PeriodicBarcode
 from .mergetree import TOL
 from .pgraph import PeriodicGraph, max_shift_magnitude
 
-MASS_SCALE = 10**9
+MASS_SCALE = 10**9   # the scale of masses, unless one is small (see _mass_scale)
+MASS_UNITS = 10**6   # the fewest units a nonzero mass is scaled to
 SLACK = 1e-15   # a label is replaced only by one smaller by more than this
 
 
-def _scaled(mf: dict, what: str) -> tuple:
+def _mass_scale(xi: dict, eta: dict) -> int:
+    """MASS_SCALE, or the least larger power of ten at which every nonzero
+    mass of xi and eta is at least MASS_UNITS units.  A mass range past the
+    float range is an OverflowError."""
+    small = min((m for mf in (xi, eta) for m in mf.values() if m > 0), default=1.0)
+    scale = MASS_SCALE
+    while small * scale < MASS_UNITS:
+        scale *= 10
+    return scale
+
+
+def _scaled(mf: dict, what: str, scale: int) -> tuple:
     """(finite, essential) masses of mf, checked: the finite masses (death <
-    inf) rounded one by one to integer multiples of 1/MASS_SCALE, zeros
-    dropped, and the essential masses (death = inf) as given."""
+    inf) rounded one by one to integer multiples of 1/scale, zeros dropped,
+    and the essential masses (death = inf) as given."""
     out, essential = {}, {}
     for (b, dth), m in mf.items():
         if m < 0:
@@ -65,7 +79,7 @@ def _scaled(mf: dict, what: str) -> tuple:
             if m:
                 essential[key] = essential.get(key, 0.0) + m
             continue
-        s = round(m * MASS_SCALE)
+        s = round(m * scale)
         if s:
             out[key] = out.get(key, 0) + s
     return out, essential
@@ -84,8 +98,9 @@ def _apportion(scaled: dict, total: int) -> dict:
 
 
 def _masses(xi: dict, eta: dict):
-    """Both sides' masses as {point: integer multiple of 1/MASS_SCALE}, or
-    None when their essential totals differ by more than TOL.
+    """(sx, sy, scale): both sides' masses as {point: integer multiple of
+    1/scale}, with `_mass_scale`'s scale; or None when their essential
+    totals differ by more than TOL.
 
     The essential masses of each side are apportioned to one common total,
     the mean of the two scaled totals rounded (raised, if need be, to each
@@ -94,16 +109,17 @@ def _masses(xi: dict, eta: dict):
     same.  Essential masses on one side only, within TOL of none, are
     dropped.
     """
-    (sx, ex), (sy, ey) = _scaled(xi, "xi"), _scaled(eta, "eta")
+    scale = _mass_scale(xi, eta)
+    (sx, ex), (sy, ey) = _scaled(xi, "xi", scale), _scaled(eta, "eta", scale)
     if abs(math.fsum(ex.values()) - math.fsum(ey.values())) > TOL:
         return None
     if ex and ey:
-        ex, ey = ({p: m * MASS_SCALE for p, m in e.items()} for e in (ex, ey))
+        ex, ey = ({p: m * scale for p, m in e.items()} for e in (ex, ey))
         total = max(round(math.fsum([*ex.values(), *ey.values()]) / 2),
                     *(sum(map(math.floor, e.values())) for e in (ex, ey)))
         sx.update(_apportion(ex, total))
         sy.update(_apportion(ey, total))
-    return sx, sy
+    return sx, sy, scale
 
 
 def _first_wins(w):
@@ -282,14 +298,14 @@ def w1(xi: dict, eta: dict) -> float:
     masses = _masses(xi, eta)
     if masses is None:
         return math.inf
-    sx, sy = masses
+    sx, sy, scale = masses
     xs, ys = sorted(sx), sorted(sy)
     shipped, want, cost = _ship(xs, [sx[x] for x in xs], ys, [sy[y] for y in ys])
     if shipped < want:
         return math.inf
     if not math.isfinite(cost):
         raise OverflowError("transport cost out of float range")
-    return cost / MASS_SCALE
+    return cost / scale
 
 
 def positive_negative_split(mf: dict):

@@ -12,9 +12,9 @@ pair, with the transport plan it can report), `oracle_extract` its earlier
 barcode extraction (a dict of contributions per bar key, with its CSV and
 JSON renderings), `oracle_volume` its earlier sublattice volume (an
 integer Gram matrix and a Bareiss determinant on integer bases) and
-`oracle_build` its earlier merge tree (one `Beam` object per beam and one
-`Epoch` per epoch); all are kept as differential references for the
-current code.  `view` shows a columnar tree as those objects, for the
+`oracle_build` its earlier merge tree (one `Beam` object per beam, one
+`Epoch` per epoch, and `UnionFind`, with one list of d ints per drift);
+all are kept as differential references for the current code.  `view` shows a columnar tree as those objects, for the
 oracles and tests that walk beams and epochs.
 """
 import functools
@@ -33,10 +33,10 @@ from scipy.optimize import linear_sum_assignment
 
 from perimere.lattice import (IntMatrix, RealBasis, SublatticeBasis, _int_det, coset_reps,
                               hnf_reduce, hnf_transform, member, reduce_mod, solve, volume)
-from perimere.mergetree import Event, PeriodicMergeTree, UnionFind
+from perimere.mergetree import Event, PeriodicMergeTree
 from perimere.pgraph import (_ID_MAX, _ID_MIN, _TOP_KEYS, GraphError, PeriodicGraph, _bad_record,
                              _read_int, _read_shift, _read_value, parse)
-from perimere.transport import MASS_SCALE, _masses
+from perimere.transport import _masses
 
 
 def brute_member(columns, v, bound=30):
@@ -224,7 +224,7 @@ def oracle_w1(xi: dict, eta: dict, with_plan: bool = False):
     masses = _masses(xi, eta)
     if masses is None:
         return (math.inf, None) if with_plan else math.inf
-    sx, sy = masses
+    sx, sy, scale = masses
     xs = sorted(sx)
     ys = sorted(sy)
 
@@ -262,16 +262,16 @@ def oracle_w1(xi: dict, eta: dict, with_plan: bool = False):
     shipped, cost = net.solve(src, dst, supply)
     if shipped < supply:
         return (math.inf, None) if with_plan else math.inf
-    dist = cost / MASS_SCALE
+    dist = cost / scale
     if not with_plan:
         return dist
     flows = {}
     for (x, y), ai in pair_arcs.items():
         f = net.cap[ai ^ 1]
         if f:
-            flows[(x, y)] = f / MASS_SCALE
-    chi = {x: net.cap[ai ^ 1] / MASS_SCALE for x, ai in diag_x.items() if net.cap[ai ^ 1]}
-    ups = {y: net.cap[ai ^ 1] / MASS_SCALE for y, ai in diag_y.items() if net.cap[ai ^ 1]}
+            flows[(x, y)] = f / scale
+    chi = {x: net.cap[ai ^ 1] / scale for x, ai in diag_x.items() if net.cap[ai ^ 1]}
+    ups = {y: net.cap[ai ^ 1] / scale for y, ai in diag_y.items() if net.cap[ai ^ 1]}
     return dist, TransportPlan(flows, chi, ups, dist)
 
 
@@ -871,6 +871,50 @@ class ObjectTree:
         return [Event(kind, t, cell, beams)
                 if ep is None else Event(kind, t, cell, beams, ep.coeff, ep.exp, ep.basis)
                 for t, _, cell, _, kind, beams, ep in self._event_rows()]
+
+
+class UnionFind:
+    """Union-find with drift vectors: O(1) find, size-based list splicing;
+    `build`'s earlier union-find, one list of d ints per drift.
+
+    Vertices live in per-component singly linked lists; unions relabel the
+    smaller list, so every vertex is relabeled at most log2(n) times.  Each of
+    the n slots starts as its own component; `root[i]` is the root slot of
+    slot i's component.
+    """
+
+    __slots__ = ("dim", "root", "nxt", "drift", "size")
+
+    def __init__(self, dim: int, n: int):
+        self.dim = dim
+        self.root = list(range(n))
+        self.nxt = [-1] * n
+        self.drift = [[0] * dim for _ in range(n)]
+        self.size = [1] * n
+
+    def union(self, r: int, s: int, v) -> int:
+        """Merge roots r and s; v is the drift correction for s's members.
+
+        Returns the surviving root.  Callers must pass v = Drift(x) +
+        Shift(a) - Drift(y) for an arc x -> y with Root(x) = r, Root(y) = s.
+        """
+        if self.size[s] > self.size[r]:
+            r, s = s, r
+            v = [-e for e in v]
+        root, nxt, drift = self.root, self.nxt, self.drift
+        z = s
+        last = s
+        while z != -1:
+            root[z] = r
+            dz = drift[z]
+            for k in range(self.dim):
+                dz[k] += v[k]
+            last = z
+            z = nxt[z]
+        nxt[last] = nxt[r]
+        nxt[r] = s
+        self.size[r] += self.size[s]
+        return r
 
 
 def oracle_build(graph: PeriodicGraph) -> ObjectTree:

@@ -15,7 +15,8 @@ from perimere import (GraphError, IntMatrix, build, canonical_form, equals, extr
                       parse, pgraph, serialize, splinters, unroll, w1, w1_alt)
 from perimere.barcode import json_chunks, to_csv
 from perimere.lattice import RealBasis, SublatticeBasis, count_cosets_in_ball, hnf_reduce
-from perimere.mergetree import _TreeIndex
+from perimere.mergetree import PeriodicMergeTree, _TreeIndex
+from perimere.pgraph import PeriodicGraph
 from perimere.synthetic import random_periodic_graph, torus_grid
 from perimere.transport import _add, barcode_distance, positive_negative_split
 
@@ -480,6 +481,57 @@ class TestBuildOracle:
             cats += int(tree.catenation.sum())
             takeovers += sum(ep.cell is None for b in ref.beams for ep in b.epochs[1:])
         assert cats > 500 and takeovers > 100
+
+
+def _scaled_shifts(g, k):
+    """g with every shift entry multiplied by k: the same tree with every
+    lattice scaled by k."""
+    return PeriodicGraph(g.dim, g.basis, g.ids, g.values, g.raw, g.u, g.v,
+                         [tuple(c * k for c in t) for t in g.shifts])
+
+
+def _drifting_path(dim, n, big):
+    """A path of n vertices, each edge along (big, -big, big, ...), merged in
+    path order, so vertex i's drift from the root is i times that shift; then
+    loop edges from the far end back to the start, each catenating."""
+    step = tuple(big if a % 2 == 0 else -big for a in range(dim))
+    loops = [tuple(big * (a == b) - (a == dim) for b in range(dim)) for a in range(dim + 1)]
+    us = [*range(n - 1), *[n - 1] * len(loops)]
+    vs = [*range(1, n), *[0] * len(loops)]
+    shifts = [step] * (n - 1) + loops
+    values = [*map(float, range(n)), *map(float, range(1, n)), *map(float, range(n, n + len(loops)))]
+    basis = RealBasis([[1.0 if r == c else 0.0 for r in range(dim)] for c in range(dim)])
+    return PeriodicGraph(dim, basis, [*range(n), *range(len(shifts))], values, {}, us, vs, shifts)
+
+
+class TestPackedBuildOracle:
+    # build packs each drift into one int; the oracle keeps a list of d ints.
+    # Shifts past 2^64 break any fixed 64-bit digit, and the long paths have
+    # drifts of about n times the largest shift, past a width sized from the
+    # shifts alone: both must give the oracle's columns and bases
+    def test_wide_shifts_and_long_paths(self):
+        rng = random.Random(21)
+        graphs = []
+        for _ in range(150):
+            n = rng.randint(1, 12)
+            g = random_periodic_graph(
+                rng, dim=rng.choice((1, 2, 3)), n=n, m=rng.randint(0, 3 * n),
+                shift_range=rng.choice((1, 2)), tie_values=rng.random() < 0.5)
+            graphs.append(_scaled_shifts(g, rng.choice((1, 2 ** 64 + 1, 2 ** 70 - 3, -3 ** 50))))
+        for dim in (1, 2, 3):
+            for n, big in ((300, 1), (300, 2 ** 40 + 7), (40, 2 ** 66 - 1)):
+                graphs.append(_drifting_path(dim, n, big))
+        cats = wide = 0
+        for g in graphs:
+            tree, ref = build(g), oracles.oracle_build(g)
+            assert view(tree) == ref.beams
+            assert tree.basis == [ep.basis for b in ref.beams for ep in b.epochs]
+            columns = oracles.tree_of(g.dim, ref.beams)
+            for name in PeriodicMergeTree.__slots__[1:-1]:   # all but dim and basis
+                assert np.array_equal(getattr(tree, name), getattr(columns, name)), name
+            cats += int(tree.catenation.sum())
+            wide += any(abs(c) >= 2 ** 64 for lat in tree.basis for col in lat.columns for c in col)
+        assert cats > 300 and wide > 60
 
 
 class TestExtractOracle:

@@ -5,14 +5,15 @@ import tracemalloc
 
 import pytest
 
-from perimere import (IntMatrix, UnionFind, build,
+from perimere import (IntMatrix, build,
                       canonical_form, extract, parse, serialize, splinters, unroll)
-from perimere.mergetree import PeriodicMergeTree, _TreeText, monomial_display
+from perimere.mergetree import (PeriodicMergeTree, _TreeText, drift_bits, monomial_display,
+                                pack, unpack)
 from perimere.synthetic import random_periodic_graph, torus_grid
 
 from .conftest import fig3_left_doc, helix_cross_doc
 from . import oracles
-from .oracles import bfs_components, view
+from .oracles import UnionFind, bfs_components, view
 
 SQRT2 = math.sqrt(2)
 
@@ -112,6 +113,38 @@ class TestBuildGolden:
                    "edges": [{"id": 1, "u": 0, "v": 0, "value": 1.0, "shift": [0, 0]}]})
         tree = build(g)
         assert [e.kind for e in tree.events] == ["appearance"]
+
+
+class TestPackedDrift:
+    def test_round_trip_at_the_digit_bounds(self):
+        # every entry in [-(B/2 - 1), B/2 - 1] for B = 2^bits comes back, at
+        # the bounds, in every position and in every sign pattern
+        rng = random.Random(21)
+        for bits in (2, 3, 15, 31, 64, 75):
+            top = (1 << (bits - 1)) - 1
+            for d in (1, 2, 3):
+                entries = [top, -top, 0, 1, -1]
+                vecs = [tuple(rng.choice(entries) for _ in range(d)) for _ in range(40)]
+                vecs += [(top,) * d, (-top,) * d, (0,) * d]
+                for vec in vecs:
+                    assert unpack(pack(vec, bits), bits, d) == vec
+                    assert (pack(vec, bits) == 0) == (not any(vec))
+
+    def test_sums_stay_exact_within_the_width(self):
+        # drifts add as vectors while each entry stays inside the width that
+        # drift_bits gives: sums of 2n - 1 shifts with entries up to max_shift,
+        # the extremes among them
+        rng = random.Random(22)
+        for d in (1, 2, 3):
+            for n, top in ((1, 0), (2, 1), (50, 3), (1000, 2 ** 70)):
+                bits = drift_bits(n, top)
+                mixed = [tuple(rng.choice((-top, top, 0)) for _ in range(d))
+                         for _ in range(2 * n - 1)]
+                signs = tuple(rng.choice((-top, top)) for _ in range(d))
+                for shifts in (mixed, [signs] * (2 * n - 1)):
+                    total = tuple(map(sum, zip(*shifts)))
+                    assert unpack(sum(pack(t, bits) for t in shifts), bits, d) == total
+                    assert unpack(-pack(total, bits), bits, d) == tuple(-c for c in total)
 
 
 class TestUnionFind:

@@ -88,6 +88,17 @@ class TestParse:
             with pytest.raises(GraphError, match="edge 11: shift"):
                 parse(doc)
 
+    def test_shift_must_be_a_list_or_tuple(self):
+        # a dict built in Python would give its keys, a set its hash order
+        doc = fig3_left_doc()
+        doc["edges"][1]["shift"] = (2, -1)
+        assert parse(doc).shifts[1] == (2, -1)
+        for bad in ({3: "x", 4: "y"}, {1, 0}, frozenset({2, 5}), "10", range(2), iter([1, 0])):
+            doc["edges"][1]["shift"] = bad
+            with pytest.raises(GraphError) as err:
+                parse(doc)
+            assert str(err.value) == f"edge 11: shift must be a list of integers, got {bad!r}"
+
     def test_record_without_required_key_named(self):
         for kind, key in (("vertices", "value"), ("vertices", "id"), ("edges", "shift"),
                           ("edges", "u")):

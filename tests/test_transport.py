@@ -2,10 +2,12 @@ import math
 import random
 import warnings
 
+import numpy as np
 import pytest
 
-from perimere import (barcode_distance, build, cellular_l1, extract,
+from perimere import (PeriodicGraph, RealBasis, barcode_distance, build, cellular_l1, extract,
                       multiplicity_bound, parse, w1, w1_alt)
+from perimere.synthetic import random_periodic_graph
 from .conftest import helix_cross_doc
 from .oracles import TransportPlan, assignment_w1, oracle_w1
 
@@ -226,6 +228,47 @@ class TestBarcodeDistance:
                     djk = barcode_distance(codes[j], codes[k])
                     dik = barcode_distance(codes[i], codes[k])
                     assert dij + djk >= dik - 1e-7
+
+
+def _on_basis(g, s, values=None):
+    """g on the basis s * I, with its filter values replaced by `values` if given."""
+    basis = RealBasis([[s if r == c else 0.0 for r in range(g.dim)] for c in range(g.dim)])
+    return PeriodicGraph(g.dim, basis, g.ids, g.values if values is None else values, g.raw,
+                         g.u, g.v, g.shifts)
+
+
+class TestSmallMasses:
+    # on the basis s * I a bar of era e has s^-e times its mass on I, so its
+    # distances are s^-e times as large; masses far below the 1e-9 rounding
+    # unit must not be rounded away
+    def test_moved_vertex_on_wide_cells(self):
+        def code(s, b):
+            return extract(build(parse({
+                "dim": 1, "basis": [[s]],
+                "vertices": [{"id": 0, "value": 0.0}, {"id": 1, "value": b}],
+                "edges": [{"id": 0, "u": 0, "v": 0, "value": 6.0, "shift": [1]},
+                          {"id": 1, "u": 0, "v": 1, "value": 5.0, "shift": [0]}]})))
+        for s in (1.0, 1e9, 1e10):
+            assert barcode_distance(code(s, 1.0), code(s, 3.0)) * s == pytest.approx(2.0, rel=1e-6)
+
+    def test_eras_scale_with_the_cell(self):
+        rng = random.Random(21)
+        checked = 0
+        for _ in range(12):
+            dim = rng.choice((1, 2, 3))
+            g = random_periodic_graph(rng, dim=dim, n=rng.randint(2, 7), m=rng.randint(3, 12))
+            n = g.n
+            values = g.values + np.array([rng.uniform(-0.3, 0.3) for _ in g.values])
+            values[n:] = np.maximum(values[n:], np.maximum(values[g.u], values[g.v]))
+            _, ref = barcode_distance(extract(build(g)), extract(build(_on_basis(g, 1.0, values))),
+                                      per_era=True)
+            for s in (1e3, 1e6, 1e9, 1e10):
+                _, eras = barcode_distance(extract(build(_on_basis(g, s))),
+                                           extract(build(_on_basis(g, s, values))), per_era=True)
+                for e, (got, want) in enumerate(zip(eras, ref)):
+                    assert got * s ** e == pytest.approx(want, rel=1e-6, abs=1e-12)
+                    checked += e > 0 and want > 0
+        assert checked > 40
 
 
 class TestMultiplicityBound:
