@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import math
 import sys
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cmp_to_key
-from itertools import chain, groupby, zip_longest
+from itertools import accumulate, chain, groupby, zip_longest
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 
 import numpy as np
 
@@ -38,8 +38,6 @@ from . import jsonfmt
 from .jsonfmt import HOLE
 from .lattice import SublatticeBasis, hnf_reduce, member, unit_ball_volume, volume
 from .pgraph import PeriodicGraph
-
-_START = itemgetter(0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -490,18 +488,26 @@ def build(graph: PeriodicGraph) -> PeriodicMergeTree:
 TOL = 1e-9   # heights, coefficients and multiplicities this close are equal
 
 
+def _text(x: float) -> str:
+    """x rounded to TOL, written with 12 significant digits.  An x whose
+    x / TOL overflows is written as it is, since TOL is far below its last digit."""
+    q = x / TOL
+    return f"{round(q) * TOL if math.isfinite(q) else x:.12g}"
+
+
 class _Text(dict):
-    """x -> x rounded to TOL, written with 12 significant digits; memoized.
-    An x whose x / TOL overflows is written as it is, since TOL is far below its last digit."""
+    """x -> `_text(x)`, memoized."""
 
     def __missing__(self, x: float) -> str:
-        q = x / TOL
-        text = self[x] = f"{round(q) * TOL if math.isfinite(q) else x:.12g}"
+        text = self[x] = _text(x)
         return text
 
 
-def _text_order(items: list, text) -> list:
-    """`items` sorted by their token streams `text(item)`, read lazily."""
+def _text_order(items: list, head, text) -> list:
+    """`items` sorted by their token streams `text(item)`, read lazily.
+    `head(item)` is a tuple of the first tokens of the stream that are not
+    the same for all items, so the items are sorted by their heads, and
+    only items with equal heads by their streams."""
     if len(items) < 2:
         return items
 
@@ -510,73 +516,83 @@ def _text_order(items: list, text) -> list:
             if a != b:
                 return -1 if a is None or (b is not None and a < b) else 1
         return 0
-    return sorted(items, key=cmp_to_key(compare))
+    heads = list(map(head, items))
+    rows = sorted(range(len(items)), key=heads.__getitem__)
+    out = []
+    for _, tie in groupby(rows, key=heads.__getitem__):
+        tie = [items[i] for i in tie]
+        out += sorted(tie, key=cmp_to_key(compare)) if len(tie) > 1 else tie
+    return out
 
 
-def _run(gen):
-    """Result of generator `gen`, which yields the generators whose results it
-    needs and receives each result back from its `yield`; the calls nest on an
-    explicit stack, so their depth is bounded by memory, not the recursion limit."""
-    stack = [gen]
-    value = None
-    while True:
-        try:
-            sub = stack[-1].send(value)
-        except StopIteration as done:
-            stack.pop()
-            if not stack:
-                return done.value
-            value = done.value
-        else:
-            stack.append(sub)
-            value = None
+def _column(values: np.ndarray, code: str) -> array:
+    """`values` as a flat array of typecode `code` ('d' or 'q'): 8 bytes an
+    entry, where a list holds an object per entry."""
+    return array(code, np.ascontiguousarray(values, dtype=float if code == "d" else np.int64).tobytes())
 
 
-class _TreeText:
-    """Text tables of one merge tree: what `canonical_form` reads.
+def _offsets(keys: np.ndarray, n: int) -> np.ndarray:
+    """Row offsets of the groups 0..n-1 of the sorted group keys `keys`."""
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=n), out=offsets[1:])
+    return offsets
 
-    Per beam: birth, death, the normalized spans (its epochs of nonzero
-    width, as flat start, end, coeff and exp lists, beam b's at rows
-    first[b]:first[b + 1]) and the children, which the tables derive from
-    parents and deaths, each as (merge height, child) in increasing order.
-    `tokens(b, t)` writes the subtree below (beam b, cut height t): the
-    birth of b, its spans starting below t (the last one cut at t) and the
-    subtrees of the children merging below t.
+
+class _TreeIndex:
+    """Flat tables of one merge tree: what `canonical_form` and `splinters` read.
+
+    Each table is one flat array with per-beam offsets, so the index holds
+    a few 8-byte numbers per beam and no object per beam:
+    - children: beam b's are kid[koff[b]:koff[b + 1]], merging at heights
+      kh[koff[b]:koff[b + 1]], in increasing (height, child).  A child is
+      listed under its effective survivor: chained mergers at one height
+      are a processing-order artifact, and all those beams join at one point;
+    - spans, the epochs of nonzero width: beam b's are rows
+      soff[b]:soff[b + 1] of start, coeff and exp.  They tile b's life, so
+      a span ends where the next one starts, and the last at the death;
+    - cuts, for `splinters` (`labeled`): cut[coff[b]:coff[b + 1]] are the
+      distinct exact heights of b's events (spans starting, children
+      merging), increasing.  Per cut i, act[i] is the span active from it
+      (-1 for none) and kid[kcut[i]:kcut[i + 1]] the children merging
+      there.  lab[coff[b] + b + i] is the label of b's subtree below any
+      height above its first i cuts, so lab[coff[b] + b] labels its birth
+      alone and lab[coff[b + 1] + b] the subtree at its death.  stop[b] is
+      b's first cut that is a stop of the sweep: its birth is not one unless
+      a child merges there.
+
+    `tokens(b, top)` writes the subtree below (beam b, cut height top), for
+    top at most b's death: the birth of b, its spans starting below top
+    (the last one cut at top) and the subtrees of the children merging
+    below top.
     """
+
+    __slots__ = ("fmt", "_kid_orders", "birth", "kid", "kh", "koff", "start", "coeff", "exp",
+                 "soff", "cut", "coff", "lab", "stop", "act", "kcut")
 
     def __init__(self, tree: PeriodicMergeTree):
         self.fmt = _Text().__getitem__
         self._kid_orders = {}
-        self.birth = tree.birth.tolist()
-        self.death = death = tree.death.tolist()
-        self.kids = kids = [[] for _ in death]   # (merge height, child), sorted
-        # a child joins its effective survivor: chained mergers at one height
-        # are a processing-order artifact; all those beams join at one point.
-        # A parent precedes its children, and a root never dies
-        joins = [None] * len(death)   # the effective survivor of each child
-        for b, p in enumerate(tree.parent.tolist()):
-            if p >= 0:
-                if death[p] == death[b]:
-                    p = joins[p]
-                joins[b] = p
-                kids[p].append((death[b], b))
-        for ks in kids:
-            ks.sort()
-        end = tree.epoch_ends()
-        rows = np.flatnonzero(end > tree.start)
-        self.first = np.searchsorted(rows, tree.offsets).tolist()
-        self.start, self.end = tree.start[rows].tolist(), end[rows].tolist()
-        self.coeff, self.exp = tree.coeff[rows].tolist(), tree.exp[rows].tolist()
-
-    def monomial(self, b: int, t: float, below: bool = False):
-        """(coeff, exp) of beam b's span active at height t, or just below t
-        when `below` is set; None when the beam is not alive there."""
-        lo = self.first[b]
-        i = (bisect_left if below else bisect_right)(self.start, t, lo, self.first[b + 1]) - 1
-        if i < lo:
-            return None
-        en = self.end[i]
-        return (self.coeff[i], self.exp[i]) if (t <= en if below else t < en) else None
+        self.lab = None
+        n = len(tree.birth)
+        death, parent = tree.death, tree.parent
+        # a child's effective survivor is the parent of its highest ancestor
+        # that died at its height (a root never dies); parents precede
+        # children, and pointer doubling finds those ancestors in log steps
+        child = np.flatnonzero(parent >= 0)
+        top = np.arange(n)
+        joined = child[death[parent[child]] == death[child]]
+        top[joined] = parent[joined]
+        while not np.array_equal(up := top[top], top):
+            top = up
+        survivor = parent[top[child]]
+        rows = np.lexsort((child, death[child], survivor))
+        self.kid, self.kh = _column(child[rows], "q"), _column(death[child[rows]], "d")
+        self.koff = _column(_offsets(survivor, n), "q")
+        spans = np.flatnonzero(tree.epoch_ends() > tree.start)
+        self.soff = _column(np.searchsorted(spans, tree.offsets), "q")
+        self.start, self.coeff = _column(tree.start[spans], "d"), _column(tree.coeff[spans], "d")
+        self.exp = _column(tree.exp[spans], "q")
+        self.birth = _column(tree.birth, "d")
 
     def tokens(self, b: int, top: float):
         """The text of the subtree below (b, top), cut into tokens.
@@ -588,7 +604,7 @@ class _TreeText:
         streams orders the texts.  One stack holds the subtrees still to
         write, as (beam, cut), and the literal tokens that follow them.
         """
-        fmt = self.fmt
+        fmt, start, coeff, exp, kid, kh = self.fmt, self.start, self.coeff, self.exp, self.kid, self.kh
         stack = [(b, top)]
         while stack:
             item = stack.pop()
@@ -598,111 +614,163 @@ class _TreeText:
             b, top = item
             yield "["
             yield fmt(self.birth[b]) + "|"
-            lo = self.first[b]
-            k = bisect_left(self.start, top, lo, self.first[b + 1])
+            lo = self.soff[b]
+            k = bisect_left(start, top, lo, self.soff[b + 1])
             if k == lo:
                 yield "|"
             for i in range(lo, k):
-                yield fmt(self.start[i]) + ":"
-                yield fmt(min(self.end[i], top)) + ":"
-                yield fmt(self.coeff[i]) + ":"
-                yield f"{self.exp[i]}{';' if i < k - 1 else '|'}"
+                yield fmt(start[i]) + ":"
+                yield fmt(start[i + 1] if i < k - 1 else top) + ":"
+                yield fmt(coeff[i]) + ":"
+                yield f"{exp[i]}{';' if i < k - 1 else '|'}"
             stack.append("]")
-            kids = self._kid_order(b, bisect_left(self.kids[b], (top, -1)))
+            kids = self._kid_order(b, top)
             for j in range(len(kids) - 1, -1, -1):   # pushed last to first
-                h, c = kids[j]
-                stack += ((c, h), fmt(h) + ">", ",") if j else ((c, h), fmt(h) + ">")
+                e = kids[j]
+                h = kh[e]
+                stack += ((kid[e], h), fmt(h) + ">", ",") if j else ((kid[e], h), fmt(h) + ">")
 
-    def _kid_order(self, b: int, k: int) -> list:
-        """b's first k children in the text order of `height>subtree`."""
-        if k < 2:
-            return self.kids[b][:k]
+    def _kid_order(self, b: int, top: float) -> list:
+        """The rows of b's children merging below top, in the text order of
+        `height>subtree`."""
+        lo = self.koff[b]
+        k = bisect_left(self.kh, top, lo, self.koff[b + 1])
+        if k - lo < 2:
+            return range(lo, k)
         kids = self._kid_orders.get((b, k))
         if kids is None:
+            fmt, kid, kh, birth = self.fmt, self.kid, self.kh, self.birth
             kids = self._kid_orders[b, k] = _text_order(
-                self.kids[b][:k], lambda kid: chain((self.fmt(kid[0]) + ">",),
-                                                    self.tokens(kid[1], kid[0])))
+                range(lo, k), lambda e: (fmt(kh[e]) + ">", fmt(birth[kid[e]]) + "|"),
+                lambda e: chain((fmt(kh[e]) + ">",), self.tokens(kid[e], kh[e])))
         return kids
 
     def ordered(self, reps: dict, top: float) -> list:
-        """The digests in `reps` (digest -> a beam with it at top), in text order."""
-        return _text_order(list(reps), lambda dg: self.tokens(reps[dg], top))
+        """The keys of `reps` (key -> a beam alive at top) in the text order of
+        the beams' subtrees below top."""
+        fmt, birth = self.fmt, self.birth
+        return _text_order(list(reps), lambda key: (fmt(birth[reps[key]]) + "|",),
+                           lambda key: self.tokens(reps[key], top))
 
+    def labeled(self) -> "_TreeIndex":
+        """This index with its labels (see the class docstring), made once.
 
-class _TreeIndex(_TreeText):
-    """The text tables plus what `splinters` reads: interned subtree labels.
+        Labels are interned bottom-up, in decreasing beam index since a beam
+        joins one made before it.  A beam's events are its spans and its
+        children in one lexsort, spans first at one height; a group is its
+        events at one rounded height.  The birth's label interns its text,
+        and the label at each cut interns (the label below the cut's group,
+        the group's rounded height, coeff text and exp of each span starting
+        in the group up to the cut, sorted death labels of the children
+        merging there); spans are (str, int) pairs and labels ints, so the
+        flat key reads back one way.  A cut between two exact heights of one
+        group gets the label of the events below it.
 
-    Per beam: the exact heights of its events (spans starting, children
-    merging) and a subtree label at each.  `digest(b, t)` names the subtree
-    below (b, t) by (label, rounded cut), and two cuts have equal digests
-    exactly when their texts `tokens(b, t)` are equal.  Labels are interned
-    bottom-up, in decreasing beam index since a beam joins one made before
-    it, one per group of events at one rounded height: (label below,
-    rounded height, (coeff, exp) of the spans starting there, sorted digests
-    of the children merging there).  Epochs are taken in increasing height,
-    as `build` leaves them, and so are the children.  A cut between two
-    exact heights of one group gets the label of the events below it.
-
-    Labels are numbered per index: digests of two indexes are not comparable.
-    """
-
-    def __init__(self, tree: PeriodicMergeTree):
-        super().__init__(tree)
-        fmt = self.fmt
-        interned = {}
+        At one height t, the texts below t of two beams alive at t end
+        their last spans at t alike, and their labels at t are equal exactly
+        when those texts are.  Labels are numbered per index, so labels of
+        two indexes are not comparable.
+        """
+        if self.lab is not None:
+            return self
         n = len(self.birth)
-        self.base = [0] * n   # label of a beam's birth alone
-        self.cuts = [()] * n  # exact event heights, increasing
-        self.labels = [()] * n  # label of the events at or below each cut
-        for b in range(n - 1, -1, -1):   # a beam joins one made before it
-            events = [(self.start[i], 0, (fmt(self.coeff[i]), self.exp[i]))
-                      for i in range(self.first[b], self.first[b + 1])]
-            events += [(h, 1, self.digest(c, h)) for h, c in self.kids[b]]
-            events.sort(key=_START)
-            lab = self.base[b] = interned.setdefault((fmt(self.birth[b]),), len(interned))
-            cuts, labels = [], []
-            for rounded, group in groupby(events, key=lambda ev: fmt(ev[0])):
-                below, spans, kids = lab, [], []
-                for h, same in groupby(group, key=_START):
-                    for _, kind, item in same:
-                        (kids if kind else spans).append(item)
-                    key = (below, rounded, tuple(spans), tuple(sorted(kids)))
-                    lab = interned.setdefault(key, len(interned))
-                    cuts.append(h)
-                    labels.append(lab)
-            self.cuts[b], self.labels[b] = tuple(cuts), tuple(labels)
+        koff, soff = np.frombuffer(self.koff, np.int64), np.frombuffer(self.soff, np.int64)
+        births, kh = np.frombuffer(self.birth), np.frombuffer(self.kh)
+        # the events, spans then children, and one stable lexsort by (beam,
+        # height): a beam's runs are each sorted already, so spans come first
+        # at one height, and children keep their order
+        beam = np.concatenate((np.repeat(np.arange(n), np.diff(soff)),
+                               np.repeat(np.arange(n), np.diff(koff))))
+        height = np.concatenate((np.frombuffer(self.start), kh))
+        rows = np.lexsort((height, beam))
+        beam, height = beam[rows], height[rows]
+        new = np.ones(len(rows), dtype=bool)
+        new[1:] = (beam[1:] != beam[:-1]) | (height[1:] != height[:-1])
+        cut = height[new]
+        coff = _offsets(beam[new], n)
+        # per cut: the span starting there (at most one; -1 for none), the
+        # span active from there, and the rows of the children merging there,
+        # which follow the last cut's
+        at = np.cumsum(new) - 1
+        spans = rows < len(self.start)
+        span = np.full(len(cut), -1, dtype=np.int64)
+        span[at[spans]] = rows[spans]
+        act = np.maximum.accumulate(span)   # span rows grow along the cuts
+        act[act < soff[beam[new]]] = -1   # none of this beam's yet
+        kcut = np.zeros(len(cut) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(at[~spans], minlength=len(cut)), out=kcut[1:])
+        # the first cut is a stop unless it is the birth and no child merges there
+        birth_cut = (coff[1:] > coff[:-1]) & (np.append(cut, np.nan)[coff[:-1]] == births)
+        birth_kid = (koff[1:] > koff[:-1]) & (np.append(kh, np.nan)[koff[:-1]] == births)
+        self.cut, self.coff = _column(cut, "d"), _column(coff, "q")
+        self.stop = _column(coff[:-1] + (birth_cut & ~birth_kid), "q")
+        self.act, self.kcut = _column(act, "q"), _column(kcut, "q")
 
-    def digest(self, b: int, top: float) -> tuple:
-        """(label, rounded cut) of the subtree below (b, top); the cut is None
-        when no span starts below top."""
-        i = bisect_left(self.cuts[b], top)
-        lab = self.labels[b][i - 1] if i else self.base[b]
-        lo = self.first[b]
-        started = lo < self.first[b + 1] and self.start[lo] < top
-        return lab, (self.fmt(min(top, self.death[b])) if started else None)
-
-    def last_stop(self, b: int, pos: float) -> float:
-        """Highest height below pos where b gains a child or starts a span
-        after its birth; -inf when there is none."""
-        cuts = self.cuts[b]
-        i = bisect_left(cuts, pos) - 1   # no cut lies below the birth
-        if i < 0 or cuts[i] == self.birth[b] and not self.children_at(b, cuts[i]):
-            return -math.inf
-        return cuts[i]
-
-    def children_at(self, b: int, t: float) -> list:
-        kids = self.kids[b]
-        return [c for _, c in kids[bisect_left(kids, (t, -1)):bisect_left(kids, (t, math.inf))]]
+        texts = list(map(_text, cut.tolist()))   # the rounded height of each cut
+        values, which = np.unique(np.frombuffer(self.coeff), return_inverse=True)
+        spantexts = list(map(_text, values.tolist()))   # few distinct coefficients
+        spantext, span = _column(which, "q"), _column(span, "q")
+        del beam, height, rows, new, cut, at, spans, values, which, act, kcut
+        coff, birth, exp, kid, cuts, kcut = self.coff, self.birth, self.exp, self.kid, self.cut, self.kcut
+        lab = self.lab = array("q", bytes(8 * (n + coff[n])))
+        interned = {}
+        for b in range(n - 1, -1, -1):
+            lo, hi = coff[b], coff[b + 1]
+            text = texts[lo] if lo < hi and cuts[lo] == birth[b] else _text(birth[b])
+            lab[lo + b] = last = interned.setdefault(text, len(interned))
+            group = None   # the rounded height of the events in `spans` and `kids`
+            for i in range(lo, hi):
+                if texts[i] != group:
+                    group, below, spans, kids = texts[i], last, [], []
+                r = span[i]
+                if r >= 0:
+                    spans += (spantexts[spantext[r]], exp[r])
+                if kcut[i] < kcut[i + 1]:
+                    for e in range(kcut[i], kcut[i + 1]):
+                        c = kid[e]
+                        kids.append(lab[coff[c + 1] + c])
+                    if len(kids) > 1:
+                        kids.sort()
+                lab[i + b + 1] = last = interned.setdefault((below, group, *spans, *kids),
+                                                            len(interned))
+        return self
 
 
 def canonical_form(tree: PeriodicMergeTree) -> str:
     """Digest equal iff trees are identical up to reordering of siblings.
 
-    The root subtree texts of `_TreeText.tokens`, sorted and joined by `&`;
+    The root subtree texts of `_TreeIndex.tokens`, sorted and joined by `&`;
     numbers are rounded to TOL and written with 12 significant digits.
     """
-    idx = _TreeText(tree)
+    idx = _TreeIndex(tree)
     return "&".join(sorted("".join(idx.tokens(r, math.inf)) for r in tree.roots()))
+
+
+class _Level:
+    """One level of the `splinters` sweep: the check of the preimage `pool`
+    against image beam b below pos (b is -1 for the roots), and, once it
+    reaches a stop t, the assignment of preimages to b's children at t.
+
+    The assignment is laid out in the one list `rows`, so that a level
+    costs a few objects at any depth.  In order, rows holds:
+    - the start of each of the G groups and the end of the last;
+    - the image children, in G groups of equal labels;
+    - the end of each of the C classes;
+    - the preimages ("items"), a child c of a pool beam as c and a pool
+      beam w sliding on as ~w, in C classes of equal labels;
+    - the cursor of each class: its items from the cursor on are left;
+    - `order`, the classes with items left.
+    Positions are indices into rows; groups and classes are in text order.
+    Group gi tries kc items of class rows[order + j] per child, for kc up
+    to kc_hi, and its child i is checked next; `picks` holds (j, class,
+    kc, kc_hi) of each group before gi.
+    """
+
+    __slots__ = ("b", "pool", "pos", "t", "rows", "groups", "classes", "picks",
+                 "gi", "j", "kc", "kc_hi", "i")
+
+    def __init__(self, b: int, pool: list, pos: float):
+        self.b, self.pool, self.pos, self.rows = b, pool, pos, None
 
 
 def splinters(tprime: PeriodicMergeTree, tree: PeriodicMergeTree) -> bool:
@@ -715,115 +783,213 @@ def splinters(tprime: PeriodicMergeTree, tree: PeriodicMergeTree) -> bool:
     children are possible, the first in the text order of their subtrees is
     taken.  The roots are the children of an assignment at t = inf, where a
     class of roots takes a whole group of preimage roots, and none may be
-    left over.  Each tree is indexed once (`_TreeIndex`), the checks nest on
-    an explicit stack (`_run`), and an assignment takes its preimages from
-    the pool in place, so the children at one stop cost linear memory.
+    left over.  Each tree is indexed once (`_TreeIndex`), and subtrees cut at
+    one height are compared by their labels there.  The levels of the sweep
+    are flat records (`_Level`) on one stack driven by one loop, and an
+    assignment takes its preimages from its classes in place, so both depth
+    and the children at one stop cost linear memory.
     """
     if tprime.dim != tree.dim:
         return False
-    P = _TreeIndex(tprime)
-    T = P if tree is tprime else _TreeIndex(tree)
+    P = _TreeIndex(tprime).labeled()
+    T = P if tree is tprime else _TreeIndex(tree).labeled()
+    inf = math.inf
+    tbirth, tcut, tcoff, tstop, tlab, tact, tkcut = T.birth, T.cut, T.coff, T.stop, T.lab, T.act, T.kcut
+    tkid, tstart, tsoff, tcoeff, texp = T.kid, T.start, T.soff, T.coeff, T.exp
+    pbirth, pcut, pcoff, pstop, plab, pact, pkcut = P.birth, P.cut, P.coff, P.stop, P.lab, P.act, P.kcut
+    pkid, pstart, psoff, pcoeff, pexp = P.kid, P.start, P.soff, P.coeff, P.exp
 
-    def check(ws: list, b: int, top: float):
-        # ws is one non-empty class of equal digests at top.  Every preimage
-        # ends in the final pool of an image beam in b's subtree and has its
-        # birth, and b is the eldest beam of its subtree
-        if any(P.birth[w] < T.birth[b] for w in ws):
-            return False
-        pool_w = list(ws)
-        pos = top
-        while True:
-            t = max(T.last_stop(b, pos), max(P.last_stop(w, pos) for w in pool_w))
-            if t == -math.inf:   # no stop below pos: down to b's birth
-                return (even_split(b, pool_w, T.birth[b], pos)
-                        and all(P.birth[w] == T.birth[b] for w in pool_w))
-            if not even_split(b, pool_w, t, pos):
-                return False
-            # candidate preimages: children of W-beams merging at t, plus
-            # W-beams themselves sliding onto a child
-            leftover = yield assignment(T.children_at(b, t), [
-                *(("child", c2) for w in pool_w for c2 in P.children_at(w, t)),
-                *(("slide", w) for w in pool_w)], t)
-            if leftover is None:
-                return False
-            kept = {w for its in leftover.values() for kind, w in its if kind == "slide"}
-            pool_w = [w for w in pool_w if w in kept]
-            pool_w.extend(c for its in leftover.values() for kind, c in its if kind == "child")
-            if not pool_w or len({P.digest(w, t) for w in pool_w}) != 1:
-                return False
-            pos = t
-
-    def even_split(b: int, pool_w: list, t: float, pos: float) -> bool:
-        """On (t, pos) the monomials are constant; each preimage carries 1/k."""
+    def even_split(b: int, i: int, pool: list, ats: list, t: float, pos: float) -> bool:
+        """On (t, pos) the monomials are constant; each preimage carries 1/k.
+        i and ats are the last cuts below pos of b and of the pool beams,
+        so each beam's span at t is the one active from its cut."""
         if pos <= t:
             return True
-        mb = T.monomial(b, t)
-        if mb is None:
+        r = tact[i] if i >= tcoff[b] and tcut[i] <= t else -1
+        if r < 0:
             return False
-        k = len(pool_w)
-        for w in pool_w:
-            mw = P.monomial(w, t)
-            if mw is None or mw[1] != mb[1] or abs(mw[0] - mb[0] / k) > TOL:
+        share, exp = tcoeff[r] / len(pool), texp[r]
+        for w, k in zip(pool, ats):
+            r = pact[k] if k >= pcoff[w] and pcut[k] <= t else -1
+            if r < 0 or pexp[r] != exp or abs(pcoeff[r] - share) > TOL:
                 return False
         return True
 
-    def assignment(kids: list, items: list, t: float):
-        """`assign_children` of the preimage `items` (kind, beam) to the
-        image beams `kids` at t: the beams in groups of equal subtrees, the
-        items in classes of equal subtrees, each taken in text order."""
-        groups: dict[tuple, list] = {}
-        for c in kids:
-            groups.setdefault(T.digest(c, t), []).append(c)
-        classes: dict[tuple, list] = {}
-        for item in items:
-            classes.setdefault(P.digest(item[1], t), []).append(item)
-        return assign_children(
-            [groups[dg] for dg in T.ordered({dg: cs[0] for dg, cs in groups.items()}, t)],
-            P.ordered({dg: its[0][1] for dg, its in classes.items()}, t), t, 0, classes)
+    def counts(c: int, x: int, g: int, m: int, t: float) -> tuple:
+        """(first, last) preimage count per child, for a group of g image
+        beams like c and a class of m preimages like x, pinned by the ratio
+        of their monomials just below t; a root takes its share of a whole
+        class.  first > last when there is none."""
+        if t == inf:
+            return (1, 0) if m % g else (m // g, m // g)
+        i = bisect_left(tstart, t, tsoff[c], tsoff[c + 1]) - 1   # the last span below t
+        k = bisect_left(pstart, t, psoff[x], psoff[x + 1]) - 1
+        if i < tsoff[c] or k < psoff[x]:   # born at t
+            return 1, m // g
+        if pexp[k] != texp[i] or pcoeff[k] <= 0 or not math.isfinite(tcoeff[i] / pcoeff[k]):
+            return 1, 0
+        kc = round(tcoeff[i] / pcoeff[k])
+        if kc < 1 or abs(tcoeff[i] / kc - pcoeff[k]) > TOL or g * kc > m:
+            return 1, 0
+        return kc, kc
 
-    def feasible_counts(cs: list, items: list, t: float):
-        """Preimage count per child, pinned by the monomial ratio; a root
-        takes its share of a whole class."""
-        g = len(cs)
-        if t == math.inf:
-            return () if len(items) % g else (len(items) // g,)
-        mc = T.monomial(cs[0], t, below=True)
-        mx = P.monomial(items[0][1], t, below=True)
-        if mc is None or mx is None:
-            return range(1, len(items) // g + 1)
-        if mx[1] != mc[1] or mx[0] <= 0 or not math.isfinite(mc[0] / mx[0]):
-            return ()
-        kc = round(mc[0] / mx[0])
-        if kc < 1 or abs(mc[0] / kc - mx[0]) > TOL or g * kc > len(items):
-            return ()
-        return (kc,)
+    def grouped(X: _TreeIndex, xs: list, labels: list, t: float, young: float) -> tuple:
+        """`xs`, image beams or preimage items of X with their labels at t,
+        in groups of equal labels, and the group sizes.  The groups are in
+        text order, but those whose beams are all born before `young` come
+        last, in the order they first appear: no image child takes them."""
+        if len(xs) == 1:
+            return xs, [1]
+        first: dict[int, int] = {}   # label -> its first item
+        live: dict[int, int] = {}    # label -> its first beam born at young or later
+        birth = X.birth
+        for lab, x in zip(labels, xs):
+            if lab not in first:
+                first[lab] = x
+            if lab not in live and birth[x if x >= 0 else ~x] >= young:
+                live[lab] = x if x >= 0 else ~x
+        if len(first) == 1:
+            return xs, [len(xs)]
+        keys = X.ordered(live, t) if len(live) > 1 else list(live)
+        if len(keys) < len(first):
+            keys += (lab for lab in first if lab not in live)
+        if len(first) == len(xs):   # one item per group
+            return [first[lab] for lab in keys], [1] * len(xs)
+        members: dict[int, list] = {lab: [] for lab in keys}
+        for lab, x in zip(labels, xs):
+            members[lab].append(x)
+        return [x for lab in keys for x in members[lab]], [len(members[lab]) for lab in keys]
 
-    def assign_children(group_list: list, order: list, t: float, gi: int, avail: dict):
-        """Preimages left over by the first assignment to the child groups
-        from gi on (classes tried in `order`), or None."""
-        if gi == len(group_list):
-            return avail
-        cs = group_list[gi]
-        g = len(cs)
-        for j, dg in enumerate(order):
-            items = avail[dg]
-            if len(items) < g:
-                continue
-            for kc in feasible_counts(cs, items, t):
-                for i, c in enumerate(cs):
-                    if not (yield check([it[1] for it in items[i * kc:(i + 1) * kc]], c, t)):
+    def assign(lv: _Level, t: float, kids: list, items: list, labels: list) -> None:
+        """Start lv's assignment at t of the preimage `items`, with their
+        labels at t, to the image beams `kids`."""
+        kids, gsizes = grouped(T, kids, [tlab[tcoff[c + 1] + c] for c in kids], t, -inf)
+        items, csizes = grouped(P, items, labels, t, min(map(tbirth.__getitem__, kids), default=inf))
+        starts = list(accumulate(gsizes, initial=len(gsizes) + 1))
+        ends = list(accumulate(csizes, initial=starts[-1] + len(csizes)))
+        lv.rows = [*starts, *kids, *ends[1:], *items, *ends[:-1], *range(len(csizes))]
+        lv.t, lv.groups, lv.classes, lv.picks = t, len(gsizes), len(csizes), None
+        lv.gi, lv.j, lv.kc, lv.kc_hi, lv.i = 0, -1, 0, 0, 0
+
+    def run(lv: _Level, ok):
+        """Continue level lv, given the result `ok` of the child check it
+        asked for (None on entry).  Returns the next child check, as a new
+        level, or lv's own result."""
+        while True:
+            if lv.rows is None:   # no assignment open: find the next stop below pos
+                b, pool, pos = lv.b, lv.pool, lv.pos
+                i = bisect_left(tcut, pos, tcoff[b], tcoff[b + 1]) - 1   # b's last cut below pos
+                t = tcut[i] if i >= tstop[b] else -inf
+                ats = []   # the pool beams' last cuts below pos
+                for w in pool:
+                    k = bisect_left(pcut, pos, pcoff[w], pcoff[w + 1]) - 1
+                    ats.append(k)
+                    if k >= pstop[w] and pcut[k] > t:
+                        t = pcut[k]
+                if t == -inf:   # no stop below pos: down to b's birth
+                    return (even_split(b, i, pool, ats, tbirth[b], pos)
+                            and all(pbirth[w] == tbirth[b] for w in pool))
+                if not even_split(b, i, pool, ats, t, pos):
+                    return False
+                # the candidate preimages, with their labels at t: children of
+                # pool beams merging at t, then the pool beams sliding on
+                kids = tkid[tkcut[i]:tkcut[i + 1]].tolist() if i >= tcoff[b] and tcut[i] == t else []
+                items, labels, slides = [], [], []
+                for w, k in zip(pool, ats):
+                    if k >= pcoff[w] and pcut[k] == t:
+                        for e in range(pkcut[k], pkcut[k + 1]):
+                            c = pkid[e]
+                            items.append(c)
+                            labels.append(plab[pcoff[c + 1] + c])
+                        slides.append(plab[k + w])
+                    else:
+                        slides.append(plab[k + 1 + w])
+                if not kids:   # every preimage slides on, and all must have one label there
+                    if len({*labels, *slides}) > 1:
+                        return False
+                    lv.pool, lv.pos = pool + items, t
+                    continue
+                assign(lv, t, kids, items + [~w for w in pool], labels + slides)
+                lv.pool = None
+                ok = None
+            rows, gi, j, kc, kc_hi, i = lv.rows, lv.gi, lv.j, lv.kc, lv.kc_hi, lv.i
+            ends = rows[lv.groups]   # where the class ends start
+            cur = rows[ends + lv.classes - 1] if lv.classes else ends   # the cursors
+            order = cur + lv.classes
+            if ok:   # child i took its items
+                i += 1
+                g = rows[gi + 1] - rows[gi]
+                if i == g:   # group gi is assigned: take its items, go on to the next
+                    cls = rows[order + j]
+                    rows[cur + cls] += g * kc
+                    if rows[cur + cls] == rows[ends + cls]:   # a used-up class leaves order until a backtrack
+                        del rows[order + j]
+                    gi += 1
+                    if gi < lv.groups:   # a later group may fail and come back to this one
+                        if lv.picks is None:
+                            lv.picks = []
+                        lv.picks += (j, cls, kc, kc_hi)
+                    j, kc, kc_hi = -1, 0, 0
+            if not ok or i == g:
+                if gi == lv.groups:   # every group is assigned
+                    if lv.b < 0:
+                        return len(rows) == order
+                    if len(rows) != order + 1:   # the preimages left must have one label
+                        return False
+                    cls = rows[order]
+                    rest = rows[rows[cur + cls]:rows[ends + cls]]
+                    lv.pool = [~x for x in rest if x < 0] + [x for x in rest if x >= 0]
+                    lv.pos, lv.rows = lv.t, None
+                    continue
+                while True:   # the next (class, count) for group gi
+                    g = rows[gi + 1] - rows[gi]
+                    if kc < kc_hi:
+                        kc += 1
                         break
-                else:
-                    avail[dg] = items[g * kc:]
-                    if not avail[dg]:   # a used-up class leaves `order` until a backtrack
-                        del order[j]
-                    out = yield assign_children(group_list, order, t, gi + 1, avail)
-                    if out is not None:
-                        return out
-                    if not avail[dg]:
-                        order.insert(j, dg)
-                    avail[dg] = items
-        return None
+                    j += 1
+                    while order + j < len(rows):
+                        cls = rows[order + j]
+                        m = rows[ends + cls] - rows[cur + cls]
+                        x = rows[rows[cur + cls]]
+                        x = x if x >= 0 else ~x
+                        c = rows[rows[gi]]
+                        if m >= g and pbirth[x] >= tbirth[c]:   # else x cannot go to c
+                            kc, kc_hi = counts(c, x, g, m, lv.t)
+                            if kc <= kc_hi:
+                                break
+                        j += 1
+                    else:   # no class left for group gi: back to the group before
+                        if gi == 0:
+                            return False
+                        gi -= 1
+                        j, cls, kc, kc_hi = lv.picks[-4:]
+                        del lv.picks[-4:]
+                        if rows[cur + cls] == rows[ends + cls]:
+                            rows.insert(order + j, cls)
+                        rows[cur + cls] -= (rows[gi + 1] - rows[gi]) * kc
+                        continue
+                    break
+                i = 0
+            lv.gi, lv.j, lv.kc, lv.kc_hi, lv.i = gi, j, kc, kc_hi, i
+            c = rows[rows[gi] + i]
+            s = rows[cur + rows[order + j]] + i * kc
+            ws = [x if x >= 0 else ~x for x in rows[s:s + kc]]
+            if min(map(pbirth.__getitem__, ws)) < tbirth[c]:   # c is the eldest of its subtree
+                ok = False
+                continue
+            return _Level(c, ws, lv.t)
 
-    leftover = _run(assignment(tree.roots(), [("root", r) for r in tprime.roots()], math.inf))
-    return leftover is not None and not any(leftover.values())
+    root = _Level(-1, None, inf)
+    roots = tprime.roots()
+    assign(root, inf, tree.roots(), roots, [plab[pcoff[r + 1] + r] for r in roots])
+    stack = [root]
+    res = run(root, None)
+    while True:
+        if res.__class__ is _Level:
+            stack.append(res)
+            res = run(res, None)
+        else:
+            stack.pop()
+            if not stack:
+                return res
+            res = run(stack[-1], res)

@@ -7,7 +7,7 @@ import pytest
 
 from perimere import (IntMatrix, build,
                       canonical_form, extract, parse, serialize, splinters, unroll)
-from perimere.mergetree import (PeriodicMergeTree, _TreeText, drift_bits, monomial_display,
+from perimere.mergetree import (PeriodicMergeTree, _TreeIndex, drift_bits, monomial_display,
                                 pack, unpack)
 from perimere.synthetic import random_periodic_graph, torus_grid
 
@@ -247,11 +247,11 @@ class TestInvariants:
             assert all(b.parent < b.index for b in beams if b.parent is not None)
             keys = [(b.birth, b.birth_vertex) for b in beams]
             assert keys == sorted(keys)
-            assert _TreeText(tree).kids == oracles.children(tree)
+            assert children(tree) == oracles.children(tree)
 
     def test_children_of_an_equal_height_chain(self):
         t = build(level_chain(2_000))
-        assert _TreeText(t).kids == oracles.children(t)
+        assert children(t) == oracles.children(t)
 
     def test_edge_event_partition(self):
         # every edge is a merger, a catenation, or a no-op; an edge may pair a
@@ -352,6 +352,12 @@ class TestSplinters:
         assert best(build(star(8_000))) / best(build(star(4_000))) < 3.0
 
 
+def children(tree):
+    """Per beam, its (merge height, child) pairs as the flat index lists them."""
+    idx = _TreeIndex(tree)
+    return [list(zip(idx.kh[lo:hi], idx.kid[lo:hi])) for lo, hi in zip(idx.koff, idx.koff[1:])]
+
+
 def star(leaves):
     """Vertex k at height k and edges (0, k) at height leaves + 1: one root
     with `leaves` children merging at one height."""
@@ -416,6 +422,27 @@ class TestDeepChains:
         # deep enough for the token stack, shallow enough for the recursive oracle
         t = build(chain(300))
         assert canonical_form(t) == oracles.canonical_form(t)
+
+
+def splinters_peak(t) -> int:
+    """tracemalloc peak of `splinters(t, t)`, in bytes, index included."""
+    tracemalloc.start()
+    try:
+        assert splinters(t, t)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSplintersMemory:
+    # with a generator frame per level the sweep peaked at 14.9 MiB on the
+    # chain and 8.1 MiB on the root with 4,999 children; 4 MiB is a bound of
+    # 80 MiB at a depth of 1e5, scaled down
+    def test_chain_5000_deep(self):
+        assert splinters_peak(build(chain(5_000))) < 4 * 2 ** 20
+
+    def test_4999_children_at_one_height(self):
+        assert splinters_peak(build(level_chain(5_000))) < 4 * 2 ** 20
 
 
 def _graph(basis, values, edges):
