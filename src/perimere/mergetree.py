@@ -37,7 +37,7 @@ import numpy as np
 from . import jsonfmt
 from .jsonfmt import HOLE
 from .lattice import SublatticeBasis, hnf_reduce, member, unit_ball_volume, volume
-from .pgraph import PeriodicGraph
+from .pgraph import PeriodicGraph, max_shift_magnitude
 
 
 @dataclass(frozen=True, slots=True)
@@ -350,9 +350,11 @@ def build(graph: PeriodicGraph) -> PeriodicMergeTree:
 
     Drifts and shifts are packed ints (`pack`) with digits wide enough for
     any sum of 2n shifts, so v is one int expression and `not v` its zero
-    test; v is unpacked only for `member` and `hnf_reduce`.  A union
-    relabels the members of the smaller cyclic list, adding v (or -v) to
-    their drifts, so each vertex is relabeled at most log2(n) times.
+    test; v is unpacked only for `member` and `hnf_reduce`.  Each entry of
+    the graph's shift table is packed once, and an edge reads its packed
+    shift by its table position.  A union relabels the members of the
+    smaller cyclic list, adding v (or -v) to their drifts, so each vertex
+    is relabeled at most log2(n) times.
     """
     d = graph.dim
     u = graph.basis
@@ -388,14 +390,12 @@ def build(graph: PeriodicGraph) -> PeriodicMergeTree:
     # packed drift from the root; per root slot, the component's size
     root, nxt, drift, size = list(range(n)), list(range(n)), [0] * n, [1] * n
     full = [False] * n  # per slot: component lattice is all of Z^d
-    psh = dict.fromkeys(graph.shifts)   # distinct shift -> packed; most graphs have few
-    bits = drift_bits(n, max((abs(c) for t in psh for c in t), default=0))
-    for t in psh:
-        psh[t] = pack(t, bits)
+    bits = drift_bits(n, max_shift_magnitude(graph))
+    packed = [pack(t, bits) for t in graph.table]   # most graphs have few shifts
     # each edge's endpoints, packed shift, value and id, in processing order
     pos = walk - n
     edges = zip(graph.u[pos].tolist(), graph.v[pos].tolist(),
-                map(psh.__getitem__, map(graph.shifts.__getitem__, pos.tolist())),
+                map(packed.__getitem__, graph.which[pos].tolist()),
                 graph.values[walk].tolist(), graph.ids[walk].tolist())
 
     for x, y, sh, t, eid in edges:
@@ -488,18 +488,14 @@ def build(graph: PeriodicGraph) -> PeriodicMergeTree:
 TOL = 1e-9   # heights, coefficients and multiplicities this close are equal
 
 
-def _text(x: float) -> str:
-    """x rounded to TOL, written with 12 significant digits.  An x whose
-    x / TOL overflows is written as it is, since TOL is far below its last digit."""
-    q = x / TOL
-    return f"{round(q) * TOL if math.isfinite(q) else x:.12g}"
-
-
 class _Text(dict):
-    """x -> `_text(x)`, memoized."""
+    """x -> x rounded to TOL, written with 12 significant digits, memoized;
+    the one way numbers of a tree's text are written.  An x whose x / TOL
+    overflows is written as it is, since TOL is far below its last digit."""
 
     def __missing__(self, x: float) -> str:
-        text = self[x] = _text(x)
+        q = x / TOL
+        text = self[x] = f"{round(q) * TOL if math.isfinite(q) else x:.12g}"
         return text
 
 
@@ -563,14 +559,15 @@ class _TreeIndex:
     `tokens(b, top)` writes the subtree below (beam b, cut height top), for
     top at most b's death: the birth of b, its spans starting below top
     (the last one cut at top) and the subtrees of the children merging
-    below top.
+    below top.  Numbers are written through the `_Text` memo `text`, which
+    indexes may share: a cover's heights are its base's.
     """
 
     __slots__ = ("fmt", "_kid_orders", "birth", "kid", "kh", "koff", "start", "coeff", "exp",
                  "soff", "cut", "coff", "lab", "stop", "act", "kcut")
 
-    def __init__(self, tree: PeriodicMergeTree):
-        self.fmt = _Text().__getitem__
+    def __init__(self, tree: PeriodicMergeTree, text: _Text | None = None):
+        self.fmt = (_Text() if text is None else text).__getitem__
         self._kid_orders = {}
         self.lab = None
         n = len(tree.birth)
@@ -706,9 +703,10 @@ class _TreeIndex:
         self.stop = _column(coff[:-1] + (birth_cut & ~birth_kid), "q")
         self.act, self.kcut = _column(act, "q"), _column(kcut, "q")
 
-        texts = list(map(_text, cut.tolist()))   # the rounded height of each cut
+        fmt = self.fmt
+        texts = list(map(fmt, cut.tolist()))   # the rounded height of each cut
         values, which = np.unique(np.frombuffer(self.coeff), return_inverse=True)
-        spantexts = list(map(_text, values.tolist()))   # few distinct coefficients
+        spantexts = list(map(fmt, values.tolist()))   # few distinct coefficients
         spantext, span = _column(which, "q"), _column(span, "q")
         del beam, height, rows, new, cut, at, spans, values, which, act, kcut
         coff, birth, exp, kid, cuts, kcut = self.coff, self.birth, self.exp, self.kid, self.cut, self.kcut
@@ -716,7 +714,7 @@ class _TreeIndex:
         interned = {}
         for b in range(n - 1, -1, -1):
             lo, hi = coff[b], coff[b + 1]
-            text = texts[lo] if lo < hi and cuts[lo] == birth[b] else _text(birth[b])
+            text = texts[lo] if lo < hi and cuts[lo] == birth[b] else fmt(birth[b])
             lab[lo + b] = last = interned.setdefault(text, len(interned))
             group = None   # the rounded height of the events in `spans` and `kids`
             for i in range(lo, hi):
@@ -791,8 +789,9 @@ def splinters(tprime: PeriodicMergeTree, tree: PeriodicMergeTree) -> bool:
     """
     if tprime.dim != tree.dim:
         return False
-    P = _TreeIndex(tprime).labeled()
-    T = P if tree is tprime else _TreeIndex(tree).labeled()
+    text = _Text()   # one memo: the heights of tprime are mostly those of tree
+    P = _TreeIndex(tprime, text).labeled()
+    T = P if tree is tprime else _TreeIndex(tree, text).labeled()
     inf = math.inf
     tbirth, tcut, tcoff, tstop, tlab, tact, tkcut = T.birth, T.cut, T.coff, T.stop, T.lab, T.act, T.kcut
     tkid, tstart, tsoff, tcoeff, texp = T.kid, T.start, T.soff, T.coeff, T.exp

@@ -2,7 +2,9 @@
 
 A periodic graph is stored as its finite quotient: vertices and edges on the
 d-torus, each edge carrying the integer shift vector of its u -> v direction
-(the v -> u direction uses the negation).  Filter values may arrive as JSON
+(the v -> u direction uses the negation).  A graph has few distinct shifts
+over many edges, so it holds each distinct shift once, in a table that the
+edges index (`number_shifts` makes both).  Filter values may arrive as JSON
 numbers or as decimal strings; the original token of a string value is kept,
 for that cell only, so serialization round-trips bit-exactly.
 """
@@ -10,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import chain, compress, count, repeat, tee
+from itertools import chain, compress, count, repeat
 from json.encoder import encode_basestring_ascii
 from operator import eq, itemgetter
 
@@ -25,6 +27,15 @@ class GraphError(ValueError):
     """Malformed or invalid periodic-graph input."""
 
 
+def number_shifts(rows) -> tuple:
+    """(table, which) of an iterable of hashable shift tuples: the distinct
+    ones in order of first appearance, and per row its table position as an
+    int64 array.  Each row is hashed once."""
+    number = {}   # shift -> position; len(number) is the next one
+    which = np.fromiter(map(number.setdefault, rows, map(len, repeat(number))), np.int64)
+    return list(number), which
+
+
 class PeriodicGraph:
     """Finite quotient of a periodic filtered graph, stored as columns.
 
@@ -32,14 +43,17 @@ class PeriodicGraph:
     `values` (float64) hold one entry per cell, and `raw` maps the position
     of each cell whose value was read from a decimal string to that token
     (empty when every value was a number).  The j-th edge runs from vertex
-    position `u[j]` to vertex position `v[j]` (int64) along `shifts[j]`, a
-    tuple of exact ints.  `parse` validates outside input; `unroll` and `synthetic`
-    build valid graphs directly.
+    position `u[j]` to vertex position `v[j]` (int64) along the shift
+    `table[which[j]]`: `table` lists the distinct shifts, each a tuple of
+    exact ints, and `which` (int64) holds one table position per edge.  The
+    order of the table is not part of the graph.  `parse` validates outside
+    input; `unroll` and `synthetic` build valid graphs directly.
     """
 
-    __slots__ = ("dim", "basis", "ids", "values", "raw", "u", "v", "shifts")
+    __slots__ = ("dim", "basis", "ids", "values", "raw", "u", "v", "table", "which")
 
-    def __init__(self, dim: int, basis: RealBasis, ids, values, raw: dict, u, v, shifts: list):
+    def __init__(self, dim: int, basis: RealBasis, ids, values, raw: dict, u, v,
+                 table: list, which):
         self.dim = dim
         self.basis = basis
         self.ids = np.asarray(ids, dtype=np.int64)
@@ -47,15 +61,16 @@ class PeriodicGraph:
         self.raw = raw
         self.u = np.asarray(u, dtype=np.int64)
         self.v = np.asarray(v, dtype=np.int64)
-        self.shifts = shifts
+        self.table = table
+        self.which = np.asarray(which, dtype=np.int64)
 
     @property
     def n(self) -> int:
-        return len(self.ids) - len(self.shifts)
+        return len(self.ids) - len(self.which)
 
     @property
     def m(self) -> int:
-        return len(self.shifts)
+        return len(self.which)
 
     def is_connected(self) -> bool:
         if not self.n:
@@ -193,7 +208,7 @@ def _integral(types) -> bool:
 
 
 def _columns(dim, vlist, elist):
-    """(ids, values, raw, u, v, shifts) of the records, each field read in
+    """(ids, values, raw, u, v, table, which) of the records, each field read in
     one pass straight into its column; None when any check fails.
 
     The type checks come first, since `np.fromiter` would read True as 1
@@ -250,13 +265,12 @@ def _columns(dim, vlist, elist):
             if not all(map(eq, int_rows(), rows)):
                 return None
             rows = int_rows()
-        shared = {}   # equal shifts share one tuple
-        shifts = list(map(shared.setdefault, *tee(rows)))
-        if any(len(t) != dim for t in shared):
+        table, which = number_shifts(rows)
+        if any(len(t) != dim for t in table):
             return None
     except (KeyError, TypeError, ValueError, OverflowError):
         return None
-    return ids, values, raw, u, v, shifts
+    return ids, values, raw, u, v, table, which
 
 
 def _name_fault(dim, vlist, elist):
@@ -311,6 +325,7 @@ def serialize(g: PeriodicGraph) -> dict:
     """
     n = g.n
     ids, values = g.ids.tolist(), g.values.tolist()   # jsonfmt writes Python ints and floats
+    shifts = map(g.table.__getitem__, g.which.tolist())
     for pos, tok in g.raw.items():
         values[pos] = tok
     return {
@@ -319,7 +334,7 @@ def serialize(g: PeriodicGraph) -> dict:
         "vertices": [{"id": i, "value": x} for i, x in zip(ids[:n], values[:n])],
         "edges": [
             {"id": i, "u": a, "v": b, "value": x, "shift": list(t)} for i, a, b, x, t
-            in zip(ids[n:], g.ids[g.u].tolist(), g.ids[g.v].tolist(), values[n:], g.shifts)
+            in zip(ids[n:], g.ids[g.u].tolist(), g.ids[g.v].tolist(), values[n:], shifts)
         ],
     }
 
@@ -330,38 +345,47 @@ _EDGE = {"id": HOLE, "shift": HOLE, "u": HOLE, "v": HOLE, "value": HOLE}
 
 def json_chunks(g: PeriodicGraph):
     """Chunks of `jsonfmt.dumps(serialize(g))`, written from the columns:
-    one record template per cell kind and one text per distinct shift."""
+    one record template per cell kind and one text per table shift.  The
+    edge fields are listed a block at a time (`jsonfmt.blocks`)."""
     n = g.n
     ids = g.ids.tolist()
     values = jsonfmt.floats(g.values.tolist())
     for pos, tok in g.raw.items():
         values[pos] = encode_basestring_ascii(tok)
     vector = jsonfmt.template([HOLE] * g.dim, 3)
-    shift = {t: vector % t for t in set(g.shifts)}
+    shifts = [vector % t for t in g.table]
     vertex, edge = jsonfmt.template(_VERTEX, 2), jsonfmt.template(_EDGE, 2)
-    edges = zip(ids[n:], map(shift.__getitem__, g.shifts),
-                g.ids[g.u].tolist(), g.ids[g.v].tolist(), values[n:])
+
+    def edges():
+        for a, z in jsonfmt.blocks(g.m):
+            yield from zip(ids[n + a:n + z], map(shifts.__getitem__, g.which[a:z].tolist()),
+                           g.ids[g.u[a:z]].tolist(), g.ids[g.v[a:z]].tolist(), values[n + a:n + z])
     return jsonfmt.chunks(
         {"basis": [[float(x) for x in g.basis.matrix[:, j]] for j in range(g.dim)],
          "dim": g.dim, "edges": HOLE, "vertices": HOLE},
-        jsonfmt.items(map(edge.__mod__, edges), 1),
+        jsonfmt.items(map(edge.__mod__, edges()), 1),
         jsonfmt.items(map(vertex.__mod__, zip(ids[:n], values[:n])), 1))
 
 
 def max_shift_magnitude(g: PeriodicGraph) -> int:
     """D = largest absolute shift entry over all edges (0 without edges)."""
-    return max((abs(s) for t in g.shifts for s in t), default=0)
+    return max((abs(s) for t in g.table for s in t), default=0)
 
 
 def cellular_l1(f: PeriodicGraph, g: PeriodicGraph) -> float:
-    """Sum over all cells of |value_f - value_g| for two filters on one complex."""
+    """Sum over all cells of |value_f - value_g| for two filters on one complex.
+
+    The edges' shifts are compared by value, since two tables may list the
+    same shifts in different orders."""
     if f.dim != g.dim or f.n != g.n or f.m != g.m:
         raise GraphError("graphs do not share combinatorics")
     n = f.n
     if not np.array_equal(f.ids[:n], g.ids[:n]):
         raise GraphError("vertex ids differ")
     if not (np.array_equal(f.ids[n:], g.ids[n:]) and np.array_equal(f.u, g.u)
-            and np.array_equal(f.v, g.v) and f.shifts == g.shifts):
+            and np.array_equal(f.v, g.v)
+            and list(map(f.table.__getitem__, f.which.tolist()))
+            == list(map(g.table.__getitem__, g.which.tolist()))):
         raise GraphError("edge combinatorics differ")
     total = 0.0
     for x in np.abs(f.values - g.values).tolist():   # left to right, as the cells come
@@ -377,12 +401,13 @@ def unroll(g: PeriodicGraph, s: IntMatrix) -> PeriodicGraph:
     ending at (v, c') with c' the canonical representative of c + t and a
     new shift solving S.shift' = c + t - c'.  The result has |det S| times
     the vertices and edges of g, with basis U.S.  The copies of an edge
-    depend on its shift alone, so the coset work is done once per distinct
+    depend on its shift alone, so the coset work is done once per table
     shift t and representative c: all the vectors c + t are reduced along
     the HNF H's pivots in one pass over an object array of exact ints
     (`reduce_many`), whose quotients y are the certificate H.y = c + t - c'
-    and give shift' = certs.y.  The copies are written as (cells x
-    representatives) arrays.
+    and give shift' = certs.y.  The new shifts of those (t, c) rows, fewer
+    distinct than rows, make the new table, and the copies are written as
+    (cells x representatives) arrays that index it.
     """
     if s.rows != g.dim or s.cols != g.dim:
         raise GraphError("sublattice matrix must be d x d")
@@ -399,27 +424,24 @@ def unroll(g: PeriodicGraph, s: IntMatrix) -> PeriodicGraph:
         for j in range(g.dim)
     ]
     if not g.n:   # no cells, no copies: the index need not fit an array
-        return PeriodicGraph(g.dim, RealBasis(new_cols), g.ids, g.values, {}, g.u, g.v, [])
-    # each distinct shift's number, in order of first use
-    number = {t: i for i, t in enumerate(dict.fromkeys(g.shifts))}
-    which = np.fromiter(map(number.__getitem__, g.shifts), np.int64, g.m)
+        return PeriodicGraph(g.dim, RealBasis(new_cols), g.ids, g.values, {}, g.u, g.v,
+                             [], g.which)
     # only edge copies need the representatives
     reps = np.array(coset_reps(s) if g.m else [], dtype=object).reshape(-1, g.dim)
-    w = (np.array(list(number), dtype=object).reshape(-1, 1, g.dim) + reps).reshape(-1, g.dim)
-    c2, y = reduce_many(h, w)   # row j * k + i: shift j from representative i
+    w = (np.array(g.table, dtype=object).reshape(-1, 1, g.dim) + reps).reshape(-1, g.dim)
+    c2, y = reduce_many(h, w)   # row j * k + i: table shift j from representative i
     if not np.array_equal(y.dot(np.array(h.columns, dtype=object)), w - c2):
         raise AssertionError("coset reduction left a non-lattice difference")
     if not ((c2 >= 0) & (c2 < pivots)).all():
         raise AssertionError("coset reduction left a non-canonical representative")
     # c2's digits, mixed radix over the pivots, are its index in `coset_reps`
     targets = (c2.astype(np.int64) @ np.cumprod([1, *pivots[:0:-1]])[::-1]).reshape(-1, k)
-    shared: dict = {}   # equal new shifts share one tuple, as in `parse`
-    new_shifts = [shared.setdefault(t, t)   # H = S . certs, so S . (certs . y) = c + t - c2
-                  for t in map(tuple, y.dot(np.array(certs, dtype=object)).tolist())]
+    # H = S . certs, so S . (certs . y) = c + t - c2
+    table, position = number_shifts(map(tuple, y.dot(np.array(certs, dtype=object)).tolist()))
     cis = np.arange(k)
     return PeriodicGraph(
         g.dim, RealBasis(new_cols),
         (g.ids[:, None] * k + cis).ravel(), np.repeat(g.values, k),
         {pos * k + c: tok for pos, tok in g.raw.items() for c in range(k)},
-        (g.u[:, None] * k + cis).ravel(), (g.v[:, None] * k + targets[which]).ravel(),
-        list(map(new_shifts.__getitem__, (which[:, None] * k + cis).ravel().tolist())))
+        (g.u[:, None] * k + cis).ravel(), (g.v[:, None] * k + targets[g.which]).ravel(),
+        table, position[(g.which[:, None] * k + cis).ravel()])

@@ -4,7 +4,7 @@ from __future__ import annotations
 import random
 
 from .lattice import RealBasis
-from .pgraph import PeriodicGraph
+from .pgraph import PeriodicGraph, number_shifts
 
 
 def torus_grid(side: int, seed: int = 0, dim: int = 3) -> PeriodicGraph:
@@ -71,4 +71,5 @@ def _standard(dim, values, us, vs, shifts) -> PeriodicGraph:
     """The graph on the standard lattice with vertex i and edge j of ids i, j."""
     n = len(values) - len(shifts)
     basis = RealBasis([[1.0 if r == c else 0.0 for r in range(dim)] for c in range(dim)])
-    return PeriodicGraph(dim, basis, [*range(n), *range(len(shifts))], values, {}, us, vs, shifts)
+    return PeriodicGraph(dim, basis, [*range(n), *range(len(shifts))], values, {}, us, vs,
+                         *number_shifts(shifts))

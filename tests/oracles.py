@@ -502,6 +502,12 @@ def splinters(tprime: PeriodicMergeTree, tree: PeriodicMergeTree, tol: float = 1
     return assign(0)
 
 
+def edge_shifts(g: PeriodicGraph) -> list:
+    """The shift tuple of each edge, in edge order: g's table read through
+    its per-edge positions."""
+    return [g.table[i] for i in g.which.tolist()]
+
+
 def oracle_unroll(g: PeriodicGraph, s: IntMatrix) -> PeriodicGraph:
     """Quotient of the same periodic complex over the sublattice S.Z^d.
 
@@ -534,7 +540,7 @@ def oracle_unroll(g: PeriodicGraph, s: IntMatrix) -> PeriodicGraph:
             vertices.append({"id": vid * k + ci, "value": value})
     edges = []
     for eid, pu, pv, value, shift in zip(ids[n:], g.u.tolist(), g.v.tolist(), values[n:],
-                                        g.shifts):
+                                        edge_shifts(g)):
         for ci, c in enumerate(reps):
             w = tuple(a + b for a, b in zip(c, shift))
             c2 = reduce_mod(h, w)
@@ -608,7 +614,7 @@ def oracle_parse(source) -> PeriodicGraph:
         index[vid] = pos
         ids.append(vid)
         values.append(_read_value(value, f"vertex {vid}"))
-    us, vs, shifts, shared = [], [], [], {}
+    us, vs, shifts = [], [], []
     for pos, rec in enumerate(elist):
         try:
             eid, u, v, value, shift = rec["id"], rec["u"], rec["v"], rec["value"], rec["shift"]
@@ -627,8 +633,7 @@ def oracle_parse(source) -> PeriodicGraph:
         values.append(_read_value(value, what))
         us.append(index.get(u, -1))
         vs.append(index.get(v, -1))
-        shift = _read_shift(shift, what)
-        shifts.append(shared.setdefault(shift, shift))   # equal shifts share one tuple
+        shifts.append(_read_shift(shift, what))
     n = len(vlist)
     if len(index) != n:
         raise GraphError("duplicate vertex id")
@@ -643,7 +648,9 @@ def oracle_parse(source) -> PeriodicGraph:
         if val < lo:
             raise GraphError(
                 f"edge {eid} violates the filter property: value {val} below endpoint value {lo}")
-    return PeriodicGraph(dim, basis, ids, values, raw, us, vs, shifts)
+    table = list(dict.fromkeys(shifts))   # the distinct shifts, in order of first use
+    position = {t: i for i, t in enumerate(table)}
+    return PeriodicGraph(dim, basis, ids, values, raw, us, vs, table, [position[t] for t in shifts])
 
 
 def oracle_hnf_columns(dim: int, columns, with_transform: bool = False):
@@ -959,7 +966,7 @@ def oracle_build(graph: PeriodicGraph) -> ObjectTree:
     beam_of = [-1] * n
     full = [False] * n  # per slot: component lattice is all of Z^d
 
-    ex, ey, eshift = graph.u.tolist(), graph.v.tolist(), graph.shifts
+    ex, ey, eshift = graph.u.tolist(), graph.v.tolist(), edge_shifts(graph)
 
     root = uf.root
     drift = uf.drift

@@ -18,6 +18,7 @@ from perimere.barcode import to_csv
 from perimere.lattice import RealBasis, SublatticeBasis, hnf_transform, solve
 from perimere.synthetic import random_periodic_graph, torus_grid
 
+from . import oracles
 from .conftest import fig3_left_doc, helix_cross_doc
 from .oracles import assignment_w1, brute_member, view
 from .test_lattice import certify_member, random_unimodular
@@ -158,7 +159,7 @@ def test_c5_hnf_suite():
         assert hnf_reduce(cols).magnitude() <= (math.sqrt(d) * dm) ** d
     for doc in (fig3_left_doc(), helix_cross_doc()):
         g = parse(doc)
-        dm = max((abs(s) for t in g.shifts for s in t), default=0) * g.m
+        dm = max((abs(s) for t in oracles.edge_shifts(g) for s in t), default=0) * g.m
         for e in build(g).events:
             if e.kind == "catenation":
                 assert e.basis.magnitude() <= (math.sqrt(g.dim) * dm) ** g.dim

@@ -17,7 +17,7 @@ from perimere import (GraphError, IntMatrix, build, canonical_form, equals, extr
 from perimere.barcode import json_chunks, to_csv
 from perimere.lattice import RealBasis, SublatticeBasis, count_cosets_in_ball, hnf_reduce
 from perimere.mergetree import PeriodicMergeTree, _TreeIndex
-from perimere.pgraph import PeriodicGraph
+from perimere.pgraph import PeriodicGraph, number_shifts
 from perimere.synthetic import random_periodic_graph, torus_grid
 from perimere.transport import _add, barcode_distance, positive_negative_split
 
@@ -519,7 +519,7 @@ def _scaled_shifts(g, k):
     """g with every shift entry multiplied by k: the same tree with every
     lattice scaled by k."""
     return PeriodicGraph(g.dim, g.basis, g.ids, g.values, g.raw, g.u, g.v,
-                         [tuple(c * k for c in t) for t in g.shifts])
+                         [tuple(c * k for c in t) for t in g.table], g.which)
 
 
 def _drifting_path(dim, n, big):
@@ -533,7 +533,8 @@ def _drifting_path(dim, n, big):
     shifts = [step] * (n - 1) + loops
     values = [*map(float, range(n)), *map(float, range(1, n)), *map(float, range(n, n + len(loops)))]
     basis = RealBasis([[1.0 if r == c else 0.0 for r in range(dim)] for c in range(dim)])
-    return PeriodicGraph(dim, basis, [*range(n), *range(len(shifts))], values, {}, us, vs, shifts)
+    return PeriodicGraph(dim, basis, [*range(n), *range(len(shifts))], values, {}, us, vs,
+                         *number_shifts(shifts))
 
 
 class TestPackedBuildOracle:
@@ -638,11 +639,17 @@ class TestUnrollOracle:
             g = parse(doc)
             s = _skewed_sublattice(rng, dim, 12)
             h = hnf_reduce(s)
-            wide += max(map(abs, sum(g.shifts, ())), default=0) > 2 ** 63
+            shifts = oracles.edge_shifts(g)
+            wide += max(map(abs, sum(shifts, ())), default=0) > 2 ** 63
             skew += any(col[r] for j, col in enumerate(h.columns) for r in range(j + 1, dim))
-            own += g.m > 1 and len(set(g.shifts)) == g.m
+            own += g.m > 1 and len(set(shifts)) == g.m
             bare += g.m == 0
-            assert serialize(unroll(g, s)) == serialize(oracles.oracle_unroll(g, s))
+            got, want = unroll(g, s), oracles.oracle_unroll(g, s)
+            assert serialize(got) == serialize(want)
+            # one table entry per distinct new shift, read per edge as the oracle's
+            assert len(set(got.table)) == len(got.table) == len(set(oracles.edge_shifts(want)))
+            assert got.which.dtype == np.int64
+            assert oracles.edge_shifts(got) == oracles.edge_shifts(want)
         assert wide > 20 and skew > 20 and own > 20 and bare > 0
 
 
@@ -740,16 +747,18 @@ class TestParseOracle:
                 col = getattr(g, name)
                 assert col.dtype == getattr(want, name).dtype
                 assert np.array_equal(col, getattr(want, name))
-            assert g.raw == want.raw and g.shifts == want.shifts and g.dim == want.dim
-            assert all(type(e) is int for t in g.shifts for e in t)
-            assert len(set(map(id, g.shifts))) == len(set(g.shifts))   # one tuple per shift
+            shifts = oracles.edge_shifts(g)
+            assert g.raw == want.raw and shifts == oracles.edge_shifts(want) and g.dim == want.dim
+            assert all(type(e) is int for t in g.table for e in t)
+            assert g.which.dtype == np.int64
+            assert len(g.table) == len(set(shifts))   # one table entry per distinct shift
             recs = doc["vertices"] + doc["edges"]
             seen["empty"] += not recs
             seen["edgeless"] += bool(doc["vertices"]) and not doc["edges"]
             seen["raw"] += bool(g.raw)
             seen["float"] += any(type(r[k]) is float for r in recs for k in ("id", "u", "v")
                                  if k in r)
-            seen["wide"] += any(abs(e) > 2 ** 63 for t in g.shifts for e in t)
+            seen["wide"] += any(abs(e) > 2 ** 63 for t in shifts for e in t)
             seen["extreme"] += any(abs(i) >= 2 ** 63 - 2 for i in g.ids.tolist())
         assert min(seen.values()) > 10, seen
 
@@ -804,7 +813,7 @@ class TestCoverComponentsOracle:
                                       tie_values=rng.random() < 0.5)
             tree = build(g)
             values = g.values.tolist()
-            edges = list(zip(g.u.tolist(), g.v.tolist(), g.shifts, values[n:]))
+            edges = list(zip(g.u.tolist(), g.v.tolist(), oracles.edge_shifts(g), values[n:]))
             for k in (2, 3):
                 cosets = list(itertools.product(range(k), repeat=dim))
                 for t in sorted(set(values)):

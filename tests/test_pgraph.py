@@ -10,8 +10,10 @@ import pytest
 from perimere import (GraphError, IntMatrix, build, cellular_l1, equals,
                       extract, max_shift_magnitude, parse, serialize, unroll)
 from perimere.lattice import hnf_reduce, reduce_many
+from perimere.pgraph import PeriodicGraph
 from perimere.synthetic import torus_grid
 
+from . import oracles
 from .conftest import fig3_left_doc, helix_cross_doc
 
 
@@ -82,17 +84,34 @@ class TestParse:
     def test_shift_entries_must_be_integers(self):
         doc = fig3_left_doc()
         doc["edges"][1]["shift"] = [2.0, -1]
-        assert parse(doc).shifts[1] == (2, -1)
+        assert oracles.edge_shifts(parse(doc))[1] == (2, -1)
         for bad in ([1.5, 0], ["1", 0], 1, [float("inf"), 0], [True, 0], [0, False]):
             doc["edges"][1]["shift"] = bad
             with pytest.raises(GraphError, match="edge 11: shift"):
                 parse(doc)
 
+    def test_one_table_entry_per_distinct_shift(self):
+        # an integral-float shift is the int shift it names, also past 2^64,
+        # so both share one table entry; read per edge, the table gives the
+        # record loop's shifts
+        doc = fig3_left_doc()
+        big = 2 ** 70
+        more = [[1.0, 1.0], [big + 1, -big - 1], [big, 0], [float(big), 0.0], [0, 0],
+                [-big - 1, big + 1]]
+        doc["edges"] += [{"id": 20 + j, "u": 2, "v": 1, "value": 10.0 + j, "shift": s}
+                         for j, s in enumerate(more)]
+        g = parse(doc)
+        assert g.table == [(0, 0), (1, 1), (0, 1), (big + 1, -big - 1), (big, 0),
+                           (-big - 1, big + 1)]
+        assert all(type(e) is int for t in g.table for e in t)
+        assert g.which.dtype == np.int64 and g.which.tolist() == [0, 1, 2, 1, 3, 4, 4, 0, 5]
+        assert oracles.edge_shifts(g) == oracles.edge_shifts(oracles.oracle_parse(doc))
+
     def test_shift_must_be_a_list_or_tuple(self):
         # a dict built in Python would give its keys, a set its hash order
         doc = fig3_left_doc()
         doc["edges"][1]["shift"] = (2, -1)
-        assert parse(doc).shifts[1] == (2, -1)
+        assert oracles.edge_shifts(parse(doc))[1] == (2, -1)
         for bad in ({3: "x", 4: "y"}, {1, 0}, frozenset({2, 5}), "10", range(2), iter([1, 0])):
             doc["edges"][1]["shift"] = bad
             with pytest.raises(GraphError) as err:
@@ -268,6 +287,23 @@ class TestCellularL1:
         want = sum(abs(x - y) for x, y in zip(a.values.tolist(), b.values.tolist()))
         assert cellular_l1(a, b) == pytest.approx(want, abs=1e-12)
 
+    def test_shifts_compared_by_value(self, fig3_left):
+        # the same per-edge shifts under another table order are accepted, and
+        # a graph where one edge's shift differs is refused
+        g = fig3_left
+        doc = fig3_left_doc()
+        doc["vertices"][0]["value"] = 1.5
+        b = parse(doc)
+
+        def relaid(h, table, which):
+            return PeriodicGraph(h.dim, h.basis, h.ids, h.values, h.raw, h.u, h.v, table, which)
+        flipped = relaid(b, b.table[::-1], len(b.table) - 1 - b.which)
+        assert flipped.table != g.table and oracles.edge_shifts(flipped) == oracles.edge_shifts(g)
+        assert cellular_l1(g, flipped) == cellular_l1(flipped, g) == pytest.approx(0.5)
+        for table, which in ((g.table, [0, 0, 2]), ([(0, 0), (1, 2), (0, 1)], g.which)):
+            with pytest.raises(GraphError, match="edge combinatorics differ"):
+                cellular_l1(g, relaid(g, table, which))
+
     def test_combinatorics_mismatch(self, fig3_left, helix_cross):
         with pytest.raises(GraphError):
             cellular_l1(fig3_left, helix_cross)
@@ -303,12 +339,14 @@ class TestUnroll:
         from perimere.lattice import coset_reps
         reps = coset_reps(s)
         ids = g2.ids.tolist()
-        for eid, shift in zip(helix_cross.ids[helix_cross.n:].tolist(), helix_cross.shifts):
+        new_shifts = oracles.edge_shifts(g2)
+        for eid, shift in zip(helix_cross.ids[helix_cross.n:].tolist(),
+                              oracles.edge_shifts(helix_cross)):
             for ci, c in enumerate(reps):
                 ne = ids.index(eid * k + ci) - g2.n
                 c2 = reps[ids[g2.v[ne]] % k]
                 want = tuple(a + b - x for a, b, x in zip(c, shift, c2))
-                got = tuple(sum(s.columns[j][i] * g2.shifts[ne][j] for j in range(3))
+                got = tuple(sum(s.columns[j][i] * new_shifts[ne][j] for j in range(3))
                             for i in range(3))
                 assert got == want
 

@@ -234,7 +234,7 @@ def _on_basis(g, s, values=None):
     """g on the basis s * I, with its filter values replaced by `values` if given."""
     basis = RealBasis([[s if r == c else 0.0 for r in range(g.dim)] for c in range(g.dim)])
     return PeriodicGraph(g.dim, basis, g.ids, g.values if values is None else values, g.raw,
-                         g.u, g.v, g.shifts)
+                         g.u, g.v, g.table, g.which)
 
 
 class TestSmallMasses:
