@@ -17,8 +17,8 @@ root), `parent` (-1 for a root) and `merge_edge` (the edge of the merger
 that ends a beam with a parent).  Epochs are beam-major, beam b's being
 rows `offsets[b]:offsets[b + 1]` in increasing start, the first at its
 birth; per epoch there are `start`, `coeff`, `exp`, `catenation` (the epoch
-was opened by a catenation of the edge `cell`) and `basis`, its lattice,
-one `SublatticeBasis` per lattice change shared by the epochs that keep it.
+was opened by a catenation of the edge `cell`) and `lattice`, its index in
+`lattices`, a table of the distinct lattices (its order is not the tree's).
 The event log, the spans and the child lists are derived on demand.
 """
 from __future__ import annotations
@@ -56,11 +56,11 @@ class PeriodicMergeTree:
     """Beam and epoch columns (see the module docstring); the critical-event
     log is derived from them."""
 
-    __slots__ = ("dim", "birth", "birth_vertex", "death", "parent", "merge_edge",
-                 "offsets", "start", "coeff", "exp", "catenation", "cell", "basis")
+    __slots__ = ("dim", "birth", "birth_vertex", "death", "parent", "merge_edge", "offsets",
+                 "start", "coeff", "exp", "catenation", "cell", "lattice", "lattices")
 
     def __init__(self, dim, *, birth, birth_vertex, death, parent, merge_edge,
-                 offsets, start, coeff, exp, catenation, cell, basis):
+                 offsets, start, coeff, exp, catenation, cell, lattice, lattices):
         self.dim = dim
         self.birth = np.asarray(birth, dtype=float)
         self.birth_vertex = np.asarray(birth_vertex, dtype=np.int64)
@@ -73,7 +73,8 @@ class PeriodicMergeTree:
         self.exp = np.asarray(exp, dtype=np.int64)
         self.catenation = np.asarray(catenation, dtype=bool)
         self.cell = np.asarray(cell, dtype=np.int64)
-        self.basis = list(basis)
+        self.lattice = np.asarray(lattice, dtype=np.int64)
+        self.lattices = list(lattices)
 
     @property
     def beams(self) -> range:
@@ -98,7 +99,7 @@ class PeriodicMergeTree:
             return None
         lo, hi = self.offsets[b:b + 2].tolist()
         i = bisect_right(self.start, t, lo, hi) - 1   # its first epoch starts at the birth
-        return self.coeff[i].item(), self.exp[i].item(), self.basis[i]
+        return self.coeff[i].item(), self.exp[i].item(), self.lattices[self.lattice[i]]
 
     def _event_columns(self) -> tuple:
         """(kind, time, cell, row) per event, in build's processing order
@@ -138,10 +139,10 @@ class PeriodicMergeTree:
     @property
     def events(self) -> list:
         """Appearance, merger and catenation events in build's processing order."""
-        coeff, exp = self.coeff, self.exp
+        coeff, exp, lattice, lattices = self.coeff, self.exp, self.lattice, self.lattices
         return [Event("appearance", t, c, (b,)) if k == 0
                 else Event("merger", t, c, (b, r)) if k == 1
-                else Event("catenation", t, c, (b,), coeff[r].item(), exp[r].item(), self.basis[r])
+                else Event("catenation", t, c, (b,), coeff[r].item(), exp[r].item(), lattices[lattice[r]])
                 for k, t, c, b, r in self._event_rows()]
 
     def to_json_dict(self) -> dict:
@@ -149,7 +150,7 @@ class PeriodicMergeTree:
         trees with; kept for the tests and the benchmark's tracer until
         ROADMAP item 1 step C."""
         start, coeff, exp = self.start.tolist(), self.coeff.tolist(), self.exp.tolist()
-        offsets = self.offsets.tolist()
+        offsets, lattice, lattices = self.offsets.tolist(), self.lattice.tolist(), self.lattices
         kinds = ("appearance", "merger", "catenation")
         return {
             "dim": self.dim,
@@ -166,7 +167,7 @@ class PeriodicMergeTree:
                             "coeff": coeff[i],
                             "exp": exp[i],
                             "display": monomial_display(coeff[i], exp[i]),
-                            "lattice": [list(c) for c in self.basis[i].columns],
+                            "lattice": [list(c) for c in lattices[lattice[i]].columns],
                         }
                         for i in range(offsets[b], offsets[b + 1])
                     ],
@@ -190,34 +191,29 @@ class PeriodicMergeTree:
     def _heads(self) -> tuple:
         """(head, texts): per epoch the index of its head in `texts`, which
         holds per distinct (coeff, exp, lattice) the texts of the coeff,
-        display, exp and lattice.  The epochs are grouped by (coeff, exp,
-        lattice object) with one lexsort, and the groups by value, so a
-        lattice is hashed once per object."""
+        display, exp and lattice.  The epochs are grouped by (lattice, exp,
+        coeff) with one lexsort; the table holds each lattice once, so each
+        group is one distinct value."""
         by_rank = [jsonfmt.template([[HOLE] * self.dim] * p, 5) for p in range(self.dim + 1)]
-        ident = np.fromiter(map(id, self.basis), np.uint64, len(self.basis))
-        order = np.lexsort((self.coeff, self.exp, ident))
-        key, coeff, exp = ident[order], self.coeff[order], self.exp[order]
+        order = np.lexsort((self.coeff, self.exp, self.lattice))
+        key, coeff, exp = self.lattice[order], self.coeff[order], self.exp[order]
         new = np.ones(len(order), dtype=bool)
         new[1:] = (key[1:] != key[:-1]) | (exp[1:] != exp[:-1]) | (coeff[1:] != coeff[:-1])
         coeffs, exps = coeff[new].tolist(), exp[new].tolist()
-        texts, by_value, group = [], {}, []
-        for text, c, e, basis in zip(jsonfmt.floats(coeffs), coeffs, exps,
-                                     map(self.basis.__getitem__, order[new].tolist())):
-            h = by_value.setdefault((c, e, basis), len(texts))
-            if h == len(texts):
-                texts.append((text, encode_basestring_ascii(monomial_display(c, e)), e,
-                              by_rank[basis.rank] % tuple(chain.from_iterable(basis.columns))))
-            group.append(h)
+        texts = [(text, encode_basestring_ascii(monomial_display(c, e)), e,
+                  by_rank[lat.rank] % tuple(chain.from_iterable(lat.columns)))
+                 for text, c, e, lat in zip(jsonfmt.floats(coeffs), coeffs, exps,
+                                            map(self.lattices.__getitem__, key[new].tolist()))]
         head = np.empty(len(order), dtype=np.int64)
-        head[order] = np.array(group, dtype=np.int64)[np.cumsum(new) - 1]
+        head[order] = np.cumsum(new) - 1
         return head, texts
 
     def json_chunks(self):
         """Chunks of `jsonfmt.dumps(self.to_json_dict())`, one template fill
         per beam and per event; a beam of k epochs fills the beam template
         with k epochs inside.  The texts of an epoch's coeff, display, exp and
-        lattice are written once per distinct (coeff, exp, lattice object),
-        in effect once per lattice change, and all before the first chunk, so
+        lattice are written once per distinct (coeff, exp, lattice), in
+        effect once per table lattice, and all before the first chunk, so
         writing the chunks raises nothing.  The other texts are written one
         block of rows at a time (`jsonfmt.blocks`), as `jsonfmt.items` joins
         them, so the texts held at once are one block's."""
@@ -345,8 +341,11 @@ def build(graph: PeriodicGraph) -> PeriodicMergeTree:
     exceeds both inputs, a catenation happens at the same height.  A merger
     sets the dying beam's death, parent and merge edge; every epoch past
     the birth epochs is appended to one list in processing order, and one
-    stable argsort by beam makes the epoch columns beam-major.  A basis volume that is not
-    a normal float, or a coefficient that is not finite, is a ValueError.
+    stable argsort by beam makes the epoch columns beam-major.  Lattices are
+    interned by value into the table `lattices`, the zero lattice first, and
+    compared by index; each entry's coefficient is computed once.  A basis
+    volume that is not a normal float, or a coefficient that is not finite,
+    is a ValueError.
 
     Drifts and shifts are packed ints (`pack`) with digits wide enough for
     any sum of 2n shifts, so v is one int expression and `not v` its zero
@@ -362,13 +361,6 @@ def build(graph: PeriodicGraph) -> PeriodicMergeTree:
     if not sys.float_info.min <= vol_d < math.inf:   # a subnormal has lost digits
         raise ValueError("basis volume out of float range")
     n = graph.n
-
-    def coefficient(lat: SublatticeBasis) -> float:
-        c = volume(u, lat) / vol_d
-        if not math.isfinite(c):
-            raise ValueError("monomial coefficient out of float range")
-        return c
-
     kind = np.arange(len(graph.ids)) >= n   # vertices before edges
     order = np.lexsort((graph.ids, kind, graph.values))
     # beams are made in (birth, birth_vertex) order, so a beam's index is its
@@ -380,10 +372,17 @@ def build(graph: PeriodicGraph) -> PeriodicMergeTree:
     beam_of = beam_of.tolist()   # per root slot, the beam of its component
     walk = order[order >= n]   # the edges' cell positions, in processing order
 
-    empty = SublatticeBasis.empty(d)
-    lattice = [empty] * n   # per beam, the lattice of its last epoch
+    lattices = [SublatticeBasis.empty(d)]   # the table
+    index = {lattices[0]: 0}   # lattice -> its table index
+
+    def intern(lat: SublatticeBasis) -> int:
+        if index.setdefault(lat, len(lattices)) == len(lattices):
+            lattices.append(lat)
+        return index[lat]
+
+    lattice = [0] * n   # per beam, the table index of its last epoch's lattice
     death, parent, merge_edge = [math.inf] * n, [-1] * n, [0] * n
-    epochs = []   # past the birth epochs: (beam, start, coeff, exp, catenation, cell, basis)
+    epochs = []   # past the birth epochs: (beam, start, catenation, cell, lattice)
 
     # union-find slots are vertex positions, as edge endpoints are; per
     # slot, its root, the next member of its component's cyclic list and its
@@ -407,28 +406,24 @@ def build(graph: PeriodicGraph) -> PeriodicMergeTree:
             if not pv:
                 continue
             sb = beam_of[r]
-            cur = lattice[sb]
+            cur = lattices[lattice[sb]]
             v = unpack(pv, bits, d)
             if member(cur, v):
                 continue
             new = hnf_reduce(cur.columns + (v,), dim=d)
-            if new.is_full:
-                full[r] = True
-            lattice[sb] = new
-            epochs.append((sb, t, coefficient(new), d - new.rank, True, eid, new))
+            full[r] = new.is_full
+            lattice[sb] = k = intern(new)
+            epochs.append((sb, t, True, eid, k))
         else:
             br, bs = beam_of[r], beam_of[s]
-            base_r, base_s = lattice[br], lattice[bs]
+            kr, ks = lattice[br], lattice[bs]
             whole = full[r] or full[s]   # unless a reduction makes a new lattice
-            if not base_s.columns:
-                merged = base_r
-            elif not base_r.columns:
-                merged = base_s
-            elif base_r is base_s or base_r == base_s:
-                merged = base_r
+            if not kr or not ks or kr == ks:   # index 0 is the zero lattice
+                merged = kr or ks
             else:
-                merged = hnf_reduce(base_r.columns + base_s.columns, dim=d)
-                whole = merged.is_full
+                new = hnf_reduce(lattices[kr].columns + lattices[ks].columns, dim=d)
+                whole = new.is_full
+                merged = intern(new)
             sb, dying = (br, bs) if br < bs else (bs, br)
             # the union: the smaller list is relabeled and its drifts moved by
             # v (by -v when it is x's); most unions carry v = 0
@@ -450,18 +445,19 @@ def build(graph: PeriodicGraph) -> PeriodicMergeTree:
             death[dying] = t
             parent[dying] = sb
             merge_edge[dying] = eid
-            prevb = lattice[sb]
-            if merged is not prevb and merged != prevb:
+            if merged != lattice[sb]:
                 lattice[sb] = merged
                 # a lattice larger than both inputs is a catenation; one equal
                 # to the absorbed beam's is only taken over
-                cat = merged != base_r and merged != base_s
-                epochs.append((sb, t, coefficient(merged), d - merged.rank, cat,
-                               eid if cat else 0, merged))
+                cat = merged != kr and merged != ks
+                epochs.append((sb, t, cat, eid if cat else 0, merged))
 
+    coeff = [1.0 / vol_d, *(volume(u, lat) / vol_d for lat in lattices[1:])]
+    if not all(map(math.isfinite, coeff)):
+        raise ValueError("monomial coefficient out of float range")
     # the birth epochs first, so the stable argsort keeps each beam's epochs
     # in processing order, its birth epoch first
-    beam, start, coeff, exp, cat, cell, basis = zip(*epochs) if epochs else ((),) * 7
+    beam, start, cat, cell, lat = zip(*epochs) if epochs else ((),) * 5
     beam = np.concatenate((np.arange(n), np.array(beam, dtype=np.int64)))
     rows = np.argsort(beam, kind="stable")
     offsets = np.zeros(n + 1, dtype=np.int64)
@@ -471,13 +467,13 @@ def build(graph: PeriodicGraph) -> PeriodicMergeTree:
     def column(births, rest, dtype):
         return np.concatenate((births, np.array(rest, dtype=dtype)))[rows]
 
+    lat = column(np.zeros(n, np.int64), lat, np.int64)
     return PeriodicMergeTree(
         d, birth=birth, birth_vertex=graph.ids[vertices], death=death, parent=parent,
         merge_edge=merge_edge, offsets=offsets, start=column(birth, start, float),
-        coeff=column(np.full(n, 1.0 / vol_d), coeff, float),
-        exp=column(np.full(n, d), exp, np.int64), catenation=column(np.zeros(n, bool), cat, bool),
-        cell=column(np.zeros(n, np.int64), cell, np.int64),
-        basis=list(map(([empty] * n + list(basis)).__getitem__, rows.tolist())))
+        coeff=np.array(coeff)[lat], exp=np.array([d - x.rank for x in lattices])[lat],
+        catenation=column(np.zeros(n, bool), cat, bool),
+        cell=column(np.zeros(n, np.int64), cell, np.int64), lattice=lat, lattices=lattices)
 
 
 

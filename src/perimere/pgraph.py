@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import chain, compress, count, repeat
+import re
+from itertools import chain, compress, count, product, repeat
 from json.encoder import encode_basestring_ascii
 from operator import eq, itemgetter
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import jsonfmt
 from .jsonfmt import HOLE
-from .lattice import IntMatrix, RealBasis, coset_reps, hnf_transform, reduce_many
+from .lattice import IntMatrix, RealBasis, hnf_transform, reduce_many
 
 
 class GraphError(ValueError):
@@ -92,6 +93,7 @@ class PeriodicGraph:
 _TOP_KEYS = {"dim", "basis", "vertices", "edges"}
 _ID_MIN, _ID_MAX = -2 ** 63, 2 ** 63 - 1   # ids are int64 in build
 _INT = frozenset({int})   # the types of ids and shift entries read as they are
+_DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")   # float() takes more
 _SEQUENCE = (list, tuple)   # the types a shift may have
 
 
@@ -106,6 +108,8 @@ def _read_value(obj, what):
         val = math.inf
     if not math.isfinite(val):
         raise GraphError(f"{what}: value must be finite")
+    if isinstance(obj, str) and not _DECIMAL.fullmatch(obj):
+        raise GraphError(f"{what}: bad decimal string {obj!r}")
     return val
 
 
@@ -212,8 +216,8 @@ def _columns(dim, vlist, elist):
     one pass straight into its column; None when any check fails.
 
     The type checks come first, since `np.fromiter` would read True as 1
-    and '1e999' as inf; finiteness, duplicate ids, endpoints, shift lengths
-    and the filter property are then checked on whole columns.
+    and '1e999' as inf; finiteness, duplicate ids, endpoints, shift lengths,
+    the filter property and decimal strings are then checked on columns.
     """
     n, m = len(vlist), len(elist)
 
@@ -249,15 +253,15 @@ def _columns(dim, vlist, elist):
         plain = value_types <= {int, float}   # else every value goes through float()
         values = np.fromiter(cells(_VALUE) if plain else map(float, cells(_VALUE)),
                              np.float64, n + m)
-        if not np.isfinite(values).all():
-            return None
-        if (values[n:] < np.maximum(values[u], values[v])).any():
-            return None
         raw = {}   # cell position -> decimal-string token
         if not plain:
             def strings():
                 return map(isinstance, cells(_VALUE), repeat(str))
             raw = dict(zip(compress(count(), strings()), compress(cells(_VALUE), strings())))
+        if not (np.isfinite(values).all() and all(map(_DECIMAL.fullmatch, raw.values()))):
+            return None
+        if (values[n:] < np.maximum(values[u], values[v])).any():
+            return None
         rows = map(tuple, map(_SHIFT, elist))
         if not entry_types <= _INT:   # integral floats (or other numbers) read as ints
             def int_rows():
@@ -426,15 +430,15 @@ def unroll(g: PeriodicGraph, s: IntMatrix) -> PeriodicGraph:
     if not g.n:   # no cells, no copies: the index need not fit an array
         return PeriodicGraph(g.dim, RealBasis(new_cols), g.ids, g.values, {}, g.u, g.v,
                              [], g.which)
-    # only edge copies need the representatives
-    reps = np.array(coset_reps(s) if g.m else [], dtype=object).reshape(-1, g.dim)
+    # only edge copies need the representatives, the digit vectors below the pivots
+    reps = np.array([*product(*map(range, pivots))] if g.m else [], dtype=object).reshape(-1, g.dim)
     w = (np.array(g.table, dtype=object).reshape(-1, 1, g.dim) + reps).reshape(-1, g.dim)
     c2, y = reduce_many(h, w)   # row j * k + i: table shift j from representative i
     if not np.array_equal(y.dot(np.array(h.columns, dtype=object)), w - c2):
         raise AssertionError("coset reduction left a non-lattice difference")
     if not ((c2 >= 0) & (c2 < pivots)).all():
         raise AssertionError("coset reduction left a non-canonical representative")
-    # c2's digits, mixed radix over the pivots, are its index in `coset_reps`
+    # c2's digits, mixed radix over the pivots, are its index in `reps`
     targets = (c2.astype(np.int64) @ np.cumprod([1, *pivots[:0:-1]])[::-1]).reshape(-1, k)
     # H = S . certs, so S . (certs . y) = c + t - c2
     table, position = number_shifts(map(tuple, y.dot(np.array(certs, dtype=object)).tolist()))

@@ -557,6 +557,31 @@ def oracle_unroll(g: PeriodicGraph, s: IntMatrix) -> PeriodicGraph:
     return parse({"dim": g.dim, "basis": new_cols, "vertices": vertices, "edges": edges})
 
 
+_DIGITS = frozenset("0123456789")
+
+
+def _is_decimal(text: str) -> bool:
+    """Whether `text` is an ASCII decimal: an optional sign, digits with at
+    most one point and at least one digit, then optionally e or E, a sign
+    and digits.  Read by partitions, not by the library's pattern."""
+    mantissa, e, exponent = text.replace("E", "e").partition("e")
+    if exponent[:1] in ("+", "-"):
+        exponent = exponent[1:]
+    if mantissa[:1] in ("+", "-"):
+        mantissa = mantissa[1:]
+    whole, _, frac = mantissa.partition(".")
+    return (bool(whole or frac) and set(whole + frac) <= _DIGITS
+            and (not e or bool(exponent) and set(exponent) <= _DIGITS))
+
+
+def _oracle_value(value, what):
+    """`_read_value`, with a decimal string checked again by `_is_decimal`."""
+    val = _read_value(value, what)
+    if isinstance(value, str) and not _is_decimal(value):
+        raise GraphError(f"{what}: bad decimal string {value!r}")
+    return val
+
+
 def oracle_parse(source) -> PeriodicGraph:
     """The library's earlier `parse`: one loop over the records, reading and
     checking each value as it comes."""
@@ -613,7 +638,7 @@ def oracle_parse(source) -> PeriodicGraph:
             raw[pos] = value
         index[vid] = pos
         ids.append(vid)
-        values.append(_read_value(value, f"vertex {vid}"))
+        values.append(_oracle_value(value, f"vertex {vid}"))
     us, vs, shifts = [], [], []
     for pos, rec in enumerate(elist):
         try:
@@ -630,7 +655,7 @@ def oracle_parse(source) -> PeriodicGraph:
         if isinstance(value, str):
             raw[len(values)] = value
         ids.append(eid)
-        values.append(_read_value(value, what))
+        values.append(_oracle_value(value, what))
         us.append(index.get(u, -1))
         vs.append(index.get(v, -1))
         shifts.append(_read_shift(shift, what))
@@ -1039,11 +1064,12 @@ def view(tree: PeriodicMergeTree) -> list:
     start, coeff, exp = tree.start.tolist(), tree.coeff.tolist(), tree.exp.tolist()
     cell = [c if cat else None for c, cat in zip(tree.cell.tolist(), tree.catenation.tolist())]
     offsets = tree.offsets.tolist()
+    basis = list(map(tree.lattices.__getitem__, tree.lattice.tolist()))
     beams = []
     for b, (birth, vertex, death, parent, edge) in enumerate(zip(
             tree.birth.tolist(), tree.birth_vertex.tolist(), tree.death.tolist(),
             tree.parent.tolist(), tree.merge_edge.tolist())):
-        beam = Beam(b, birth, vertex, [Epoch(start[i], coeff[i], exp[i], tree.basis[i], cell[i])
+        beam = Beam(b, birth, vertex, [Epoch(start[i], coeff[i], exp[i], basis[i], cell[i])
                                        for i in range(offsets[b], offsets[b + 1])])
         beam.death = death
         if parent >= 0:
@@ -1053,8 +1079,11 @@ def view(tree: PeriodicMergeTree) -> list:
 
 
 def tree_of(dim: int, beams: list) -> PeriodicMergeTree:
-    """The columnar tree of `Beam`s given in index order (the inverse of `view`)."""
+    """The columnar tree of `Beam`s given in index order (the inverse of `view`),
+    its epochs' lattices interned by value into the table in order of first use."""
     epochs = [ep for b in beams for ep in b.epochs]
+    table = {}   # lattice -> its table index
+    lattice = [table.setdefault(ep.basis, len(table)) for ep in epochs]
     return PeriodicMergeTree(
         dim,
         birth=[b.birth for b in beams], birth_vertex=[b.birth_vertex for b in beams],
@@ -1065,4 +1094,4 @@ def tree_of(dim: int, beams: list) -> PeriodicMergeTree:
         start=[ep.start for ep in epochs], coeff=[ep.coeff for ep in epochs],
         exp=[ep.exp for ep in epochs], catenation=[ep.cell is not None for ep in epochs],
         cell=[0 if ep.cell is None else ep.cell for ep in epochs],
-        basis=[ep.basis for ep in epochs])
+        lattice=lattice, lattices=list(table))

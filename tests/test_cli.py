@@ -121,6 +121,18 @@ class TestInputErrors:
         assert_one_error_line(code, err)
         assert named in err and out == ""
 
+    @pytest.mark.parametrize("token", [" 1_0 ", "1_000.5", "\uff11\uff10", "\n2\t"])
+    def test_value_string_not_a_decimal_rejected(self, capsys, tmp_path, token):
+        # float() reads each of these, which validate once accepted and unroll wrote back
+        doc = {"dim": 1, "basis": [[1.0]], "vertices": [{"id": 0, "value": 0.0}],
+               "edges": [{"id": 5, "u": 0, "v": 0, "value": token, "shift": [1]}]}
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        for argv in (["validate", str(p)], ["unroll", str(p), "--sublattice", "2"]):
+            code, out, err = run(capsys, *argv)
+            assert_one_error_line(code, err)
+            assert f"edge 5: bad decimal string {token!r}" in err and out == ""
+
     def test_deeply_nested_document_rejected(self, capsys, tmp_path):
         p = tmp_path / "deep.json"
         p.write_text("[" * 200000 + "]" * 200000)
@@ -444,10 +456,10 @@ class TestOutOfRange:
     @pytest.mark.parametrize("sublattice,ids", [("2", 2 ** 62), (str(2 ** 63), 1)])
     def test_unroll_index_checked_before_enumerating(self, capsys, tmp_path, monkeypatch,
                                                      sublattice, ids):
-        def refuse(s):
+        def refuse(*ranges):
             raise AssertionError("coset representatives enumerated")
 
-        monkeypatch.setattr("perimere.pgraph.coset_reps", refuse)
+        monkeypatch.setattr("perimere.pgraph.product", refuse)
         p = tmp_path / "g.json"
         p.write_text(json.dumps({
             "dim": 1, "basis": [[1.0]], "vertices": [{"id": ids, "value": 0.0}],

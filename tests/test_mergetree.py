@@ -7,6 +7,8 @@ import pytest
 
 from perimere import (IntMatrix, build,
                       canonical_form, extract, parse, serialize, splinters, unroll)
+from perimere import mergetree
+from perimere.lattice import SublatticeBasis
 from perimere.mergetree import (PeriodicMergeTree, _TreeIndex, drift_bits, monomial_display,
                                 pack, unpack)
 from perimere.synthetic import random_periodic_graph, torus_grid
@@ -70,7 +72,7 @@ class TestBuildGolden:
         # the columns are the whole record: no event log is stored
         assert PeriodicMergeTree.__slots__ == (
             "dim", "birth", "birth_vertex", "death", "parent", "merge_edge",
-            "offsets", "start", "coeff", "exp", "catenation", "cell", "basis")
+            "offsets", "start", "coeff", "exp", "catenation", "cell", "lattice", "lattices")
 
     def test_single_vertex(self):
         g = parse({"dim": 3,
@@ -113,6 +115,28 @@ class TestBuildGolden:
                    "edges": [{"id": 1, "u": 0, "v": 0, "value": 1.0, "shift": [0, 0]}]})
         tree = build(g)
         assert [e.kind for e in tree.events] == ["appearance"]
+
+
+class TestLatticeTable:
+    def test_one_entry_and_one_volume_per_distinct_lattice(self, monkeypatch):
+        # each lattice is held once by value, and its coefficient measured once
+        calls = []
+        volume = mergetree.volume
+        monkeypatch.setattr(mergetree, "volume", lambda u, lat: calls.append(lat) or volume(u, lat))
+        rng = random.Random(24)
+        distinct = 0
+        for _ in range(60):
+            n = rng.randint(1, 14)
+            g = random_periodic_graph(rng, dim=rng.choice((1, 2, 3)), n=n, m=rng.randint(0, 3 * n),
+                                      shift_range=2, tie_values=True)
+            calls.clear()
+            tree = build(g)
+            assert len(set(tree.lattices)) == len(tree.lattices)
+            assert tree.lattices[0] == SublatticeBasis.empty(g.dim)
+            assert len(calls) == len(tree.lattices) - 1
+            assert {tree.lattices[k] for k in tree.lattice.tolist()} == set(tree.lattices)
+            distinct += len(tree.lattices)
+        assert distinct > 200
 
 
 class TestPackedDrift:

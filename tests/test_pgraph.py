@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -203,6 +204,32 @@ class TestParse:
         assert g.values[0] == 1.0
         assert g.raw[0] == "1.00"
 
+    @pytest.mark.parametrize("token", [" 1_0 ", "1_000.5", "\uff11\uff10", "\n2\t", "1e5 ", "0x10"])
+    @pytest.mark.parametrize("place", ["vertices", "edges"])
+    def test_value_strings_that_are_not_decimals_rejected(self, place, token):
+        # float() reads all but the last; none is an ASCII decimal with nothing around it
+        doc = fig3_left_doc()
+        doc[place][0]["value"] = token
+        for parse_fn in (parse, oracles.oracle_parse):
+            with pytest.raises(GraphError, match=re.escape(f"bad decimal string {token!r}")):
+                parse_fn(doc)
+
+    @pytest.mark.parametrize("token,value", [
+        ("1.", 1.0), (".5", 0.5), ("+1.0e+0", 1.0), ("1E0", 1.0), ("-02", -2.0), ("1e-999", 0.0)])
+    def test_every_decimal_form_read(self, token, value):
+        doc = fig3_left_doc()
+        doc["vertices"][0]["value"] = token
+        for parse_fn in (parse, oracles.oracle_parse):
+            g = parse_fn(doc)
+            assert g.values[0] == value and g.raw == {0: token}
+
+    @pytest.mark.parametrize("token", ["inf", "-Infinity", "nan", "1e999"])
+    def test_infinite_decimal_strings_are_named_as_infinite(self, token):
+        doc = fig3_left_doc()
+        doc["vertices"][0]["value"] = token
+        with pytest.raises(GraphError, match="must be finite"):
+            parse(doc)
+
     def test_tokens_only_for_string_values(self):
         assert parse(helix_cross_doc()).raw == {}
         doc = fig3_left_doc()
@@ -394,10 +421,10 @@ class TestUnroll:
             unroll(g, IntMatrix.from_rows([[1, 1], [0, 3]]))
 
     def test_graph_without_edges_enumerates_no_representatives(self, monkeypatch):
-        def refuse(s):
+        def refuse(*ranges):
             raise AssertionError("coset representatives enumerated")
 
-        monkeypatch.setattr("perimere.pgraph.coset_reps", refuse)
+        monkeypatch.setattr("perimere.pgraph.product", refuse)
         doc = fig3_left_doc()
         doc["edges"] = []
         g2 = unroll(parse(doc), IntMatrix.from_rows([[2, 1], [0, 3]]))
