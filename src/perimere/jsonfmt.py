@@ -10,8 +10,9 @@ shape out once, exactly as `dumps` would at that depth, with a `%s` for each
 `HOLE`, so a record costs one `%` with its fills.  `items` lays a list out
 around the texts of its items, `blocks` splits a writer's rows into the
 blocks it makes texts for at a time, `floats` writes a column of floats,
-and `chunks` fills the holes of a whole document, yielding its text in
-pieces that can be written one after another.  The depth of a value is the
+`distinct` writes each distinct value of a float64 column once, and
+`chunks` fills the holes of a whole document, yielding its text in pieces
+that can be written one after another.  The depth of a value is the
 number of containers around it: a top-level key's value has depth 1.
 """
 from __future__ import annotations
@@ -20,6 +21,8 @@ import json
 import math
 import re
 from itertools import islice
+
+import numpy as np
 
 HOLE = math.nan   # a value `template` leaves open, filled per record
 # a HOLE's text: a bare NaN that ends its line, which no key or string can
@@ -61,6 +64,14 @@ def floats(xs: list) -> list:
     except TypeError:   # a None
         pass
     return [_float(x) if x is not None else "null" for x in xs]
+
+
+def distinct(column) -> tuple:
+    """(texts, index) of a float64 array: the JSON texts of its distinct
+    values, and per entry the position of its text (an int64 array).  Values
+    are keyed by their exact bits, so -0.0 and 0.0 keep a text each."""
+    keys, index = np.unique(column.view(np.int64), return_inverse=True)
+    return floats(keys.view(np.float64).tolist()), index
 
 
 _BLOCK = 256   # items joined per chunk, and rows a record writer turns into texts at once

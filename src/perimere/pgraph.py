@@ -349,26 +349,35 @@ _EDGE = {"id": HOLE, "shift": HOLE, "u": HOLE, "v": HOLE, "value": HOLE}
 
 def json_chunks(g: PeriodicGraph):
     """Chunks of `jsonfmt.dumps(serialize(g))`, written from the columns:
-    one record template per cell kind and one text per table shift.  The
-    edge fields are listed a block at a time (`jsonfmt.blocks`)."""
+    one record template per cell kind, one text per table shift and one per
+    distinct value (`jsonfmt.distinct`), which each cell indexes; a
+    decimal-string token has a text of its own that only its cells index.
+    The edge fields are listed a block at a time (`jsonfmt.blocks`), so the
+    writer holds these texts, the ids and one text index per cell, not a
+    value text per cell."""
     n = g.n
     ids = g.ids.tolist()
-    values = jsonfmt.floats(g.values.tolist())
+    texts, index = jsonfmt.distinct(g.values)
+    tokens = {}   # decimal-string token -> position of its text
     for pos, tok in g.raw.items():
-        values[pos] = encode_basestring_ascii(tok)
+        index[pos] = tokens.setdefault(tok, len(texts) + len(tokens))
+    texts += map(encode_basestring_ascii, tokens)
     vector = jsonfmt.template([HOLE] * g.dim, 3)
     shifts = [vector % t for t in g.table]
     vertex, edge = jsonfmt.template(_VERTEX, 2), jsonfmt.template(_EDGE, 2)
 
+    def values(a, z):   # the value texts of cells a to z
+        return map(texts.__getitem__, index[a:z].tolist())
+
     def edges():
         for a, z in jsonfmt.blocks(g.m):
             yield from zip(ids[n + a:n + z], map(shifts.__getitem__, g.which[a:z].tolist()),
-                           g.ids[g.u[a:z]].tolist(), g.ids[g.v[a:z]].tolist(), values[n + a:n + z])
+                           g.ids[g.u[a:z]].tolist(), g.ids[g.v[a:z]].tolist(), values(n + a, n + z))
     return jsonfmt.chunks(
         {"basis": [[float(x) for x in g.basis.matrix[:, j]] for j in range(g.dim)],
          "dim": g.dim, "edges": HOLE, "vertices": HOLE},
         jsonfmt.items(map(edge.__mod__, edges()), 1),
-        jsonfmt.items(map(vertex.__mod__, zip(ids[:n], values[:n])), 1))
+        jsonfmt.items(map(vertex.__mod__, zip(ids[:n], values(0, n))), 1))
 
 
 def max_shift_magnitude(g: PeriodicGraph) -> int:

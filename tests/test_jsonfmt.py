@@ -3,6 +3,7 @@ against `json.dumps(indent=2, sort_keys=True)` of their reference forms."""
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from perimere import barcode, jsonfmt, mergetree, parse, pgraph
 from perimere.jsonfmt import HOLE
 from perimere.lattice import IntMatrix
-from perimere.synthetic import random_periodic_graph
+from perimere.synthetic import random_periodic_graph, torus_grid
 
 
 def reference(obj):
@@ -105,6 +106,14 @@ class TestRecordTemplates:
         assert jsonfmt.floats([1.0, None, float("inf"), float("nan")]) == [
             "1.0", "null", "Infinity", "NaN"]
 
+    def test_distinct_keys_values_by_their_bits(self):
+        xs = [0.1, -0.0, 0.0, 0.1, 1e22, -0.0]
+        texts, index = jsonfmt.distinct(np.array(xs))
+        assert len(texts) == 4 and index.dtype == np.int64
+        assert [texts[i] for i in index.tolist()] == [reference(x) for x in xs]
+        texts, index = jsonfmt.distinct(np.array([]))
+        assert texts == [] and index.size == 0
+
 
 def _written(g):
     """The three record writers' texts and `reference` of the dict forms."""
@@ -125,6 +134,18 @@ EDGE_CASES = {
             {"id": 2 ** 62, "u": 2 ** 53 + 1, "v": -2 ** 62, "value": "0.250", "shift": [-3, 0]},
             {"id": 3, "u": 7, "v": 7, "value": 2e22, "shift": [0, -1]},
             {"id": 4, "u": -2 ** 62, "v": -2 ** 62, "value": 1e+22, "shift": [-2, 5]},
+        ],
+    },
+    # -0.0 and 0.0 are equal values with two texts, and so are a token and its float
+    "signed_zeros_and_a_token_beside_its_float": {
+        "dim": 2, "basis": [[1.0, 0.0], [0.0, 1.0]],
+        "vertices": [{"id": 0, "value": 0.0}, {"id": 1, "value": -0.0},
+                     {"id": 2, "value": "0.10"}, {"id": 3, "value": 0.1}],
+        "edges": [
+            {"id": 4, "u": 1, "v": 0, "value": -0.0, "shift": [1, 0]},
+            {"id": 5, "u": 0, "v": 1, "value": 0.0, "shift": [0, 1]},
+            {"id": 6, "u": 2, "v": 3, "value": 0.1, "shift": [0, 0]},
+            {"id": 7, "u": 3, "v": 2, "value": "0.10", "shift": [1, 1]},
         ],
     },
 }
@@ -153,8 +174,24 @@ class TestRecordWriters:
         if name == "empty":
             assert '"vertices": []' in graph and '"beams": []' in tree
             assert code.count('"bars": []') == 3
+        elif name.startswith("signed_zeros"):   # and in the det-2 unroll, each cell twice
+            h = pgraph.unroll(parse(EDGE_CASES[name]), IntMatrix.from_rows([[2, 0], [0, 1]]))
+            unrolled = "".join(pgraph.json_chunks(h))
+            assert unrolled == reference(pgraph.serialize(h))
+            for text, k in ((graph, 1), (unrolled, 2)):
+                assert text.count('"value": -0.0') == text.count('"value": 0.0') == 2 * k
+                assert text.count('"value": "0.10"') == text.count('"value": 0.1\n') == 2 * k
         else:
             assert '"value": "0.10"' in graph and str(2 ** 53 + 1) in graph
             assert "-3," in graph and "1e-07" in graph and "1e+22" in graph
             assert '"lattice": []' in tree and '"parent": null' in tree
             assert '"death": null' in tree and '"death": null' in code
+
+    def test_one_value_text_per_distinct_value(self, monkeypatch):
+        made = []   # the number of texts of each jsonfmt.floats call
+        floats = jsonfmt.floats
+        monkeypatch.setattr(jsonfmt, "floats", lambda xs: made.append(len(xs)) or floats(xs))
+        h = pgraph.unroll(torus_grid(3), IntMatrix.from_rows([[2, 0, 0], [0, 2, 0], [0, 0, 2]]))
+        text = "".join(pgraph.json_chunks(h))
+        assert made == [np.unique(h.values.view(np.int64)).size] and made[0] * 8 == h.n + h.m
+        assert text == reference(pgraph.serialize(h))
