@@ -129,15 +129,24 @@ _BAR = {"birth": HOLE, "death": HOLE, "mult": HOLE}
 
 
 def json_chunks(bc: PeriodicBarcode):
-    """Chunks of `jsonfmt.dumps(to_json_dict(bc))`, one template fill per bar."""
+    """Chunks of `jsonfmt.dumps(to_json_dict(bc))`, one template fill per bar.
+
+    An era's bar texts are made one block of rows at a time
+    (`jsonfmt.blocks`), as `jsonfmt.items` joins them, so the writer holds
+    one block's texts and the positions of one era's rows."""
     bar = jsonfmt.template(_BAR, 4)
+
+    def bars(exp):   # the texts of era exp's bars
+        rows = np.flatnonzero(bc.bars["exp"] == exp)
+        for a, z in jsonfmt.blocks(len(rows)):
+            era = bc.bars[rows[a:z]]
+            yield from map(bar.__mod__, zip(
+                jsonfmt.floats(era["birth"].tolist()),
+                jsonfmt.floats([None if math.isinf(x) else x for x in era["death"].tolist()]),
+                jsonfmt.floats(era["mult"].tolist())))
     return jsonfmt.chunks(
         {"dim": bc.dim, "eras": [{"bars": HOLE, "exp": exp} for exp in range(bc.dim + 1)]},
-        *(jsonfmt.items(map(bar.__mod__, zip(
-            jsonfmt.floats(era["birth"].tolist()),
-            jsonfmt.floats([None if math.isinf(x) else x for x in era["death"].tolist()]),
-            jsonfmt.floats(era["mult"].tolist()))), 3)
-          for era in bc.eras))
+        *(jsonfmt.items(bars(exp), 3) for exp in range(bc.dim + 1)))
 
 
 def to_csv(bc: PeriodicBarcode) -> str:

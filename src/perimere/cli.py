@@ -76,8 +76,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_tree(args) -> int:
-    g = pgraph.parse(args.input)
-    tree = mt.build(g)
+    tree = mt.build(pgraph.parse(args.input))   # the graph is dropped before writing
     if args.fmt == "dot":
         _emit((tree.to_dot(),), args.out)
     else:
@@ -86,8 +85,7 @@ def cmd_tree(args) -> int:
 
 
 def cmd_barcode(args) -> int:
-    g = pgraph.parse(args.input)
-    code = bc.extract(mt.build(g))
+    code = bc.extract(mt.build(pgraph.parse(args.input)))
     if args.fmt == "csv":
         _emit((bc.to_csv(code),), args.out)
     else:

@@ -29,7 +29,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cmp_to_key
-from itertools import accumulate, chain, groupby, zip_longest
+from itertools import accumulate, chain, groupby, starmap, zip_longest
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -351,9 +351,10 @@ def build(graph: PeriodicGraph) -> PeriodicMergeTree:
     any sum of 2n shifts, so v is one int expression and `not v` its zero
     test; v is unpacked only for `member` and `hnf_reduce`.  Each entry of
     the graph's shift table is packed once, and an edge reads its packed
-    shift by its table position.  A union relabels the members of the
-    smaller cyclic list, adding v (or -v) to their drifts, so each vertex
-    is relabeled at most log2(n) times.
+    shift by its table position.  The edges are walked one block at a time
+    (`jsonfmt.blocks`), whose fields are made lists, never whole columns.
+    A union relabels the members of the smaller cyclic list, adding v (or
+    -v) to their drifts, so each vertex is relabeled at most log2(n) times.
     """
     d = graph.dim
     u = graph.basis
@@ -391,13 +392,15 @@ def build(graph: PeriodicGraph) -> PeriodicMergeTree:
     full = [False] * n  # per slot: component lattice is all of Z^d
     bits = drift_bits(n, max_shift_magnitude(graph))
     packed = [pack(t, bits) for t in graph.table]   # most graphs have few shifts
-    # each edge's endpoints, packed shift, value and id, in processing order
-    pos = walk - n
-    edges = zip(graph.u[pos].tolist(), graph.v[pos].tolist(),
-                map(packed.__getitem__, graph.which[pos].tolist()),
-                graph.values[walk].tolist(), graph.ids[walk].tolist())
 
-    for x, y, sh, t, eid in edges:
+    def edges(a, z):   # the endpoints, packed shift, value and id of edges a:z of the walk
+        cells = walk[a:z]
+        pos = cells - n
+        return zip(graph.u[pos].tolist(), graph.v[pos].tolist(),
+                   map(packed.__getitem__, graph.which[pos].tolist()),
+                   graph.values[cells].tolist(), graph.ids[cells].tolist())
+
+    for x, y, sh, t, eid in chain.from_iterable(starmap(edges, jsonfmt.blocks(len(walk)))):
         r, s = root[x], root[y]
         if r == s and full[r]:
             continue
@@ -484,14 +487,19 @@ def build(graph: PeriodicGraph) -> PeriodicMergeTree:
 TOL = 1e-9   # heights, coefficients and multiplicities this close are equal
 
 
+def _rounded(x: float) -> str:
+    """x rounded to TOL, written with 12 significant digits: the one way
+    numbers of a tree's text are written.  An x whose x / TOL overflows is
+    written as it is, since TOL is far below its last digit."""
+    q = x / TOL
+    return f"{round(q) * TOL if math.isfinite(q) else x:.12g}"
+
+
 class _Text(dict):
-    """x -> x rounded to TOL, written with 12 significant digits, memoized;
-    the one way numbers of a tree's text are written.  An x whose x / TOL
-    overflows is written as it is, since TOL is far below its last digit."""
+    """x -> `_rounded(x)`, memoized."""
 
     def __missing__(self, x: float) -> str:
-        q = x / TOL
-        text = self[x] = f"{round(q) * TOL if math.isfinite(q) else x:.12g}"
+        text = self[x] = _rounded(x)
         return text
 
 
@@ -657,7 +665,9 @@ class _TreeIndex:
         in the group up to the cut, sorted death labels of the children
         merging there); spans are (str, int) pairs and labels ints, so the
         flat key reads back one way.  A cut between two exact heights of one
-        group gets the label of the events below it.
+        group gets the label of the events below it.  The texts are made
+        once per distinct height, outside the memo, and are dropped with the
+        keys, so a sweep after the labeling holds neither.
 
         At one height t, the texts below t of two beams alive at t end
         their last spans at t alike, and their labels at t are equal exactly
@@ -699,18 +709,20 @@ class _TreeIndex:
         self.stop = _column(coff[:-1] + (birth_cut & ~birth_kid), "q")
         self.act, self.kcut = _column(act, "q"), _column(kcut, "q")
 
-        fmt = self.fmt
-        texts = list(map(fmt, cut.tolist()))   # the rounded height of each cut
+        # the rounded height of each cut, written once per distinct height;
+        # these texts are dropped with the keys, not kept in the memo
+        heights, distinct = np.unique(cut, return_inverse=True)
+        texts = list(map(list(map(_rounded, heights.tolist())).__getitem__, distinct.tolist()))
         values, which = np.unique(np.frombuffer(self.coeff), return_inverse=True)
-        spantexts = list(map(fmt, values.tolist()))   # few distinct coefficients
+        spantexts = list(map(_rounded, values.tolist()))   # few distinct coefficients
         spantext, span = _column(which, "q"), _column(span, "q")
-        del beam, height, rows, new, cut, at, spans, values, which, act, kcut
+        del beam, height, rows, new, cut, at, spans, values, which, act, kcut, heights, distinct
         coff, birth, exp, kid, cuts, kcut = self.coff, self.birth, self.exp, self.kid, self.cut, self.kcut
         lab = self.lab = array("q", bytes(8 * (n + coff[n])))
         interned = {}
         for b in range(n - 1, -1, -1):
             lo, hi = coff[b], coff[b + 1]
-            text = texts[lo] if lo < hi and cuts[lo] == birth[b] else fmt(birth[b])
+            text = texts[lo] if lo < hi and cuts[lo] == birth[b] else _rounded(birth[b])
             lab[lo + b] = last = interned.setdefault(text, len(interned))
             group = None   # the rounded height of the events in `spans` and `kids`
             for i in range(lo, hi):

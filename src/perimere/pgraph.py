@@ -10,6 +10,7 @@ for that cell only, so serialization round-trips bit-exactly.
 """
 from __future__ import annotations
 
+import io
 import json
 import math
 import re
@@ -32,9 +33,15 @@ def number_shifts(rows) -> tuple:
     """(table, which) of an iterable of hashable shift tuples: the distinct
     ones in order of first appearance, and per row its table position as an
     int64 array.  Each row is hashed once."""
-    number = {}   # shift -> position; len(number) is the next one
-    which = np.fromiter(map(number.setdefault, rows, map(len, repeat(number))), np.int64)
+    number = {}
+    which = _number(rows, number)
     return list(number), which
+
+
+def _number(rows, number: dict) -> np.ndarray:
+    """Per row, its position in `number` (shift -> position; len(number) is
+    the next one), which the new rows are added to."""
+    return np.fromiter(map(number.setdefault, rows, map(len, repeat(number))), np.int64)
 
 
 class PeriodicGraph:
@@ -95,6 +102,17 @@ _ID_MIN, _ID_MAX = -2 ** 63, 2 ** 63 - 1   # ids are int64 in build
 _INT = frozenset({int})   # the types of ids and shift entries read as they are
 _DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")   # float() takes more
 _SEQUENCE = (list, tuple)   # the types a shift may have
+_DECODER = json.JSONDecoder()
+
+# the plain form of a document's bytes that `_scan` reads; the whitespace is
+# JSON's, never `\s`, which also takes \f, \v and U+00A0
+_WS = re.compile(rb"[ \t\n\r]*")
+_KEY = re.compile(rb'"(dim|basis|vertices|edges)"[ \t\n\r]*:[ \t\n\r]*')
+_SMALL = re.compile(rb'[^"}]*')   # a value up to the next key or the object's end
+_LIST = re.compile(rb"\[[ \t\n\r]*")
+_LAST = re.compile(rb"\}[ \t\n\r]*\]")   # a record list's end
+_NEXT = re.compile(rb"\}[ \t\n\r]*,[ \t\n\r]*\{")   # between two records
+_BLOCK = 1 << 15   # bytes of records decoded at a time
 
 
 def _read_value(obj, what):
@@ -155,15 +173,44 @@ def _bad_record(kind, pos, rec, keys) -> GraphError:
 
 
 def parse(source) -> PeriodicGraph:
-    """Parse and validate a periodic graph from a path or a dict."""
-    if isinstance(source, dict):
-        doc = source
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except RecursionError:
-                raise GraphError("document nested too deeply") from None
+    """Parse and validate a periodic graph from a path or a dict.
+
+    A path's bytes are read once, and `_read` decodes their record lists a
+    block at a time.  A document that `_read` does not take, every faulty
+    one among them, is decoded whole from the same bytes (`_load`) and
+    parsed as a dict, so a fault is named one way, whichever way the
+    document came.
+    """
+    if not isinstance(source, dict):
+        with open(source, "rb") as fh:
+            data = fh.read()
+        g = _read(data)
+        if g is not None:
+            return g
+        source = _load(data)
+        del data
+    dim, basis, vlist, elist = _head(source)
+    for key, recs in (("vertices", vlist), ("edges", elist)):
+        if not isinstance(recs, (list, tuple)):
+            raise GraphError(f"{key} must be a list of records, not {type(recs).__name__}")
+    cols = _columns(dim, (vlist,), (elist,))
+    if cols is None:
+        _name_fault(dim, vlist, elist)
+    return PeriodicGraph(dim, basis, *cols)
+
+
+def _load(data: bytes):
+    """The document of a file's bytes, read whole by `json.load` as from the
+    file opened as UTF-8 text (so line ends are translated alike)."""
+    try:
+        return json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    except RecursionError:
+        raise GraphError("document nested too deeply") from None
+
+
+def _head(doc) -> tuple:
+    """(dim, basis, vertex records, edge records) of a document, whose keys,
+    dim and basis are checked here."""
     if not isinstance(doc, dict):
         raise GraphError("document root must be a JSON object")
     extra = set(doc) - _TOP_KEYS
@@ -193,13 +240,83 @@ def parse(source) -> PeriodicGraph:
         basis = RealBasis(basis_cols)
     except ValueError as exc:
         raise GraphError(str(exc))
-    for key, recs in (("vertices", vlist), ("edges", elist)):
-        if not isinstance(recs, (list, tuple)):
-            raise GraphError(f"{key} must be a list of records, not {type(recs).__name__}")
-    cols = _columns(dim, vlist, elist)
-    if cols is None:
-        _name_fault(dim, vlist, elist)
-    return PeriodicGraph(dim, basis, *cols)
+    return dim, basis, vlist, elist
+
+
+def _read(data: bytes) -> PeriodicGraph | None:
+    """The graph of a document's bytes, its record lists decoded a block at
+    a time (`_blocks`), so no more than one block of records is held as
+    dicts; None for a document read otherwise: any fault, and the rare
+    valid documents outside `_scan`'s plain form or with separator text
+    inside a record's string or nested value."""
+    try:
+        doc = _scan(data)
+        if doc is None:
+            return None
+        dim, basis, vspan, espan = _head(doc)
+        cols = _columns(dim, _blocks(data, *vspan), _blocks(data, *espan))
+    except (ValueError, RecursionError):   # JSON, UTF-8 and graph errors among them
+        return None
+    return None if cols is None else PeriodicGraph(dim, basis, *cols)
+
+
+def _scan(data: bytes) -> dict | None:
+    """The top-level object of a document's bytes, its record lists given as
+    spans (a, z): from the first record's `{` to the last one's `}`, a == z
+    when empty.  Keys are read as the four literal names and small values by
+    `raw_decode` of their ASCII text; anything else (another key, an escape
+    in a key, a key twice, a record list that does not start with a record,
+    text past the object) is None."""
+    doc = {}
+    pos = _WS.match(data).end()
+    if data[pos:pos + 1] != b"{":
+        return None
+    pos = _WS.match(data, pos + 1).end()
+    while True:
+        key = _KEY.match(data, pos)
+        name = key and key[1].decode()
+        if not name or name in doc:
+            return None
+        pos = key.end()
+        if name in ("vertices", "edges"):
+            opened = _LIST.match(data, pos)
+            if opened is None:
+                return None
+            a = opened.end()
+            last = data[a:a + 1] == b"{" and _LAST.search(data, a)
+            if last:
+                doc[name], pos = (a, last.start() + 1), last.end()
+            elif data[a:a + 1] == b"]":   # an empty list
+                doc[name], pos = (a, a), a + 1
+            else:
+                return None
+        else:
+            text = data[pos:_SMALL.match(data, pos).end()].decode("ascii")
+            doc[name], end = _DECODER.raw_decode(text)
+            pos += end
+        pos = _WS.match(data, pos).end()
+        sep = data[pos:pos + 1]
+        pos = _WS.match(data, pos + 1).end()
+        if sep == b"}":
+            return doc if pos == len(data) else None
+        if sep != b",":
+            return None
+
+
+def _blocks(data: bytes, a: int, z: int):
+    """The records of data[a:z], as lists of about `_BLOCK` bytes of text.
+
+    A block ends only at a `}` that JSON whitespace, a comma, JSON
+    whitespace and a `{` follow.  Such a cut inside a string or a nested
+    value leaves a block that ends inside it, which does not decode, so a
+    wrong cut cannot pass silently; and blocks that all decode, joined by
+    their commas, are the list's text.
+    """
+    while a < z:
+        cut = _NEXT.search(data, a + _BLOCK, z)
+        end = z if cut is None else cut.start() + 1
+        yield json.loads("[" + data[a:end].decode("utf-8") + "]")
+        a = z if cut is None else cut.end() - 1
 
 
 _ID, _VALUE, _U, _V, _SHIFT = map(itemgetter, ("id", "value", "u", "v", "shift"))
@@ -211,70 +328,115 @@ def _integral(types) -> bool:
     return all(t is int or issubclass(t, float) for t in types)
 
 
-def _columns(dim, vlist, elist):
-    """(ids, values, raw, u, v, table, which) of the records, each field read in
-    one pass straight into its column; None when any check fails.
+def _ints(recs, get) -> np.ndarray:
+    """The int64 column of one id field of the records: ints, or integral
+    floats (never bools); a ValueError or OverflowError for anything else."""
+    types = set(map(type, map(get, recs)))
+    if types <= _INT:   # out of the int64 range raises
+        return np.fromiter(map(get, recs), np.int64, len(recs))
+    if not (_integral(types) and all(map(eq, map(int, map(get, recs)), map(get, recs)))):
+        raise ValueError("not an integer")
+    return np.fromiter(map(int, map(get, recs)), np.int64, len(recs))
 
-    The type checks come first, since `np.fromiter` would read True as 1
-    and '1e999' as inf; finiteness, duplicate ids, endpoints, shift lengths,
-    the filter property and decimal strings are then checked on columns.
+
+def _floats(recs, raw: dict, at: int) -> np.ndarray:
+    """The float64 column of the records' values: numbers, or strings that
+    go through float() and into `raw` at their record position plus `at`
+    (the decimal form is checked on the whole column)."""
+    types = set(map(type, map(_VALUE, recs)))
+    if not all(issubclass(t, (int, float, str)) and t is not bool for t in types):
+        raise TypeError("not a value")
+    if types <= {int, float}:
+        return np.fromiter(map(_VALUE, recs), np.float64, len(recs))
+
+    def strings():
+        return map(isinstance, map(_VALUE, recs), repeat(str))
+    raw.update(zip(compress(count(at), strings()), compress(map(_VALUE, recs), strings())))
+    return np.fromiter(map(float, map(_VALUE, recs)), np.float64, len(recs))
+
+
+def _shifts(recs, number: dict) -> np.ndarray:
+    """The records' shifts numbered through `number` (`_number`): lists or
+    tuples (a dict or a set has no order) of ints, or of integral floats,
+    read as ints (never bools)."""
+    if not all(issubclass(t, _SEQUENCE) for t in set(map(type, map(_SHIFT, recs)))):
+        raise TypeError("not a shift")
+    types = set(map(type, chain.from_iterable(map(_SHIFT, recs))))
+    if bool in types:
+        raise TypeError("not a shift")
+    rows = map(tuple, map(_SHIFT, recs))
+    if not types <= _INT:   # integral floats (or other numbers) read as ints
+        def int_rows():
+            return map(tuple, map(map, repeat(int), map(_SHIFT, recs)))
+        if not all(map(eq, int_rows(), rows)):
+            raise ValueError("not a shift")
+        rows = int_rows()
+    return _number(rows, number)
+
+
+def _join(blocks: list) -> np.ndarray:
+    """One column of its blocks, which are dropped."""
+    col = np.concatenate(blocks)
+    blocks.clear()
+    return col
+
+
+def _columns(dim, vblocks, eblocks):
+    """(ids, values, raw, u, v, table, which) of the records, given as
+    blocks (lists of records), the vertex blocks before the edge blocks;
+    None when any check fails.  A dict's record lists are one block each.
+
+    Each field of a block is type-checked and then written into a block
+    column in one pass, since `np.fromiter` would read True as 1 and
+    '1e999' as inf; the shifts of all blocks are numbered through one dict.
+    Once the vertex ids are known, one stable argsort orders them, and each
+    edge block's endpoint ids are found among them by `searchsorted`.  The
+    block columns are then joined, and duplicate ids, finiteness, decimal
+    strings, the filter property and shift lengths are checked on whole
+    columns.
     """
-    n, m = len(vlist), len(elist)
-
-    def cells(get):   # one field over the vertex records, then the edge records
-        return chain(map(get, vlist), map(get, elist))
-
+    number, raw = {}, {}   # shift -> table position; cell position -> decimal-string token
+    # per column, its blocks: ids and values of the vertices then the edges,
+    # and per edge its endpoint positions and table position
+    cols = tuple([np.empty(0, dtype)] for dtype in (np.int64, np.float64, np.int64, np.int64,
+                                                     np.int64))
+    ids, values = cols[:2]
     try:
-        id_types = set(map(type, cells(_ID)))
-        value_types = set(map(type, cells(_VALUE)))
-        end_types = set(map(type, chain(map(_U, elist), map(_V, elist))))
-        shift_types = set(map(type, map(_SHIFT, elist)))   # a dict or a set has no order
-        entry_types = set(map(type, chain.from_iterable(map(_SHIFT, elist))))
-        if not (_integral(id_types) and _integral(end_types)
-                and all(issubclass(t, _SEQUENCE) for t in shift_types) and bool not in entry_types
-                and all(issubclass(t, (int, float, str)) and t is not bool for t in value_types)):
+        n = m = 0
+        for recs in vblocks:
+            ids.append(_ints(recs, _ID))
+            values.append(_floats(recs, raw, n))
+            n += len(recs)
+        vertex_ids = np.concatenate(ids)
+        order = np.argsort(vertex_ids, kind="stable")
+        known = vertex_ids[order]   # the vertex ids, increasing
+        if not np.diff(known).all():   # a zero step: a duplicate vertex id
             return None
-        index = dict(zip(map(_ID, vlist), range(n)))   # vertex id -> position
-        if len(index) != n:
+
+        def positions(ends):   # of the vertices with these ids; an id of none raises
+            at = known.searchsorted(ends)
+            if len(ends) and not (n and (known.take(at, mode="clip") == ends).all()):
+                raise ValueError("no such vertex")
+            return order[at]
+        for recs in eblocks:
+            for col, block in zip(cols, (_ints(recs, _ID), _floats(recs, raw, n + m),
+                                         positions(_ints(recs, _U)), positions(_ints(recs, _V)),
+                                         _shifts(recs, number))):
+                col.append(block)
+            m += len(recs)
+        ids, values, u, v, which = map(_join, cols)
+        del cols
+        if not np.diff(np.sort(ids[n:])).all():   # a duplicate edge id
             return None
-        u = np.fromiter(map(index.get, map(_U, elist), repeat(-1)), np.int64, m)
-        v = np.fromiter(map(index.get, map(_V, elist), repeat(-1)), np.int64, m)
-        del index   # freed before the other columns are made
-        if m and min(u.min(), v.min()) < 0:   # an endpoint that matches no vertex id
-            return None
-        if id_types <= _INT:   # out of the int64 range raises
-            ids = np.fromiter(cells(_ID), np.int64, n + m)
-        else:
-            if not all(map(eq, map(int, cells(_ID)), cells(_ID))):
-                return None
-            ids = np.fromiter(map(int, cells(_ID)), np.int64, n + m)
-        if not np.diff(np.sort(ids[n:])).all():   # a zero step: a duplicate edge id
-            return None
-        plain = value_types <= {int, float}   # else every value goes through float()
-        values = np.fromiter(cells(_VALUE) if plain else map(float, cells(_VALUE)),
-                             np.float64, n + m)
-        raw = {}   # cell position -> decimal-string token
-        if not plain:
-            def strings():
-                return map(isinstance, cells(_VALUE), repeat(str))
-            raw = dict(zip(compress(count(), strings()), compress(cells(_VALUE), strings())))
         if not (np.isfinite(values).all() and all(map(_DECIMAL.fullmatch, raw.values()))):
             return None
         if (values[n:] < np.maximum(values[u], values[v])).any():
             return None
-        rows = map(tuple, map(_SHIFT, elist))
-        if not entry_types <= _INT:   # integral floats (or other numbers) read as ints
-            def int_rows():
-                return map(tuple, map(map, repeat(int), map(_SHIFT, elist)))
-            if not all(map(eq, int_rows(), rows)):
-                return None
-            rows = int_rows()
-        table, which = number_shifts(rows)
-        if any(len(t) != dim for t in table):
+        if any(len(t) != dim for t in number):
             return None
     except (KeyError, TypeError, ValueError, OverflowError):
         return None
-    return ids, values, raw, u, v, table, which
+    return ids, values, raw, u, v, list(number), which
 
 
 def _name_fault(dim, vlist, elist):

@@ -2,9 +2,12 @@
 its earlier implementation, splinter checks and barcode invariance on random
 graphs, the splinters check and canonical forms against the recursive
 string-digest reference, shadow counts under a skewed basis, the components
-of k-fold covers against the tree's lattices."""
+of k-fold covers against the tree's lattices, and the block reader of graph
+documents against reading them whole."""
 import itertools
+import json
 import math
+import os
 import random
 from bisect import bisect_left
 
@@ -13,7 +16,7 @@ import pytest
 from scipy.optimize import linprog
 
 from perimere import (GraphError, IntMatrix, build, canonical_form, equals, extract,
-                      parse, pgraph, serialize, splinters, unroll, w1, w1_alt)
+                      jsonfmt, parse, pgraph, serialize, splinters, unroll, w1, w1_alt)
 from perimere.barcode import json_chunks, to_csv
 from perimere.lattice import RealBasis, SublatticeBasis, count_cosets_in_ball, hnf_reduce
 from perimere.mergetree import PeriodicMergeTree, _TreeIndex
@@ -22,6 +25,7 @@ from perimere.synthetic import random_periodic_graph, torus_grid
 from perimere.transport import _add, barcode_distance, positive_negative_split
 
 from . import oracles
+from .conftest import fig3_left_doc
 from .oracles import Beam, Epoch, bfs_components, oracle_w1, view
 from .test_lattice import random_unimodular
 from .test_mergetree import chain, level_chain, star
@@ -780,6 +784,199 @@ class TestParseOracle:
             else:
                 assert serialize(got) == serialize(want)
         assert errors > 450
+
+
+def _layouts(doc) -> list:
+    """A document's text in four layouts: perimere's own (sorted keys, so the
+    edges come first), compact on one line, the vertices before the edges,
+    and tab indents with CR LF line ends."""
+    front = {key: doc[key] for key in ("dim", "basis", "vertices", "edges")}
+    return [jsonfmt.dumps(doc), json.dumps(doc, separators=(",", ":")), json.dumps(front),
+            json.dumps(doc, indent="\t").replace("\n", "\r\n")]
+
+
+def _whole(path):
+    """The graph of a path read whole by `json.load` and parsed as a dict."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise GraphError("document nested too deeply") from None
+    if not isinstance(doc, dict):   # parse would take it for a path
+        raise GraphError("document root must be a JSON object")
+    return parse(doc)
+
+
+def _assert_same_graph(g, want):
+    for name in ("ids", "values", "u", "v", "which"):
+        col = getattr(g, name)
+        assert col.dtype == getattr(want, name).dtype
+        assert np.array_equal(col, getattr(want, name))
+    assert list(g.raw.items()) == list(want.raw.items())
+    assert g.table == want.table and oracles.edge_shifts(g) == oracles.edge_shifts(want)
+    assert g.dim == want.dim and np.array_equal(g.basis.matrix, want.basis.matrix)
+
+
+def _read_alike(path, text):
+    """Write `text` to `path`; parse(path) must give the graph, or raise the
+    error, of the path read whole."""
+    path.write_bytes(text.encode("utf-8") if isinstance(text, str) else text)
+    try:
+        want = _whole(path)
+    except ValueError as err:
+        with pytest.raises(type(err)) as got:
+            parse(path)
+        assert str(got.value) == str(err)
+        return str(err)
+    _assert_same_graph(parse(path), want)
+    return want
+
+
+def _no_whole_read(path):
+    raise AssertionError("a valid document was read whole")
+
+
+class TestBlockReader:
+    # parse(path) decodes the record lists a block at a time and reads a
+    # document whole only when the block reader does not take it; both ways
+    # must give the graph, or the error, of json.load and parse(dict)
+    @pytest.mark.parametrize("block", [1, 200, pgraph._BLOCK])
+    def test_valid_documents_in_four_layouts(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(pgraph, "_BLOCK", block)   # 1: a cut after every record
+        monkeypatch.setattr(pgraph, "_load", _no_whole_read)
+        rng = random.Random(26)
+        path = tmp_path / "g.json"
+        for _ in range(60):
+            doc = _valid_doc(rng)
+            want = parse(doc)
+            for text in _layouts(doc):
+                path.write_text(text, encoding="utf-8")
+                _assert_same_graph(parse(path), want)
+
+    def test_a_document_of_many_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pgraph, "_load", _no_whole_read)
+        doc = serialize(torus_grid(12))
+        doc["vertices"][7]["value"] = "0.5"   # a decimal string in a later block
+        doc["edges"][4000]["value"] = repr(doc["edges"][4000]["value"])
+        doc["edges"][2000]["u"] = float(doc["edges"][2000]["u"])
+        want = parse(doc)
+        path = tmp_path / "g.json"
+        for text in _layouts(doc):
+            path.write_text(text, encoding="utf-8")
+            assert len(text) > 10 * pgraph._BLOCK
+            _assert_same_graph(parse(path), want)
+
+    @pytest.mark.parametrize("block", [1, pgraph._BLOCK])
+    @pytest.mark.parametrize("note", ["a}, {b", "}]", "} ,\t{", '"}, {"id": 1}',
+                                      [{}, {}], {"a": [{}], "b": {}}])
+    def test_separator_text_inside_a_record(self, tmp_path, monkeypatch, block, note):
+        # a cut inside a string or a nested value leaves a block that does
+        # not decode, and the document is read whole
+        monkeypatch.setattr(pgraph, "_BLOCK", block)
+        doc = fig3_left_doc()
+        doc["vertices"][0]["note"] = doc["edges"][1]["note"] = note
+        for text in _layouts(doc):
+            assert isinstance(_read_alike(tmp_path / "g.json", text), PeriodicGraph)
+
+    def test_duplicate_top_level_key_last_wins(self, tmp_path):
+        doc = fig3_left_doc()
+        edges = json.dumps(doc["edges"])
+        for first, last in ((edges, "[]"), ("[]", edges), ('[{"id": 1}]', edges), (edges, "7"),
+                            ('[{"id": 1,}]', edges)):   # the first list is read, if not kept
+            text = json.dumps(doc)[:-1] + f', "edges": {first}, "edges": {last}}}'
+            text = text.replace(f'"edges": {edges}, ', "", 1)
+            assert text.count('"edges"') == 2
+            _read_alike(tmp_path / "g.json", text)
+        got = _read_alike(tmp_path / "g.json", json.dumps(doc)[:-1] + ', "dim": 1}')
+        assert got == "basis must be a list of d columns of d reals"
+
+    @pytest.mark.parametrize("block", [1, pgraph._BLOCK])
+    @pytest.mark.parametrize("space", ["\f", "\v", "\u00a0", "\u2028"])
+    @pytest.mark.parametrize("at", ["}, {", "}, ", ", {", "}]"])
+    def test_whitespace_json_does_not_take(self, tmp_path, monkeypatch, block, space, at):
+        # \s takes these, JSON does not: the error is json.load's
+        monkeypatch.setattr(pgraph, "_BLOCK", block)
+        text = json.dumps(fig3_left_doc())
+        assert at in text
+        got = _read_alike(tmp_path / "g.json", text.replace(at, at[0] + space + at[1:], 1))
+        assert isinstance(got, str) and ("Expecting" in got or "Extra data" in got)
+
+    @pytest.mark.parametrize("old, new, error", [
+        ('"value": 1.0', '"value": NaN', "vertex 1: value must be finite"),
+        ('"value": 7.0', '"value": Infinity', "edge 11: value must be finite"),
+        ('"value": 7.0', '"value": -Infinity', "edge 11: value must be finite"),
+        ('[1.0, 0.0]', '[NaN, 0.0]', "basis entries must be finite numbers"),
+        ('"shift": [1, 1]', '"shift": [NaN, 1]', "edge 11: shift must be a list of integers"),
+        ('"id": 11', f'"id": {2 ** 64}', "signed 64-bit"),
+        ('"u": 2, "v": 1, "value": 7.0', f'"u": {2 ** 64}, "v": 1, "value": 7.0', "missing vertex"),
+        ('"u": 2, "v": 1, "value": 7.0', '"u": 2.5, "v": 1, "value": 7.0', "must be an integer"),
+        ('"value": 9.0', f'"value": {10 ** 400}', "edge 12: value must be finite"),
+        ('"shift": [0, 1]', f'"shift": [{2 ** 70}, -{2 ** 90}]', None),
+        ('"u": 2, "v": 1, "value": 7.0', '"u": 2.0, "v": 1e0, "value": 7', None),
+        ('"id": 10', '"id": 10.0', None),
+        ('"id": 10', '"id": 10.5', "must be an integer"),
+    ])
+    def test_literals_and_numbers(self, tmp_path, old, new, error):
+        text = json.dumps(fig3_left_doc())
+        assert old in text
+        got = _read_alike(tmp_path / "g.json", text.replace(old, new, 1))
+        if error is None:
+            assert isinstance(got, PeriodicGraph)
+        else:
+            assert error in got
+
+    @pytest.mark.parametrize("vertices, edges", [("[]", "[]"), ("[ ]", "[\r\n\t]"),
+                                                 ('[{"id": 0, "value": 0}]', " [] ")])
+    def test_empty_record_lists(self, tmp_path, monkeypatch, vertices, edges):
+        monkeypatch.setattr(pgraph, "_load", _no_whole_read)
+        text = f'{{"basis": [[1.0]], "dim": 1, "edges": {edges}, "vertices": {vertices}}}'
+        g = _read_alike(tmp_path / "g.json", text)
+        assert g.m == 0 and g.n == len(json.loads(vertices))
+
+    def test_deeply_nested_record_key(self, tmp_path):
+        doc = fig3_left_doc()
+        doc["edges"][1]["note"] = "deep"
+        text = json.dumps(doc).replace('"deep"', "[" * 100_000 + "]" * 100_000)
+        assert _read_alike(tmp_path / "g.json", text) == "document nested too deeply"
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="opens a pipe by path")
+    def test_a_pipe_is_read_once(self):
+        # a document the block reader does not take is read whole from the
+        # bytes already read, so a pipe reads as a file does
+        doc = fig3_left_doc()
+        doc["edges"][2]["note"] = "}]"
+        text = json.dumps(doc)
+        for data, want in ((text, parse(doc)), (text[:-1], None)):
+            r, w = os.pipe()
+            os.write(w, data.encode())
+            os.close(w)
+            try:
+                if want is None:
+                    with pytest.raises(json.JSONDecodeError) as got:
+                        parse(f"/dev/fd/{r}")
+                    with pytest.raises(json.JSONDecodeError) as err:
+                        json.loads(data)
+                    assert str(got.value) == str(err.value)
+                else:
+                    _assert_same_graph(parse(f"/dev/fd/{r}"), want)
+            finally:
+                os.close(r)
+
+    @pytest.mark.parametrize("text", [
+        b"\xef\xbb\xbf" + json.dumps(fig3_left_doc()).encode(),   # a UTF-8 byte order mark
+        json.dumps(fig3_left_doc()).replace('"value": 5.0', '"value": 5.0, "n": "\xff"', 1)
+        .encode("latin-1"),   # not UTF-8
+        json.dumps(fig3_left_doc()).replace('"dim"', '"\\u0064im"').encode(),   # an escaped key
+        json.dumps(fig3_left_doc()).replace('{"id": 1,', '{"id": 1, "note": "\u00e9\u4e2d",')
+        .encode(),   # non-ASCII text in a record
+        json.dumps(fig3_left_doc()) + " 7",
+        '[' + json.dumps(fig3_left_doc()) + ']',
+        json.dumps(fig3_left_doc())[:-2],
+        json.dumps(fig3_left_doc()).replace('"vertices": [', '"vertices": [5, ', 1),
+        json.dumps(fig3_left_doc()).replace('"vertices"', '"faces": [], "vertices"', 1),
+    ])
+    def test_other_forms_read_alike(self, tmp_path, text):
+        _read_alike(tmp_path / "g.json", text)
 
 
 def _image_mod(columns, k, dim) -> int:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from perimere import (GraphError, IntMatrix, build, cellular_l1, equals,
-                      extract, max_shift_magnitude, parse, serialize, unroll)
+                      extract, max_shift_magnitude, parse, pgraph, serialize, unroll)
 from perimere.lattice import hnf_reduce, reduce_many
 from perimere.pgraph import PeriodicGraph
 from perimere.synthetic import torus_grid
@@ -273,6 +273,23 @@ class TestParse:
         finally:
             tracemalloc.stop()
         assert g.n == 14 ** 3 and peak - base <= 2 * (kept - base)
+
+    def test_parse_of_a_path_peaks_below_eight_times_the_columns(self, tmp_path):
+        # the record lists are decoded a block at a time, so parsing a path
+        # holds its bytes, one block of records and the columns: on the
+        # graph writer's layout, whose text is about 4 times the column
+        # bytes, 5.7 times the column bytes (14 times with json.load's dicts)
+        path = tmp_path / "g.json"
+        path.write_text("".join(pgraph.json_chunks(torus_grid(14))))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            g = parse(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        columns = sum(col.nbytes for col in (g.ids, g.values, g.u, g.v, g.which))
+        assert g.n == 14 ** 3 and peak < 8 * columns
 
 
 class TestMaxShiftMagnitude:
