@@ -7,7 +7,8 @@ spanning-tree path from the component root, and per root the size; the
 root's beam holds the elder key and the integer basis V of the periodicity
 lattice (the real basis is U.V).  Each drift is packed into one Python int
 (`pack`, digits of `drift_bits` bits), so a relabel is one int addition and
-an edge's drift one int expression, unpacked only for a lattice step.
+an edge's drift one int expression, unpacked only for a lattice step not
+taken before.
 Three event kinds drive the tree: appearances, mergers, and catenations.
 
 The tree is held as columns, with no object per beam or epoch.  Beams are
@@ -36,7 +37,7 @@ import numpy as np
 
 from . import jsonfmt
 from .jsonfmt import HOLE
-from .lattice import SublatticeBasis, hnf_reduce, member, unit_ball_volume, volume
+from .lattice import SublatticeBasis, hnf_reduce, unit_ball_volume, volume
 from .pgraph import PeriodicGraph, max_shift_magnitude
 
 
@@ -331,6 +332,21 @@ def unpack(packed: int, bits: int, d: int) -> tuple:
     return tuple(out)
 
 
+def remainder(columns: tuple, v) -> tuple:
+    """v floor-reduced along the pivot rows of the HNF basis `columns`: v
+    minus a lattice vector, so it is zero exactly when v is in the lattice,
+    and the columns with it span the lattice the columns with v span."""
+    w = list(v)
+    r = 0
+    for col in columns:   # each pivot row is below the last: col is 0 there
+        while not col[r]:
+            r += 1
+        q = w[r] // col[r]
+        if q:
+            w = [a - q * b for a, b in zip(w, col)]
+    return tuple(w)
+
+
 def build(graph: PeriodicGraph) -> PeriodicMergeTree:
     """Construct the periodic merge tree of a quotient graph.
 
@@ -343,18 +359,30 @@ def build(graph: PeriodicGraph) -> PeriodicMergeTree:
     the birth epochs is appended to one list in processing order, and one
     stable argsort by beam makes the epoch columns beam-major.  Lattices are
     interned by value into the table `lattices`, the zero lattice first, and
-    compared by index; each entry's coefficient is computed once.  A basis
-    volume that is not a normal float, or a coefficient that is not finite,
-    is a ValueError.
+    compared by index; each entry's coefficient is computed once, and
+    whether it is all of Z^d once, when it is interned.  A basis volume that
+    is not a normal float, or a coefficient that is not finite, is a
+    ValueError.
 
     Drifts and shifts are packed ints (`pack`) with digits wide enough for
     any sum of 2n shifts, so v is one int expression and `not v` its zero
-    test; v is unpacked only for `member` and `hnf_reduce`.  Each entry of
-    the graph's shift table is packed once, and an edge reads its packed
-    shift by its table position.  The edges are walked one block at a time
-    (`jsonfmt.blocks`), whose fields are made lists, never whole columns.
-    A union relabels the members of the smaller cyclic list, adding v (or
-    -v) to their drifts, so each vertex is relabeled at most log2(n) times.
+    test.  Each entry of the graph's shift table is packed once, and an
+    edge reads its packed shift by its table position.  The edges are
+    walked one block at a time (`jsonfmt.blocks`), whose fields are made
+    lists, never whole columns.  A union relabels the members of the
+    smaller cyclic list, adding v (or -v) to their drifts, so each vertex is
+    relabeled at most log2(n) times.
+
+    A lattice step depends on table indices and packed drifts alone, so each
+    distinct step is taken once per build: `step` maps a loop edge's
+    (lattice index k, packed v) to the index after it, and `meet` a pair of
+    indices to the index of their sum, each keyed by one int (`stride`
+    exceeds every table index).  On a step missing from `step`, v is
+    unpacked once and reduced along k's pivot rows (`remainder`); a zero
+    remainder w means v is a member, and otherwise `hnf_reduce` of k's
+    columns and w gives the new lattice, as those of k and v would, from
+    smaller entries (Cohen, A Course in Computational Algebraic Number
+    Theory, 1993, section 2.4).
     """
     d = graph.dim
     u = graph.basis
@@ -375,10 +403,12 @@ def build(graph: PeriodicGraph) -> PeriodicMergeTree:
 
     lattices = [SublatticeBasis.empty(d)]   # the table
     index = {lattices[0]: 0}   # lattice -> its table index
+    fulls = [False]   # per table index: the lattice is all of Z^d
 
     def intern(lat: SublatticeBasis) -> int:
         if index.setdefault(lat, len(lattices)) == len(lattices):
             lattices.append(lat)
+            fulls.append(lat.is_full)
         return index[lat]
 
     lattice = [0] * n   # per beam, the table index of its last epoch's lattice
@@ -389,9 +419,16 @@ def build(graph: PeriodicGraph) -> PeriodicMergeTree:
     # slot, its root, the next member of its component's cyclic list and its
     # packed drift from the root; per root slot, the component's size
     root, nxt, drift, size = list(range(n)), list(range(n)), [0] * n, [1] * n
-    full = [False] * n  # per slot: component lattice is all of Z^d
+    full = [False] * n   # per root slot, `fulls` of its component's lattice
     bits = drift_bits(n, max_shift_magnitude(graph))
     packed = [pack(t, bits) for t in graph.table]   # most graphs have few shifts
+
+    # the lattice steps taken, each keyed by one int: k + stride * pv for a
+    # loop edge's (index k, packed v), lo + stride * hi for a sum of indices
+    # lo < hi; an edge adds at most one table entry, so no index reaches
+    # stride, and distinct steps have distinct keys
+    stride = len(graph.ids) + 1
+    step, meet = {}, {}   # key -> the index the step leads to
 
     def edges(a, z):   # the endpoints, packed shift, value and id of edges a:z of the walk
         cells = walk[a:z]
@@ -409,24 +446,30 @@ def build(graph: PeriodicGraph) -> PeriodicMergeTree:
             if not pv:
                 continue
             sb = beam_of[r]
-            cur = lattices[lattice[sb]]
-            v = unpack(pv, bits, d)
-            if member(cur, v):
+            cur = lattice[sb]
+            key = cur + stride * pv
+            k = step.get(key)
+            if k is None:   # a step not taken before: reduce v along the pivot rows
+                cols = lattices[cur].columns
+                w = remainder(cols, unpack(pv, bits, d))
+                k = step[key] = intern(hnf_reduce(cols + (w,), dim=d)) if any(w) else cur
+            if k == cur:   # v is a member
                 continue
-            new = hnf_reduce(cur.columns + (v,), dim=d)
-            full[r] = new.is_full
-            lattice[sb] = k = intern(new)
+            full[r] = fulls[k]
+            lattice[sb] = k
             epochs.append((sb, t, True, eid, k))
         else:
             br, bs = beam_of[r], beam_of[s]
             kr, ks = lattice[br], lattice[bs]
-            whole = full[r] or full[s]   # unless a reduction makes a new lattice
             if not kr or not ks or kr == ks:   # index 0 is the zero lattice
                 merged = kr or ks
             else:
-                new = hnf_reduce(lattices[kr].columns + lattices[ks].columns, dim=d)
-                whole = new.is_full
-                merged = intern(new)
+                lo, hi = (kr, ks) if kr < ks else (ks, kr)
+                key = lo + stride * hi
+                merged = meet.get(key)
+                if merged is None:
+                    merged = meet[key] = intern(hnf_reduce(
+                        lattices[lo].columns + lattices[hi].columns, dim=d))
             sb, dying = (br, bs) if br < bs else (bs, br)
             # the union: the smaller list is relabeled and its drifts moved by
             # v (by -v when it is x's); most unions carry v = 0
@@ -443,7 +486,7 @@ def build(graph: PeriodicGraph) -> PeriodicMergeTree:
                     break
             nxt[r], nxt[s] = nxt[s], nxt[r]   # the two cycles become one
             size[r] += size[s]
-            full[r] = whole
+            full[r] = fulls[merged]
             beam_of[r] = sb
             death[dying] = t
             parent[dying] = sb

@@ -16,7 +16,7 @@ import pytest
 from scipy.optimize import linprog
 
 from perimere import (GraphError, IntMatrix, build, canonical_form, equals, extract,
-                      jsonfmt, parse, pgraph, serialize, splinters, unroll, w1, w1_alt)
+                      jsonfmt, mergetree, parse, pgraph, serialize, splinters, unroll, w1, w1_alt)
 from perimere.barcode import json_chunks, to_csv
 from perimere.lattice import RealBasis, SublatticeBasis, count_cosets_in_ball, hnf_reduce
 from perimere.mergetree import PeriodicMergeTree, _TreeIndex
@@ -28,7 +28,7 @@ from . import oracles
 from .conftest import fig3_left_doc
 from .oracles import Beam, Epoch, bfs_components, oracle_w1, view
 from .test_lattice import random_unimodular
-from .test_mergetree import chain, level_chain, star
+from .test_mergetree import chain, copies, level_chain, star
 
 
 def lp_w1(xi, eta):
@@ -540,6 +540,21 @@ def _drifting_path(dim, n, big):
                          *number_shifts(shifts))
 
 
+def _built_as_oracle(g):
+    """build(g), once its columns and lattices are checked against the
+    object build's."""
+    tree, ref = build(g), oracles.oracle_build(g)
+    assert view(tree) == ref.beams
+    lattices = [tree.lattices[k] for k in tree.lattice]
+    assert lattices == [ep.basis for b in ref.beams for ep in b.epochs]
+    columns = oracles.tree_of(g.dim, ref.beams)
+    # all but dim and the lattices, whose table order is not part of the tree
+    for name in PeriodicMergeTree.__slots__[1:-2]:
+        assert np.array_equal(getattr(tree, name), getattr(columns, name)), name
+    assert [columns.lattices[k] for k in columns.lattice] == lattices
+    return tree
+
+
 class TestPackedBuildOracle:
     # build packs each drift into one int; the oracle keeps a list of d ints.
     # Shifts past 2^64 break any fixed 64-bit digit, and the long paths have
@@ -559,18 +574,40 @@ class TestPackedBuildOracle:
                 graphs.append(_drifting_path(dim, n, big))
         cats = wide = 0
         for g in graphs:
-            tree, ref = build(g), oracles.oracle_build(g)
-            assert view(tree) == ref.beams
-            lattices = [tree.lattices[k] for k in tree.lattice]
-            assert lattices == [ep.basis for b in ref.beams for ep in b.epochs]
-            columns = oracles.tree_of(g.dim, ref.beams)
-            # all but dim and the lattices, whose table order is not part of the tree
-            for name in PeriodicMergeTree.__slots__[1:-2]:
-                assert np.array_equal(getattr(tree, name), getattr(columns, name)), name
-            assert [columns.lattices[k] for k in columns.lattice] == lattices
+            tree = _built_as_oracle(g)
             cats += int(tree.catenation.sum())
             wide += any(abs(c) >= 2 ** 64 for lat in tree.lattices for col in lat.columns for c in col)
         assert cats > 300 and wide > 60
+
+
+class TestRepeatedStepOracle:
+    # build takes each lattice step once per (table index, packed drift) and
+    # per pair of indices; in unions of copies of one component nearly every
+    # step repeats.  Grids 2^d have shifts in {0, 1}^d, and clusters shifts
+    # in [-2, 2]^3, whose packed drifts are negative too
+    def test_unions_of_copies_and_their_covers(self, monkeypatch):
+        drifts = []
+        unpack = mergetree.unpack
+        monkeypatch.setattr(mergetree, "unpack",
+                            lambda pv, bits, d: drifts.append(pv) or unpack(pv, bits, d))
+        rng = random.Random(27)
+        parts = [torus_grid(2, seed=s, dim=d) for d in (1, 2, 3) for s in range(2)]
+        parts += [_clusters(rng, 1) for _ in range(4)]
+        cats = 0
+        for part in parts:
+            diag = IntMatrix.from_rows([[2 if r == c == 0 else int(r == c) for c in range(part.dim)]
+                                        for r in range(part.dim)])
+            for k in (3, 8):
+                base = copies(part, k, offset=1e-6)   # every value distinct
+                assert len(np.unique(base.values)) == len(base.values)
+                tree = _built_as_oracle(base)
+                cover = _built_as_oracle(unroll(base, diag))
+                assert equals(extract(cover), extract(tree))
+                assert splinters(cover, tree)
+                cats += int(tree.catenation.sum() + cover.catenation.sum())
+        # the drifts unpacked are the steps missing from the memo
+        assert min(drifts) < 0 < max(drifts)
+        assert cats > 2 * len(drifts)
 
 
 class TestExtractOracle:

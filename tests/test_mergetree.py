@@ -3,19 +3,22 @@ import random
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from perimere import (IntMatrix, build,
                       canonical_form, extract, parse, serialize, splinters, unroll)
 from perimere import mergetree
-from perimere.lattice import SublatticeBasis
+from perimere.lattice import SublatticeBasis, hnf_reduce, member
 from perimere.mergetree import (PeriodicMergeTree, _TreeIndex, drift_bits, monomial_display,
-                                pack, unpack)
+                                pack, remainder, unpack)
+from perimere.pgraph import PeriodicGraph
 from perimere.synthetic import random_periodic_graph, torus_grid
 
 from .conftest import fig3_left_doc, helix_cross_doc
 from . import oracles
 from .oracles import UnionFind, bfs_components, view
+from .test_lattice import _lattices
 
 SQRT2 = math.sqrt(2)
 
@@ -137,6 +140,96 @@ class TestLatticeTable:
             assert {tree.lattices[k] for k in tree.lattice.tolist()} == set(tree.lattices)
             distinct += len(tree.lattices)
         assert distinct > 200
+
+    def test_copies_take_each_lattice_step_once(self, monkeypatch):
+        # with tied values, each copy of a component steps from the same
+        # table indices by the same drifts, so 32 copies reduce no more
+        # often than one copy does
+        calls = []
+        hnf = mergetree.hnf_reduce
+        monkeypatch.setattr(mergetree, "hnf_reduce",
+                            lambda cols, dim: calls.append(cols) or hnf(cols, dim=dim))
+        rng = random.Random(27)
+        reduced = 0
+        for _ in range(20):
+            n = rng.randint(2, 10)
+            g = random_periodic_graph(rng, dim=rng.choice((1, 2, 3)), n=n, m=rng.randint(n, 3 * n),
+                                      shift_range=2, tie_values=True)
+            calls.clear()
+            build(g)
+            once = len(calls)
+            calls.clear()
+            build(copies(g, 32))
+            assert len(calls) == once
+            reduced += once
+        assert reduced > 40
+
+    def test_no_step_reaches_hnf_reduce_twice(self, monkeypatch):
+        # a loop edge's step missing from the memo reduces its drift once
+        # (`remainder`) and calls hnf_reduce right after only when a
+        # remainder is left; every other call is a lattice sum.  Per build,
+        # no (lattice, drift) is reduced twice and no pair of lattices summed
+        # twice, in either order
+        log = []
+        hnf, rem = mergetree.hnf_reduce, mergetree.remainder
+        monkeypatch.setattr(mergetree, "hnf_reduce",
+                            lambda cols, dim: log.append(("h", cols)) or hnf(cols, dim=dim))
+        monkeypatch.setattr(mergetree, "remainder",
+                            lambda cols, v: log.append(("r", cols, v, rem(cols, v))) or log[-1][3])
+        # loops make 2Z, 3Z, 3Z, 2Z, and the mergers sum 2Z + 3Z, then 3Z + 2Z
+        graphs = [parse({
+            "dim": 1, "basis": [[1.0]], "vertices": [{"id": k, "value": 0.0} for k in range(4)],
+            "edges": [{"id": 4 + k, "u": k, "v": k, "value": 1.0, "shift": [t]}
+                      for k, t in enumerate((2, 3, 3, 2))]
+                     + [{"id": 8, "u": 0, "v": 1, "value": 2.0, "shift": [0]},
+                        {"id": 9, "u": 2, "v": 3, "value": 2.0, "shift": [0]}]})]
+        rng = random.Random(28)
+        for _ in range(60):
+            n = rng.randint(4, 14)
+            g = random_periodic_graph(rng, dim=rng.choice((1, 2, 3)), n=n, m=rng.randint(n, 3 * n),
+                                      shift_range=2, tie_values=rng.random() < 0.5)
+            graphs += [g, copies(g, 8), copies(g, 8, offset=1e-6)]
+        steps = sums = 0
+        for g in graphs:
+            log.clear()
+            build(g)
+            keys = []
+            for prev, entry in zip([None, *log], log):
+                if entry[0] == "r":
+                    keys.append(entry[1:3])
+                    steps += 1
+                elif prev is not None and prev[0] == "r" and any(prev[3]):
+                    assert entry[1] == prev[1] + (prev[3],)
+                else:   # either order of the two bases is one key
+                    keys.append(frozenset(entry[1]))
+                    sums += 1
+            assert len(set(keys)) == len(keys)
+        assert steps > 500 and sums > 50
+
+
+class TestLatticeStep:
+    def test_remainder_against_member_and_hnf(self):
+        # build's membership test: v reduced along an HNF basis's pivot rows
+        # is zero exactly when v is in the lattice, differs from v by a
+        # lattice vector, and with the basis spans what v with the basis does
+        rng = random.Random(27)
+        members = others = 0
+        for d in (1, 2, 3, 4):
+            for rank in range(d + 1):
+                for lat in _lattices(rng, d, rank, count=6):
+                    for _ in range(12):
+                        v = [sum(rng.randint(-3, 3) * col[r] for col in lat.columns) for r in range(d)]
+                        if rng.random() < 0.5:
+                            v = [c + rng.randint(-2, 2) for c in v]
+                        v = tuple(v)
+                        w = remainder(lat.columns, v)
+                        inside = member(lat, v)
+                        assert (not any(w)) == inside
+                        assert member(lat, tuple(a - b for a, b in zip(v, w)))
+                        assert hnf_reduce(lat.columns + (w,), dim=d) == hnf_reduce(lat.columns + (v,), dim=d)
+                        members += inside
+                        others += not inside
+        assert members > 150 and others > 150
 
 
 class TestPackedDrift:
@@ -416,6 +509,18 @@ def chain(n):
                    for k in range(1, n)]
                   + [{"id": 2 * n, "u": n - 1, "v": 0, "value": float(2 * n), "shift": [1]}]),
     })
+
+
+def copies(g, k, offset=0.0):
+    """The disjoint union of k copies of g, copy c's values raised by
+    c * offset; copy c's cells follow copy c - 1's, in one order per kind."""
+    n = g.n
+    values = np.concatenate([g.values[:n] + c * offset for c in range(k)]
+                            + [g.values[n:] + c * offset for c in range(k)])
+    return PeriodicGraph(g.dim, g.basis, np.arange(len(values)), values, {},
+                         np.concatenate([g.u + c * n for c in range(k)]),
+                         np.concatenate([g.v + c * n for c in range(k)]),
+                         g.table, np.tile(g.which, k))
 
 
 class TestDeepChains:
