@@ -20,7 +20,10 @@ rows `offsets[b]:offsets[b + 1]` in increasing start, the first at its
 birth; per epoch there are `start`, `coeff`, `exp`, `catenation` (the epoch
 was opened by a catenation of the edge `cell`) and `lattice`, its index in
 `lattices`, a table of the distinct lattices (its order is not the tree's).
-The event log, the spans and the child lists are derived on demand.
+The event log is not stored: it is read as two sorted streams merged, the
+appearances, which the beam numbering sorts, and the mergers and catenations,
+sorted once per read (`_event_log`).  The spans and the child lists are
+derived on demand.
 """
 from __future__ import annotations
 
@@ -30,7 +33,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cmp_to_key
-from itertools import accumulate, chain, groupby, starmap, zip_longest
+from itertools import accumulate, chain, groupby, islice, starmap, zip_longest
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -102,49 +105,74 @@ class PeriodicMergeTree:
         i = bisect_right(self.start, t, lo, hi) - 1   # its first epoch starts at the birth
         return self.coeff[i].item(), self.exp[i].item(), self.lattices[self.lattice[i]]
 
-    def _event_columns(self) -> tuple:
-        """(kind, time, cell, row) per event, in build's processing order
-        (value, vertices before edges, id; an edge's merger before its
-        catenation), which one lexsort gives: kind 0 is the appearance of
-        beam `row`, 1 the merger of beam `row` into its parent, and 2 the
-        catenation that opens epoch `row`."""
-        n = len(self.birth)
+    def _edge_events(self) -> tuple:
+        """(cat, row): the mergers and the catenations in build's processing
+        order, which one lexsort by (time, edge id, merger first) gives; cat
+        is False for the merger of beam `row` into its parent and True for
+        the catenation that opens epoch `row`."""
         child = np.flatnonzero(self.parent >= 0)
         cats = np.flatnonzero(self.catenation)
-        kind = np.repeat(np.arange(3, dtype=np.int8), (n, len(child), len(cats)))
-        time = np.concatenate((self.birth, self.death[child], self.start[cats]))
-        cell = np.concatenate((self.birth_vertex, self.merge_edge[child], self.cell[cats]))
-        order = np.lexsort((kind == 2, cell, kind > 0, time))
-        # each column is reordered in turn, so one unsorted copy is held at a time
-        time = time[order]
-        cell = cell[order]
-        row = np.concatenate((np.arange(n), child, cats))[order]
-        return kind[order], time, cell, row
+        cat = np.repeat(np.array([False, True]), (len(child), len(cats)))
+        order = np.lexsort((cat, np.concatenate((self.merge_edge[child], self.cell[cats])),
+                            np.concatenate((self.death[child], self.start[cats]))))
+        return cat[order], np.concatenate((child, cats))[order]
 
-    def _event_beams(self, kind, row) -> np.ndarray:
-        """Per event of `_event_columns`, the first of its beams: the beam
-        that appears, the survivor of a merger, the beam a catenation is on."""
-        beam = row.copy()
-        merger, cat = kind == 1, kind == 2
+    def _edge_fields(self, cat, row) -> tuple:
+        """(beam, cell) per event of a block of `_edge_events`: the survivor
+        and the edge of a merger, the beam and the edge of a catenation."""
+        merger = ~cat
+        beam = np.searchsorted(self.offsets, row, side="right") - 1
         beam[merger] = self.parent[row[merger]]
-        beam[cat] = np.searchsorted(self.offsets, row[cat], side="right") - 1
-        return beam
+        cell = self.cell[np.where(cat, row, 0)]
+        cell[merger] = self.merge_edge[row[merger]]
+        return beam, cell
 
-    def _event_rows(self):
-        """(kind, time, cell, beam, row) per event: `_event_columns` with
-        `_event_beams`, as Python values."""
-        kind, time, cell, row = self._event_columns()
-        return zip(kind.tolist(), time.tolist(), cell.tolist(),
-                   self._event_beams(kind, row).tolist(), row.tolist())
+    def _event_log(self, appearances, edge_events):
+        """The items of the event log in build's processing order (value,
+        vertices before edges, id; an edge's merger before its catenation),
+        from two sorted streams: `appearances(a, z)` lists the items of the
+        appearances of beams a:z, which their numbering in (birth,
+        birth_vertex) order sorts, and `edge_events(cat, row, time)` those of
+        a block of `_edge_events`.  An edge event follows the appearances at
+        or below its height (vertices come before edges at one height), as
+        many as a `searchsorted` of its time into `birth` counts.  The edge
+        events are sorted when this is called; the items are made a block at
+        a time as they are read."""
+        cat, row = self._edge_events()
+
+        def log():
+            apps = chain.from_iterable(starmap(appearances, jsonfmt.blocks(len(self.birth))))
+            done = 0   # the appearances yielded
+            for a, z in jsonfmt.blocks(len(row)):
+                c, r = cat[a:z], row[a:z]
+                time = np.where(c, self.start[np.where(c, r, 0)], self.death[np.where(c, 0, r)])
+                for k, item in zip(np.searchsorted(self.birth, time, side="right").tolist(),
+                                   edge_events(c, r, time)):
+                    if k > done:
+                        yield from islice(apps, k - done)
+                        done = k
+                    yield item
+            yield from apps
+
+        return log()
 
     @property
     def events(self) -> list:
         """Appearance, merger and catenation events in build's processing order."""
         coeff, exp, lattice, lattices = self.coeff, self.exp, self.lattice, self.lattices
-        return [Event("appearance", t, c, (b,)) if k == 0
-                else Event("merger", t, c, (b, r)) if k == 1
-                else Event("catenation", t, c, (b,), coeff[r].item(), exp[r].item(), lattices[lattice[r]])
-                for k, t, c, b, r in self._event_rows()]
+
+        def appearances(a, z):
+            return [Event("appearance", t, c, (b,)) for b, t, c in
+                    zip(range(a, z), self.birth[a:z].tolist(), self.birth_vertex[a:z].tolist())]
+
+        def edge_events(cat, row, time):
+            beam, cell = self._edge_fields(cat, row)
+            return [Event("catenation", t, c, (b,), coeff[r].item(), exp[r].item(), lattices[lattice[r]])
+                    if k else Event("merger", t, c, (b, r))
+                    for k, r, t, b, c in zip(cat.tolist(), row.tolist(), time.tolist(),
+                                             beam.tolist(), cell.tolist())]
+
+        return list(self._event_log(appearances, edge_events))
 
     def to_json_dict(self) -> dict:
         """The reference dict form of `json_chunks`, which the CLI writes
@@ -152,7 +180,6 @@ class PeriodicMergeTree:
         ROADMAP item 1 step C."""
         start, coeff, exp = self.start.tolist(), self.coeff.tolist(), self.exp.tolist()
         offsets, lattice, lattices = self.offsets.tolist(), self.lattice.tolist(), self.lattices
-        kinds = ("appearance", "merger", "catenation")
         return {
             "dim": self.dim,
             "beams": [
@@ -179,13 +206,13 @@ class PeriodicMergeTree:
             ],
             "events": [
                 {
-                    "kind": kinds[k],
-                    "time": t,
-                    "cell": c,
-                    "beams": [b] if k != 1 else [b, r],
-                    **({"coeff": coeff[r], "exp": exp[r]} if k == 2 else {}),
+                    "kind": e.kind,
+                    "time": e.time,
+                    "cell": e.cell,
+                    "beams": list(e.beams),
+                    **({"coeff": e.coeff, "exp": e.exp} if e.kind == "catenation" else {}),
                 }
-                for k, t, c, b, r in self._event_rows()
+                for e in self.events
             ],
         }
 
@@ -214,32 +241,47 @@ class PeriodicMergeTree:
         per beam and per event; a beam of k epochs fills the beam template
         with k epochs inside.  The texts of an epoch's coeff, display, exp and
         lattice are written once per distinct (coeff, exp, lattice), in
-        effect once per table lattice, and all before the first chunk, so
-        writing the chunks raises nothing.  The other texts are written one
-        block of rows at a time (`jsonfmt.blocks`), as `jsonfmt.items` joins
-        them, so the texts held at once are one block's."""
+        effect once per table lattice, and the edge events are sorted, all
+        before the first chunk, so writing the chunks raises nothing.
+
+        The beams are written one block of rows at a time (`jsonfmt.blocks`),
+        as `jsonfmt.items` joins them, and so are the events after them.  Each
+        birth, death and later epoch start gets one text, in the beams pass:
+        a beam's first epoch starts at its birth and reuses its text, and
+        the texts an event's time reuses (the birth of an appearance, the
+        death of a beam that merges, the start of the epoch a catenation
+        opens) are kept for the events pass in `jsonfmt.TextStore`s.  So the
+        writer holds those texts, the sorted edge events and one block's
+        texts at a time."""
         head, heads = self._heads()
+        n = len(self.birth)
+        births, deaths = jsonfmt.TextStore(n), jsonfmt.TextStore(n)
+        later = jsonfmt.TextStore(len(self.start) - n)   # the epoch starts past the births
         by_count: dict = {}   # k -> the template of a beam of k epochs
         kinds = [jsonfmt.template(_EVENT_SHAPES[kind], 2)
                  for kind in ("appearance", "merger", "catenation")]
 
         def beam_texts():
-            for a, z in jsonfmt.blocks(len(self.birth)):
+            for a, z in jsonfmt.blocks(n):
                 offsets = self.offsets[a:z + 1].tolist()
                 lo, hi = offsets[0], offsets[-1]
-                starts = jsonfmt.floats(self.start[lo:hi].tolist())
+                past = np.ones(hi - lo, dtype=bool)
+                past[self.offsets[a:z] - lo] = False
+                bts = jsonfmt.floats(self.birth[a:z].tolist())
+                dts = jsonfmt.floats([None if math.isinf(x) else x for x in self.death[a:z].tolist()])
+                sts = jsonfmt.floats(self.start[lo:hi][past].tolist())
+                births.add(bts)
+                deaths.add(dts)
+                later.add(sts)
+                starts = iter(sts)
                 hs = head[lo:hi].tolist()
-                rows = zip(range(a, z), offsets, offsets[1:],
-                           jsonfmt.floats(self.birth[a:z].tolist()),
-                           self.birth_vertex[a:z].tolist(),
-                           jsonfmt.floats([None if math.isinf(x) else x
-                                           for x in self.death[a:z].tolist()]),
-                           self.parent[a:z].tolist())
+                rows = zip(range(a, z), offsets, offsets[1:], bts, self.birth_vertex[a:z].tolist(),
+                           dts, self.parent[a:z].tolist())
                 for b, i, j, birth, vertex, death, parent in rows:
-                    fills = []
-                    for e in range(i - lo, j - lo):
+                    fills = [*heads[hs[i - lo]], birth]
+                    for e in range(i + 1 - lo, j - lo):
                         fills += heads[hs[e]]
-                        fills.append(starts[e])
+                        fills.append(next(starts))
                     text = by_count.get(j - i)
                     if text is None:
                         text = by_count[j - i] = jsonfmt.template(
@@ -247,25 +289,25 @@ class PeriodicMergeTree:
                     yield text % (birth, vertex, death, *fills, b,
                                   "null" if parent < 0 else parent)
 
-        def event_texts():
-            # made once the beams are written, so the two lists' state is never held at once
-            kind, time, cell, row = self._event_columns()
-            for a, z in jsonfmt.blocks(len(kind)):
-                ks, rs = kind[a:z], row[a:z]
-                rows = zip(ks.tolist(), jsonfmt.floats(time[a:z].tolist()), cell[a:z].tolist(),
-                           self._event_beams(ks, rs).tolist(), rs.tolist(),
-                           head[np.where(ks == 2, rs, 0)].tolist())
-                for k, t, c, b, r, h in rows:
-                    if k == 0:
-                        yield kinds[0] % (b, c, t)
-                    elif k == 1:
-                        yield kinds[1] % (b, r, c, t)
-                    else:
-                        coeff, _, exp, _ = heads[h]
-                        yield kinds[2] % (b, c, coeff, exp, t)
+        def appearances(a, z):
+            return list(map(kinds[0].__mod__, zip(range(a, z), self.birth_vertex[a:z].tolist(),
+                                                  births.take(np.arange(a, z)))))
+
+        def edge_events(cat, row, time):
+            beam, cell = self._edge_fields(cat, row)
+            dts = iter(deaths.take(row[~cat]))
+            sts = iter(later.take(row[cat] - beam[cat] - 1))   # its place among the later epochs
+            for k, b, r, c, h in zip(cat.tolist(), beam.tolist(), row.tolist(), cell.tolist(),
+                                     head[np.where(cat, row, 0)].tolist()):
+                if k:
+                    coeff, _, exp, _ = heads[h]
+                    yield kinds[2] % (b, c, coeff, exp, next(sts))
+                else:
+                    yield kinds[1] % (b, r, c, next(dts))
 
         return jsonfmt.chunks({"beams": HOLE, "dim": self.dim, "events": HOLE},
-                              jsonfmt.items(beam_texts(), 1), jsonfmt.items(event_texts(), 1))
+                              jsonfmt.items(beam_texts(), 1),
+                              jsonfmt.items(self._event_log(appearances, edge_events), 1))
 
     def to_dot(self) -> str:
         lines = ["digraph mergetree {", "  rankdir=LR;"]

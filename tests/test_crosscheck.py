@@ -1,7 +1,9 @@
 """Cross-route checks: the flow solver against an LP and bit for bit against
 its earlier implementation, splinter checks and barcode invariance on random
 graphs, the splinters check and canonical forms against the recursive
-string-digest reference, shadow counts under a skewed basis, the components
+string-digest reference, shadow counts under a skewed basis, every epoch's
+monomial against the shadows it counts, the event log of tree JSON against
+the object build's, the components
 of k-fold covers against the tree's lattices, and the block reader of graph
 documents against reading them whole."""
 import itertools
@@ -18,7 +20,9 @@ from scipy.optimize import linprog
 from perimere import (GraphError, IntMatrix, build, canonical_form, equals, extract,
                       jsonfmt, mergetree, parse, pgraph, serialize, splinters, unroll, w1, w1_alt)
 from perimere.barcode import json_chunks, to_csv
-from perimere.lattice import RealBasis, SublatticeBasis, count_cosets_in_ball, hnf_reduce
+from perimere.cli import main
+from perimere.lattice import (RealBasis, SublatticeBasis, count_cosets_in_ball, hnf_reduce,
+                              unit_ball_volume)
 from perimere.mergetree import PeriodicMergeTree, _TreeIndex
 from perimere.pgraph import PeriodicGraph, number_shifts
 from perimere.synthetic import random_periodic_graph, torus_grid
@@ -516,6 +520,40 @@ class TestBuildOracle:
             cats += int(tree.catenation.sum())
             takeovers += sum(ep.cell is None for b in ref.beams for ep in b.epochs[1:])
         assert cats > 500 and takeovers > 100
+
+
+class TestEventLogOracle:
+    # the "events" of `tree --json` against the object build's log.
+    # `events`, `to_json_dict` and `json_chunks` read one derivation of the
+    # event order, so only an independent log can catch a fault in it; a
+    # block of 2 rows puts block ends between the two streams it merges
+    @pytest.mark.parametrize("block", [2, 256])
+    def test_tree_json_events_are_the_oracle_log(self, capsys, tmp_path, monkeypatch, block):
+        monkeypatch.setattr("perimere.jsonfmt._BLOCK", block)
+        rng = random.Random(41)
+        path = tmp_path / "g.json"
+        tied = shared = rooted = 0
+        for _ in range(150):
+            n = rng.randint(1, 14)
+            g = random_periodic_graph(rng, dim=rng.randint(1, 3), n=n, m=rng.randint(0, 3 * n),
+                                      shift_range=rng.choice((1, 2)), tie_values=True)
+            path.write_text(json.dumps(serialize(g)))
+            assert main(["tree", str(path), "--json"]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            want = [{"kind": e.kind, "time": e.time, "cell": e.cell, "beams": list(e.beams),
+                     **({"coeff": e.coeff, "exp": e.exp} if e.kind == "catenation" else {})}
+                    for e in oracles.oracle_build(g).events]
+            assert doc["events"] == want
+            # a vertex and an edge at one height
+            heights = {e["time"] for e in want if e["kind"] == "appearance"}
+            tied += any(e["time"] in heights for e in want if e["kind"] != "appearance")
+            # a merger and a catenation on one edge
+            shared += any(a["kind"] == "merger" and b["kind"] == "catenation" and a["cell"] == b["cell"]
+                          for a, b in zip(want, want[1:]))
+            # several roots, two of them with their infinite deaths in one block of beams
+            nulls = [b["index"] // block for b in doc["beams"] if b["death"] is None]
+            rooted += len(nulls) > len(set(nulls))
+        assert tied > 50 and shared > 5 and rooted > 25
 
 
 def _scaled_shifts(g, k):
@@ -1076,6 +1114,60 @@ class TestSkewedBasisShadows:
             devs.append(abs(got - coeff * 2 * r))
         assert all(d <= 6 for d in devs)
         assert devs[-1] <= max(devs[0], devs[1]) + 2
+
+
+class TestMonomialCounts:
+    # every epoch's monomial coeff * nu_exp * R^exp predicts how many shadows
+    # of its component, cosets of the epoch's lattice, meet an R-ball;
+    # `count_cosets_in_ball` enumerates them with exact ints and never calls
+    # `volume`, so it checks every coefficient `build` computes
+    RADII = {2: (8.0, 16.0, 32.0), 3: (5.0, 10.0)}
+
+    @staticmethod
+    def _bases(rng, d):
+        """Identity, skewed (I + 0.3 N) and rotated-and-scaled basis matrices."""
+        eye = np.eye(d)
+        skewed = eye + 0.3 * np.array([[rng.uniform(-1, 1) for _ in range(d)] for _ in range(d)])
+        rotated = eye
+        for i, j in itertools.combinations(range(d), 2):
+            a = rng.uniform(0, 2 * math.pi)
+            g = eye.copy()
+            g[i, i] = g[j, j] = math.cos(a)
+            g[i, j], g[j, i] = -math.sin(a), math.sin(a)
+            rotated = rotated @ g
+        rotated = rotated @ np.diag([rng.uniform(0.8, 1.25) for _ in range(d)])
+        return {"identity": eye, "skewed": skewed, "rotated": rotated}
+
+    def test_every_coefficient_counts_its_shadows(self):
+        rng = random.Random(13)
+        worst = {}   # (d, exp, basis) -> the worst relative deviation per radius
+        exact = 0
+        for _ in range(30):
+            d = rng.choice((2, 3))
+            n = rng.randint(2, 6)
+            g = random_periodic_graph(rng, dim=d, n=n, m=rng.randint(2, 10), shift_range=2,
+                                      tie_values=rng.random() < 0.5)
+            for name, m in self._bases(rng, d).items():
+                u = RealBasis(m.T.tolist())
+                tree = build(PeriodicGraph(d, u, g.ids, g.values, g.raw, g.u, g.v, g.table, g.which))
+                counted = {}   # (table index, R) -> the count
+                for k, coeff, exp in zip(tree.lattice.tolist(), tree.coeff.tolist(), tree.exp.tolist()):
+                    devs = []
+                    for r in self.RADII[d]:
+                        if (k, r) not in counted:
+                            counted[k, r] = count_cosets_in_ball(u, tree.lattices[k], r)
+                        predicted = coeff * unit_ball_volume(exp) * r ** exp
+                        devs.append(abs(counted[k, r] - predicted) / predicted)
+                        assert devs[-1] <= 1.5 / r
+                    if exp == 0:   # a full-rank lattice: its index, at every radius
+                        assert max(devs) < 1e-12
+                        exact += 1
+                    else:
+                        w = worst.setdefault((d, exp, name), devs)
+                        worst[d, exp, name] = list(map(max, w, devs))
+        assert exact > 50 and len(worst) == 15   # every exp of d 2 and 3 on every basis
+        for devs in worst.values():   # the worst deviation shrinks as R doubles
+            assert all(b < a for a, b in zip(devs, devs[1:]))
 
 
 class TestParseHardening:

@@ -455,7 +455,28 @@ class TestSplinters:
             tracemalloc.stop()
         assert peak < 32 * 2 ** 20
 
-    def test_star_splinters_in_linear_time(self):
+    def test_star_splinters_in_linear_time(self, monkeypatch):
+        small, large = build(star(4_000)), build(star(8_000))
+        # the sweep's levels, which no host's speed changes: one for the roots
+        # and one per beam, so twice the leaves make twice the levels
+        levels = [0]
+
+        class Counted(mergetree._Level):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                levels[0] += 1
+                super().__init__(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(mergetree, "_Level", Counted)
+            counts = []
+            for t in (small, large):
+                levels[0] = 0
+                assert splinters(t, t)
+                counts.append(levels[0])
+        assert counts == [4_002, 8_002]
+
         # a child group skips the classes that earlier groups used up, so
         # twice the leaves take about twice the time (x3.5 when each group
         # scanned every class)
@@ -466,7 +487,7 @@ class TestSplinters:
                 assert splinters(t, t)
                 times.append(time.perf_counter() - t0)
             return min(times)
-        assert best(build(star(8_000))) / best(build(star(4_000))) < 3.0
+        assert best(large) / best(small) < 3.0
 
 
 def children(tree):
