@@ -184,6 +184,74 @@ def hnf_reduce(matrix, dim: int | None = None) -> SublatticeBasis:
     return SublatticeBasis(d, _hnf_columns(d, cols))
 
 
+def hnf_insert(columns: tuple, w) -> tuple:
+    """The canonical HNF column tuple of the lattice that the canonical HNF
+    columns `columns` and the integer vector `w` span; `columns` itself when
+    w is zero.  It is what `hnf_reduce(columns + (w,)).columns` is, with
+    less work (Cohen, A Course in Computational Algebraic Number Theory,
+    1993, section 2.4).
+
+    Let r be w's leading row.  The columns whose pivot lies above r take no
+    part in Euclid: w and the later columns are zero above r.  From row r
+    down, Euclid runs between w and the column pivoting at w's leading row,
+    until w is zero or leads at a row without a pivot, where it becomes a
+    new pivot column.  Last, in each pivot row from r down, the entries of
+    the earlier columns are reduced into [0, pivot), top down.  Any integer
+    w works; `build` passes its drift's `remainder`, whose entries at the
+    pivot rows are already below the pivots, so Euclid takes few steps.
+    """
+    d = len(w)
+    top = 0
+    while not w[top]:
+        top += 1
+        if top == d:
+            return columns
+    cols = list(columns)
+    n = len(cols)
+    r = top
+    j = p = 0   # the first column pivoting at or below r, and its pivot row
+    while True:
+        while j < n:   # skip the columns pivoting above r
+            col = cols[j]
+            while not col[p]:
+                p += 1
+            if p >= r:
+                break
+            j += 1
+            p += 1
+        if r == top:
+            first = j
+        if j == n or p > r:   # w leads at a row without a pivot: a new pivot column
+            cols.insert(j, tuple(w) if w[r] > 0 else tuple([-e for e in w]))
+            break
+        a, x, y = cols[j], cols[j][r], w[r]   # cols[j] pivots at r, where w leads
+        while y:
+            q = x // y
+            a, w = w, [s - q * t for s, t in zip(a, w)]
+            x, y = y, x - q * y
+        cols[j] = tuple(a) if x > 0 else tuple([-e for e in a])
+        r += 1
+        while r < d and not w[r]:
+            r += 1
+        if r == d:   # w is spent
+            break
+        j += 1
+        p += 1
+    # the entries left of each pivot from row `top` down, reduced into [0, pivot)
+    p = top
+    for m in range(first, len(cols)):
+        col = cols[m]
+        while not col[p]:
+            p += 1
+        pivot = col[p]
+        for k in range(m):
+            q = cols[k][p] // pivot
+            if q:
+                cols[k] = tuple([a - q * b for a, b in zip(cols[k], col)])
+        p += 1
+    return tuple(cols)
+
+
 def hnf_transform(matrix: IntMatrix):
     """HNF basis plus integer certificates: basis[k] = matrix . coeffs[k].
 
@@ -237,13 +305,29 @@ def member(l: SublatticeBasis, v: Sequence[int]) -> bool:
     return solve(l, v) is not None
 
 
+def _exact_inverse(rows) -> np.ndarray:
+    """The inverse of the nonsingular integer matrix `rows`, adj / det, each
+    entry the float nearest its exact rational value."""
+    n = len(rows)
+    det = _int_det(rows)
+    inv = np.empty((n, n))
+    for i in range(n):
+        for j in range(n):   # entry (i, j) is the (j, i) cofactor over det
+            minor = [row[:i] + row[i + 1:] for k, row in enumerate(rows) if k != j]
+            inv[i, j] = (-1) ** (i + j) * _int_det(minor) / det
+    return inv
+
+
 class RealBasis:
     """Real d x d basis matrix U (columns are lattice vectors) with caches.
 
     Caches the inverse, the operator norm of the inverse (largest singular
     value), and vol_d = |det U|.  When every entry is an exact integer, U's
     integer rows and the exact |det U| are kept too (else both are None),
-    so sublattice volumes come out of exact integer determinants.
+    so sublattice volumes come out of exact integer determinants.  A basis
+    whose float inverse misses the identity by more than 1e-12 is refused,
+    unless it is an integer basis with a nonzero determinant: its inverse
+    is then rounded from the exact adjugate (`_exact_inverse`).
     """
 
     __slots__ = ("dim", "matrix", "inverse", "volume", "inverse_norm", "int_rows", "int_det")
@@ -257,9 +341,6 @@ class RealBasis:
         det = np.linalg.det(u)
         if det == 0.0 or not np.isfinite(det):
             raise ValueError("singular lattice basis")
-        self.inverse = np.linalg.inv(u)
-        if np.max(np.abs(u @ self.inverse - np.eye(self.dim))) > 1e-12:
-            raise ValueError("basis too ill-conditioned to invert reliably")
         self.int_rows = self.int_det = None
         if all(float(e).is_integer() for col in columns for e in col):
             self.int_rows = tuple(zip(*(tuple(int(e) for e in col) for col in columns)))
@@ -267,6 +348,11 @@ class RealBasis:
             self.volume = float(self.int_det)
         else:
             self.volume = float(abs(det))
+        self.inverse = np.linalg.inv(u)
+        if np.max(np.abs(u @ self.inverse - np.eye(self.dim))) > 1e-12:
+            if not self.int_det:
+                raise ValueError("basis too ill-conditioned to invert reliably")
+            self.inverse = _exact_inverse(self.int_rows)   # integer, det != 0: adj / det
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             top = np.linalg.eigvalsh(self.inverse.T @ self.inverse)[-1]
         # the bounds scale with this norm: refuse a square that overflowed,

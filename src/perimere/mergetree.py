@@ -40,7 +40,7 @@ import numpy as np
 
 from . import jsonfmt
 from .jsonfmt import HOLE
-from .lattice import SublatticeBasis, hnf_reduce, unit_ball_volume, volume
+from .lattice import SublatticeBasis, hnf_insert, hnf_reduce, unit_ball_volume, volume
 from .pgraph import PeriodicGraph, max_shift_magnitude
 
 
@@ -216,33 +216,31 @@ class PeriodicMergeTree:
             ],
         }
 
-    def _heads(self) -> tuple:
-        """(head, texts): per epoch the index of its head in `texts`, which
-        holds per distinct (coeff, exp, lattice) the texts of the coeff,
-        display, exp and lattice.  The epochs are grouped by (lattice, exp,
-        coeff) with one lexsort; the table holds each lattice once, so each
-        group is one distinct value."""
+    def _heads(self) -> list:
+        """Per table entry, the texts of the coeff, display, exp and lattice
+        of the epochs on it.  An epoch's coeff and exp are its lattice's
+        (`build` reads both from the table entry), so the lattice index
+        alone names an epoch's head; a tree whose epochs on one lattice
+        disagree is a ValueError."""
         by_rank = [jsonfmt.template([[HOLE] * self.dim] * p, 5) for p in range(self.dim + 1)]
-        order = np.lexsort((self.coeff, self.exp, self.lattice))
-        key, coeff, exp = self.lattice[order], self.coeff[order], self.exp[order]
-        new = np.ones(len(order), dtype=bool)
-        new[1:] = (key[1:] != key[:-1]) | (exp[1:] != exp[:-1]) | (coeff[1:] != coeff[:-1])
-        coeffs, exps = coeff[new].tolist(), exp[new].tolist()
-        texts = [(text, encode_basestring_ascii(monomial_display(c, e)), e,
-                  by_rank[lat.rank] % tuple(chain.from_iterable(lat.columns)))
-                 for text, c, e, lat in zip(jsonfmt.floats(coeffs), coeffs, exps,
-                                            map(self.lattices.__getitem__, key[new].tolist()))]
-        head = np.empty(len(order), dtype=np.int64)
-        head[order] = np.cumsum(new) - 1
-        return head, texts
+        coeff = np.zeros(len(self.lattices))
+        exp = np.zeros(len(self.lattices), dtype=np.int64)
+        coeff[self.lattice], exp[self.lattice] = self.coeff, self.exp
+        if not (np.array_equal(coeff[self.lattice], self.coeff)
+                and np.array_equal(exp[self.lattice], self.exp)):
+            raise ValueError("epochs on one lattice differ in coeff or exp")
+        coeffs, exps = coeff.tolist(), exp.tolist()
+        return [(text, encode_basestring_ascii(monomial_display(c, e)), e,
+                 by_rank[lat.rank] % tuple(chain.from_iterable(lat.columns)))
+                for text, c, e, lat in zip(jsonfmt.floats(coeffs), coeffs, exps, self.lattices)]
 
     def json_chunks(self):
         """Chunks of `jsonfmt.dumps(self.to_json_dict())`, one template fill
         per beam and per event; a beam of k epochs fills the beam template
         with k epochs inside.  The texts of an epoch's coeff, display, exp and
-        lattice are written once per distinct (coeff, exp, lattice), in
-        effect once per table lattice, and the edge events are sorted, all
-        before the first chunk, so writing the chunks raises nothing.
+        lattice are written once per table lattice (`_heads`), and the edge
+        events are sorted, all before the first chunk, so writing the chunks
+        raises nothing.
 
         The beams are written one block of rows at a time (`jsonfmt.blocks`),
         as `jsonfmt.items` joins them, and so are the events after them.  Each
@@ -253,7 +251,7 @@ class PeriodicMergeTree:
         opens) are kept for the events pass in `jsonfmt.TextStore`s.  So the
         writer holds those texts, the sorted edge events and one block's
         texts at a time."""
-        head, heads = self._heads()
+        head, heads = self.lattice, self._heads()
         n = len(self.birth)
         births, deaths = jsonfmt.TextStore(n), jsonfmt.TextStore(n)
         later = jsonfmt.TextStore(len(self.start) - n)   # the epoch starts past the births
@@ -400,11 +398,11 @@ def build(graph: PeriodicGraph) -> PeriodicMergeTree:
     sets the dying beam's death, parent and merge edge; every epoch past
     the birth epochs is appended to one list in processing order, and one
     stable argsort by beam makes the epoch columns beam-major.  Lattices are
-    interned by value into the table `lattices`, the zero lattice first, and
-    compared by index; each entry's coefficient is computed once, and
-    whether it is all of Z^d once, when it is interned.  A basis volume that
-    is not a normal float, or a coefficient that is not finite, is a
-    ValueError.
+    interned by their HNF column tuples into the table `lattices`, the zero
+    lattice first, and compared by index; a `SublatticeBasis` is made only
+    for a new entry, each entry's coefficient is computed once, and whether
+    it is all of Z^d once, when it is interned.  A basis volume that is not
+    a normal float, or a coefficient that is not finite, is a ValueError.
 
     Drifts and shifts are packed ints (`pack`) with digits wide enough for
     any sum of 2n shifts, so v is one int expression and `not v` its zero
@@ -421,10 +419,13 @@ def build(graph: PeriodicGraph) -> PeriodicMergeTree:
     indices to the index of their sum, each keyed by one int (`stride`
     exceeds every table index).  On a step missing from `step`, v is
     unpacked once and reduced along k's pivot rows (`remainder`); a zero
-    remainder w means v is a member, and otherwise `hnf_reduce` of k's
-    columns and w gives the new lattice, as those of k and v would, from
-    smaller entries (Cohen, A Course in Computational Algebraic Number
-    Theory, 1993, section 2.4).
+    remainder w means v is a member, and otherwise `hnf_insert` of w into
+    k's columns gives the new lattice, working only from w's leading row
+    down (Cohen, A Course in Computational Algebraic Number Theory, 1993,
+    section 2.4).  Only a sum missing from `meet` calls `hnf_reduce`.  On
+    the `molecular` benchmark's main input, 1,343 of 1,516 loop-edge steps
+    miss `step` and 1,171 of those call `hnf_insert`, while 99 of 116 sums
+    miss `meet` and call `hnf_reduce`.
     """
     d = graph.dim
     u = graph.basis
@@ -444,14 +445,16 @@ def build(graph: PeriodicGraph) -> PeriodicMergeTree:
     walk = order[order >= n]   # the edges' cell positions, in processing order
 
     lattices = [SublatticeBasis.empty(d)]   # the table
-    index = {lattices[0]: 0}   # lattice -> its table index
+    index = {(): 0}   # HNF column tuple -> its table index
     fulls = [False]   # per table index: the lattice is all of Z^d
 
-    def intern(lat: SublatticeBasis) -> int:
-        if index.setdefault(lat, len(lattices)) == len(lattices):
+    def intern(columns: tuple, lat: SublatticeBasis | None = None) -> int:
+        k = index.setdefault(columns, len(lattices))
+        if k == len(lattices):   # a new entry: its basis is made here, once
+            lat = lat or SublatticeBasis(d, columns)
             lattices.append(lat)
             fulls.append(lat.is_full)
-        return index[lat]
+        return k
 
     lattice = [0] * n   # per beam, the table index of its last epoch's lattice
     death, parent, merge_edge = [math.inf] * n, [-1] * n, [0] * n
@@ -494,7 +497,7 @@ def build(graph: PeriodicGraph) -> PeriodicMergeTree:
             if k is None:   # a step not taken before: reduce v along the pivot rows
                 cols = lattices[cur].columns
                 w = remainder(cols, unpack(pv, bits, d))
-                k = step[key] = intern(hnf_reduce(cols + (w,), dim=d)) if any(w) else cur
+                k = step[key] = intern(hnf_insert(cols, w)) if any(w) else cur
             if k == cur:   # v is a member
                 continue
             full[r] = fulls[k]
@@ -510,8 +513,8 @@ def build(graph: PeriodicGraph) -> PeriodicMergeTree:
                 key = lo + stride * hi
                 merged = meet.get(key)
                 if merged is None:
-                    merged = meet[key] = intern(hnf_reduce(
-                        lattices[lo].columns + lattices[hi].columns, dim=d))
+                    lat = hnf_reduce(lattices[lo].columns + lattices[hi].columns, dim=d)
+                    merged = meet[key] = intern(lat.columns, lat)
             sb, dying = (br, bs) if br < bs else (bs, br)
             # the union: the smaller list is relabeled and its drifts moved by
             # v (by -v when it is x's); most unions carry v = 0

@@ -53,6 +53,22 @@ class TestValidate:
         code, _, err = run(capsys, "validate", "/no/such/file.json")
         assert code == 1
 
+    def test_unimodular_integer_basis(self, capsys, tmp_path):
+        # det -1 and condition number 5.6e4: numpy's inverse misses the
+        # identity by more than 1e-12, the exact adjugate does not
+        doc = {"dim": 2, "basis": [[-79, -207], [29, 76]],
+               "vertices": [{"id": 0, "value": 0.0}],
+               "edges": [{"id": 1, "u": 0, "v": 0, "value": 1.0, "shift": [1, 0]}]}
+        p = tmp_path / "unimodular.json"
+        p.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "validate", str(p))
+        assert (code, out, err) == (0, "n=1 m=1 D=1 connected\n", "")
+        code, out, _ = run(capsys, "barcode", str(p))
+        assert code == 0
+        bars = {era["exp"]: era["bars"] for era in json.loads(out)["eras"]}
+        assert bars[2] == [{"birth": 0.0, "death": 1.0, "mult": 1.0}]
+        assert bars[1][1]["mult"] == math.sqrt(79 ** 2 + 207 ** 2)   # the loop vector U.e1
+
 
 def assert_one_error_line(code, err):
     assert code == 1

@@ -285,9 +285,10 @@ class TestBasisChangeInvariance:
 
     def test_unimodular_basis_change(self):
         # U' = U.A with shifts A^-1 t describes the same periodic graph; bases
-        # too ill-conditioned for `RealBasis` are refused by parse and skipped
+        # too ill-conditioned for `RealBasis` are refused by parse and skipped,
+        # but no integer basis with a nonzero determinant is among them
         rng = random.Random(51)
-        checked = 0
+        checked = refused = 0
         for g in self._graphs(rng, 60):
             d = g.dim
             a = random_unimodular(rng, d)
@@ -302,11 +303,15 @@ class TestBasisChangeInvariance:
             try:
                 moved = build(parse(doc))
             except GraphError:
+                rows = [[doc["basis"][j][r] for j in range(d)] for r in range(d)]
+                refused += all(float(e).is_integer() for row in rows for e in row) and \
+                    IntMatrix.from_rows([[int(e) for e in row] for row in rows]).det() != 0
                 continue
             tree = build(g)
             assert equals(extract(tree), extract(moved))
             assert canonical_form(tree) == canonical_form(moved)
             checked += 1
+        assert refused == 0
         assert checked >= 40
 
     def test_rotated_basis(self):

@@ -9,7 +9,7 @@ import pytest
 from perimere import (IntMatrix, build,
                       canonical_form, extract, parse, serialize, splinters, unroll)
 from perimere import mergetree
-from perimere.lattice import SublatticeBasis, hnf_reduce, member
+from perimere.lattice import RealBasis, SublatticeBasis, hnf_insert, hnf_reduce, member, volume
 from perimere.mergetree import (PeriodicMergeTree, _TreeIndex, drift_bits, monomial_display,
                                 pack, remainder, unpack)
 from perimere.pgraph import PeriodicGraph
@@ -17,8 +17,8 @@ from perimere.synthetic import random_periodic_graph, torus_grid
 
 from .conftest import fig3_left_doc, helix_cross_doc
 from . import oracles
-from .oracles import UnionFind, bfs_components, view
-from .test_lattice import _lattices
+from .oracles import UnionFind, bfs_components, oracle_volume, view
+from .test_lattice import _lattices, random_unimodular
 
 SQRT2 = math.sqrt(2)
 
@@ -143,12 +143,14 @@ class TestLatticeTable:
 
     def test_copies_take_each_lattice_step_once(self, monkeypatch):
         # with tied values, each copy of a component steps from the same
-        # table indices by the same drifts, so 32 copies reduce no more
-        # often than one copy does
+        # table indices by the same drifts, so 32 copies insert into a
+        # lattice (steps) and sum lattices (sums) no more often than one copy
         calls = []
-        hnf = mergetree.hnf_reduce
+        hnf, insert = mergetree.hnf_reduce, mergetree.hnf_insert
         monkeypatch.setattr(mergetree, "hnf_reduce",
-                            lambda cols, dim: calls.append(cols) or hnf(cols, dim=dim))
+                            lambda cols, dim: calls.append("sum") or hnf(cols, dim=dim))
+        monkeypatch.setattr(mergetree, "hnf_insert",
+                            lambda cols, w: calls.append("step") or insert(cols, w))
         rng = random.Random(27)
         reduced = 0
         for _ in range(20):
@@ -157,23 +159,25 @@ class TestLatticeTable:
                                       shift_range=2, tie_values=True)
             calls.clear()
             build(g)
-            once = len(calls)
+            once = calls.count("step"), calls.count("sum")
             calls.clear()
             build(copies(g, 32))
-            assert len(calls) == once
-            reduced += once
+            assert (calls.count("step"), calls.count("sum")) == once
+            reduced += sum(once)
         assert reduced > 40
 
     def test_no_step_reaches_hnf_reduce_twice(self, monkeypatch):
         # a loop edge's step missing from the memo reduces its drift once
-        # (`remainder`) and calls hnf_reduce right after only when a
-        # remainder is left; every other call is a lattice sum.  Per build,
-        # no (lattice, drift) is reduced twice and no pair of lattices summed
-        # twice, in either order
+        # (`remainder`) and calls hnf_insert right after only when a
+        # remainder is left, with that remainder; hnf_reduce is called for
+        # lattice sums alone.  Per build, no (lattice, drift) is reduced
+        # twice and no pair of lattices summed twice, in either order
         log = []
-        hnf, rem = mergetree.hnf_reduce, mergetree.remainder
+        hnf, insert, rem = mergetree.hnf_reduce, mergetree.hnf_insert, mergetree.remainder
         monkeypatch.setattr(mergetree, "hnf_reduce",
                             lambda cols, dim: log.append(("h", cols)) or hnf(cols, dim=dim))
+        monkeypatch.setattr(mergetree, "hnf_insert",
+                            lambda cols, w: log.append(("i", cols, w)) or insert(cols, w))
         monkeypatch.setattr(mergetree, "remainder",
                             lambda cols, v: log.append(("r", cols, v, rem(cols, v))) or log[-1][3])
         # loops make 2Z, 3Z, 3Z, 2Z, and the mergers sum 2Z + 3Z, then 3Z + 2Z
@@ -195,15 +199,19 @@ class TestLatticeTable:
             build(g)
             keys = []
             for prev, entry in zip([None, *log], log):
+                left = prev is not None and prev[0] == "r" and any(prev[3])   # a remainder is left
                 if entry[0] == "r":
                     keys.append(entry[1:3])
                     steps += 1
-                elif prev is not None and prev[0] == "r" and any(prev[3]):
-                    assert entry[1] == prev[1] + (prev[3],)
+                elif entry[0] == "i":
+                    assert left and entry[1:] == (prev[1], prev[3])
                 else:   # either order of the two bases is one key
+                    assert not left
                     keys.append(frozenset(entry[1]))
                     sums += 1
             assert len(set(keys)) == len(keys)
+            # each remainder left is inserted
+            assert sum(e[0] == "i" for e in log) == sum(e[0] == "r" and any(e[3]) for e in log)
         assert steps > 500 and sums > 50
 
 
@@ -230,6 +238,47 @@ class TestLatticeStep:
                         members += inside
                         others += not inside
         assert members > 150 and others > 150
+
+    def test_insert_against_hnf_reduce(self):
+        # build's lattice step: along seeded insertion sequences from every
+        # starting rank in d 1-4, inserting a remainder gives hnf_reduce's
+        # lattice of the same columns, with the same is_full and volume (on an
+        # integer basis, exact); so does inserting the unreduced vector.  The
+        # remainders lead at pivot rows and at rows without a pivot, and
+        # some entries pass 2^64
+        rng = random.Random(29)
+        at_pivot = off_pivot = big = 0
+        for d in (1, 2, 3, 4):
+            basis = random_unimodular(rng, d)
+            basis[0] = [2 * e for e in basis[0]]   # an integer basis of volume 2
+            u = RealBasis(basis)
+            for rank in range(d + 1):
+                for lat in _lattices(rng, d, rank, count=20):
+                    cols = lat.columns
+                    for _ in range(8):   # one insertion sequence
+                        scale = rng.choice((1, 1, 2 ** 64 + rng.randint(1, 99)))
+                        zeros = rng.randint(0, d - 1)   # leading zeros, so v leads further down
+                        v = (0,) * zeros + tuple(scale * rng.randint(-5, 5) + rng.randint(-2, 2)
+                                                 for _ in range(d - zeros))
+                        w = remainder(cols, v)
+                        got = hnf_insert(cols, w)
+                        want = hnf_reduce(cols + (w,), dim=d)
+                        assert got == want.columns == hnf_insert(cols, v)
+                        if not any(w):
+                            assert got is cols
+                            continue
+                        lead = next(r for r, e in enumerate(w) if e)
+                        if any(col[lead] and not any(col[:lead]) for col in cols):
+                            at_pivot += 1
+                        else:
+                            off_pivot += 1
+                        new = SublatticeBasis(d, got)
+                        assert new.is_full == want.is_full == (
+                            len(got) == d and all(col[r] == 1 for r, col in enumerate(got)))
+                        assert volume(u, new).hex() == volume(u, want).hex() == oracle_volume(u, want).hex()
+                        big += any(abs(e) >= 2 ** 64 for col in got for e in col)
+                        cols = got
+        assert at_pivot > 400 and off_pivot > 200 and big > 100
 
 
 class TestPackedDrift:
