@@ -59,20 +59,23 @@ class PeriodicBarcode:
 def extract(tree: PeriodicMergeTree) -> PeriodicBarcode:
     """Periodic 0-th barcode of a periodic merge tree.
 
-    The tree's epoch columns (start, end, coeff, exp and their beam's birth)
-    give the signed contributions, which one stable lexsort orders by (birth,
-    death, exp); a key met once keeps its value as its mult, a repeated key
-    sums its values with `math.fsum`, and zero mults drop out.
+    The tree's epoch columns (start, end, their lattice's coeff and exp, and
+    their beam's birth) give the signed contributions, which one stable
+    lexsort orders by (birth, death, exp); a key met once keeps its value as
+    its mult, a repeated key sums its values with `math.fsum`, and zero
+    mults drop out.
     """
-    start, coeff, exp, end = tree.start, tree.coeff, tree.exp, tree.epoch_ends()
+    start, end = tree.start, tree.epoch_ends()
     birth = np.repeat(tree.birth, np.diff(tree.offsets))
     # the spans (epochs of nonzero width), each giving its + and - contribution
     # in turn, in the order of the beams and their epochs
     span = end > start
+    lattice = tree.lattice[span]
+    coeff = tree.coeffs[lattice]
     death = np.stack((end[span], start[span]), axis=1).ravel()
-    value = np.stack((coeff[span], -coeff[span]), axis=1).ravel()
+    value = np.stack((coeff, -coeff), axis=1).ravel()
     birth = np.repeat(birth[span], 2)
-    exp = np.repeat(exp[span], 2)
+    exp = np.repeat(tree.exps()[lattice], 2)
     keep = death > birth
     order = np.flatnonzero(keep)[np.lexsort((exp[keep], death[keep], birth[keep]))]
     birth, death, exp, value = birth[order], death[order], exp[order], value[order]

@@ -10,8 +10,7 @@ shape out once, exactly as `dumps` would at that depth, with a `%s` for each
 `HOLE`, so a record costs one `%` with its fills.  `items` lays a list out
 around the texts of its items, `blocks` splits a writer's rows into the
 blocks it makes texts for at a time, `floats` writes a column of floats,
-`distinct` writes each distinct value of a float64 column once, a
-`TextStore` keeps the texts of one pass for a later one in little room, and
+`distinct` writes each distinct value of a float64 column once, and
 `chunks` fills the holes of a whole document, yielding its text in pieces
 that can be written one after another.  The depth of a value is the
 number of containers around it: a top-level key's value has depth 1.
@@ -21,8 +20,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from array import array
-from itertools import accumulate, islice
+from itertools import islice
 
 import numpy as np
 
@@ -84,41 +82,6 @@ def blocks(n: int):
     a writer that makes its texts a block at a time holds one block's, as
     `items` does."""
     return ((a, min(a + _BLOCK, n)) for a in range(0, n, _BLOCK))
-
-
-class TextStore:
-    """Texts kept from one pass of a writer for a later one, in little room:
-    the texts are added a block at a time and held as one string per block
-    of at most `_BLOCK` texts, with per text its end in that string.  A text
-    costs its characters and two bytes, so a text must be short: a block's
-    string stays below 2^16 characters (a float's text has at most 24)."""
-
-    __slots__ = ("first", "strings", "ends", "size")
-
-    def __init__(self, n: int):
-        """A store for n texts."""
-        self.first = array("q")   # per block, the index of its first text
-        self.strings = []   # per block, its texts joined
-        self.ends = np.empty(n, dtype=np.uint16)   # per text, its end in its block's string
-        self.size = 0
-
-    def add(self, texts: list) -> None:
-        """Append `texts`, the next ones in index order."""
-        for a, z in blocks(len(texts)):
-            block = texts[a:z]
-            self.first.append(self.size)
-            self.strings.append("".join(block))
-            self.ends[self.size:self.size + z - a] = list(accumulate(map(len, block)))
-            self.size += z - a
-
-    def take(self, rows) -> list:
-        """The texts at the indices `rows` (an int array)."""
-        first = np.frombuffer(self.first, dtype=np.int64)
-        block = np.searchsorted(first, rows, side="right") - 1
-        ends = self.ends[rows]
-        starts = np.where(rows == first[block], 0, self.ends[rows - 1])
-        return list(map(str.__getitem__, map(self.strings.__getitem__, block.tolist()),
-                        map(slice, starts.tolist(), ends.tolist())))
 
 
 def items(texts, depth: int):

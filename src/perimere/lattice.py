@@ -376,7 +376,12 @@ def volume(u: RealBasis, l: SublatticeBasis) -> float:
     the very int the Gram determinant is, and `math.sqrt` rounds an int the
     same way whichever route made it, so every volume, and every byte
     written from one, is that of the plain Gram computation.  A float
-    basis takes the numpy Gram determinant.
+    basis takes the numpy Gram determinant.  Where that is not a positive
+    normal float (diag(1e-100) in d = 3 gives 1e-400 at rank 2), it is
+    taken again on G scaled by a power of two, which is exact, and the
+    root is scaled back; only there, since numpy's determinant goes
+    through log and exp, and a rescale would move the last bits of
+    volumes in range.
     """
     p = l.rank
     if p == 0:
@@ -396,8 +401,18 @@ def volume(u: RealBasis, l: SublatticeBasis) -> float:
             k = (det.bit_length() - 1000) // 2
             return math.ldexp(math.sqrt(det >> 2 * k), k)
     g = u.matrix @ np.array(l.columns, dtype=float).T
-    gram = g.T @ g
-    return float(math.sqrt(max(np.linalg.det(gram), 0.0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = np.linalg.det(g.T @ g)
+    if np.finfo(float).tiny <= det < math.inf:
+        return math.sqrt(det)
+    # the determinant left the normal range: take it on G scaled exactly by
+    # 2^-e, its entries then below 1, and scale the root back by 2^(e p)
+    e = math.frexp(float(np.abs(g).max()))[1]
+    h = np.ldexp(g, -e)
+    try:
+        return math.ldexp(math.sqrt(max(np.linalg.det(h.T @ h), 0.0)), e * p)
+    except OverflowError:
+        return math.inf
 
 
 def unit_ball_volume(q: int) -> float:
@@ -419,15 +434,25 @@ def coset_reps(s: IntMatrix):
     return [tuple(digits) for digits in itertools.product(*(range(col[i]) for i, col in enumerate(h.columns)))]
 
 
-def reduce_mod(l: SublatticeBasis, v: Sequence[int]):
-    """Canonical representative of v modulo the lattice L (pivot-row reduction)."""
-    w = [int(e) for e in v]
-    for col in l.columns:
-        r = _pivot_row(col)
+def remainder(columns: tuple, v) -> tuple:
+    """v floor-reduced along the pivot rows of the HNF basis `columns`: v
+    minus a lattice vector, so it is zero exactly when v is in the lattice,
+    and the columns with it span the lattice the columns with v span."""
+    w = list(v)
+    r = 0
+    for col in columns:   # each pivot row is below the last: col is 0 there
+        while not col[r]:
+            r += 1
         q = w[r] // col[r]
         if q:
             w = [a - q * b for a, b in zip(w, col)]
     return tuple(w)
+
+
+def reduce_mod(l: SublatticeBasis, v: Sequence[int]):
+    """Canonical representative of v modulo the lattice L: `remainder` of
+    v's entries as ints."""
+    return remainder(l.columns, [int(e) for e in v])
 
 
 def reduce_many(l: SublatticeBasis, vectors):

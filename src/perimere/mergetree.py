@@ -17,9 +17,13 @@ them in; per beam there are `birth`, `birth_vertex`, `death` (inf for a
 root), `parent` (-1 for a root) and `merge_edge` (the edge of the merger
 that ends a beam with a parent).  Epochs are beam-major, beam b's being
 rows `offsets[b]:offsets[b + 1]` in increasing start, the first at its
-birth; per epoch there are `start`, `coeff`, `exp`, `catenation` (the epoch
-was opened by a catenation of the edge `cell`) and `lattice`, its index in
-`lattices`, a table of the distinct lattices (its order is not the tree's).
+birth; per epoch there are `start`, `catenation` (the epoch was opened by a
+catenation of the edge `cell`) and `lattice`, its index in `lattices`, a
+table of lattices (its order is not the tree's; `build`'s holds each
+distinct lattice once).  A monomial's coefficient and exponent depend on the
+lattice alone, so they are held once per table entry: `coeffs` per entry,
+and the exponent d minus the entry's rank (`exps`); an epoch's `coeff` and
+`exp` are gathered through `lattice`.
 The event log is not stored: it is read as two sorted streams merged, the
 appearances, which the beam numbering sorts, and the mergers and catenations,
 sorted once per read (`_event_log`).  The spans and the child lists are
@@ -40,7 +44,7 @@ import numpy as np
 
 from . import jsonfmt
 from .jsonfmt import HOLE
-from .lattice import SublatticeBasis, hnf_insert, hnf_reduce, unit_ball_volume, volume
+from .lattice import SublatticeBasis, hnf_insert, hnf_reduce, remainder, unit_ball_volume, volume
 from .pgraph import PeriodicGraph, max_shift_magnitude
 
 
@@ -61,10 +65,10 @@ class PeriodicMergeTree:
     log is derived from them."""
 
     __slots__ = ("dim", "birth", "birth_vertex", "death", "parent", "merge_edge", "offsets",
-                 "start", "coeff", "exp", "catenation", "cell", "lattice", "lattices")
+                 "start", "catenation", "cell", "lattice", "lattices", "coeffs")
 
     def __init__(self, dim, *, birth, birth_vertex, death, parent, merge_edge,
-                 offsets, start, coeff, exp, catenation, cell, lattice, lattices):
+                 offsets, start, catenation, cell, lattice, lattices, coeffs):
         self.dim = dim
         self.birth = np.asarray(birth, dtype=float)
         self.birth_vertex = np.asarray(birth_vertex, dtype=np.int64)
@@ -73,17 +77,30 @@ class PeriodicMergeTree:
         self.merge_edge = np.asarray(merge_edge, dtype=np.int64)
         self.offsets = np.asarray(offsets, dtype=np.int64)
         self.start = np.asarray(start, dtype=float)
-        self.coeff = np.asarray(coeff, dtype=float)
-        self.exp = np.asarray(exp, dtype=np.int64)
         self.catenation = np.asarray(catenation, dtype=bool)
         self.cell = np.asarray(cell, dtype=np.int64)
         self.lattice = np.asarray(lattice, dtype=np.int64)
         self.lattices = list(lattices)
+        self.coeffs = np.asarray(coeffs, dtype=float)
 
     @property
     def beams(self) -> range:
         """The beam indices."""
         return range(len(self.birth))
+
+    def exps(self) -> np.ndarray:
+        """Per table entry, its monomial's exponent: d minus its rank."""
+        return self.dim - np.array([len(lat.columns) for lat in self.lattices], dtype=np.int64)
+
+    @property
+    def coeff(self) -> np.ndarray:
+        """Per epoch, its coefficient: `coeffs` gathered through `lattice`."""
+        return self.coeffs[self.lattice]
+
+    @property
+    def exp(self) -> np.ndarray:
+        """Per epoch, its exponent: `exps()` gathered through `lattice`."""
+        return self.exps()[self.lattice]
 
     def roots(self) -> list:
         return np.flatnonzero(self.parent < 0).tolist()
@@ -103,7 +120,9 @@ class PeriodicMergeTree:
             return None
         lo, hi = self.offsets[b:b + 2].tolist()
         i = bisect_right(self.start, t, lo, hi) - 1   # its first epoch starts at the birth
-        return self.coeff[i].item(), self.exp[i].item(), self.lattices[self.lattice[i]]
+        k = self.lattice[i]
+        lat = self.lattices[k]
+        return self.coeffs[k].item(), self.dim - lat.rank, lat
 
     def _edge_events(self) -> tuple:
         """(cat, row): the mergers and the catenations in build's processing
@@ -159,7 +178,7 @@ class PeriodicMergeTree:
     @property
     def events(self) -> list:
         """Appearance, merger and catenation events in build's processing order."""
-        coeff, exp, lattice, lattices = self.coeff, self.exp, self.lattice, self.lattices
+        coeffs, exps, lattices = self.coeffs.tolist(), self.exps().tolist(), self.lattices
 
         def appearances(a, z):
             return [Event("appearance", t, c, (b,)) for b, t, c in
@@ -167,10 +186,11 @@ class PeriodicMergeTree:
 
         def edge_events(cat, row, time):
             beam, cell = self._edge_fields(cat, row)
-            return [Event("catenation", t, c, (b,), coeff[r].item(), exp[r].item(), lattices[lattice[r]])
+            entry = self.lattice[np.where(cat, row, 0)].tolist()
+            return [Event("catenation", t, c, (b,), coeffs[e], exps[e], lattices[e])
                     if k else Event("merger", t, c, (b, r))
-                    for k, r, t, b, c in zip(cat.tolist(), row.tolist(), time.tolist(),
-                                             beam.tolist(), cell.tolist())]
+                    for k, r, t, b, c, e in zip(cat.tolist(), row.tolist(), time.tolist(),
+                                                beam.tolist(), cell.tolist(), entry)]
 
         return list(self._event_log(appearances, edge_events))
 
@@ -218,18 +238,10 @@ class PeriodicMergeTree:
 
     def _heads(self) -> list:
         """Per table entry, the texts of the coeff, display, exp and lattice
-        of the epochs on it.  An epoch's coeff and exp are its lattice's
-        (`build` reads both from the table entry), so the lattice index
-        alone names an epoch's head; a tree whose epochs on one lattice
-        disagree is a ValueError."""
+        of the epochs on it: an epoch's monomial is its lattice's, so its
+        lattice index names its head."""
         by_rank = [jsonfmt.template([[HOLE] * self.dim] * p, 5) for p in range(self.dim + 1)]
-        coeff = np.zeros(len(self.lattices))
-        exp = np.zeros(len(self.lattices), dtype=np.int64)
-        coeff[self.lattice], exp[self.lattice] = self.coeff, self.exp
-        if not (np.array_equal(coeff[self.lattice], self.coeff)
-                and np.array_equal(exp[self.lattice], self.exp)):
-            raise ValueError("epochs on one lattice differ in coeff or exp")
-        coeffs, exps = coeff.tolist(), exp.tolist()
+        coeffs, exps = self.coeffs.tolist(), self.exps().tolist()
         return [(text, encode_basestring_ascii(monomial_display(c, e)), e,
                  by_rank[lat.rank] % tuple(chain.from_iterable(lat.columns)))
                 for text, c, e, lat in zip(jsonfmt.floats(coeffs), coeffs, exps, self.lattices)]
@@ -238,7 +250,7 @@ class PeriodicMergeTree:
         """Chunks of `jsonfmt.dumps(self.to_json_dict())`, one template fill
         per beam and per event; a beam of k epochs fills the beam template
         with k epochs inside.  The texts of an epoch's coeff, display, exp and
-        lattice are written once per table lattice (`_heads`), and the edge
+        lattice are written once per table entry (`_heads`), and the edge
         events are sorted, all before the first chunk, so writing the chunks
         raises nothing.
 
@@ -248,13 +260,13 @@ class PeriodicMergeTree:
         a beam's first epoch starts at its birth and reuses its text, and
         the texts an event's time reuses (the birth of an appearance, the
         death of a beam that merges, the start of the epoch a catenation
-        opens) are kept for the events pass in `jsonfmt.TextStore`s.  So the
-        writer holds those texts, the sorted edge events and one block's
-        texts at a time."""
+        opens) are kept for the events pass in three byte columns of width
+        24, the longest `float.__repr__` of a double.  The columns are made
+        once the edge events are sorted, so the two do not peak together.
+        So the writer holds those texts, the sorted edge events and one
+        block's texts at a time."""
         head, heads = self.lattice, self._heads()
         n = len(self.birth)
-        births, deaths = jsonfmt.TextStore(n), jsonfmt.TextStore(n)
-        later = jsonfmt.TextStore(len(self.start) - n)   # the epoch starts past the births
         by_count: dict = {}   # k -> the template of a beam of k epochs
         kinds = [jsonfmt.template(_EVENT_SHAPES[kind], 2)
                  for kind in ("appearance", "merger", "catenation")]
@@ -268,9 +280,7 @@ class PeriodicMergeTree:
                 bts = jsonfmt.floats(self.birth[a:z].tolist())
                 dts = jsonfmt.floats([None if math.isinf(x) else x for x in self.death[a:z].tolist()])
                 sts = jsonfmt.floats(self.start[lo:hi][past].tolist())
-                births.add(bts)
-                deaths.add(dts)
-                later.add(sts)
+                births[a:z], deaths[a:z], later[lo - a:hi - z] = bts, dts, sts
                 starts = iter(sts)
                 hs = head[lo:hi].tolist()
                 rows = zip(range(a, z), offsets, offsets[1:], bts, self.birth_vertex[a:z].tolist(),
@@ -289,12 +299,14 @@ class PeriodicMergeTree:
 
         def appearances(a, z):
             return list(map(kinds[0].__mod__, zip(range(a, z), self.birth_vertex[a:z].tolist(),
-                                                  births.take(np.arange(a, z)))))
+                                                  births[a:z].astype(str).tolist())))
 
         def edge_events(cat, row, time):
             beam, cell = self._edge_fields(cat, row)
-            dts = iter(deaths.take(row[~cat]))
-            sts = iter(later.take(row[cat] - beam[cat] - 1))   # its place among the later epochs
+            dts = iter(deaths[row[~cat]].astype(str).tolist())
+            # a catenation's epoch row, less its beam's birth epochs and its
+            # own, is its place among the later epochs
+            sts = iter(later[row[cat] - beam[cat] - 1].astype(str).tolist())
             for k, b, r, c, h in zip(cat.tolist(), beam.tolist(), row.tolist(), cell.tolist(),
                                      head[np.where(cat, row, 0)].tolist()):
                 if k:
@@ -303,9 +315,11 @@ class PeriodicMergeTree:
                 else:
                     yield kinds[1] % (b, r, c, next(dts))
 
+        events = self._event_log(appearances, edge_events)   # sorts the edge events
+        births, deaths = np.empty(n, "S24"), np.empty(n, "S24")
+        later = np.empty(len(self.start) - n, "S24")   # the epoch starts past the births
         return jsonfmt.chunks({"beams": HOLE, "dim": self.dim, "events": HOLE},
-                              jsonfmt.items(beam_texts(), 1),
-                              jsonfmt.items(self._event_log(appearances, edge_events), 1))
+                              jsonfmt.items(beam_texts(), 1), jsonfmt.items(events, 1))
 
     def to_dot(self) -> str:
         lines = ["digraph mergetree {", "  rankdir=LR;"]
@@ -372,21 +386,6 @@ def unpack(packed: int, bits: int, d: int) -> tuple:
     return tuple(out)
 
 
-def remainder(columns: tuple, v) -> tuple:
-    """v floor-reduced along the pivot rows of the HNF basis `columns`: v
-    minus a lattice vector, so it is zero exactly when v is in the lattice,
-    and the columns with it span the lattice the columns with v span."""
-    w = list(v)
-    r = 0
-    for col in columns:   # each pivot row is below the last: col is 0 there
-        while not col[r]:
-            r += 1
-        q = w[r] // col[r]
-        if q:
-            w = [a - q * b for a, b in zip(w, col)]
-    return tuple(w)
-
-
 def build(graph: PeriodicGraph) -> PeriodicMergeTree:
     """Construct the periodic merge tree of a quotient graph.
 
@@ -400,9 +399,10 @@ def build(graph: PeriodicGraph) -> PeriodicMergeTree:
     stable argsort by beam makes the epoch columns beam-major.  Lattices are
     interned by their HNF column tuples into the table `lattices`, the zero
     lattice first, and compared by index; a `SublatticeBasis` is made only
-    for a new entry, each entry's coefficient is computed once, and whether
-    it is all of Z^d once, when it is interned.  A basis volume that is not
-    a normal float, or a coefficient that is not finite, is a ValueError.
+    for a new entry, each entry's coefficient is computed once (the tree's
+    `coeffs`), and whether it is all of Z^d once, when it is interned.  A
+    basis volume that is not a normal float, or a coefficient that is not
+    finite, is a ValueError.
 
     Drifts and shifts are packed ints (`pack`) with digits wide enough for
     any sum of 2n shifts, so v is one int expression and `not v` its zero
@@ -543,8 +543,8 @@ def build(graph: PeriodicGraph) -> PeriodicMergeTree:
                 cat = merged != kr and merged != ks
                 epochs.append((sb, t, cat, eid if cat else 0, merged))
 
-    coeff = [1.0 / vol_d, *(volume(u, lat) / vol_d for lat in lattices[1:])]
-    if not all(map(math.isfinite, coeff)):
+    coeffs = [1.0 / vol_d, *(volume(u, lat) / vol_d for lat in lattices[1:])]
+    if not all(map(math.isfinite, coeffs)):
         raise ValueError("monomial coefficient out of float range")
     # the birth epochs first, so the stable argsort keeps each beam's epochs
     # in processing order, its birth epoch first
@@ -558,13 +558,12 @@ def build(graph: PeriodicGraph) -> PeriodicMergeTree:
     def column(births, rest, dtype):
         return np.concatenate((births, np.array(rest, dtype=dtype)))[rows]
 
-    lat = column(np.zeros(n, np.int64), lat, np.int64)
     return PeriodicMergeTree(
         d, birth=birth, birth_vertex=graph.ids[vertices], death=death, parent=parent,
         merge_edge=merge_edge, offsets=offsets, start=column(birth, start, float),
-        coeff=np.array(coeff)[lat], exp=np.array([d - x.rank for x in lattices])[lat],
         catenation=column(np.zeros(n, bool), cat, bool),
-        cell=column(np.zeros(n, np.int64), cell, np.int64), lattice=lat, lattices=lattices)
+        cell=column(np.zeros(n, np.int64), cell, np.int64),
+        lattice=column(np.zeros(n, np.int64), lat, np.int64), lattices=lattices, coeffs=coeffs)
 
 
 
@@ -661,7 +660,6 @@ class _TreeIndex:
     def __init__(self, tree: PeriodicMergeTree, text: _Text | None = None):
         self.fmt = (_Text() if text is None else text).__getitem__
         self._kid_orders = {}
-        self.lab = None
         n = len(tree.birth)
         death, parent = tree.death, tree.parent
         # a child's effective survivor is the parent of its highest ancestor
@@ -679,8 +677,9 @@ class _TreeIndex:
         self.koff = _column(_offsets(survivor, n), "q")
         spans = np.flatnonzero(tree.epoch_ends() > tree.start)
         self.soff = _column(np.searchsorted(spans, tree.offsets), "q")
-        self.start, self.coeff = _column(tree.start[spans], "d"), _column(tree.coeff[spans], "d")
-        self.exp = _column(tree.exp[spans], "q")
+        lattice = tree.lattice[spans]
+        self.start, self.coeff = _column(tree.start[spans], "d"), _column(tree.coeffs[lattice], "d")
+        self.exp = _column(tree.exps()[lattice], "q")
         self.birth = _column(tree.birth, "d")
 
     def tokens(self, b: int, top: float):
@@ -742,7 +741,8 @@ class _TreeIndex:
                            lambda key: self.tokens(reps[key], top))
 
     def labeled(self) -> "_TreeIndex":
-        """This index with its labels (see the class docstring), made once.
+        """This index with its labels (see the class docstring); called once
+        per index.
 
         Labels are interned bottom-up, in decreasing beam index since a beam
         joins one made before it.  A beam's events are its spans and its
@@ -762,8 +762,6 @@ class _TreeIndex:
         when those texts are.  Labels are numbered per index, so labels of
         two indexes are not comparable.
         """
-        if self.lab is not None:
-            return self
         n = len(self.birth)
         koff, soff = np.frombuffer(self.koff, np.int64), np.frombuffer(self.soff, np.int64)
         births, kh = np.frombuffer(self.birth), np.frombuffer(self.kh)

@@ -1,7 +1,9 @@
 """Guards on the public surface: the package exports, the names the traced
-benchmark run rebinds, and the numpy-only runtime."""
+benchmark run rebinds, the README's library example and the numpy-only
+runtime."""
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -10,7 +12,8 @@ import perimere
 from . import oracles
 from .conftest import FIXTURE_DIR
 
-PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def test_all_names_resolve():
@@ -45,6 +48,15 @@ def test_tracer_binds_on_current_api():
     # the fixture catenates, and build reaches the lattice through the traced names
     assert summary["mergetree.catenations"] > 0
     assert summary["lattice.volume_calls"] > 0 and summary["lattice.hnf_reduce_calls"] > 0
+
+
+def test_readme_library_example_runs(monkeypatch):
+    # the README's Python block, run from the repository root: a name it
+    # uses that is removed or renamed fails here instead of in the docs
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.S | re.M)
+    assert len(blocks) == 1
+    monkeypatch.chdir(ROOT)
+    exec(compile(blocks[0], "README.md", "exec"), {})
 
 
 def test_cli_imports_numpy_only():

@@ -274,6 +274,26 @@ class TestTree:
         assert [e["start"] for e in root["epochs"]] == [1.0, 12.0, 13.0]
         assert [e["display"] for e in root["epochs"]][1:] == ["2", "1"]
 
+    def test_json_keeps_24_character_time_texts(self, capsys, tmp_path):
+        # the writer keeps the birth, death and epoch-start texts in byte
+        # columns 24 wide, the longest repr of a double: every time here is
+        # that long, a birth, a death and a catenation's start alike
+        births = (-1.2345678901234567e-100, -1.2345678901234565e-100)
+        loop, merge = -1.2345678901234566e-200, -2.2250738585072014e-308
+        assert {len(repr(x)) for x in (*births, loop, merge)} == {24}
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps({
+            "dim": 1, "basis": [[1.0]],
+            "vertices": [{"id": 0, "value": births[0]}, {"id": 1, "value": births[1]}],
+            "edges": [{"id": 2, "u": 0, "v": 0, "value": loop, "shift": [1]},
+                      {"id": 3, "u": 0, "v": 1, "value": merge, "shift": [0]}]}))
+        code, out, _ = run(capsys, "tree", str(p), "--json")
+        assert code == 0
+        assert out == jsonfmt.dumps(build(parse(str(p))).to_json_dict()) + "\n"
+        # a beam's birth, its first epoch's start and its appearance; the
+        # catenation's epoch start and time; the death and the merger's time
+        assert [out.count(repr(x)) for x in (*births, loop, merge)] == [3, 3, 2, 2]
+
     def test_dot(self, capsys, fixture_paths):
         code, out, _ = run(capsys, "tree", str(fixture_paths[0]), "--dot")
         assert code == 0
@@ -468,6 +488,24 @@ class TestOutOfRange:
         assert out.splitlines()[1:] == [
             "2,0.0,1.0,-1e-200", "3,0.0,1.0,1e-300", f"1,0.0,2.0,-{c1}", "2,0.0,2.0,1e-200",
             f"1,0.0,inf,{c1}"]
+
+    def test_gram_determinant_below_the_float_range(self, capsys, tmp_path):
+        # diag(1e-100): the rank-2 lattice's float Gram determinant 1e-400
+        # underflows; its volume 1e-200 is taken on G scaled into range, so
+        # the era-1 bars keep their coefficient 1e-200 / 1e-300 = 1e100
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps({
+            "dim": 3, "basis": [[1e-100, 0, 0], [0, 1e-100, 0], [0, 0, 1e-100]],
+            "vertices": [{"id": 0, "value": 0.0}],
+            "edges": [{"id": 1, "u": 0, "v": 0, "value": 1.0, "shift": [1, 0, 0]},
+                      {"id": 2, "u": 0, "v": 0, "value": 2.0, "shift": [0, 1, 0]}]}))
+        code, out, err = run(capsys, "barcode", str(p), "--csv")
+        assert code == 0 and err == ""
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        era1 = {(b, d): float(m) for e, b, d, m in rows if e == "1"}
+        assert era1.keys() == {("0.0", "2.0"), ("0.0", "inf")}
+        assert math.isclose(era1["0.0", "inf"], 1e100, rel_tol=1e-9)
+        assert math.isclose(era1["0.0", "2.0"], -1e100, rel_tol=1e-9)
 
     @pytest.mark.parametrize("sublattice,ids", [("2", 2 ** 62), (str(2 ** 63), 1)])
     def test_unroll_index_checked_before_enumerating(self, capsys, tmp_path, monkeypatch,

@@ -23,7 +23,7 @@ from perimere.barcode import json_chunks, to_csv
 from perimere.cli import main
 from perimere.lattice import (RealBasis, SublatticeBasis, count_cosets_in_ball, hnf_reduce,
                               unit_ball_volume)
-from perimere.mergetree import PeriodicMergeTree, _TreeIndex
+from perimere.mergetree import _TreeIndex
 from perimere.pgraph import PeriodicGraph, number_shifts
 from perimere.synthetic import random_periodic_graph, torus_grid
 from perimere.transport import _add, barcode_distance, positive_negative_split
@@ -428,6 +428,16 @@ def _leaves(coeffs, below=None):
     return oracles.tree_of(1, beams)
 
 
+def _line(values, edges):
+    """The tree of a graph in d = 1 with no loops, so every epoch has
+    exponent 1: vertices valued `values`, edges (u, v, value) of shift [0]."""
+    n = len(values)
+    return build(parse({"dim": 1, "basis": [[1.0]],
+                        "vertices": [{"id": i, "value": x} for i, x in enumerate(values)],
+                        "edges": [{"id": n + k, "u": u, "v": v, "value": t, "shift": [0]}
+                                  for k, (u, v, t) in enumerate(edges)]}))
+
+
 class TestSplintersOracle:
     @pytest.mark.parametrize("below", [None, 1.0])
     def test_first_pick_starves_a_later_group(self, below):
@@ -460,6 +470,29 @@ class TestSplintersOracle:
         cover["vertices"][5]["value"] -= 1e-6   # one copy of a vertex moves
         moved = build(parse(cover))
         assert not splinters(moved, tree) and not oracles.splinters(moved, tree)
+
+    # each pair below reaches one branch of the sweep that no seeded pair
+    # reaches, and splinters in neither routine, in either order.  Births
+    # D apart are written alike at TOL, so their subtrees share a label
+    D = 1e-12
+
+    @pytest.mark.parametrize("cover,image", [
+        # image roots born at 1 - D and 1, preimage roots both at 1 - D: the
+        # class passes the first child's birth test, and the second child is
+        # younger than the preimage it is given (the eldest check)
+        ([[1 - D, 1 - D], []], [[1 - D, 1.0], []]),
+        # preimage children born where they merge, at 5: no monomial ratio
+        # pins their count, so count 1 fails (the image child was born at
+        # 5 - D) and count 2 is tried next
+        ([[0.0, 5.0, 5.0], [(0, 1, 5.0), (0, 2, 5.0)]], [[0.0, 5.0 - D], [(0, 1, 5.0)]]),
+        # the image child takes the preimage child born at 1; the one born at
+        # 2 and its parent sliding on are left over with two labels
+        ([[0.0, 1.0, 2.0], [(0, 1, 5.0), (0, 2, 5.0)]], [[0.0, 1.0], [(0, 1, 5.0)]]),
+    ])
+    def test_constructed_pairs_agree(self, cover, image):
+        cover, image = _line(*cover), _line(*image)
+        for a, b in ((cover, image), (image, cover)):
+            assert not splinters(a, b) and not oracles.splinters(a, b)
 
     @pytest.mark.parametrize("seed", [49])
     def test_canonical_form_equality_agrees(self, seed, fig3_left, helix_cross):
@@ -591,8 +624,9 @@ def _built_as_oracle(g):
     lattices = [tree.lattices[k] for k in tree.lattice]
     assert lattices == [ep.basis for b in ref.beams for ep in b.epochs]
     columns = oracles.tree_of(g.dim, ref.beams)
-    # all but dim and the lattices, whose table order is not part of the tree
-    for name in PeriodicMergeTree.__slots__[1:-2]:
+    # all but dim and the lattice table, whose order is not part of the tree
+    for name in ("birth", "birth_vertex", "death", "parent", "merge_edge", "offsets",
+                 "start", "coeff", "exp", "catenation", "cell"):
         assert np.array_equal(getattr(tree, name), getattr(columns, name)), name
     assert [columns.lattices[k] for k in columns.lattice] == lattices
     return tree

@@ -114,22 +114,6 @@ class TestRecordTemplates:
         texts, index = jsonfmt.distinct(np.array([]))
         assert texts == [] and index.size == 0
 
-    @pytest.mark.parametrize("block", [1, 3, 256])
-    def test_text_store_takes_what_was_added(self, monkeypatch, block):
-        # adds of any length, cut into blocks of their own; empty texts too
-        monkeypatch.setattr("perimere.jsonfmt._BLOCK", block)
-        rng = random.Random(block)
-        texts = jsonfmt.floats([rng.choice([0.1, -0.0, 1e-300, -1.2345678901234567e-300, None])
-                                for _ in range(700)]) + ["", "x"]
-        store = jsonfmt.TextStore(len(texts))
-        a = 0
-        for size in (0, 1, 300, 2, 399):
-            store.add(texts[a:a + size])
-            a += size
-        rows = np.array([rng.randrange(len(texts)) for _ in range(500)] + [0, 701, 700, 300])
-        assert store.take(rows) == [texts[r] for r in rows.tolist()]
-        assert store.take(np.arange(0)) == []
-
 
 def _written(g):
     """The three record writers' texts and `reference` of the dict forms."""

@@ -328,6 +328,23 @@ class TestVolumeExactness:
                 assert v > 1.4e154   # v * v is past the float range
                 assert v.hex() == oracle_volume(u, l).hex()
 
+    def test_float_gram_determinant_out_of_normal_range(self):
+        # a float basis scaled by 2^-340, or a lattice by 2^200, scales G
+        # exactly by 2^e and the Gram determinant by 2^(2ep): it underflows
+        # at ranks 2 and 3 or overflows at rank 3, and the volume, then taken
+        # on G scaled back into range, is still the unscaled one times 2^(ep)
+        cols = [[1.5, 0.25, 0.0], [-0.5, 2.0, 0.1], [0.0, 0.3, 1.2]]
+        u = RealBasis(cols)
+        small = RealBasis([[math.ldexp(x, -340) for x in col] for col in cols])
+        assert small.int_rows is None
+        rng = random.Random(22)
+        for rank in (1, 2, 3):
+            for l in _lattices(rng, 3, rank):
+                want = volume(u, l)
+                assert volume(small, l) == pytest.approx(math.ldexp(want, -340 * rank), rel=1e-12)
+                big = SublatticeBasis(3, tuple(tuple(c << 200 for c in col) for col in l.columns))
+                assert volume(u, big) == pytest.approx(math.ldexp(want, 200 * rank), rel=1e-12)
+
     def test_float_basis_takes_numpy_gram(self):
         u = RealBasis([[1.5, 0.25, 0.0], [-0.5, 2.0, 0.1], [0.0, 0.3, 1.2]])
         assert u.int_rows is None and u.int_det is None

@@ -75,7 +75,7 @@ class TestBuildGolden:
         # the columns are the whole record: no event log is stored
         assert PeriodicMergeTree.__slots__ == (
             "dim", "birth", "birth_vertex", "death", "parent", "merge_edge",
-            "offsets", "start", "coeff", "exp", "catenation", "cell", "lattice", "lattices")
+            "offsets", "start", "catenation", "cell", "lattice", "lattices", "coeffs")
 
     def test_single_vertex(self):
         g = parse({"dim": 3,
