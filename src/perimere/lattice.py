@@ -3,8 +3,9 @@
 Sublattices of Z^d are kept in a canonical column-style Hermite normal form
 so that two values describe the same lattice iff they compare equal.  All
 integer work uses Python's unbounded ints (intermediate entries during
-reduction can grow like (2N)^(c^(d-1)), far beyond 64 bits); only volumes
-and the real change-of-basis matrix live in floating point.
+reduction can grow like (2N)^(c^(d-1)), far beyond 64 bits).  The real
+basis is kept as floats and exactly, as the integer matrix U . 2^scale, so
+volumes and monomial coefficients are exact until one final rounding.
 """
 from __future__ import annotations
 
@@ -322,37 +323,38 @@ class RealBasis:
     """Real d x d basis matrix U (columns are lattice vectors) with caches.
 
     Caches the inverse, the operator norm of the inverse (largest singular
-    value), and vol_d = |det U|.  When every entry is an exact integer, U's
-    integer rows and the exact |det U| are kept too (else both are None),
-    so sublattice volumes come out of exact integer determinants.  A basis
-    whose float inverse misses the identity by more than 1e-12 is refused,
-    unless it is an integer basis with a nonzero determinant: its inverse
-    is then rounded from the exact adjugate (`_exact_inverse`).
+    value), and U exactly: every float is a dyadic rational, so U . 2^scale
+    has integer `rows` for the least scale >= 0, and `det` is their exact
+    |det|.  vol_d = det / 2^(scale d), rounded once.  A basis whose float
+    inverse misses the identity by more than 1e-12 (or by NaN) is refused,
+    unless it is an integer basis (scale 0) with a nonzero determinant: its
+    inverse is then rounded from the exact adjugate (`_exact_inverse`).
     """
 
-    __slots__ = ("dim", "matrix", "inverse", "volume", "inverse_norm", "int_rows", "int_det")
+    __slots__ = ("dim", "matrix", "inverse", "volume", "inverse_norm", "rows", "det", "scale")
 
     def __init__(self, columns):
         u = np.array([[float(e) for e in col] for col in columns], dtype=float).T
         if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] < 1:
             raise ValueError("basis must be a square d x d matrix, d >= 1")
-        self.dim = u.shape[0]
+        self.dim = d = u.shape[0]
         self.matrix = u
         det = np.linalg.det(u)
         if det == 0.0 or not np.isfinite(det):
             raise ValueError("singular lattice basis")
-        self.int_rows = self.int_det = None
-        if all(float(e).is_integer() for col in columns for e in col):
-            self.int_rows = tuple(zip(*(tuple(int(e) for e in col) for col in columns)))
-            self.int_det = abs(_int_det(self.int_rows))
-            self.volume = float(self.int_det)
-        else:
-            self.volume = float(abs(det))
-        self.inverse = np.linalg.inv(u)
-        if np.max(np.abs(u @ self.inverse - np.eye(self.dim))) > 1e-12:
-            if not self.int_det:
+        ratios = [[x.as_integer_ratio() for x in row] for row in u.tolist()]   # floats are dyadic
+        self.scale = max(q for row in ratios for _, q in row).bit_length() - 1
+        self.rows = tuple(tuple(p << self.scale + 1 - q.bit_length() for p, q in row)
+                          for row in ratios)
+        self.det = abs(_int_det(self.rows))
+        self.volume = self.det / (1 << self.scale * d)
+        with np.errstate(all="ignore"):
+            self.inverse = np.linalg.inv(u)
+            residual = np.max(np.abs(u @ self.inverse - np.eye(d)))
+        if not residual <= 1e-12:
+            if self.scale or not self.det:
                 raise ValueError("basis too ill-conditioned to invert reliably")
-            self.inverse = _exact_inverse(self.int_rows)   # integer, det != 0: adj / det
+            self.inverse = _exact_inverse(self.rows)   # integer, det != 0: adj / det
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             top = np.linalg.eigvalsh(self.inverse.T @ self.inverse)[-1]
         # the bounds scale with this norm: refuse a square that overflowed,
@@ -362,57 +364,47 @@ class RealBasis:
         self.inverse_norm = math.sqrt(top)
 
 
+_PAST_FLOAT = (1 << 1024) - (1 << 970)   # the least int that rounds past the largest float
+
+
+def _sqrt_ratio(num: int, den: int) -> float:
+    """sqrt(num / den) for ints num >= 0 and den > 0, rounded once to the
+    nearest float (inf past the float range).  An int below 2^53 converts
+    exactly, so `math.sqrt` rounds its root once.  Otherwise r = isqrt of
+    the quotient scaled by 4^s is at least 2^55, and a sticky low bit marks
+    an inexact root, so r / 2^s, a correctly rounded int division (subnormal
+    results too), rounds as the exact root would."""
+    if den == 1 and num < 1 << 53:
+        return math.sqrt(num)
+    s = max(0, (den.bit_length() - num.bit_length() + 112) // 2)
+    q, rem = divmod(num << 2 * s, den)
+    r = math.isqrt(q)
+    r |= bool(rem or r * r != q)
+    return r / (1 << s) if r < _PAST_FLOAT else math.inf
+
+
+def _gram(u: RealBasis, l: SublatticeBasis) -> int:
+    """det(G^T G) for G = U's exact rows times L's columns (Bareiss); 1 at rank 0."""
+    g = [[sum(map(mul, row, col)) for row in u.rows] for col in l.columns]
+    return _int_det([[sum(map(mul, a, b)) for b in g] for a in g])
+
+
 def volume(u: RealBasis, l: SublatticeBasis) -> float:
-    """p-dimensional volume of the unit cell of the real lattice U . L.
+    """p-dimensional volume of the unit cell of the real lattice U . L,
+    sqrt(`_gram` / 4^(scale p)) rounded once; the rank-0 lattice has volume 1."""
+    return _sqrt_ratio(_gram(u, l), 1 << 2 * u.scale * l.rank)
 
-    sqrt(det(G^T G)) with G = U . columns(L); the rank-0 lattice has
-    volume 1 by convention.
 
-    On an integer basis U, det(G^T G) is an exact int, found by one of two
-    routes.  At full rank the HNF is lower triangular, so det G is det U
-    times the product of the pivots, and det(G^T G) = (|det U| * pivots)^2.
-    Below full rank, G is U's integer rows times L's columns, and its
-    p x p Gram matrix goes to an exact (Bareiss) determinant.  Both give
-    the very int the Gram determinant is, and `math.sqrt` rounds an int the
-    same way whichever route made it, so every volume, and every byte
-    written from one, is that of the plain Gram computation.  A float
-    basis takes the numpy Gram determinant.  Where that is not a positive
-    normal float (diag(1e-100) in d = 3 gives 1e-400 at rank 2), it is
-    taken again on G scaled by a power of two, which is exact, and the
-    root is scaled back; only there, since numpy's determinant goes
-    through log and exp, and a rescale would move the last bits of
-    volumes in range.
-    """
+def coefficient(u: RealBasis, l: SublatticeBasis) -> float:
+    """The monomial coefficient vol_p(U . L) / vol_d(U) of the rank-p lattice
+    L, rounded once (inf past the float range).  At full rank it is the index
+    [Z^d : L], the product of the pivots, whatever U is; below it, its square
+    is `_gram` * 4^(scale (d - p)) / det^2 exactly."""
     p = l.rank
-    if p == 0:
-        return 1.0
-    if u.int_rows is not None:
-        if p == u.dim:
-            root = u.int_det
-            for i, col in enumerate(l.columns):
-                root *= col[i]
-            det = root * root
-        else:
-            g = [[sum(map(mul, row, col)) for row in u.int_rows] for col in l.columns]
-            det = _int_det([[sum(map(mul, a, b)) for b in g] for a in g])
-        try:
-            return math.sqrt(det)
-        except OverflowError:   # det is past the float range: sqrt(det / 4^k) * 2^k
-            k = (det.bit_length() - 1000) // 2
-            return math.ldexp(math.sqrt(det >> 2 * k), k)
-    g = u.matrix @ np.array(l.columns, dtype=float).T
-    with np.errstate(over="ignore", invalid="ignore"):
-        det = np.linalg.det(g.T @ g)
-    if np.finfo(float).tiny <= det < math.inf:
-        return math.sqrt(det)
-    # the determinant left the normal range: take it on G scaled exactly by
-    # 2^-e, its entries then below 1, and scale the root back by 2^(e p)
-    e = math.frexp(float(np.abs(g).max()))[1]
-    h = np.ldexp(g, -e)
-    try:
-        return math.ldexp(math.sqrt(max(np.linalg.det(h.T @ h), 0.0)), e * p)
-    except OverflowError:
-        return math.inf
+    if p == u.dim:
+        index = math.prod(col[i] for i, col in enumerate(l.columns))
+        return float(index) if index < _PAST_FLOAT else math.inf
+    return _sqrt_ratio(_gram(u, l) << 2 * u.scale * (u.dim - p), u.det * u.det)
 
 
 def unit_ball_volume(q: int) -> float:

@@ -44,7 +44,7 @@ import numpy as np
 
 from . import jsonfmt
 from .jsonfmt import HOLE
-from .lattice import SublatticeBasis, hnf_insert, hnf_reduce, remainder, unit_ball_volume, volume
+from .lattice import SublatticeBasis, coefficient, hnf_insert, hnf_reduce, remainder, unit_ball_volume
 from .pgraph import PeriodicGraph, max_shift_magnitude
 
 
@@ -399,10 +399,10 @@ def build(graph: PeriodicGraph) -> PeriodicMergeTree:
     stable argsort by beam makes the epoch columns beam-major.  Lattices are
     interned by their HNF column tuples into the table `lattices`, the zero
     lattice first, and compared by index; a `SublatticeBasis` is made only
-    for a new entry, each entry's coefficient is computed once (the tree's
-    `coeffs`), and whether it is all of Z^d once, when it is interned.  A
-    basis volume that is not a normal float, or a coefficient that is not
-    finite, is a ValueError.
+    for a new entry, each entry's coefficient is computed once, rounded once
+    (`coefficient`, the tree's `coeffs`), and whether it is all of Z^d once,
+    when it is interned.  A basis volume that is not a normal float, or a
+    coefficient that is not finite, is a ValueError.
 
     Drifts and shifts are packed ints (`pack`) with digits wide enough for
     any sum of 2n shifts, so v is one int expression and `not v` its zero
@@ -429,8 +429,7 @@ def build(graph: PeriodicGraph) -> PeriodicMergeTree:
     """
     d = graph.dim
     u = graph.basis
-    vol_d = u.volume
-    if not sys.float_info.min <= vol_d < math.inf:   # a subnormal has lost digits
+    if not sys.float_info.min <= u.volume < math.inf:   # a subnormal has lost digits
         raise ValueError("basis volume out of float range")
     n = graph.n
     kind = np.arange(len(graph.ids)) >= n   # vertices before edges
@@ -543,7 +542,7 @@ def build(graph: PeriodicGraph) -> PeriodicMergeTree:
                 cat = merged != kr and merged != ks
                 epochs.append((sb, t, cat, eid if cat else 0, merged))
 
-    coeffs = [1.0 / vol_d, *(volume(u, lat) / vol_d for lat in lattices[1:])]
+    coeffs = [coefficient(u, lat) for lat in lattices]
     if not all(map(math.isfinite, coeffs)):
         raise ValueError("monomial coefficient out of float range")
     # the birth epochs first, so the stable argsort keeps each beam's epochs

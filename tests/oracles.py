@@ -10,8 +10,9 @@ implementation, `oracle_unroll` its earlier per-edge unroll,
 matrix, `oracle_w1` its earlier transport solver (one arc record per
 pair, with the transport plan it can report), `oracle_extract` its earlier
 barcode extraction (a dict of contributions per bar key, with its CSV and
-JSON renderings), `oracle_volume` its earlier sublattice volume (an
-integer Gram matrix and a Bareiss determinant on integer bases) and
+JSON renderings), `oracle_volume` and `oracle_coefficient` sublattice
+volumes and monomial coefficients from Fraction Gram determinants, each
+rounded by checking a float against the midpoints to its neighbours, and
 `oracle_build` its earlier merge tree (one `Beam` object per beam, one
 `Epoch` per epoch, and `UnionFind`, with one list of d ints per drift);
 all are kept as differential references for the current code.  `view` shows a columnar tree as those objects, for the
@@ -26,13 +27,14 @@ import math
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import itemgetter
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from perimere.lattice import (IntMatrix, RealBasis, SublatticeBasis, _int_det, coset_reps,
-                              hnf_reduce, hnf_transform, member, reduce_mod, solve, volume)
+from perimere.lattice import (IntMatrix, RealBasis, SublatticeBasis, coset_reps,
+                              hnf_reduce, hnf_transform, member, reduce_mod, solve)
 from perimere.mergetree import Event, PeriodicMergeTree
 from perimere.pgraph import (_ID_MAX, _ID_MIN, _TOP_KEYS, GraphError, PeriodicGraph, _bad_record,
                              _read_int, _read_shift, _read_value, parse)
@@ -782,25 +784,70 @@ def oracle_json(eras: list) -> str:
     }, indent=2, sort_keys=True)
 
 
+def _fraction_det(rows) -> Fraction:
+    """Determinant of a square matrix of Fractions by Gaussian elimination."""
+    a = [list(r) for r in rows]
+    det = Fraction(1)
+    for k in range(len(a)):
+        pivot = next((r for r in range(k, len(a)) if a[r][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        for r in range(k + 1, len(a)):
+            f = a[r][k] / a[k][k]
+            a[r] = [x - f * y for x, y in zip(a[r], a[k])]
+    return det
+
+
+def _even(x: float) -> bool:
+    """x's last significand bit is 0: a tie rounds to such a float."""
+    return Fraction(x) / Fraction(math.ulp(x)) % 2 == 0
+
+
+def nearest_root(q: Fraction) -> float:
+    """The float nearest sqrt(q) for an exact q > 0, ties to even, inf past
+    the float range: a float candidate, moved to a neighbour until sqrt(q)
+    lies between the midpoints to its two neighbours (compared as squares)."""
+    e = (q.numerator.bit_length() - q.denominator.bit_length()) // 2
+    try:
+        x = math.ldexp(math.sqrt(float(q / Fraction(4) ** e)), e)
+    except OverflowError:
+        x = sys.float_info.max
+    while True:
+        down, up = math.nextafter(x, 0.0), math.nextafter(x, math.inf)
+        lo = (Fraction(x) + Fraction(down)) / 2
+        hi = (Fraction(x) + (Fraction(2 ** 1024) if up == math.inf else Fraction(up))) / 2
+        if q < lo * lo or (q == lo * lo and not _even(x)):
+            x = down
+        elif q > hi * hi or (q == hi * hi and not _even(x)):
+            x = up
+            if x == math.inf:
+                return x
+        else:
+            return x
+
+
+def _gram_fraction(u: RealBasis, l: SublatticeBasis) -> Fraction:
+    """det(G^T G) for G = U . columns(L), U read exactly from its floats."""
+    m = [[Fraction(x) for x in row] for row in u.matrix.tolist()]
+    g = [[sum(row[c] * col[c] for c in range(u.dim)) for row in m] for col in l.columns]
+    return _fraction_det([[sum(x * y for x, y in zip(a, b)) for b in g] for a in g])
+
+
 def oracle_volume(u: RealBasis, l: SublatticeBasis) -> float:
-    """sqrt(det(G^T G)), G = U . columns(L): on an integer basis the Gram
-    matrix of G's integer columns and its Bareiss determinant, else numpy."""
-    p = l.rank
-    if p == 0:
-        return 1.0
-    if u.int_rows is not None:
-        d = u.dim
-        g = [[sum(u.int_rows[r][c] * col[c] for c in range(d)) for r in range(d)]
-             for col in l.columns]
-        gram = [[sum(g[i][r] * g[j][r] for r in range(d)) for j in range(p)] for i in range(p)]
-        det = _int_det(gram)
-        try:
-            return math.sqrt(det)
-        except OverflowError:
-            k = (det.bit_length() - 1000) // 2
-            return math.ldexp(math.sqrt(det >> 2 * k), k)
-    g = u.matrix @ np.array(l.columns, dtype=float).T
-    return float(math.sqrt(max(np.linalg.det(g.T @ g), 0.0)))
+    """sqrt(det(G^T G)), G = U . columns(L), correctly rounded: the Gram
+    determinant in Fractions, then `nearest_root`."""
+    return nearest_root(_gram_fraction(u, l))
+
+
+def oracle_coefficient(u: RealBasis, l: SublatticeBasis) -> float:
+    """vol_p(U . L) / vol_d(U), correctly rounded: the exact square
+    det(G^T G) / det(U)^2 in Fractions, then `nearest_root`."""
+    det = _fraction_det([[Fraction(x) for x in row] for row in u.matrix.tolist()])
+    return nearest_root(_gram_fraction(u, l) / (det * det))
 
 
 # ---------------------------------------------------------------------------
@@ -963,13 +1010,12 @@ def oracle_build(graph: PeriodicGraph) -> ObjectTree:
     """
     d = graph.dim
     u = graph.basis
-    vol_d = u.volume
-    if not sys.float_info.min <= vol_d < math.inf:   # a subnormal has lost digits
+    if not sys.float_info.min <= u.volume < math.inf:   # a subnormal has lost digits
         raise ValueError("basis volume out of float range")
     n, m = graph.n, graph.m
 
     def coefficient(lat: SublatticeBasis) -> float:
-        c = volume(u, lat) / vol_d
+        c = oracle_coefficient(u, lat)
         if not math.isfinite(c):
             raise ValueError("monomial coefficient out of float range")
         return c
@@ -980,8 +1026,8 @@ def oracle_build(graph: PeriodicGraph) -> ObjectTree:
     order = np.lexsort((graph.ids, kind, graph.values)).tolist()
 
     beams: list[Beam] = []
-    coeff0 = 1.0 / vol_d
     empty = SublatticeBasis.empty(d)
+    coeff0 = coefficient(empty)
 
     # union-find slots are vertex positions, as edge endpoints are; the
     # filter property guarantees both endpoints precede every edge.  Beams

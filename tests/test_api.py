@@ -36,6 +36,7 @@ def test_tracer_binds_on_current_api():
         t = perimere.build(g)
         code = perimere.extract(t)
         assert perimere.splinters(t, t)
+        assert perimere.volume(g.basis, t.lattices[-1]) > 0   # build calls `coefficient`
     finally:
         tracer.uninstall()
     names = {tracer.names[i] for i in tracer.name}

@@ -7,9 +7,10 @@ import os
 import random
 import tempfile
 import warnings
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perimere import build, extract, jsonfmt, parse, serialize, unroll
@@ -219,8 +220,13 @@ class TestInputFuzz:
     ENTRY_PATHS = [(i, p) for i, p in PATHS
                    if type(p[-1]) is int and (p[-2] == "shift" or p[0] == "basis")]
 
+    # a basis entry whose float inverse is not finite: the residual of the
+    # conditioning check is NaN there, which must be refused without a warning
     @settings(max_examples=400, derandomize=True, database=None, deadline=None)
     @given(target=st.sampled_from(PATHS), value=FUZZ_VALUES)
+    @example(target=(0, ("basis", 0, 0)), value=5e-324)
+    @example(target=(0, ("basis", 0, 0)), value=1e-310)
+    @example(target=(0, ("basis", 0, 0)), value=2.225073858507203e-309)
     def test_mutated_field_never_escapes(self, target, value):
         doc_index, path = target
         _run_mutant(self.DOCS[doc_index], path, value, ["validate"])
@@ -473,39 +479,54 @@ class TestOutOfRange:
         assert err == "error: number out of range: predicted count out of float range\n"
         assert out == ""
 
-    def test_gram_determinant_past_the_float_range(self, capsys, tmp_path):
-        # diag(1e100): the rank-2 lattice's Gram determinant is 1e400 as an
-        # exact int, its volume 1e200 and its coefficient 1e200 / 1e300
+    @staticmethod
+    def _diagonal_loops(tmp_path, x, steps):
+        """One vertex on the basis diag(x, x, x), with a loop along steps * e_i
+        at height i + 1 for each of the given steps."""
         p = tmp_path / "g.json"
         p.write_text(json.dumps({
-            "dim": 3, "basis": [[1e100, 0, 0], [0, 1e100, 0], [0, 0, 1e100]],
+            "dim": 3, "basis": [[x if r == c else 0 for r in range(3)] for c in range(3)],
             "vertices": [{"id": 0, "value": 0.0}],
-            "edges": [{"id": 1, "u": 0, "v": 0, "value": 1.0, "shift": [1, 0, 0]},
-                      {"id": 2, "u": 0, "v": 0, "value": 2.0, "shift": [0, 1, 0]}]}))
+            "edges": [{"id": i + 1, "u": 0, "v": 0, "value": i + 1.0,
+                       "shift": [k if r == i else 0 for r in range(3)]}
+                      for i, k in enumerate(steps)]}))
+        return p
+
+    def test_gram_determinant_past_the_float_range(self, capsys, tmp_path):
+        # diag(1e100): the rank-2 lattice's Gram determinant is about 1e400,
+        # past the float range; each era-e coefficient is 1 / 1e100^e,
+        # rounded once from the exact value
+        p = self._diagonal_loops(tmp_path, 1e100, (1, 1))
         code, out, err = run(capsys, "barcode", str(p), "--csv")
         assert code == 0 and err == ""
-        c1 = repr(1e200 / 1e300)
+        c = [repr(float(1 / Fraction(1e100) ** e)) for e in range(4)]
         assert out.splitlines()[1:] == [
-            "2,0.0,1.0,-1e-200", "3,0.0,1.0,1e-300", f"1,0.0,2.0,-{c1}", "2,0.0,2.0,1e-200",
-            f"1,0.0,inf,{c1}"]
+            f"2,0.0,1.0,-{c[2]}", f"3,0.0,1.0,{c[3]}", f"1,0.0,2.0,-{c[1]}", f"2,0.0,2.0,{c[2]}",
+            f"1,0.0,inf,{c[1]}"]
 
     def test_gram_determinant_below_the_float_range(self, capsys, tmp_path):
-        # diag(1e-100): the rank-2 lattice's float Gram determinant 1e-400
-        # underflows; its volume 1e-200 is taken on G scaled into range, so
-        # the era-1 bars keep their coefficient 1e-200 / 1e-300 = 1e100
-        p = tmp_path / "g.json"
-        p.write_text(json.dumps({
-            "dim": 3, "basis": [[1e-100, 0, 0], [0, 1e-100, 0], [0, 0, 1e-100]],
-            "vertices": [{"id": 0, "value": 0.0}],
-            "edges": [{"id": 1, "u": 0, "v": 0, "value": 1.0, "shift": [1, 0, 0]},
-                      {"id": 2, "u": 0, "v": 0, "value": 2.0, "shift": [0, 1, 0]}]}))
+        # diag(1e-100): the rank-2 lattice's Gram determinant 1e-400 is below
+        # the float range; the era-1 bars keep their coefficient 1 / 1e-100
+        # and the era-3 bar its 1 / 1e-300, each rounded once
+        p = self._diagonal_loops(tmp_path, 1e-100, (1, 1))
         code, out, err = run(capsys, "barcode", str(p), "--csv")
         assert code == 0 and err == ""
+        c = [repr(float(1 / Fraction(1e-100) ** e)) for e in range(4)]
+        assert c[1] == "1e+100" and c[3] == "9.999999999999999e+299"
         rows = [line.split(",") for line in out.splitlines()[1:]]
-        era1 = {(b, d): float(m) for e, b, d, m in rows if e == "1"}
-        assert era1.keys() == {("0.0", "2.0"), ("0.0", "inf")}
-        assert math.isclose(era1["0.0", "inf"], 1e100, rel_tol=1e-9)
-        assert math.isclose(era1["0.0", "2.0"], -1e100, rel_tol=1e-9)
+        era1 = {(b, d): m for e, b, d, m in rows if e == "1"}
+        assert era1 == {("0.0", "2.0"): f"-{c[1]}", ("0.0", "inf"): c[1]}
+        assert [m for e, _, _, m in rows if e == "3"] == [c[3]]
+
+    def test_sublattice_volume_past_the_float_range(self, capsys, tmp_path):
+        # diag(2^340): the loops 4 e_i span lattices of volume up to
+        # 4^3 2^1020, past the float range, yet every coefficient is at most
+        # the index 64 of the full-rank one
+        p = self._diagonal_loops(tmp_path, 2 ** 340, (4, 4, 4))
+        code, out, err = run(capsys, "barcode", str(p), "--csv")
+        assert code == 0 and err == ""
+        assert [m for e, _, _, m in (line.split(",") for line in out.splitlines()[1:])
+                if e == "0"] == ["-64.0", "64.0"]
 
     @pytest.mark.parametrize("sublattice,ids", [("2", 2 ** 62), (str(2 ** 63), 1)])
     def test_unroll_index_checked_before_enumerating(self, capsys, tmp_path, monkeypatch,

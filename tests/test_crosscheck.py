@@ -254,6 +254,43 @@ class TestRandomGraphInvariance:
                     break
             assert equals(code, extract(build(unroll(g, s))))
 
+    def test_rotation_basis_change_and_cover_combined(self):
+        # the abstract's invariance "under isometries, changing bases, and
+        # indeed changing lattices" at once: U' = Q.U.A for a rotation Q and
+        # a unimodular A, with shifts A^-1 t, then the cover by a sublattice
+        # S, each drawn or not, every combination alike.  Bases too
+        # ill-conditioned for `RealBasis` are refused by parse and counted
+        rng = random.Random(53)
+        combos = list(itertools.product((False, True), repeat=3))
+        checked = refused = 0
+        for trial in range(400):
+            rotate, change, cover = combos[trial % len(combos)]
+            g = next(TestBasisChangeInvariance._graphs(rng, 1))
+            d = g.dim
+            doc = serialize(g)
+            basis = np.array(doc["basis"]).T   # the columns as a matrix
+            if rotate:
+                gauss = np.random.default_rng(rng.randrange(2 ** 32)).normal(size=(d, d))
+                basis = np.linalg.qr(gauss)[0] @ basis
+            if change:
+                a = random_unimodular(rng, d)
+                ainv = _unimodular_inverse(a)
+                basis = basis @ np.array(a, dtype=float).T
+                for rec in doc["edges"]:
+                    rec["shift"] = [sum(ainv[k][r] * rec["shift"][k] for k in range(d))
+                                    for r in range(d)]
+            doc["basis"] = basis.T.tolist()
+            try:
+                moved = parse(doc)
+            except GraphError:
+                refused += 1
+                continue
+            if cover:
+                moved = unroll(moved, _sublattice(rng, d))
+            assert equals(extract(build(g)), extract(build(moved)))
+            checked += 1
+        assert checked >= 360 and checked + refused == 400
+
 
 def _unimodular_inverse(cols):
     """Columns of the inverse of the unimodular matrix with columns `cols`:
@@ -271,10 +308,8 @@ def _unimodular_inverse(cols):
 
 
 class TestBasisChangeInvariance:
-    # the abstract's invariance under changing bases, on whole graphs.  The
-    # combined change U' = Q.U.A (a rotation, then a unimodular basis) is left
-    # out: some of its barcodes fail `equals` at the default tol until
-    # `lattice.volume` computes coefficients basis-independently (ROADMAP item 3)
+    # the abstract's invariance under changing bases, on whole graphs, one
+    # change at a time; TestRandomGraphInvariance combines them with covers
 
     @staticmethod
     def _graphs(rng, count):
@@ -1163,8 +1198,12 @@ class TestMonomialCounts:
     RADII = {2: (8.0, 16.0, 32.0), 3: (5.0, 10.0)}
 
     @staticmethod
-    def _bases(rng, d):
-        """Identity, skewed (I + 0.3 N) and rotated-and-scaled basis matrices."""
+    def _bases(rng, arng, d):
+        """Identity, skewed (I + 0.3 N), rotated-and-scaled and Q.U.A basis
+        matrices, each with the unimodular A that its shifts are moved by
+        (A^-1 t), or None.  Q.U.A is a rotation of the skewed basis times an
+        A drawn from `arng`: the skewed graph's isometric copy in other
+        coordinates."""
         eye = np.eye(d)
         skewed = eye + 0.3 * np.array([[rng.uniform(-1, 1) for _ in range(d)] for _ in range(d)])
         rotated = eye
@@ -1175,10 +1214,13 @@ class TestMonomialCounts:
             g[i, j], g[j, i] = -math.sin(a), math.sin(a)
             rotated = rotated @ g
         rotated = rotated @ np.diag([rng.uniform(0.8, 1.25) for _ in range(d)])
-        return {"identity": eye, "skewed": skewed, "rotated": rotated}
+        a = random_unimodular(arng, d, ops=2)   # small, so the enumeration box stays small
+        qua = np.linalg.qr(rotated)[0] @ skewed @ np.array(a, dtype=float).T
+        return {"identity": (eye, None), "skewed": (skewed, None), "rotated": (rotated, None),
+                "qua": (qua, a)}
 
     def test_every_coefficient_counts_its_shadows(self):
-        rng = random.Random(13)
+        rng, arng = random.Random(13), random.Random(14)
         worst = {}   # (d, exp, basis) -> the worst relative deviation per radius
         exact = 0
         for _ in range(30):
@@ -1186,9 +1228,14 @@ class TestMonomialCounts:
             n = rng.randint(2, 6)
             g = random_periodic_graph(rng, dim=d, n=n, m=rng.randint(2, 10), shift_range=2,
                                       tie_values=rng.random() < 0.5)
-            for name, m in self._bases(rng, d).items():
+            for name, (m, a) in self._bases(rng, arng, d).items():
                 u = RealBasis(m.T.tolist())
-                tree = build(PeriodicGraph(d, u, g.ids, g.values, g.raw, g.u, g.v, g.table, g.which))
+                table = g.table
+                if a is not None:
+                    ainv = _unimodular_inverse(a)
+                    table = [tuple(sum(ainv[k][r] * t[k] for k in range(d)) for r in range(d))
+                             for t in table]
+                tree = build(PeriodicGraph(d, u, g.ids, g.values, g.raw, g.u, g.v, table, g.which))
                 counted = {}   # (table index, R) -> the count
                 for k, coeff, exp in zip(tree.lattice.tolist(), tree.coeff.tolist(), tree.exp.tolist()):
                     devs = []
@@ -1204,7 +1251,7 @@ class TestMonomialCounts:
                     else:
                         w = worst.setdefault((d, exp, name), devs)
                         worst[d, exp, name] = list(map(max, w, devs))
-        assert exact > 50 and len(worst) == 15   # every exp of d 2 and 3 on every basis
+        assert exact > 50 and len(worst) == 20   # every exp of d 2 and 3 on every basis
         for devs in worst.values():   # the worst deviation shrinks as R doubles
             assert all(b < a for a, b in zip(devs, devs[1:]))
 

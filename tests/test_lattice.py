@@ -1,15 +1,18 @@
 import math
 import random
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from perimere.lattice import (BudgetExceeded, IntMatrix, RealBasis,
-                              SublatticeBasis, _int_det, coset_reps, count_cosets_in_ball,
-                              hnf_reduce, hnf_transform, lattice_sum, member,
-                              reduce_many, reduce_mod, solve, unit_ball_volume, volume)
+                              SublatticeBasis, _int_det, _sqrt_ratio, coefficient, coset_reps,
+                              count_cosets_in_ball, hnf_reduce, hnf_transform, lattice_sum,
+                              member, reduce_many, reduce_mod, solve, unit_ball_volume, volume)
 
-from .oracles import brute_member, oracle_hnf_columns, oracle_volume
+from .oracles import (brute_member, nearest_root, oracle_coefficient, oracle_hnf_columns,
+                      oracle_volume)
 
 I2 = RealBasis([[1.0, 0.0], [0.0, 1.0]])
 I3 = RealBasis([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
@@ -266,18 +269,19 @@ def _lattices(rng, d, rank, count=4, reach=6):
 
 
 class TestVolumeExactness:
-    # on integer bases `volume` takes the pivot product at full rank and an
-    # integer-row Gram below it; both must give the very float of the plain
-    # Gram determinant (`oracle_volume`), bit for bit, at every rank 0..d
+    # `volume` and `coefficient` round the exact value once, on integer and
+    # float bases alike: bit for bit what the Fraction Gram determinants of
+    # `oracle_volume` and `oracle_coefficient` give, at every rank 0..d
 
     # |det U| > 2^53, and sqrt(float(det U ** 2)) != float(|det U|): a volume
-    # rounded from |det U| * pivots without the square would differ
+    # rounded from |det U| * pivots through its square would differ
     BIG = [[2**20 + 8, 5, 0], [3, 2**20 + 7, 2], [0, 1, 2**20 + 3]]
 
     def _check(self, u, rng):
         for rank in range(u.dim + 1):
             for l in _lattices(rng, u.dim, rank):
                 assert volume(u, l).hex() == oracle_volume(u, l).hex()
+                assert coefficient(u, l).hex() == oracle_coefficient(u, l).hex()
 
     def test_random_integer_bases(self):
         rng = random.Random(16)
@@ -289,8 +293,8 @@ class TestVolumeExactness:
                 u = RealBasis(cols)
             except ValueError:   # singular or ill-conditioned
                 continue
-            det = _int_det(u.int_rows)
-            assert u.int_det == abs(det) and u.volume == float(abs(det))
+            det = _int_det(u.rows)
+            assert u.scale == 0 and u.det == abs(det) and u.volume == float(abs(det))
             signs.add(det > 0)
             self._check(u, rng)
             checked += 1
@@ -301,24 +305,24 @@ class TestVolumeExactness:
         for d in (2, 3):
             for _ in range(10):
                 u = RealBasis(random_unimodular(rng, d, ops=4))
-                assert u.int_det == 1
+                assert u.scale == 0 and u.det == 1
                 self._check(u, rng)
 
     @pytest.mark.parametrize("swap", [False, True])
     def test_det_above_two_to_the_53(self, swap):
         cols = [self.BIG[1], self.BIG[0], self.BIG[2]] if swap else self.BIG
         u = RealBasis(cols)
-        assert (_int_det(u.int_rows) < 0) is swap
-        assert u.int_det > 2**53 and u.int_det != int(u.volume)   # the float lost digits
-        assert math.sqrt(u.int_det ** 2) != float(u.int_det)
+        assert u.scale == 0 and (_int_det(u.rows) < 0) is swap
+        assert u.det > 2**53 and u.det != int(u.volume)   # the float lost digits
+        assert math.sqrt(u.det ** 2) != float(u.det)
+        # the volume of Z^d is |det U| rounded once, not the root of its rounded square
         assert volume(u, hnf_reduce(IntMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))) \
-            == math.sqrt(u.int_det ** 2)
+            == float(u.det)
         self._check(u, random.Random(18))
         self._check(u, random.Random(19))
 
     def test_gram_determinant_past_float_range(self):
-        # sqrt of an int above the float range raises OverflowError; both
-        # routes then scale by a power of four, as the oracle does
+        # a Gram determinant past the float range still gives its root
         big = 10**80
         u = RealBasis([[big, 0, 0], [3, big, 0], [0, 1, big]])
         rng = random.Random(20)
@@ -327,30 +331,63 @@ class TestVolumeExactness:
                 v = volume(u, l)
                 assert v > 1.4e154   # v * v is past the float range
                 assert v.hex() == oracle_volume(u, l).hex()
+                assert coefficient(u, l).hex() == oracle_coefficient(u, l).hex()
 
     def test_float_gram_determinant_out_of_normal_range(self):
         # a float basis scaled by 2^-340, or a lattice by 2^200, scales G
         # exactly by 2^e and the Gram determinant by 2^(2ep): it underflows
-        # at ranks 2 and 3 or overflows at rank 3, and the volume, then taken
-        # on G scaled back into range, is still the unscaled one times 2^(ep)
+        # at ranks 2 and 3 or overflows at rank 3.  A power-of-two scale is
+        # exact under correct rounding, so the volume is the unscaled one
+        # times 2^(ep), and the coefficient of the 2^-340 basis the unscaled
+        # one times 2^(340 (d - p))
         cols = [[1.5, 0.25, 0.0], [-0.5, 2.0, 0.1], [0.0, 0.3, 1.2]]
         u = RealBasis(cols)
         small = RealBasis([[math.ldexp(x, -340) for x in col] for col in cols])
-        assert small.int_rows is None
+        assert small.scale == u.scale + 340
         rng = random.Random(22)
-        for rank in (1, 2, 3):
+        for rank in (0, 1, 2, 3):
             for l in _lattices(rng, 3, rank):
                 want = volume(u, l)
-                assert volume(small, l) == pytest.approx(math.ldexp(want, -340 * rank), rel=1e-12)
+                assert volume(small, l) == math.ldexp(want, -340 * rank)
+                assert coefficient(small, l) == math.ldexp(coefficient(u, l), 340 * (3 - rank))
                 big = SublatticeBasis(3, tuple(tuple(c << 200 for c in col) for col in l.columns))
-                assert volume(u, big) == pytest.approx(math.ldexp(want, 200 * rank), rel=1e-12)
+                assert volume(u, big) == math.ldexp(want, 200 * rank)
 
-    def test_float_basis_takes_numpy_gram(self):
+    def test_float_basis_is_exact(self):
+        # 0.1, 0.3 and 1.2 are dyadic: U . 2^scale is an integer matrix
         u = RealBasis([[1.5, 0.25, 0.0], [-0.5, 2.0, 0.1], [0.0, 0.3, 1.2]])
-        assert u.int_rows is None and u.int_det is None
+        assert u.scale > 0 and all(isinstance(e, int) for row in u.rows for e in row)
+        assert [[e / 2 ** u.scale for e in row] for row in u.rows] == u.matrix.tolist()
         self._check(u, random.Random(21))
 
 
+class TestSqrtRatio:
+    # a rounding certificate for `_sqrt_ratio`: each result lies between the
+    # exact midpoints to its neighbours (`nearest_root`, in Fractions), ties
+    # to even.  Finishing with ldexp(float(r), -s)
+    # rounds twice in the subnormal range, and sqrt(num / den) rounds the
+    # quotient first; both fail here
+    @staticmethod
+    def _pairs(rng):
+        for _ in range(1000):   # general ratios, a few bits to a few hundred
+            yield rng.getrandbits(rng.randint(1, 400)) + 1, rng.getrandbits(rng.randint(1, 400)) + 1
+        for _ in range(1000):   # results in the subnormal range, 2^-1073 to 2^-1023
+            num = rng.getrandbits(rng.randint(1, 200)) + 1
+            t = rng.randint(2046, 2146)   # num / den is about 2^-t
+            yield num, (rng.getrandbits(59) | 1 << 59) << num.bit_length() + t - 60
+        for _ in range(1000):   # squares and their neighbours over powers of four
+            r = rng.getrandbits(rng.randint(1, 120)) + 1
+            yield r * r + rng.choice((-1, 0, 1)) or 1, 1 << 2 * rng.randint(0, 600)
+
+    def test_every_result_lies_between_its_midpoints(self):
+        rng = random.Random(31)
+        subnormal = 0
+        for num, den in self._pairs(rng):
+            x = _sqrt_ratio(num, den)
+            assert 0.0 < x < math.inf
+            assert x == nearest_root(Fraction(num, den)), (num, den)
+            subnormal += x < sys.float_info.min
+        assert subnormal > 500
 class TestUnitBallVolume:
     def test_known_values(self):
         assert unit_ball_volume(0) == pytest.approx(1.0)
