@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -466,6 +467,41 @@ def reduce_many(l: SublatticeBasis, vectors):
     return w, q
 
 
+def _lll(columns: list) -> tuple:
+    """(B, T) for linearly independent integer columns: B their basis
+    LLL-reduced (delta = 3/4) by exact integer column operations, and T the
+    unimodular matrix of those operations, so column j of B is the given
+    columns times column j of T; both as lists of columns.  The Gram-Schmidt
+    coefficients are exact `Fraction`s, recomputed after each swap."""
+    b = [list(c) for c in columns]
+    d = len(b)
+    t = [[int(i == j) for i in range(d)] for j in range(d)]
+    k = 1
+    while k < d:
+        star, norm, mu = [], [], []   # Gram-Schmidt vectors, their squared norms, coefficients
+        for v in b:
+            mu.append([Fraction(sum(map(mul, v, w))) / n for w, n in zip(star, norm)])
+            w = [Fraction(x) for x in v]
+            for m, s in zip(mu[-1], star):
+                w = [x - m * y for x, y in zip(w, s)]
+            star.append(w)
+            norm.append(sum(x * x for x in w))
+        for j in reversed(range(k)):   # size reduction of column k
+            q = round(mu[k][j])
+            if q:
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                t[k] = [x - q * y for x, y in zip(t[k], t[j])]
+                mu[k][:j] = [x - q * y for x, y in zip(mu[k], mu[j])]
+                mu[k][j] -= q
+        if norm[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * norm[k - 1]:
+            k += 1
+        else:
+            b[k - 1], b[k] = b[k], b[k - 1]
+            t[k - 1], t[k] = t[k], t[k - 1]
+            k = max(k - 1, 1)
+    return b, t
+
+
 def count_cosets_in_ball(u: RealBasis, l: SublatticeBasis, radius: float,
                          budget: int = DEFAULT_ENUMERATION_BUDGET) -> int:
     """Brute-force count of elements of Lambda/Lambda_C meeting the R-ball.
@@ -473,15 +509,20 @@ def count_cosets_in_ball(u: RealBasis, l: SublatticeBasis, radius: float,
     Enumerates the integer coordinates of all lattice points U.n with
     ||U.n|| <= R and deduplicates them by canonical reduction along L's
     pivot rows (`reduce_many`, in Python ints, so HNF entries of any size
-    are exact).  Raises BudgetExceeded if the enclosing coordinate box
-    holds more than `budget` points.
+    are exact).  The points are enumerated in a box of coordinates m over
+    an LLL-reduced basis U.T of the same lattice (`_lll` of U's exact
+    columns), whose inverse has short rows even where U's has long ones,
+    and mapped back by n = T.m.  Raises BudgetExceeded if that box holds
+    more than `budget` points.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
     if l.dim != u.dim:
         raise ValueError("ambient dimension mismatch")
     d = u.dim
-    bounds = [int(math.floor(np.linalg.norm(u.inverse[i, :]) * radius * (1 + 1e-9))) for i in range(d)]
+    reduced, t = _lll(list(map(list, zip(*u.rows))))
+    inverse = np.linalg.inv(np.array([[x / (1 << u.scale) for x in col] for col in reduced]).T)
+    bounds = [int(math.floor(np.linalg.norm(inverse[i, :]) * radius * (1 + 1e-9))) for i in range(d)]
     total = 1
     for b in bounds:
         total *= 2 * b + 1
@@ -489,6 +530,9 @@ def count_cosets_in_ball(u: RealBasis, l: SublatticeBasis, radius: float,
         raise BudgetExceeded(f"enumeration box of {total} points exceeds budget {budget}")
     axes = [np.arange(-b, b + 1, dtype=np.int64) for b in bounds]
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    real = pts @ u.matrix.T
+    # n = T.m, in int64 where every such n is below 2^53 and so converts exactly to float
+    exact = max(abs(x) for col in t for x in col) * sum(bounds) < 1 << 53
+    pts = pts @ np.array(t, dtype=np.int64 if exact else object)
+    real = pts.astype(np.float64) @ u.matrix.T
     keep = pts[np.einsum("ij,ij->i", real, real) <= radius * radius * (1 + 1e-9)]
     return len(set(map(tuple, reduce_many(l, keep)[0].tolist())))

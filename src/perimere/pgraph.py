@@ -114,6 +114,18 @@ _LAST = re.compile(rb"\}[ \t\n\r]*\]")   # a record list's end
 _NEXT = re.compile(rb"\}[ \t\n\r]*,[ \t\n\r]*\{")   # between two records
 _BLOCK = 1 << 15   # bytes of records decoded at a time
 
+# JSON's number grammar, in the slots of a record layout's regex: possessive,
+# so that a window that does not match fails without backtracking.  An int
+# slot takes at most 18 digits, so that it fits in an int64; a value slot
+# does not take the int -0, which json reads as 0 and float() as -0.0.
+_INT_SLOT = rb"-?+(?:0|[1-9][0-9]{0,17}+)"
+_REAL_SLOT = rb"(?!-0(?![.eE]))-?+(?:0|[1-9][0-9]*+)(?:\.[0-9]++)?+(?:[eE][+-]?+[0-9]++)?+"
+_NUMBER = re.compile(rb"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)")   # to split at
+_NUMERALS = bytes(c if c in b"0123456789+-.eE" else 32 for c in range(256))   # the rest to spaces
+_JSON_WS = b" \t\n\r"
+_NUMERIC = b"0123456789+-."   # what a layout's key drops: of a number, at most e or E is left
+_LAYOUTS = {}   # (first record without _NUMERIC, separator, fields, dim) -> _Layout or None
+
 
 def _read_value(obj, what):
     if isinstance(obj, bool) or not isinstance(obj, (int, float, str)):
@@ -175,11 +187,15 @@ def _bad_record(kind, pos, rec, keys) -> GraphError:
 def parse(source) -> PeriodicGraph:
     """Parse and validate a periodic graph from a path or a dict.
 
-    A path's bytes are read once, and `_read` decodes their record lists a
-    block at a time.  A document that `_read` does not take, every faulty
-    one among them, is decoded whole from the same bytes (`_load`) and
-    parsed as a dict, so a fault is named one way, whichever way the
-    document came.
+    A path's bytes are read once, and `_read` takes their record lists a
+    window of about `_BLOCK` bytes at a time (`_blocks`).  A window in the
+    layout of its list's first record (one key order, fixed whitespace,
+    plain numbers) costs one regex check and a split of its number tokens
+    into columns (`_Layout`); any other window is decoded by json and read
+    by the column helpers, at about twice the cost per byte.  A document
+    that `_read` does not take, every faulty one among them, is decoded
+    whole from the same bytes (`_load`) and parsed as a dict, so a fault is
+    named one way, whichever way the document came.
     """
     if not isinstance(source, dict):
         with open(source, "rb") as fh:
@@ -244,17 +260,18 @@ def _head(doc) -> tuple:
 
 
 def _read(data: bytes) -> PeriodicGraph | None:
-    """The graph of a document's bytes, its record lists decoded a block at
-    a time (`_blocks`), so no more than one block of records is held as
-    dicts; None for a document read otherwise: any fault, and the rare
-    valid documents outside `_scan`'s plain form or with separator text
-    inside a record's string or nested value."""
+    """The graph of a document's bytes, its record lists read a window at a
+    time (`_blocks`), so no more than one window's tokens or records are
+    held beside the columns; None for a document read otherwise: any
+    fault, and the rare valid documents outside `_scan`'s plain form or
+    with separator text inside a record's string or nested value."""
     try:
         doc = _scan(data)
         if doc is None:
             return None
         dim, basis, vspan, espan = _head(doc)
-        cols = _columns(dim, _blocks(data, *vspan), _blocks(data, *espan))
+        cols = _columns(dim, _blocks(data, *vspan, _VERTEX_FIELDS, dim),
+                        _blocks(data, *espan, _EDGE_FIELDS, dim))
     except (ValueError, RecursionError):   # JSON, UTF-8 and graph errors among them
         return None
     return None if cols is None else PeriodicGraph(dim, basis, *cols)
@@ -303,20 +320,128 @@ def _scan(data: bytes) -> dict | None:
             return None
 
 
-def _blocks(data: bytes, a: int, z: int):
-    """The records of data[a:z], as lists of about `_BLOCK` bytes of text.
+def _blocks(data: bytes, a: int, z: int, fields: tuple, dim: int):
+    """The records of data[a:z], a window of about `_BLOCK` bytes at a time:
+    the `_Cut` of a window that the list's `_layout` matches whole, the
+    list of records that json decodes from any other.
 
-    A block ends only at a `}` that JSON whitespace, a comma, JSON
+    A window ends only at a `}` that JSON whitespace, a comma, JSON
     whitespace and a `{` follow.  Such a cut inside a string or a nested
-    value leaves a block that ends inside it, which does not decode, so a
-    wrong cut cannot pass silently; and blocks that all decode, joined by
-    their commas, are the list's text.
+    value leaves a window that ends inside it, which neither matches nor
+    decodes, so a wrong cut cannot pass silently; and windows that all
+    match or decode, joined by their commas, are the list's text.
     """
+    layout = _layout(data, a, z, fields, dim) if a < z else None
     while a < z:
         cut = _NEXT.search(data, a + _BLOCK, z)
         end = z if cut is None else cut.start() + 1
-        yield json.loads("[" + data[a:end].decode("utf-8") + "]")
+        if layout is not None and layout.regex.fullmatch(data, a, end):
+            yield layout.cut(data, a, end)
+        else:
+            yield _records(data[a:end])
         a = z if cut is None else cut.end() - 1
+
+
+def _records(window: bytes) -> list:
+    """The records of a window of a record list, decoded by json."""
+    return json.loads("[" + window.decode("utf-8") + "]")
+
+
+_VERTEX_FIELDS = ("id", "value")
+_EDGE_FIELDS = ("id", "u", "v", "value", "shift")
+
+
+class _Cut(tuple):
+    """The columns of a window of records that its layout matched: ids and
+    values, then for edges the u ids, the v ids and the shift rows (an
+    int64 array of dim columns)."""
+
+
+class _Layout:
+    """One record layout of a record list: its keys in one order, its
+    whitespace and the separator between two records, every id, endpoint
+    and shift entry an int and the value a number.
+
+    `regex` fullmatches a window of records in this layout.  Such a window,
+    its bytes other than number characters made spaces, splits into
+    `width` tokens per record: its numbers and the letters `e` of its keys.
+    `cut` reads the value tokens by float() and the int tokens by one
+    `np.fromstring`, into the columns of a `_Cut`.
+    """
+
+    __slots__ = ("regex", "width", "value", "drop", "columns")
+
+    def __init__(self, pieces: list, slots: list, sep: bytes, fields: tuple, dim: int):
+        # pieces: the text around the record's number tokens; slots: each token's field
+        rec = b"".join(re.escape(p) + (_REAL_SLOT if f == "value" else _INT_SLOT)
+                       for p, f in zip(pieces, slots)) + re.escape(pieces[-1])
+        self.regex = re.compile(b"(?:%s%s)*+%s" % (rec, re.escape(sep), rec))
+        at, width = [], 0   # per slot, the position of its token among a record's
+        for piece in pieces[:-1]:
+            width += len(piece.translate(_NUMERALS).split())   # the e of "value"
+            at.append(width)
+            width += 1
+        self.width = width + len(pieces[-1].translate(_NUMERALS).split())
+        self.value = at[slots.index("value")]
+        drop = sorted(set(range(self.width)) - {p for p, f in zip(at, slots) if f != "value"})
+        # deleted from the last column: each deletion leaves one token fewer per record
+        self.drop = [(col, self.width - i) for i, col in enumerate(reversed(drop))]
+        ints = [f for f in slots if f != "value"]   # the int slots' fields, in text order
+        self.columns = [slice(ints.index(f), ints.index(f) + dim) if f == "shift" else ints.index(f)
+                        for f in fields if f != "value"]
+
+    def cut(self, data: bytes, a: int, z: int) -> _Cut:
+        """The columns of the window data[a:z], which `regex` matches, so
+        its text is ASCII and splits as str (a bytes join would hold a
+        buffer of 80 B per token)."""
+        toks = data[a:z].translate(_NUMERALS).decode("ascii").split()
+        values = np.fromiter(map(float, toks[self.value::self.width]), np.float64)
+        for col, stride in self.drop:
+            del toks[col::stride]
+        ints = np.fromstring(" ".join(toks), np.int64, sep=" ").reshape(len(values), -1)
+        ids, *rest = (ints[:, col] for col in self.columns)
+        return _Cut((ids.copy(), values, *rest))   # a view of `ints` would keep it to the join
+
+
+def _layout(data: bytes, a: int, z: int, fields: tuple, dim: int) -> _Layout | None:
+    """The layout of the record list data[a:z] (not empty), which its first
+    record and the separator after it fix; None when that record is not
+    exactly `fields` holding plain numbers, a shift of `dim` of them.
+
+    Layouts are kept per process, keyed by the first record's text without
+    its digits, signs and points: only a new layout pays json's decode.  A
+    key stands for its layout only as a guess, which each window's
+    `fullmatch` checks."""
+    cut = _NEXT.search(data, a, z)
+    if cut is None:   # one record: the separator is never met
+        first, sep = data[a:z], b", "
+    else:
+        first, sep = data[a:cut.start() + 1], data[cut.start() + 1:cut.end() - 1]
+    key = first.translate(None, _NUMERIC), sep, fields, dim
+    if key not in _LAYOUTS:
+        if len(_LAYOUTS) >= 64:
+            _LAYOUTS.clear()
+        _LAYOUTS[key] = _new_layout(first, sep, fields, dim)
+    return _LAYOUTS[key]
+
+
+def _new_layout(first: bytes, sep: bytes, fields: tuple, dim: int) -> _Layout | None:
+    """`_layout` of a record list whose first record has this text: json
+    decodes it for its keys, and its text compacted must then be exactly
+    `{"key":#,...}` with a number for each #."""
+    try:
+        rec = json.loads(first)
+    except ValueError:
+        return None
+    if type(rec) is not dict or set(rec) != set(fields):
+        return None
+    slots = [f for f in rec for _ in range(dim if f == "shift" else 1)]
+    compact = ",".join(f'"{f}":' + ("[%s]" % ",".join("#" * dim) if f == "shift" else "#")
+                       for f in rec)
+    pieces = _NUMBER.split(first)[::2]   # with the tokens at the odd places
+    if [p.translate(None, _JSON_WS) for p in pieces] != ("{%s}" % compact).encode().split(b"#"):
+        return None
+    return _Layout(pieces, slots, sep, fields, dim)
 
 
 _ID, _VALUE, _U, _V, _SHIFT = map(itemgetter, ("id", "value", "u", "v", "shift"))
@@ -383,11 +508,12 @@ def _join(blocks: list) -> np.ndarray:
 
 def _columns(dim, vblocks, eblocks):
     """(ids, values, raw, u, v, table, which) of the records, given as
-    blocks (lists of records), the vertex blocks before the edge blocks;
-    None when any check fails.  A dict's record lists are one block each.
+    blocks, the vertex blocks before the edge blocks; None when any check
+    fails.  A block is a list of records (a dict's record lists are one
+    block each) or the `_Cut` of a window that its layout matched.
 
-    Each field of a block is type-checked and then written into a block
-    column in one pass, since `np.fromiter` would read True as 1 and
+    Each field of a list of records is type-checked and then written into a
+    block column in one pass, since `np.fromiter` would read True as 1 and
     '1e999' as inf; the shifts of all blocks are numbered through one dict.
     Once the vertex ids are known, one stable argsort orders them, and each
     edge block's endpoint ids are found among them by `searchsorted`.  The
@@ -403,10 +529,12 @@ def _columns(dim, vblocks, eblocks):
     ids, values = cols[:2]
     try:
         n = m = 0
-        for recs in vblocks:
-            ids.append(_ints(recs, _ID))
-            values.append(_floats(recs, raw, n))
-            n += len(recs)
+        for block in vblocks:
+            if not isinstance(block, _Cut):   # records
+                block = _ints(block, _ID), _floats(block, raw, n)
+            ids.append(block[0])
+            values.append(block[1])
+            n += len(block[0])
         vertex_ids = np.concatenate(ids)
         order = np.argsort(vertex_ids, kind="stable")
         known = vertex_ids[order]   # the vertex ids, increasing
@@ -418,12 +546,17 @@ def _columns(dim, vblocks, eblocks):
             if len(ends) and not (n and (known.take(at, mode="clip") == ends).all()):
                 raise ValueError("no such vertex")
             return order[at]
-        for recs in eblocks:
-            for col, block in zip(cols, (_ints(recs, _ID), _floats(recs, raw, n + m),
-                                         positions(_ints(recs, _U)), positions(_ints(recs, _V)),
-                                         _shifts(recs, number))):
-                col.append(block)
-            m += len(recs)
+        for block in eblocks:
+            if isinstance(block, _Cut):
+                block = (*block[:2], positions(block[2]), positions(block[3]),
+                         _number(zip(*block[4].T.tolist()), number))
+            else:   # records
+                block = (_ints(block, _ID), _floats(block, raw, n + m), positions(_ints(block, _U)),
+                         positions(_ints(block, _V)), _shifts(block, number))
+            for col, x in zip(cols, block):
+                col.append(x)
+            m += len(block[0])
+        block = x = None   # the last block's columns, before the join
         ids, values, u, v, which = map(_join, cols)
         del cols
         if not np.diff(np.sort(ids[n:])).all():   # a duplicate edge id

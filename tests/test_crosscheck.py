@@ -1128,6 +1128,92 @@ class TestBlockReader:
         _read_alike(tmp_path / "g.json", text)
 
 
+def _number_doc():
+    """A graph whose vertex id 777 and vertex value 0.625 stand for tokens
+    put into its text; any finite value keeps the filter property."""
+    return {"dim": 1, "basis": [[1.0]],
+            "vertices": [{"id": 777, "value": 0.625}, {"id": 1, "value": 0.5}],
+            "edges": [{"id": 2, "u": 777, "v": 1, "value": 1.7976931348623157e308, "shift": [1]},
+                      {"id": 3, "u": 1, "v": 1, "value": 2.0, "shift": [-1]}]}
+
+
+def _same_bits(path, want):
+    """parse(path) has the float bits of `want`, -0.0 against 0.0 too."""
+    got = parse(path)
+    assert np.array_equal(got.values.view(np.int64), want.values.view(np.int64))
+
+
+@pytest.fixture
+def windows(monkeypatch):
+    """A list that records each window of records that parse(path) decodes by json."""
+    seen = []
+    records = pgraph._records
+    monkeypatch.setattr(pgraph, "_records", lambda w: seen.append(w) or records(w))
+    return seen
+
+
+class TestLayoutReader:
+    # a record list in one layout is read by its regex and its number tokens
+    # ("fast"); a window the regex does not take is decoded by json
+    # ("window"), and a fault is named by the whole read
+
+    @pytest.mark.parametrize("placeholder, token, outcome", [
+        ("0.625", "-0", "window"),   # json reads the int -0 as 0, float() as -0.0
+        ("0.625", "-0.0", "fast"), ("0.625", "0E0", "fast"), ("0.625", "1E+2", "fast"),
+        ("0.625", "1e-400", "fast"), ("0.625", "5e-324", "fast"),
+        ("0.625", "1.7976931348623157e308", "fast"),
+        ("0.625", "1e309", "vertex 777: value must be finite"),
+        ("0.625", str(2 ** 53 + 1), "fast"),
+        ("0.625", "1234567890123456789012345", "fast"),   # a 25-digit mantissa
+        ("0.625", "-1.234567890123456789012345e-5", "fast"),
+        ("777", "-0", "fast"), ("777", "123456789012345678", "fast"),
+        ("777", str(2 ** 63 - 1), "window"),   # 19 digits
+        ("777", str(2 ** 63), "must fit in a signed 64-bit integer"),
+        ("777", str(2 ** 64), "must fit in a signed 64-bit integer"),
+    ])
+    def test_number_edge_cases(self, tmp_path, monkeypatch, windows, placeholder, token, outcome):
+        if outcome in ("fast", "window"):
+            monkeypatch.setattr(pgraph, "_load", _no_whole_read)
+        path = tmp_path / "g.json"
+        for text in _layouts(_number_doc()):
+            assert text.count(placeholder) == 1 + (placeholder == "777")
+            windows.clear()
+            got = _read_alike(path, text.replace(placeholder, token))
+            if outcome in ("fast", "window"):
+                _same_bits(path, got)
+                assert bool(windows) == (outcome == "window")
+            else:
+                assert outcome in got
+
+    def test_mutated_bytes_read_alike(self, tmp_path, windows):
+        # one or two bytes inserted, replaced or deleted inside the record
+        # lists: the graph bits, or the error, of json.load and parse(dict)
+        rng = random.Random(32)
+        docs = [fig3_left_doc(), serialize(random_periodic_graph(rng, dim=3, n=4, m=7,
+                                                                 shift_range=2))]
+        texts = [text for doc in docs for text in (json.dumps(doc),
+                 json.dumps(doc, separators=(",", ":")), json.dumps(doc, indent=2))]
+        marks = [*"+0.-eEx,}{][\":", " ", "\t", "\uff11", "NaN", "Infinity", "true"]
+        path = tmp_path / "g.json"
+        valid = fast = 0
+        for _ in range(1200):
+            text = rng.choice(texts)
+            spans = pgraph._scan(text.encode())
+            for _ in range(rng.randint(1, 2)):
+                a, z = spans[rng.choice(("vertices", "edges"))]
+                at = rng.randrange(a, z)
+                mark = rng.choice(marks)
+                text = rng.choice((text[:at] + mark + text[at:], text[:at] + mark + text[at + 1:],
+                                   text[:at] + text[at + 1:]))
+            windows.clear()
+            got = _read_alike(path, text)
+            if isinstance(got, PeriodicGraph):
+                _same_bits(path, got)
+                valid += 1
+                fast += not windows
+        assert valid > 60 and fast > 20, (valid, fast)   # 102 and 35 at this seed
+
+
 def _image_mod(columns, k, dim) -> int:
     """|image of the lattice spanned by `columns` in (Z/k)^dim|, by closing
     the columns mod k under addition."""
@@ -1214,7 +1300,9 @@ class TestMonomialCounts:
             g[i, j], g[j, i] = -math.sin(a), math.sin(a)
             rotated = rotated @ g
         rotated = rotated @ np.diag([rng.uniform(0.8, 1.25) for _ in range(d)])
-        a = random_unimodular(arng, d, ops=2)   # small, so the enumeration box stays small
+        # entries up to 72 at these seeds, whose box over U's own coordinates would hold up to
+        # 1.1e8 points; the enumeration runs over an LLL-reduced basis instead
+        a = random_unimodular(arng, d, ops=8)
         qua = np.linalg.qr(rotated)[0] @ skewed @ np.array(a, dtype=float).T
         return {"identity": (eye, None), "skewed": (skewed, None), "rotated": (rotated, None),
                 "qua": (qua, a)}

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from perimere.lattice import (BudgetExceeded, IntMatrix, RealBasis,
-                              SublatticeBasis, _int_det, _sqrt_ratio, coefficient, coset_reps,
+                              SublatticeBasis, _int_det, _lll, _sqrt_ratio, coefficient, coset_reps,
                               count_cosets_in_ball, hnf_reduce, hnf_transform, lattice_sum,
                               member, reduce_many, reduce_mod, solve, unit_ball_volume, volume)
 
@@ -495,6 +495,22 @@ class TestCountCosetsInBall:
         with pytest.raises(BudgetExceeded):
             count_cosets_in_ball(I2, SublatticeBasis.empty(2), 1000.0, budget=100)
 
+    def test_skewed_basis_enumerates_a_reduced_box(self):
+        # U is unimodular, so U.Z^3 = Z^3 and the cosets of L over U are
+        # those of U.L over the identity.  Over U's own coordinates the box
+        # at R = 5 held 241,241 points; over the LLL-reduced basis it is
+        # within twice the identity's 11^3
+        u = [[1, 7, 40], [0, 1, 9], [0, 0, 1]]   # columns
+        skewed = RealBasis(u)
+        for cols in ([], [(1, 1, 0)], [(2, 0, 0), (0, 3, 0), (1, 1, 1)], [(0, 1, -1), (1, 0, 2)]):
+            l = hnf_reduce(cols) if cols else SublatticeBasis.empty(3)
+            image = [tuple(sum(u[k][r] * c[k] for k in range(3)) for r in range(3)) for c in cols]
+            ul = hnf_reduce(image) if cols else l
+            want = count_cosets_in_ball(I3, ul, 5.0)
+            assert count_cosets_in_ball(skewed, l, 5.0, budget=2 * 11 ** 3) == want
+        assert count_cosets_in_ball(skewed, SublatticeBasis.empty(3), 5.0) == 515
+
+
     @pytest.mark.parametrize("scale", [1e-5, 1.0, 1e5])
     def test_counts_do_not_depend_on_the_scale(self, scale):
         # the slack on the ball and the box is relative to the radius, so a
@@ -502,3 +518,27 @@ class TestCountCosetsInBall:
         u = RealBasis([[scale, 0.0], [0.0, scale]])
         got = [count_cosets_in_ball(u, SublatticeBasis.empty(2), f * scale) for f in (1.2, 2.2, 1.0)]
         assert got == [5, 13, 5]
+
+
+class TestLll:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_reduced_and_unimodular(self, d):
+        rng = random.Random(40 + d)
+        for _ in range(40):
+            cols = [[rng.randint(-30, 30) for _ in range(d)] for _ in range(d)]
+            if _int_det(cols) == 0:
+                continue
+            b, t = _lll(cols)
+            assert abs(_int_det(t)) == 1
+            assert b == [[sum(cols[k][r] * tj[k] for k in range(d)) for r in range(d)] for tj in t]
+            star, norm = [], []   # Gram-Schmidt of b: size-reduced, Lovasz with delta 3/4
+            for v in b:
+                mu = [Fraction(sum(x * y for x, y in zip(v, w))) / n for w, n in zip(star, norm)]
+                assert all(abs(m) <= Fraction(1, 2) for m in mu)
+                w = [Fraction(x) for x in v]
+                for m, s in zip(mu, star):
+                    w = [x - m * y for x, y in zip(w, s)]
+                if star:
+                    assert sum(x * x for x in w) >= (Fraction(3, 4) - mu[-1] ** 2) * norm[-1]
+                star.append(w)
+                norm.append(sum(x * x for x in w))

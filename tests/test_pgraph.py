@@ -291,6 +291,22 @@ class TestParse:
         columns = sum(col.nbytes for col in (g.ids, g.values, g.u, g.v, g.which))
         assert g.n == 14 ** 3 and peak < 8 * columns
 
+    def test_parse_of_a_path_holds_its_bytes_and_under_twice_the_columns(self, tmp_path):
+        # above its bytes, reading a path holds one window's tokens or
+        # records and the columns, each window's columns dropped when they
+        # are joined: 1.73 times the column bytes on this document
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(serialize(torus_grid(14))))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            g = parse(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        columns = sum(col.nbytes for col in (g.ids, g.values, g.u, g.v, g.which))
+        assert peak - path.stat().st_size < 2 * columns
+
 
 class TestMaxShiftMagnitude:
     def test_helix_fixture(self, helix_cross):
