@@ -511,9 +511,10 @@ def count_cosets_in_ball(u: RealBasis, l: SublatticeBasis, radius: float,
     pivot rows (`reduce_many`, in Python ints, so HNF entries of any size
     are exact).  The points are enumerated in a box of coordinates m over
     an LLL-reduced basis U.T of the same lattice (`_lll` of U's exact
-    columns), whose inverse has short rows even where U's has long ones,
-    and mapped back by n = T.m.  Raises BudgetExceeded if that box holds
-    more than `budget` points.
+    columns), whose inverse has short rows even where U's has long ones.
+    The ball test is made on U.T.m, whose terms are short, and only the
+    points kept are mapped back by n = T.m, in Python ints.  Raises
+    BudgetExceeded if that box holds more than `budget` points.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -521,7 +522,8 @@ def count_cosets_in_ball(u: RealBasis, l: SublatticeBasis, radius: float,
         raise ValueError("ambient dimension mismatch")
     d = u.dim
     reduced, t = _lll(list(map(list, zip(*u.rows))))
-    inverse = np.linalg.inv(np.array([[x / (1 << u.scale) for x in col] for col in reduced]).T)
+    basis = np.array([[x / (1 << u.scale) for x in col] for col in reduced]).T
+    inverse = np.linalg.inv(basis)
     bounds = [int(math.floor(np.linalg.norm(inverse[i, :]) * radius * (1 + 1e-9))) for i in range(d)]
     total = 1
     for b in bounds:
@@ -530,9 +532,6 @@ def count_cosets_in_ball(u: RealBasis, l: SublatticeBasis, radius: float,
         raise BudgetExceeded(f"enumeration box of {total} points exceeds budget {budget}")
     axes = [np.arange(-b, b + 1, dtype=np.int64) for b in bounds]
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    # n = T.m, in int64 where every such n is below 2^53 and so converts exactly to float
-    exact = max(abs(x) for col in t for x in col) * sum(bounds) < 1 << 53
-    pts = pts @ np.array(t, dtype=np.int64 if exact else object)
-    real = pts.astype(np.float64) @ u.matrix.T
+    real = pts @ basis.T   # short m over short columns: no cancellation of large terms
     keep = pts[np.einsum("ij,ij->i", real, real) <= radius * radius * (1 + 1e-9)]
-    return len(set(map(tuple, reduce_many(l, keep)[0].tolist())))
+    return len(set(map(tuple, reduce_many(l, keep @ np.array(t, dtype=object))[0].tolist())))

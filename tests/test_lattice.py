@@ -510,6 +510,21 @@ class TestCountCosetsInBall:
             assert count_cosets_in_ball(skewed, l, 5.0, budget=2 * 11 ** 3) == want
         assert count_cosets_in_ball(skewed, SublatticeBasis.empty(3), 5.0) == 515
 
+    def test_skewed_basis_tests_the_ball_exactly(self):
+        # with columns (1, 0) and (c, 1), c = 1e15 + 1/2, the points n over
+        # U's own coordinates reach 1e16, where U.n rounds at a spacing of 2;
+        # over the reduced basis every point is tested on short terms.  At
+        # R = 10 the ball holds points on its boundary, such as (6, 8)
+        c = 1e15 + 0.5
+        u = RealBasis([[1.0, 0.0], [c, 1.0]])
+        want = 0
+        for n2 in range(-10, 11):
+            x0 = n2 * Fraction(c)
+            for n1 in range(math.floor(-x0) - 11, math.floor(-x0) + 12):
+                want += (n1 + x0) ** 2 + n2 * n2 <= 100
+        assert want == 319
+        assert count_cosets_in_ball(u, SublatticeBasis.empty(2), 10.0) == want
+        assert count_cosets_in_ball(u, SublatticeBasis.empty(2), 0.5) == 1
 
     @pytest.mark.parametrize("scale", [1e-5, 1.0, 1e5])
     def test_counts_do_not_depend_on_the_scale(self, scale):
