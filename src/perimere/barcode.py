@@ -136,7 +136,9 @@ def json_chunks(bc: PeriodicBarcode):
 
     An era's bar texts are made one block of rows at a time
     (`jsonfmt.blocks`), as `jsonfmt.items` joins them, so the writer holds
-    one block's texts and the positions of one era's rows."""
+    one block's texts and the positions of one era's rows.  The bar template
+    and the document's shell depend on the dimension only, so each is laid
+    out once per process (`jsonfmt.template`)."""
     bar = jsonfmt.template(_BAR, 4)
 
     def bars(exp):   # the texts of era exp's bars

@@ -4,10 +4,13 @@ count-shadows, bounds.
 Outputs are machine-readable (JSON, CSV, or DOT) and byte-deterministic for
 identical inputs and flags.  Exit codes: 0 success, 1 input or usage error,
 2 enumeration budget exceeded; every error is one `error:` line on stderr.
+`main` may be called any number of times in one process: it builds its
+parser once, and the writers lay their record templates out once.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -172,7 +175,11 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of `main`, built on its first call and kept for the
+    process: `parse_args` keeps no state between calls, and building it
+    costs about ten times what parsing with it does."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="write output to a file instead of stdout")
 

@@ -2,18 +2,28 @@
 
 `dumps(obj)` is the standard library's `json.dumps(obj, indent=2,
 sort_keys=True)`; it writes the small documents (distance, bounds,
-count-shadows) and the record shapes below.
+count-shadows).
 
 The large documents (merge trees, graphs, barcodes) are written from record
 templates, with no dict per record: `template(shape, depth)` lays a record
-shape out once, exactly as `dumps` would at that depth, with a `%s` for each
+shape out exactly as `dumps` would at that depth, with a `%s` for each
 `HOLE`, so a record costs one `%` with its fills.  `items` lays a list out
-around the texts of its items, `blocks` splits a writer's rows into the
-blocks it makes texts for at a time, `floats` writes a column of floats,
-`distinct` writes each distinct value of a float64 column once, and
-`chunks` fills the holes of a whole document, yielding its text in pieces
-that can be written one after another.  The depth of a value is the
-number of containers around it: a top-level key's value has depth 1.
+around the texts of its items, putting `separator` between two of them,
+`blocks` splits a writer's rows into the blocks it makes texts for at a
+time, `floats` writes a column of floats, `distinct` writes each distinct
+value of a float64 column once, and `chunks` fills the holes of a whole
+document, yielding its text in pieces that can be written one after
+another.  The depth of a value is the number of containers around it: a
+top-level key's value has depth 1.
+
+A shape is laid out once per process for each distinct (shape, depth):
+`template` and `chunks` keep every layout they make, keyed by the shape's
+`repr` and the depth, since `dumps`' indenting encoder costs tens of
+microseconds per shape and leaves a reference cycle each time it runs.  The
+writers keep their shapes constant or sized by the dimension and rank (a
+graph's basis and a tree's beam of k epochs are filled in, not laid out),
+so the memo stays small however many documents a process writes.  Two
+threads may lay the same shape out at once; both store the same layout.
 """
 from __future__ import annotations
 
@@ -45,15 +55,30 @@ def _float(o) -> str:
     return float.__repr__(o)
 
 
+_LAID: dict = {}   # (repr(shape), depth) -> (the texts between its HOLEs, its template)
+
+
+def _laid_out(shape, depth: int) -> tuple:
+    """The texts around the HOLEs of `dumps(shape)` laid out `depth`
+    containers deep, and its template; made once per process."""
+    key = repr(shape), depth
+    laid = _LAID.get(key)
+    if laid is None:
+        parts = tuple(_HOLES.split(dumps(shape).replace("\n", "\n" + "  " * depth)))
+        laid = _LAID[key] = parts, "%s".join(part.replace("%", "%%") for part in parts)
+    return laid
+
+
 def template(shape, depth: int) -> str:
     """`dumps(shape)` as the value of a key or item `depth` containers deep,
     as a %-format: each HOLE is a `%s`, filled in text order (sorted keys,
     depth first) by an exact int or a JSON text (one of `floats`, `items`'
-    joined chunks, a quoted string, another template's fill or a constant).
-    A HOLE is a NaN, so a shape may hold any keys and strings but no NaN of
-    its own."""
-    text = dumps(shape).replace("\n", "\n" + "  " * depth)
-    return "%s".join(part.replace("%", "%%") for part in _HOLES.split(text))
+    joined chunks, a quoted string, another template's fill or a
+    constant).  A HOLE is a NaN, so a shape may hold any keys and strings
+    but no NaN of its own.  It is keyed by its `repr`, so it holds only
+    dicts, lists, strings, ints, floats, bools and None of the builtin
+    types, whose `repr` tells them apart."""
+    return _laid_out(shape, depth)[1]
 
 
 def floats(xs: list) -> list:
@@ -84,6 +109,12 @@ def blocks(n: int):
     return ((a, min(a + _BLOCK, n)) for a in range(0, n, _BLOCK))
 
 
+def separator(depth: int) -> str:
+    """The text between two items of a list `depth` containers deep, as
+    `items` joins them."""
+    return ",\n" + "  " * (depth + 1)
+
+
 def items(texts, depth: int):
     """Chunks of the list, `depth` containers deep, whose items have these
     texts (each laid out `depth + 1` deep, as `template` does).  The texts
@@ -95,9 +126,8 @@ def items(texts, depth: int):
     if not block:
         yield "[]"
         return
-    pad = "\n" + "  " * (depth + 1)
-    sep = "," + pad
-    yield "[" + pad
+    sep = separator(depth)
+    yield "[" + sep[1:]
     while block:
         text = sep.join(block)
         block = None
@@ -112,7 +142,7 @@ def items(texts, depth: int):
 def chunks(shape, *fills):
     """Chunks of `dumps(shape)` with its HOLEs replaced, in text order, by
     `fills`: each a JSON text or an iterable of chunks (such as `items`)."""
-    parts = _HOLES.split(dumps(shape))
+    parts = _laid_out(shape, 0)[0]
     yield parts[0]
     for fill, part in zip(fills, parts[1:], strict=True):
         if isinstance(fill, str):

@@ -248,8 +248,11 @@ class PeriodicMergeTree:
 
     def json_chunks(self):
         """Chunks of `jsonfmt.dumps(self.to_json_dict())`, one template fill
-        per beam and per event; a beam of k epochs fills the beam template
-        with k epochs inside.  The texts of an epoch's coeff, display, exp and
+        per beam, per epoch and per event; a beam of k epochs fills the beam
+        template's one epoch item with its k epoch texts, joined as
+        `jsonfmt.items` joins them, so the templates a tree is written with
+        depend on its dimension only and are laid out once per process
+        (`jsonfmt.template`).  The texts of an epoch's coeff, display, exp and
         lattice are written once per table entry (`_heads`), and the edge
         events are sorted, all before the first chunk, so writing the chunks
         raises nothing.
@@ -267,7 +270,8 @@ class PeriodicMergeTree:
         block's texts at a time."""
         head, heads = self.lattice, self._heads()
         n = len(self.birth)
-        by_count: dict = {}   # k -> the template of a beam of k epochs
+        beam, epoch = jsonfmt.template(_BEAM, 2), jsonfmt.template(_EPOCH, 4)
+        sep = jsonfmt.separator(3)   # between the epochs of a beam
         kinds = [jsonfmt.template(_EVENT_SHAPES[kind], 2)
                  for kind in ("appearance", "merger", "catenation")]
 
@@ -286,15 +290,11 @@ class PeriodicMergeTree:
                 rows = zip(range(a, z), offsets, offsets[1:], bts, self.birth_vertex[a:z].tolist(),
                            dts, self.parent[a:z].tolist())
                 for b, i, j, birth, vertex, death, parent in rows:
-                    fills = [*heads[hs[i - lo]], birth]
-                    for e in range(i + 1 - lo, j - lo):
-                        fills += heads[hs[e]]
-                        fills.append(next(starts))
-                    text = by_count.get(j - i)
-                    if text is None:
-                        text = by_count[j - i] = jsonfmt.template(
-                            {**_BEAM, "epochs": [_EPOCH] * (j - i)}, 2)
-                    yield text % (birth, vertex, death, *fills, b,
+                    epochs = epoch % (*heads[hs[i - lo]], birth)
+                    if j - i > 1:
+                        epochs = sep.join([epochs, *(epoch % (*heads[hs[e]], next(starts))
+                                                     for e in range(i + 1 - lo, j - lo))])
+                    yield beam % (birth, vertex, death, epochs, b,
                                   "null" if parent < 0 else parent)
 
         def appearances(a, z):
@@ -338,7 +338,9 @@ class PeriodicMergeTree:
 
 
 _EPOCH = {"coeff": HOLE, "display": HOLE, "exp": HOLE, "lattice": HOLE, "start": HOLE}
-_BEAM = {"birth": HOLE, "birth_vertex": HOLE, "death": HOLE, "index": HOLE, "parent": HOLE}
+# a beam's epochs fill its one epoch item, joined as `jsonfmt.items` joins them
+_BEAM = {"birth": HOLE, "birth_vertex": HOLE, "death": HOLE, "epochs": [HOLE], "index": HOLE,
+         "parent": HOLE}
 _EVENT_SHAPES = {
     "appearance": {"beams": [HOLE], "cell": HOLE, "kind": "appearance", "time": HOLE},
     "merger": {"beams": [HOLE, HOLE], "cell": HOLE, "kind": "merger", "time": HOLE},

@@ -656,6 +656,8 @@ def json_chunks(g: PeriodicGraph):
     one record template per cell kind, one text per table shift and one per
     distinct value (`jsonfmt.distinct`), which each cell indexes; a
     decimal-string token has a text of its own that only its cells index.
+    The basis fills a template sized by the dimension, so the document's
+    shell is laid out once per dimension, not once per basis.
     The edge fields are listed a block at a time (`jsonfmt.blocks`), so the
     writer holds these texts, the ids and one text index per cell, not a
     value text per cell."""
@@ -668,6 +670,8 @@ def json_chunks(g: PeriodicGraph):
     texts += map(encode_basestring_ascii, tokens)
     vector = jsonfmt.template([HOLE] * g.dim, 3)
     shifts = [vector % t for t in g.table]
+    basis = jsonfmt.template([[HOLE] * g.dim] * g.dim, 1) % tuple(
+        map(float.__repr__, g.basis.matrix.T.ravel().tolist()))   # a basis is finite
     vertex, edge = jsonfmt.template(_VERTEX, 2), jsonfmt.template(_EDGE, 2)
 
     def values(a, z):   # the value texts of cells a to z
@@ -678,8 +682,7 @@ def json_chunks(g: PeriodicGraph):
             yield from zip(ids[n + a:n + z], map(shifts.__getitem__, g.which[a:z].tolist()),
                            g.ids[g.u[a:z]].tolist(), g.ids[g.v[a:z]].tolist(), values(n + a, n + z))
     return jsonfmt.chunks(
-        {"basis": [[float(x) for x in g.basis.matrix[:, j]] for j in range(g.dim)],
-         "dim": g.dim, "edges": HOLE, "vertices": HOLE},
+        {"basis": HOLE, "dim": g.dim, "edges": HOLE, "vertices": HOLE}, basis,
         jsonfmt.items(map(edge.__mod__, edges()), 1),
         jsonfmt.items(map(vertex.__mod__, zip(ids[:n], values(0, n))), 1))
 

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from perimere import build, extract, jsonfmt, parse, serialize, unroll
+from perimere import build, cli, extract, jsonfmt, parse, serialize, unroll
 from perimere.barcode import to_json_dict
 from perimere.cli import main, parse_sublattice
 from perimere.synthetic import random_periodic_graph
@@ -587,6 +588,63 @@ class TestOutFile:
                "barcode": lambda: to_json_dict(extract(build(g))),
                "unroll": lambda: serialize(unroll(g, parse_sublattice(argv[2], 3)))}[argv[0]]()
         assert out == jsonfmt.dumps(ref) + "\n"
+
+
+class TestInProcess:
+    """`main` called many times in one process: one parser, no state carried
+    from a call to the next, and no cyclic garbage left by a writer."""
+
+    def _sequence(self, paths, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"dim": 2, "basis": [[1.0, 0.0], [0.0, 1.0]], "vertices": []}')
+        g = str(paths[0])
+        return [
+            (("barcode", g, "--csv"), None),
+            (("barcode", g, "--csv", "--json"), None),              # usage error
+            (("frobnicate", g), None),                             # unknown subcommand
+            (("unroll", g), None),                                 # no --sublattice
+            (("validate", str(bad)), None),                        # invalid graph
+            (("count-shadows", g, "--component-at", "8.0", "--radius", "100"), "50"),
+            (("barcode", g, "--csv"), None),
+        ]
+
+    def _runs(self, capsys, monkeypatch, sequence, fresh):
+        got = []
+        for argv, budget in sequence:
+            if fresh:
+                cli._build_parser.cache_clear()
+            if budget is None:
+                monkeypatch.delenv("PERIMERE_BUDGET", raising=False)
+            else:
+                monkeypatch.setenv("PERIMERE_BUDGET", budget)
+            got.append(run(capsys, *argv))
+        return got
+
+    def test_calls_stay_independent(self, capsys, monkeypatch, tmp_path, fixture_paths):
+        sequence = self._sequence(fixture_paths, tmp_path)
+        want = self._runs(capsys, monkeypatch, sequence, fresh=True)
+        assert [code for code, _, _ in want] == [0, 1, 1, 1, 1, 2, 0]
+        assert want[0] == want[-1] and want[0][1].startswith("era,birth,death,mult\n")
+        cli._build_parser.cache_clear()
+        assert self._runs(capsys, monkeypatch, sequence, fresh=False) == want
+        assert cli._build_parser.cache_info().misses == 1   # built once, for the first call
+
+    @pytest.mark.parametrize("argv", [
+        ("barcode", "--csv"), ("barcode", "--json"), ("tree", "--json"), ("tree", "--dot"),
+        ("unroll", "--sublattice", "2,0,0;1,3,0;0,1,1"), ("validate",),
+    ])
+    def test_a_call_leaves_no_cyclic_garbage(self, tmp_path, fixture_paths, argv):
+        argv = [argv[0], str(fixture_paths[1]), *argv[1:], "--out", str(tmp_path / "out")]
+        assert main(argv) == 0   # the first call makes the parser and the templates
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            code = main(argv)
+        finally:
+            if enabled:
+                gc.enable()
+        assert code == 0 and gc.collect() == 0
 
 
 class TestTreeGolden:

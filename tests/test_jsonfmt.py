@@ -115,6 +115,79 @@ class TestRecordTemplates:
         assert texts == [] and index.size == 0
 
 
+# record shapes of builtin values, whose reprs tell them apart
+SHAPES = st.recursive(
+    st.just(HOLE) | st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(TEXT, inner, max_size=4),
+    max_leaves=12)
+
+
+def _laid_fresh(shape, depth):
+    """The template and the filled shell of `shape` laid out on an empty memo."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jsonfmt, "_LAID", {})
+        return _laid(shape, depth)
+
+
+def _laid(shape, depth):
+    fills = ["%d" % i for i in range(jsonfmt.template(shape, depth).count("%s"))]
+    return jsonfmt.template(shape, depth), "".join(jsonfmt.chunks(shape, *fills))
+
+
+class TestTemplateMemo:
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(shapes=st.lists(st.tuples(SHAPES, st.integers(0, 4)), min_size=1, max_size=6),
+           data=st.data())
+    def test_memoized_layout_is_the_fresh_one(self, shapes, data):
+        fresh = [_laid_fresh(shape, depth) for shape, depth in shapes]
+        order = data.draw(st.lists(st.integers(0, len(shapes) - 1), max_size=12))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(jsonfmt, "_LAID", {})
+            for i in [*order, *range(len(shapes))]:   # any order, each shape at least once
+                assert _laid(*shapes[i]) == fresh[i]
+
+    def test_keys_tell_shapes_and_depths_apart(self):
+        shapes = [([0.0, HOLE], 1), ([-0.0, HOLE], 1), ([0, HOLE], 1), ([False, HOLE], 1),
+                  (["0", HOLE], 1), ({"a": HOLE}, 1), ({"a": [HOLE]}, 1), ({"a": [HOLE]}, 3)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(jsonfmt, "_LAID", {})
+            for shape, depth in shapes:
+                assert jsonfmt.template(shape, depth) % (7,) == nested(_filled(shape, 7), depth)
+            assert len(jsonfmt._LAID) == len(shapes)
+
+    def test_tree_with_many_epochs_adds_no_template_per_epoch_count(self):
+        """Two beams of 62 and 9 epochs (loops of shifts 3*2^k and 2^k, each
+        halving the beam's lattice), and a tree of the same dimension whose
+        beams have 2 and 1: the memo holds the same layouts after writing
+        either, so it grows with no epoch count."""
+        k = 60
+        doc = {"dim": 1, "basis": [[1.0]],
+               "vertices": [{"id": 0, "value": 0.0}, {"id": 1, "value": 0.5}],
+               "edges": [{"id": i, "u": 0, "v": 0, "value": 1.0 + i, "shift": [3 << k - i]}
+                         for i in range(k + 1)]
+               + [{"id": 100 + i, "u": 1, "v": 1, "value": 1.5 + i, "shift": [1 << 7 - i]}
+                  for i in range(8)]}
+        few = {**doc, "edges": doc["edges"][:1]}
+        keys, epochs = [], []
+        with pytest.MonkeyPatch.context() as mp:
+            for d in (doc, few):
+                mp.setattr(jsonfmt, "_LAID", {})
+                tree = mergetree.build(parse(d))
+                assert "".join(tree.json_chunks()) == jsonfmt.dumps(tree.to_json_dict())
+                keys.append(set(jsonfmt._LAID))
+                epochs.append(np.diff(tree.offsets).tolist())
+        assert epochs == [[62, 9], [2, 1]]
+        assert keys[0] == keys[1] and len(keys[0]) <= 8
+
+
+def _filled(shape, fill):
+    if isinstance(shape, dict):
+        return {k: _filled(v, fill) for k, v in shape.items()}
+    if isinstance(shape, list):
+        return [_filled(x, fill) for x in shape]
+    return fill if shape is HOLE else shape
+
+
 def _written(g):
     """The three record writers' texts and `reference` of the dict forms."""
     tree = mergetree.build(g)
