@@ -19,17 +19,14 @@ from itertools import chain
 from . import barcode as bc
 from . import mergetree as mt
 from . import jsonfmt, pgraph, transport
+from .jsonfmt import HOLE
 from .lattice import (BudgetExceeded, DEFAULT_ENUMERATION_BUDGET, IntMatrix,
                       count_cosets_in_ball, unit_ball_volume)
 from .pgraph import GraphError
 
 
-def _jdump(obj) -> tuple:
-    return jsonfmt.dumps(obj), "\n"
-
-
 def _jchunks(chunks):
-    """A record writer's document chunks, ending with one newline as `_jdump`'s."""
+    """A writer's document chunks, ending with one newline."""
     return chain(chunks, ("\n",))
 
 
@@ -42,8 +39,9 @@ def _emit(chunks, out: str | None):
         sys.stdout.writelines(chunks)
 
 
-def _fin(x: float):
-    return "inf" if math.isinf(x) else x
+def _fin(x: float) -> str:
+    """The JSON text of a distance: a float, or the string "inf"."""
+    return '"inf"' if math.isinf(x) else float.__repr__(x)
 
 
 def finite(text: str) -> float:
@@ -102,10 +100,11 @@ def cmd_distance(args) -> int:
     ba = bc.extract(mt.build(ga))
     bb = bc.extract(mt.build(gb))
     total, eras = transport.barcode_distance(ba, bb, per_era=True)
-    _emit(_jdump({
-        "per_era": [{"exp": i, "distance": _fin(v)} for i, v in enumerate(eras)],
-        "total": _fin(total),
-    }), args.out)
+    era = jsonfmt.template({"distance": HOLE, "exp": HOLE}, 2)
+    _emit(_jchunks(jsonfmt.chunks(
+        {"per_era": HOLE, "total": HOLE},
+        jsonfmt.items((era % (_fin(v), i) for i, v in enumerate(eras)), 1), _fin(total))),
+        args.out)
     return 0
 
 
@@ -128,6 +127,8 @@ def cmd_count_shadows(args) -> int:
     g = pgraph.parse(args.input)
     tree = mt.build(g)
     t = args.component_at
+    row = jsonfmt.template({"beam": HOLE, "birth_vertex": HOLE, "coeff": HOLE, "counted": HOLE,
+                            "exp": HOLE, "predicted": HOLE}, 2)
     rows = []
     for b in tree.beams:
         active = tree.monomial(b, t)
@@ -140,29 +141,21 @@ def cmd_count_shadows(args) -> int:
             if math.isinf(predicted):
                 raise OverflowError("predicted count out of float range")
             counted = count_cosets_in_ball(g.basis, basis, args.radius, budget)
-            rows.append({
-                "beam": b,
-                "birth_vertex": tree.birth_vertex[b].item(),
-                "coeff": coeff,
-                "exp": exp,
-                "predicted": predicted,
-                "counted": counted,
-            })
-    _emit(_jdump({"at": t, "radius": args.radius, "components": rows}), args.out)
+            rows.append(row % (b, tree.birth_vertex[b].item(), float.__repr__(coeff), counted,
+                               exp, float.__repr__(predicted)))
+    at, radius = jsonfmt.floats([t, args.radius])
+    _emit(_jchunks(jsonfmt.chunks({"at": HOLE, "components": HOLE, "radius": HOLE},
+                                  at, jsonfmt.items(rows, 1), radius)), args.out)
     return 0
 
 
 def cmd_bounds(args) -> int:
     g = pgraph.parse(args.input)
     mu0 = transport.multiplicity_bound(g)
-    _emit(_jdump({
-        "D": pgraph.max_shift_magnitude(g),
-        "m": g.m,
-        "n": g.n,
-        "inverse_norm": g.basis.inverse_norm,
-        "mu0": mu0,
-        "stability_constant": 2 * (g.dim + 1) * mu0,
-    }), args.out)
+    norm, bound, constant = jsonfmt.floats([g.basis.inverse_norm, mu0, 2 * (g.dim + 1) * mu0])
+    doc = jsonfmt.template({"D": HOLE, "inverse_norm": HOLE, "m": HOLE, "mu0": HOLE, "n": HOLE,
+                            "stability_constant": HOLE}, 0)
+    _emit((doc % (pgraph.max_shift_magnitude(g), norm, g.m, bound, g.n, constant), "\n"), args.out)
     return 0
 
 

@@ -1,13 +1,11 @@
 """Indent-2, sorted-key JSON for perimere's output.
 
 `dumps(obj)` is the standard library's `json.dumps(obj, indent=2,
-sort_keys=True)`; it writes the small documents (distance, bounds,
-count-shadows).
-
-The large documents (merge trees, graphs, barcodes) are written from record
-templates, with no dict per record: `template(shape, depth)` lays a record
-shape out exactly as `dumps` would at that depth, with a `%s` for each
-`HOLE`, so a record costs one `%` with its fills.  `items` lays a list out
+sort_keys=True)`.  Every document is written from record templates, the
+large ones (merge trees, graphs, barcodes) with no dict per record:
+`template(shape, depth)` lays a record shape out exactly as `dumps` would
+at that depth, with a `%s` for each `HOLE`, so a record costs one `%` with
+its fills.  `items` lays a list out
 around the texts of its items, putting `separator` between two of them,
 `blocks` splits a writer's rows into the blocks it makes texts for at a
 time, `floats` writes a column of floats, `distinct` writes each distinct

@@ -321,48 +321,50 @@ def _exact_inverse(rows) -> np.ndarray:
 
 
 class RealBasis:
-    """Real d x d basis matrix U (columns are lattice vectors) with caches.
+    """Real d x d basis matrix U (columns are lattice vectors): `matrix`, its
+    floats, and U exactly, as the integer `rows` of U . 2^scale for the least
+    scale >= 0 (every float is dyadic) and their exact |det| `det`, which is
+    0 exactly when U is singular."""
 
-    Caches the inverse, the operator norm of the inverse (largest singular
-    value), and U exactly: every float is a dyadic rational, so U . 2^scale
-    has integer `rows` for the least scale >= 0, and `det` is their exact
-    |det|.  vol_d = det / 2^(scale d), rounded once.  A basis whose float
-    inverse misses the identity by more than 1e-12 (or by NaN) is refused,
-    unless it is an integer basis (scale 0) with a nonzero determinant: its
-    inverse is then rounded from the exact adjugate (`_exact_inverse`).
-    """
-
-    __slots__ = ("dim", "matrix", "inverse", "volume", "inverse_norm", "rows", "det", "scale")
+    __slots__ = ("dim", "matrix", "rows", "det", "scale")
 
     def __init__(self, columns):
         u = np.array([[float(e) for e in col] for col in columns], dtype=float).T
         if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] < 1:
             raise ValueError("basis must be a square d x d matrix, d >= 1")
-        self.dim = d = u.shape[0]
+        if not np.isfinite(u).all():
+            raise ValueError("basis entry out of float range")   # U . S in unroll
+        self.dim = u.shape[0]
         self.matrix = u
-        det = np.linalg.det(u)
-        if det == 0.0 or not np.isfinite(det):
-            raise ValueError("singular lattice basis")
-        ratios = [[x.as_integer_ratio() for x in row] for row in u.tolist()]   # floats are dyadic
+        ratios = [[x.as_integer_ratio() for x in row] for row in u.tolist()]
         self.scale = max(q for row in ratios for _, q in row).bit_length() - 1
         self.rows = tuple(tuple(p << self.scale + 1 - q.bit_length() for p, q in row)
                           for row in ratios)
         self.det = abs(_int_det(self.rows))
-        self.volume = self.det / (1 << self.scale * d)
+        if not self.det:
+            raise ValueError("singular lattice basis")
+
+    @property
+    def inverse_norm(self) -> float:
+        """The operator norm of U^-1 in floats.  A float inverse that misses
+        the identity by more than 1e-12 (or by NaN) is refused unless U is an
+        integer basis (scale 0): then it is rounded from the exact adjugate."""
         with np.errstate(all="ignore"):
-            self.inverse = np.linalg.inv(u)
-            residual = np.max(np.abs(u @ self.inverse - np.eye(d)))
-        if not residual <= 1e-12:
-            if self.scale or not self.det:
-                raise ValueError("basis too ill-conditioned to invert reliably")
-            self.inverse = _exact_inverse(self.rows)   # integer, det != 0: adj / det
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            top = np.linalg.eigvalsh(self.inverse.T @ self.inverse)[-1]
+            try:
+                inverse = np.linalg.inv(self.matrix)
+                near = np.max(np.abs(self.matrix @ inverse - np.eye(self.dim))) <= 1e-12
+            except np.linalg.LinAlgError:   # a zero pivot in floats, though det != 0
+                near = False
+            if not near:
+                if self.scale:
+                    raise ValueError("basis too ill-conditioned to invert reliably")
+                inverse = _exact_inverse(self.rows)
+            top = np.linalg.eigvalsh(inverse.T @ inverse)[-1]
         # the bounds scale with this norm: refuse a square that overflowed,
         # underflowed or lost precision as a subnormal
         if not np.finfo(float).tiny <= top < math.inf:
             raise ValueError("basis inverse norm out of float range")
-        self.inverse_norm = math.sqrt(top)
+        return math.sqrt(top)
 
 
 _PAST_FLOAT = (1 << 1024) - (1 << 970)   # the least int that rounds past the largest float
@@ -514,7 +516,8 @@ def count_cosets_in_ball(u: RealBasis, l: SublatticeBasis, radius: float,
     columns), whose inverse has short rows even where U's has long ones.
     The ball test is made on U.T.m, whose terms are short, and only the
     points kept are mapped back by n = T.m, in Python ints.  Raises
-    BudgetExceeded if that box holds more than `budget` points.
+    BudgetExceeded if that box holds more than `budget` points, or if its
+    size leaves the float range.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -523,8 +526,12 @@ def count_cosets_in_ball(u: RealBasis, l: SublatticeBasis, radius: float,
     d = u.dim
     reduced, t = _lll(list(map(list, zip(*u.rows))))
     basis = np.array([[x / (1 << u.scale) for x in col] for col in reduced]).T
-    inverse = np.linalg.inv(basis)
-    bounds = [int(math.floor(np.linalg.norm(inverse[i, :]) * radius * (1 + 1e-9))) for i in range(d)]
+    with np.errstate(over="ignore", invalid="ignore"):   # a norm past the float range is inf
+        inverse = np.linalg.inv(basis)
+        spans = [np.linalg.norm(inverse[i, :]) * radius * (1 + 1e-9) for i in range(d)]
+    if not all(map(math.isfinite, spans)):
+        raise BudgetExceeded(f"enumeration box past the float range exceeds budget {budget}")
+    bounds = [int(math.floor(s)) for s in spans]
     total = 1
     for b in bounds:
         total *= 2 * b + 1

@@ -32,7 +32,6 @@ derived on demand.
 from __future__ import annotations
 
 import math
-import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -403,8 +402,8 @@ def build(graph: PeriodicGraph) -> PeriodicMergeTree:
     lattice first, and compared by index; a `SublatticeBasis` is made only
     for a new entry, each entry's coefficient is computed once, rounded once
     (`coefficient`, the tree's `coeffs`), and whether it is all of Z^d once,
-    when it is interned.  A basis volume that is not a normal float, or a
-    coefficient that is not finite, is a ValueError.
+    when it is interned.  A coefficient that rounds to 0.0 or past the
+    float range is a ValueError.
 
     Drifts and shifts are packed ints (`pack`) with digits wide enough for
     any sum of 2n shifts, so v is one int expression and `not v` its zero
@@ -431,8 +430,6 @@ def build(graph: PeriodicGraph) -> PeriodicMergeTree:
     """
     d = graph.dim
     u = graph.basis
-    if not sys.float_info.min <= u.volume < math.inf:   # a subnormal has lost digits
-        raise ValueError("basis volume out of float range")
     n = graph.n
     kind = np.arange(len(graph.ids)) >= n   # vertices before edges
     order = np.lexsort((graph.ids, kind, graph.values))
@@ -545,7 +542,7 @@ def build(graph: PeriodicGraph) -> PeriodicMergeTree:
                 epochs.append((sb, t, cat, eid if cat else 0, merged))
 
     coeffs = [coefficient(u, lat) for lat in lattices]
-    if not all(map(math.isfinite, coeffs)):
+    if not all(0.0 < c < math.inf for c in coeffs):
         raise ValueError("monomial coefficient out of float range")
     # the birth epochs first, so the stable argsort keeps each beam's epochs
     # in processing order, its birth epoch first

@@ -739,10 +739,9 @@ def unroll(g: PeriodicGraph, s: IntMatrix) -> PeriodicGraph:
     if g.ids.size and not (_ID_MIN <= int(g.ids.min()) * k
                            and int(g.ids.max()) * k + k - 1 <= _ID_MAX):
         raise GraphError(f"ids times the sublattice index {k} leave the signed 64-bit range")
-    new_cols = [
-        [sum(g.basis.matrix[r, c] * s.columns[j][c] for c in range(g.dim)) for r in range(g.dim)]
-        for j in range(g.dim)
-    ]
+    u = g.basis.matrix.tolist()   # Python floats: a product past the float range is inf, unwarned
+    new_cols = [[sum(u[r][c] * s.columns[j][c] for c in range(g.dim)) for r in range(g.dim)]
+                for j in range(g.dim)]
     if not g.n:   # no cells, no copies: the index need not fit an array
         return PeriodicGraph(g.dim, RealBasis(new_cols), g.ids, g.values, {}, g.u, g.v,
                              [], g.which)

@@ -1005,18 +1005,16 @@ def oracle_build(graph: PeriodicGraph) -> ObjectTree:
     Cross edge: merger under the elder rule; if the merged lattice strictly
     exceeds both inputs, a catenation happens at the same height.  Each event
     is recorded on a beam: its birth, its death and merger edge, or the cell
-    of the epoch a catenation opens.  A basis volume that is not a normal
-    float, or a coefficient that is not finite, is a ValueError.
+    of the epoch a catenation opens.  A coefficient that rounds to 0.0 or
+    past the float range is a ValueError.
     """
     d = graph.dim
     u = graph.basis
-    if not sys.float_info.min <= u.volume < math.inf:   # a subnormal has lost digits
-        raise ValueError("basis volume out of float range")
     n, m = graph.n, graph.m
 
     def coefficient(lat: SublatticeBasis) -> float:
         c = oracle_coefficient(u, lat)
-        if not math.isfinite(c):
+        if not 0.0 < c < math.inf:
             raise ValueError("monomial coefficient out of float range")
         return c
 

@@ -10,6 +10,7 @@ import tempfile
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -23,7 +24,12 @@ from .conftest import FIXTURE_DIR, fig3_left_doc, helix_cross_doc
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    """(exit code, stdout, stderr) of `main(argv)`, which must raise no
+    warning: a process would print it to stderr."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(list(argv))
+    assert not caught
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -57,7 +63,8 @@ class TestValidate:
 
     def test_unimodular_integer_basis(self, capsys, tmp_path):
         # det -1 and condition number 5.6e4: numpy's inverse misses the
-        # identity by more than 1e-12, the exact adjugate does not
+        # identity by more than 1e-12, so `bounds` reads the norm of the
+        # exact adjugate
         doc = {"dim": 2, "basis": [[-79, -207], [29, 76]],
                "vertices": [{"id": 0, "value": 0.0}],
                "edges": [{"id": 1, "u": 0, "v": 0, "value": 1.0, "shift": [1, 0]}]}
@@ -70,6 +77,26 @@ class TestValidate:
         bars = {era["exp"]: era["bars"] for era in json.loads(out)["eras"]}
         assert bars[2] == [{"birth": 0.0, "death": 1.0, "mult": 1.0}]
         assert bars[1][1]["mult"] == math.sqrt(79 ** 2 + 207 ** 2)   # the loop vector U.e1
+        code, out, err = run(capsys, "bounds", str(p))
+        assert code == 0 and err == ""
+        # det U = -1, so the norm of U^-1 is U's own
+        assert json.loads(out)["inverse_norm"] == pytest.approx(
+            np.linalg.norm(np.array(doc["basis"]).T, 2), rel=1e-12)
+
+    def test_basis_whose_float_determinant_is_zero(self, capsys, tmp_path):
+        # det = 3 fl(1/3) - 1 = -2^-54 exactly, but numpy's LU meets a zero
+        # pivot: only `bounds`, which inverts U in floats, refuses the basis
+        doc = {"dim": 2, "basis": [[3.0, 1.0], [1.0, 1 / 3]],
+               "vertices": [{"id": 0, "value": 0.0}],
+               "edges": [{"id": 1, "u": 0, "v": 0, "value": 1.0, "shift": [1, 0]}]}
+        p = tmp_path / "float_singular.json"
+        p.write_text(json.dumps(doc))
+        assert np.linalg.det(np.array(doc["basis"])) == 0.0
+        assert run(capsys, "validate", str(p)) == (0, "n=1 m=1 D=1 connected\n", "")
+        code, out, err = run(capsys, "barcode", str(p), "--csv")
+        assert code == 0 and err == ""
+        assert run(capsys, "bounds", str(p)) == (
+            1, "", "error: basis too ill-conditioned to invert reliably\n")
 
 
 def assert_one_error_line(code, err):
@@ -221,8 +248,8 @@ class TestInputFuzz:
     ENTRY_PATHS = [(i, p) for i, p in PATHS
                    if type(p[-1]) is int and (p[-2] == "shift" or p[0] == "basis")]
 
-    # a basis entry whose float inverse is not finite: the residual of the
-    # conditioning check is NaN there, which must be refused without a warning
+    # a subnormal basis entry, whose float inverse is not finite: parse
+    # reads the basis exactly and inverts nothing, so it raises no warning
     @settings(max_examples=400, derandomize=True, database=None, deadline=None)
     @given(target=st.sampled_from(PATHS), value=FUZZ_VALUES)
     @example(target=(0, ("basis", 0, 0)), value=5e-324)
@@ -444,6 +471,7 @@ class TestOutOfRange:
         ("tree", "V", "--json"),
         ("barcode", "V", "--csv"),
         ("count-shadows", "V", "--component-at", "0.5", "--radius", "1e-103"),
+        ("unroll", "U1e+308", "--sublattice", "2"),   # U . S = 2e308
     ])
     def test_exits_1_with_one_line(self, capsys, tmp_path, fixture_paths, argv):
         paths = {"H": str(fixture_paths[1]), "V": str(tmp_path / "V.json")}
@@ -451,7 +479,7 @@ class TestOutOfRange:
             "dim": 3, "basis": [[1e-103, 0, 0], [0, 1e-103, 0], [0, 0, 1e-103]],
             "vertices": [{"id": 0, "value": 0.0}],
             "edges": [{"id": 1, "u": 0, "v": 0, "value": 1.0, "shift": [1, 0, 0]}]}))
-        for x in (1e-200, 1e300):
+        for x in (1e-200, 1e300, 1e308):
             p = tmp_path / f"U{x:g}.json"
             p.write_text(json.dumps({
                 "dim": 1, "basis": [[x]], "vertices": [{"id": 0, "value": 0.0}],
@@ -481,15 +509,16 @@ class TestOutOfRange:
         assert out == ""
 
     @staticmethod
-    def _diagonal_loops(tmp_path, x, steps):
-        """One vertex on the basis diag(x, x, x), with a loop along steps * e_i
-        at height i + 1 for each of the given steps."""
+    def _diagonal_loops(tmp_path, diag, steps):
+        """One vertex on the basis with diagonal `diag`, with a loop along
+        steps * e_i at height i + 1 for each of the given steps."""
+        d = len(diag)
         p = tmp_path / "g.json"
         p.write_text(json.dumps({
-            "dim": 3, "basis": [[x if r == c else 0 for r in range(3)] for c in range(3)],
+            "dim": d, "basis": [[x if r == c else 0 for r in range(d)] for c, x in enumerate(diag)],
             "vertices": [{"id": 0, "value": 0.0}],
             "edges": [{"id": i + 1, "u": 0, "v": 0, "value": i + 1.0,
-                       "shift": [k if r == i else 0 for r in range(3)]}
+                       "shift": [k if r == i else 0 for r in range(d)]}
                       for i, k in enumerate(steps)]}))
         return p
 
@@ -497,7 +526,7 @@ class TestOutOfRange:
         # diag(1e100): the rank-2 lattice's Gram determinant is about 1e400,
         # past the float range; each era-e coefficient is 1 / 1e100^e,
         # rounded once from the exact value
-        p = self._diagonal_loops(tmp_path, 1e100, (1, 1))
+        p = self._diagonal_loops(tmp_path, (1e100,) * 3, (1, 1))
         code, out, err = run(capsys, "barcode", str(p), "--csv")
         assert code == 0 and err == ""
         c = [repr(float(1 / Fraction(1e100) ** e)) for e in range(4)]
@@ -509,7 +538,7 @@ class TestOutOfRange:
         # diag(1e-100): the rank-2 lattice's Gram determinant 1e-400 is below
         # the float range; the era-1 bars keep their coefficient 1 / 1e-100
         # and the era-3 bar its 1 / 1e-300, each rounded once
-        p = self._diagonal_loops(tmp_path, 1e-100, (1, 1))
+        p = self._diagonal_loops(tmp_path, (1e-100,) * 3, (1, 1))
         code, out, err = run(capsys, "barcode", str(p), "--csv")
         assert code == 0 and err == ""
         c = [repr(float(1 / Fraction(1e-100) ** e)) for e in range(4)]
@@ -523,11 +552,45 @@ class TestOutOfRange:
         # diag(2^340): the loops 4 e_i span lattices of volume up to
         # 4^3 2^1020, past the float range, yet every coefficient is at most
         # the index 64 of the full-rank one
-        p = self._diagonal_loops(tmp_path, 2 ** 340, (4, 4, 4))
+        p = self._diagonal_loops(tmp_path, (2 ** 340,) * 3, (4, 4, 4))
         code, out, err = run(capsys, "barcode", str(p), "--csv")
         assert code == 0 and err == ""
         assert [m for e, _, _, m in (line.split(",") for line in out.splitlines()[1:])
                 if e == "0"] == ["-64.0", "64.0"]
+
+    # bases whose float determinant, inverse or volume leaves the float
+    # range: parse reads each exactly (every exact determinant is nonzero),
+    # and each command exits 0 with nothing on stderr, or 1 or 2 with one
+    # error line; the codes of validate, tree, barcode, unroll, distance,
+    # count-shadows and bounds
+    @pytest.mark.parametrize("diag,codes", [
+        ((1e-200,), (0, 0, 0, 0, 0, 2, 1)),            # ||U^-1|| = 1e200, its square past floats
+        ((1e-200, 1e200), (0, 0, 0, 0, 0, 2, 1)),
+        ((1e-200, 1e-200), (0, 1, 1, 0, 1, 1, 1)),     # 1 / vol_d = 1e400
+        ((1e200, 1e200, 1e200), (0, 1, 1, 0, 1, 1, 1)),  # 1 / vol_d = 1e-600 rounds to 0.0
+        # the loop's coefficient 1e-150 / vol_d = 1e-450 rounds to 0.0
+        ((1e-150, 1e225, 1e225), (0, 1, 1, 0, 1, 1, 1)),
+    ])
+    def test_basis_past_the_float_range(self, capsys, tmp_path, diag, codes):
+        p = str(self._diagonal_loops(tmp_path, diag, (1,)))
+        d = len(diag)
+        sublattice = ";".join(",".join(str(1 + (r == 0)) if r == c else "0" for c in range(d))
+                              for r in range(d))
+        outcomes = [run(capsys, *argv) for argv in [
+            ("validate", p), ("tree", p, "--json"), ("barcode", p, "--csv"),
+            ("unroll", p, "--sublattice", sublattice), ("distance", p, p),
+            ("count-shadows", p, "--component-at", "0.5", "--radius", "1"), ("bounds", p)]]
+        for code, out, err in outcomes:
+            if code:
+                assert err.startswith("error: ") and err.count("\n") == 1 and out == ""
+            else:
+                assert err == ""
+        assert tuple(code for code, _, _ in outcomes) == codes
+        _, out, err = outcomes[2]
+        if d == 1:   # the era-1 bar of 1 / vol_d, before the loop closes at 1
+            assert "1,0.0,1.0,1e+200" in out.splitlines()
+        if codes[2]:
+            assert err == "error: monomial coefficient out of float range\n"
 
     @pytest.mark.parametrize("sublattice,ids", [("2", 2 ** 62), (str(2 ** 63), 1)])
     def test_unroll_index_checked_before_enumerating(self, capsys, tmp_path, monkeypatch,
@@ -631,10 +694,13 @@ class TestInProcess:
 
     @pytest.mark.parametrize("argv", [
         ("barcode", "--csv"), ("barcode", "--json"), ("tree", "--json"), ("tree", "--dot"),
-        ("unroll", "--sublattice", "2,0,0;1,3,0;0,1,1"), ("validate",),
+        ("unroll", "--sublattice", "2,0,0;1,3,0;0,1,1"), ("validate",), ("distance", "H"),
+        ("bounds",), ("count-shadows", "--component-at", "8", "--radius", "3"),
     ])
     def test_a_call_leaves_no_cyclic_garbage(self, tmp_path, fixture_paths, argv):
-        argv = [argv[0], str(fixture_paths[1]), *argv[1:], "--out", str(tmp_path / "out")]
+        helix = str(fixture_paths[1])
+        argv = [argv[0], helix, *(helix if a == "H" else a for a in argv[1:]),
+                "--out", str(tmp_path / "out")]
         assert main(argv) == 0   # the first call makes the parser and the templates
         enabled = gc.isenabled()
         gc.collect()

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -289,12 +290,12 @@ class TestVolumeExactness:
         for _ in range(150):
             d = rng.choice((1, 2, 3))
             cols = [[rng.randint(-9, 9) for _ in range(d)] for _ in range(d)]
-            try:
-                u = RealBasis(cols)
-            except ValueError:   # singular or ill-conditioned
+            if not _int_det(cols):   # singular: the one basis RealBasis refuses
                 continue
+            u = RealBasis(cols)
             det = _int_det(u.rows)
-            assert u.scale == 0 and u.det == abs(det) and u.volume == float(abs(det))
+            full = hnf_reduce([[int(i == j) for i in range(d)] for j in range(d)])
+            assert u.scale == 0 and u.det == abs(det) and volume(u, full) == float(abs(det))
             signs.add(det > 0)
             self._check(u, rng)
             checked += 1
@@ -313,7 +314,7 @@ class TestVolumeExactness:
         cols = [self.BIG[1], self.BIG[0], self.BIG[2]] if swap else self.BIG
         u = RealBasis(cols)
         assert u.scale == 0 and (_int_det(u.rows) < 0) is swap
-        assert u.det > 2**53 and u.det != int(u.volume)   # the float lost digits
+        assert u.det > 2**53 and u.det != int(float(u.det))   # the float lost digits
         assert math.sqrt(u.det ** 2) != float(u.det)
         # the volume of Z^d is |det U| rounded once, not the root of its rounded square
         assert volume(u, hnf_reduce(IntMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))) \
@@ -494,6 +495,15 @@ class TestCountCosetsInBall:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             count_cosets_in_ball(I2, SublatticeBasis.empty(2), 1000.0, budget=100)
+
+    @pytest.mark.parametrize("cols", [[[1e-200]], [[1e-200, 0.0], [0.0, 1e200]]])
+    def test_box_past_the_float_range(self, cols):
+        # a row norm of the inverse overflows: a box past the budget, with no warning
+        u = RealBasis(cols)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BudgetExceeded, match="past the float range"):
+                count_cosets_in_ball(u, SublatticeBasis.empty(u.dim), 1.0)
 
     def test_skewed_basis_enumerates_a_reduced_box(self):
         # U is unimodular, so U.Z^3 = Z^3 and the cosets of L over U are

@@ -671,9 +671,9 @@ class TestFloatRange:
     @pytest.mark.parametrize("edges,small", [
         ([(0, 0, 1.0, [1, 0, 0])], _diag(1e100, 1e100, 1e100)),
         ([(0, 1, 1.0, [0, 0, 0])], _diag(1e100, 1e100, 1e100)),
-        # above the merger the roots carry 0.0 (the Gram determinant of
-        # volume 1e-200 underflows) and 1e-300, equal within TOL; below it
-        # the children carry 1e300 and 1e-300, whose ratio is inf
+        # on the big basis the root's epochs carry 1e300, 1e200 and 1e100 and
+        # the child's 1e300; on the small one every epoch carries 1e-300, so
+        # two coefficients differ by up to 1e600, a ratio past the float range
         ([(0, 0, 0.1, [1, 0, 0]), (0, 0, 0.2, [0, 1, 0]), (0, 1, 1.0, [0, 0, 0])],
          _diag(1.0, 1.0, 1e300)),
     ])
@@ -684,6 +684,17 @@ class TestFloatRange:
         assert not splinters(small, big)
         assert splinters(big, big) and splinters(small, small)
         assert canonical_form(big) != canonical_form(small)
+
+    @pytest.mark.parametrize("basis", [
+        _diag(1e-150, 1e225, 1e225),   # the loop's 1e-150 / vol_d = 1e-450 rounds to 0.0
+        _diag(1e200, 1e200, 1e200),    # the root's 1 / vol_d = 1e-600 rounds to 0.0
+        _diag(1e-200, 1e-200),         # the root's 1 / vol_d = 1e400 is past the float range
+    ])
+    def test_coefficient_out_of_float_range_is_refused(self, basis):
+        g = _graph(basis, [0.0], [(0, 0, 1.0, [1] + [0] * (len(basis) - 1))])
+        for make in (build, oracles.oracle_build):
+            with pytest.raises(ValueError, match="monomial coefficient out of float range"):
+                make(g)
 
 
 class TestCanonicalForm:

@@ -293,7 +293,7 @@ class TestMultiplicityBound:
         cols = [[rng.uniform(-1, 1) + (2.0 if i == j else 0.0) for i in range(d)]
                 for j in range(d)]
         basis = RealBasis(cols)
-        want = float(np.linalg.svd(basis.inverse, compute_uv=False)[0])
+        want = float(np.linalg.svd(np.linalg.inv(basis.matrix), compute_uv=False)[0])
         assert basis.inverse_norm == pytest.approx(want, rel=1e-6)
         # I but for [[0.75, 0.25], [0.25, 0.75]] in the top-left block: the
         # all-ones vector is an eigenvector of the inverse's Gram matrix for
