@@ -154,7 +154,38 @@ def json_chunks(bc: PeriodicBarcode):
         *(jsonfmt.items(bars(exp), 3) for exp in range(bc.dim + 1)))
 
 
+def _ended(sep: str):
+    """A `jsonfmt.distinct` writer: each value's `float.__repr__` (`inf` for
+    an essential death) followed by `sep`, as an object array made a block
+    of values at a time.  The repr of a list of floats is "[x, y]", each x a
+    `float.__repr__`, which holds no comma and no space."""
+    def write(values):
+        texts = np.empty(len(values), dtype=object)
+        for a, z in jsonfmt.blocks(len(values)):
+            texts[a:z] = (repr(values[a:z].tolist())[1:-1].replace(",", sep) + sep).split(" ")
+        return texts
+    return write
+
+
 def to_csv(bc: PeriodicBarcode) -> str:
     """Rows era,birth,death,mult in the canonical (birth, death, era) order,
-    which is the order of `bc.bars`; `repr` writes an essential death as inf."""
-    return "era,birth,death,mult\n" + "".join(map("%d,%r,%r,%r\n".__mod__, bc.bars.tolist()))
+    which is the order of `bc.bars`, each value written as `%r` writes it.
+
+    Each column's distinct values are written once, keyed by their exact
+    bits (`jsonfmt.distinct`), each text ending in the separator that
+    follows it in a row; a block of rows at a time (`jsonfmt.blocks`)
+    gathers its four text columns and joins them.  So the writer holds the
+    distinct texts, one text index per birth, death and mult, one block's
+    texts and the text written so far."""
+    bars = bc.bars
+    columns = [(np.array([f"{e}," for e in range(bc.dim + 1)], dtype=object), bars["exp"])]
+    columns += [jsonfmt.distinct(bars[name], _ended(sep))
+                for name, sep in (("birth", ","), ("death", ","), ("mult", "\n"))]
+    text = ["era,birth,death,mult\n"]
+    for a, z in jsonfmt.blocks(len(bars)):
+        rows = np.empty((z - a, 4), dtype=object)
+        for c, (texts, index) in enumerate(columns):
+            rows[:, c] = texts[index[a:z]]
+        text.append("".join(rows.ravel().tolist()))
+    del columns   # the distinct texts go before the blocks are joined
+    return "".join(text)

@@ -152,7 +152,10 @@ def cmd_count_shadows(args) -> int:
 def cmd_bounds(args) -> int:
     g = pgraph.parse(args.input)
     mu0 = transport.multiplicity_bound(g)
-    norm, bound, constant = jsonfmt.floats([g.basis.inverse_norm, mu0, 2 * (g.dim + 1) * mu0])
+    constant = 2 * (g.dim + 1) * mu0
+    if constant == math.inf:
+        raise OverflowError("stability constant out of float range")
+    norm, bound, constant = jsonfmt.floats([g.basis.inverse_norm, mu0, constant])
     doc = jsonfmt.template({"D": HOLE, "inverse_norm": HOLE, "m": HOLE, "mu0": HOLE, "n": HOLE,
                             "stability_constant": HOLE}, 0)
     _emit((doc % (pgraph.max_shift_magnitude(g), norm, g.m, bound, g.n, constant), "\n"), args.out)

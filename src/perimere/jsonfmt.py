@@ -9,7 +9,8 @@ its fills.  `items` lays a list out
 around the texts of its items, putting `separator` between two of them,
 `blocks` splits a writer's rows into the blocks it makes texts for at a
 time, `floats` writes a column of floats, `distinct` writes each distinct
-value of a float64 column once, and `chunks` fills the holes of a whole
+value of a float64 column once (as JSON, or in a writer's own format,
+as the barcode CSV's), and `chunks` fills the holes of a whole
 document, yielding its text in pieces that can be written one after
 another.  The depth of a value is the number of containers around it: a
 top-level key's value has depth 1.
@@ -89,12 +90,15 @@ def floats(xs: list) -> list:
     return [_float(x) if x is not None else "null" for x in xs]
 
 
-def distinct(column) -> tuple:
-    """(texts, index) of a float64 array: the JSON texts of its distinct
-    values, and per entry the position of its text (an int64 array).  Values
-    are keyed by their exact bits, so -0.0 and 0.0 keep a text each."""
+def distinct(column, write=None) -> tuple:
+    """(texts, index) of a float64 array: the texts of its distinct values,
+    and per entry the position of its text (an int64 array).  Values are
+    keyed by their exact bits, so -0.0 and 0.0 keep a text each.  The texts
+    are `write(values)` of the distinct values, a float64 array in the
+    order of their bits, or by default their JSON texts (`floats`)."""
     keys, index = np.unique(column.view(np.int64), return_inverse=True)
-    return floats(keys.view(np.float64).tolist()), index
+    values = keys.view(np.float64)
+    return floats(values.tolist()) if write is None else write(values), index
 
 
 _BLOCK = 256   # items joined per chunk, and rows a record writer turns into texts at once

@@ -341,7 +341,13 @@ def barcode_distance(b1: PeriodicBarcode, b2: PeriodicBarcode, per_era: bool = F
 
 
 def multiplicity_bound(g: PeriodicGraph) -> float:
-    """Upper bound (d^2.5 * D * m * ||U^-1||)^d on any bar's |multiplicity|."""
+    """Upper bound (d^2.5 * D * m * ||U^-1||)^d on any bar's |multiplicity|;
+    an OverflowError that names it when it is past the float range."""
     d = g.dim
-    dmax = max_shift_magnitude(g)
-    return float((d ** 2.5 * dmax * g.m * g.basis.inverse_norm) ** d)
+    try:   # a D past the float range, or the power's overflow, raise
+        bound = (d ** 2.5 * max_shift_magnitude(g) * g.m * g.basis.inverse_norm) ** d
+    except OverflowError:
+        bound = math.inf
+    if bound == math.inf:
+        raise OverflowError("multiplicity bound out of float range")
+    return bound

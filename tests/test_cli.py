@@ -458,6 +458,10 @@ class TestCountShadows:
 
 
 class TestOutOfRange:
+    # the bounds that `bounds` writes name themselves when they overflow
+    NAMED = {("bounds", "L120"): "multiplicity bound", ("bounds", "L400"): "multiplicity bound",
+             ("bounds", "S"): "stability constant"}
+
     # valid inputs whose numbers leave the float range or the id range: one
     # error line and exit 1, never an OverflowError traceback
     @pytest.mark.parametrize("argv", [
@@ -472,9 +476,15 @@ class TestOutOfRange:
         ("barcode", "V", "--csv"),
         ("count-shadows", "V", "--component-at", "0.5", "--radius", "1e-103"),
         ("unroll", "U1e+308", "--sublattice", "2"),   # U . S = 2e308
+        ("bounds", "L400"),           # D = 10^400 is past the float range
+        ("bounds", "S"),              # mu0 = 5e307, and 2 (d + 1) mu0 = 2e308
     ])
     def test_exits_1_with_one_line(self, capsys, tmp_path, fixture_paths, argv):
-        paths = {"H": str(fixture_paths[1]), "V": str(tmp_path / "V.json")}
+        paths = {"H": str(fixture_paths[1]), "V": str(tmp_path / "V.json"),
+                 "S": str(tmp_path / "S.json")}
+        (tmp_path / "S.json").write_text(json.dumps({
+            "dim": 1, "basis": [[1.0]], "vertices": [{"id": 0, "value": 0.0}],
+            "edges": [{"id": 1, "u": 0, "v": 0, "value": 1.0, "shift": [5 * 10 ** 307]}]}))
         (tmp_path / "V.json").write_text(json.dumps({
             "dim": 3, "basis": [[1e-103, 0, 0], [0, 1e-103, 0], [0, 0, 1e-103]],
             "vertices": [{"id": 0, "value": 0.0}],
@@ -497,6 +507,8 @@ class TestOutOfRange:
         code, out, err = run(capsys, *[paths.get(a, a) for a in argv])
         assert_one_error_line(code, err)
         assert out == ""
+        if argv in self.NAMED:
+            assert err == f"error: number out of range: {self.NAMED[argv]} out of float range\n"
 
     # R^exp overflows before the count is made: the error names the prediction
     @pytest.mark.parametrize("which,at,radius", [(0, "5", "1e200"), (1, "8", "1e300")])

@@ -114,6 +114,16 @@ class TestRecordTemplates:
         texts, index = jsonfmt.distinct(np.array([]))
         assert texts == [] and index.size == 0
 
+    def test_distinct_hands_a_writer_the_values_in_bit_order(self):
+        xs = np.array([2.0, -0.0, 0.0, float("inf"), 2.0, -1.0])
+        seen = []
+        texts, index = jsonfmt.distinct(xs, lambda values: seen.append(values) or
+                                        [repr(x) + ";" for x in values.tolist()])
+        [values] = seen
+        assert values.dtype == np.float64
+        assert values.view(np.int64).tolist() == sorted(set(xs.view(np.int64).tolist()))
+        assert [texts[i] for i in index.tolist()] == [repr(x) + ";" for x in xs.tolist()]
+
 
 # record shapes of builtin values, whose reprs tell them apart
 SHAPES = st.recursive(
