@@ -1,14 +1,17 @@
 """Exact integer-lattice arithmetic.
 
 Sublattices of Z^d are kept in a canonical column-style Hermite normal form
-so that two values describe the same lattice iff they compare equal.  All
-integer work uses Python's unbounded ints (intermediate entries during
+so that two values describe the same lattice iff they compare equal.  One
+routine reduces: `hnf_insert` adds one vector to a canonical basis, and
+`hnf_reduce`, `lattice_sum` and `hnf_transform` fold it over their columns.
+All integer work uses Python's unbounded ints (intermediate entries during
 reduction can grow like (2N)^(c^(d-1)), far beyond 64 bits).  The real
 basis is kept as floats and exactly, as the integer matrix U . 2^scale, so
 volumes and monomial coefficients are exact until one final rounding.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -122,55 +125,17 @@ class SublatticeBasis:
         return cls(dim, ())
 
 
-def _hnf_columns(dim: int, cols: list) -> tuple:
-    """Column-operation HNF reduction (negate / swap / subtract a multiple)
-    over rows 0..dim-1 of `cols`, a list of column lists of ints that it
-    reduces in place; the basis columns, in order.
-
-    Columns may be longer than `dim`: the operations carry the extra rows
-    along, which is how `hnf_transform` records its certificates.
-    """
-    c = len(cols)
-    j = 0
-    for i in range(dim):
-        pivot = None
-        for l in range(j, c):
-            if cols[l][i]:
-                pivot = l
-                break
-        if pivot is None:
-            continue
-        cols[j], cols[pivot] = cols[pivot], cols[j]
-        if cols[j][i] < 0:
-            cols[j] = [-e for e in cols[j]]
-        for k in range(j + 1, c):
-            if cols[k][i] < 0:
-                cols[k] = [-e for e in cols[k]]
-            # Euclid on the i-th entries of columns j and k.
-            while cols[j][i] and cols[k][i]:
-                q = cols[j][i] // cols[k][i]
-                if q:
-                    cols[j] = [a - q * b for a, b in zip(cols[j], cols[k])]
-                cols[j], cols[k] = cols[k], cols[j]
-        # canonical: entries left of the pivot reduced into [0, pivot)
-        for k in range(j):
-            q = cols[k][i] // cols[j][i]
-            if q:
-                cols[k] = [a - q * b for a, b in zip(cols[k], cols[j])]
-        j += 1
-    return tuple(tuple(col) for col in cols[:j])
-
-
 def hnf_reduce(matrix, dim: int | None = None) -> SublatticeBasis:
     """Canonical HNF basis of the lattice spanned by the columns of `matrix`.
 
     Accepts an IntMatrix or a plain iterable of integer columns (pass `dim`
     when the column list may be empty).  Redundant, zero, and negative
-    columns are all fine.  Each column is converted once, to the list of
-    ints that the reduction works on.
+    columns are all fine.  The basis is `hnf_insert` folded over the
+    columns, from the rank-0 lattice; each column is converted once, to the
+    list of ints that the fold inserts.
     """
     if isinstance(matrix, IntMatrix):
-        cols, d = [list(col) for col in matrix.columns], matrix.rows
+        cols, d = matrix.columns, matrix.rows
     else:
         cols = [list(map(int, col)) for col in matrix]
         if cols:
@@ -183,15 +148,20 @@ def hnf_reduce(matrix, dim: int | None = None) -> SublatticeBasis:
             d = dim
         if dim is not None and cols and d != dim:
             raise ValueError("columns do not match dim")
-    return SublatticeBasis(d, _hnf_columns(d, cols))
+    return SublatticeBasis(d, functools.reduce(hnf_insert, cols, ()))
 
 
-def hnf_insert(columns: tuple, w) -> tuple:
+def hnf_insert(columns: tuple, w, rows: int | None = None) -> tuple:
     """The canonical HNF column tuple of the lattice that the canonical HNF
-    columns `columns` and the integer vector `w` span; `columns` itself when
-    w is zero.  It is what `hnf_reduce(columns + (w,)).columns` is, with
-    less work (Cohen, A Course in Computational Algebraic Number Theory,
-    1993, section 2.4).
+    columns `columns` and the integer vector `w` span (Cohen, A Course in
+    Computational Algebraic Number Theory, 1993, section 2.4).  It is the
+    one HNF reduction here: `hnf_reduce`, `lattice_sum` and `hnf_transform`
+    fold it over their columns.
+
+    Only the first `rows` entries (all of w's by default) decide pivots.
+    The entries below them ride along through every column operation, which
+    is how `hnf_transform` carries its certificates.  A w that is zero in
+    its first `rows` entries returns `columns` itself.
 
     Let r be w's leading row.  The columns whose pivot lies above r take no
     part in Euclid: w and the later columns are zero above r.  From row r
@@ -202,12 +172,12 @@ def hnf_insert(columns: tuple, w) -> tuple:
     w works; `build` passes its drift's `remainder`, whose entries at the
     pivot rows are already below the pivots, so Euclid takes few steps.
     """
-    d = len(w)
+    d = len(w) if rows is None else rows
     top = 0
-    while not w[top]:
+    while top < d and not w[top]:
         top += 1
-        if top == d:
-            return columns
+    if top == d:
+        return columns
     cols = list(columns)
     n = len(cols)
     r = top
@@ -257,26 +227,21 @@ def hnf_insert(columns: tuple, w) -> tuple:
 def hnf_transform(matrix: IntMatrix):
     """HNF basis plus integer certificates: basis[k] = matrix . coeffs[k].
 
-    The c x c identity is stacked under the input columns, so the reduction
-    writes each basis column's coefficients in the rows below it.
+    The c x c identity is stacked under the input columns, and `hnf_insert`
+    is folded over them with the first d rows deciding pivots, so each
+    basis column carries its coefficients in the rows below it.
     """
     d, c = matrix.rows, matrix.cols
     stacked = [[*col, *(int(i == k) for i in range(c))] for k, col in enumerate(matrix.columns)]
-    basis = _hnf_columns(d, stacked)
+    basis = functools.reduce(lambda cols, w: hnf_insert(cols, w, d), stacked, ())
     return SublatticeBasis(d, tuple(col[:d] for col in basis)), [col[d:] for col in basis]
 
 
 def lattice_sum(a: SublatticeBasis, b: SublatticeBasis) -> SublatticeBasis:
-    """Smallest common superlattice A + B."""
+    """Smallest common superlattice A + B: b's columns inserted into a's."""
     if a.dim != b.dim:
         raise ValueError("ambient dimension mismatch")
-    if not b.columns:
-        return a
-    if not a.columns:
-        return b
-    if a == b:
-        return a
-    return SublatticeBasis(a.dim, _hnf_columns(a.dim, [list(col) for col in a.columns + b.columns]))
+    return SublatticeBasis(a.dim, functools.reduce(hnf_insert, b.columns, a.columns))
 
 
 def solve(l: SublatticeBasis, v: Sequence[int]):
@@ -326,7 +291,7 @@ class RealBasis:
     scale >= 0 (every float is dyadic) and their exact |det| `det`, which is
     0 exactly when U is singular."""
 
-    __slots__ = ("dim", "matrix", "rows", "det", "scale")
+    __slots__ = ("dim", "matrix", "rows", "det", "scale", "_inverse_norm")
 
     def __init__(self, columns):
         u = np.array([[float(e) for e in col] for col in columns], dtype=float).T
@@ -343,12 +308,16 @@ class RealBasis:
         self.det = abs(_int_det(self.rows))
         if not self.det:
             raise ValueError("singular lattice basis")
+        self._inverse_norm = None
 
     @property
     def inverse_norm(self) -> float:
-        """The operator norm of U^-1 in floats.  A float inverse that misses
-        the identity by more than 1e-12 (or by NaN) is refused unless U is an
-        integer basis (scale 0): then it is rounded from the exact adjugate."""
+        """The operator norm of U^-1 in floats, computed on the first access
+        that succeeds and kept.  A float inverse that misses the identity by
+        more than 1e-12 (or by NaN) is refused unless U is an integer basis
+        (scale 0): then it is rounded from the exact adjugate."""
+        if self._inverse_norm is not None:
+            return self._inverse_norm
         with np.errstate(all="ignore"):
             try:
                 inverse = np.linalg.inv(self.matrix)
@@ -364,7 +333,8 @@ class RealBasis:
         # underflowed or lost precision as a subnormal
         if not np.finfo(float).tiny <= top < math.inf:
             raise ValueError("basis inverse norm out of float range")
-        return math.sqrt(top)
+        self._inverse_norm = math.sqrt(top)
+        return self._inverse_norm
 
 
 _PAST_FLOAT = (1 << 1024) - (1 << 970)   # the least int that rounds past the largest float
@@ -447,6 +417,8 @@ def remainder(columns: tuple, v) -> tuple:
 def reduce_mod(l: SublatticeBasis, v: Sequence[int]):
     """Canonical representative of v modulo the lattice L: `remainder` of
     v's entries as ints."""
+    if len(v) != l.dim:
+        raise ValueError("vector length does not match ambient dimension")
     return remainder(l.columns, [int(e) for e in v])
 
 

@@ -423,7 +423,8 @@ def build(graph: PeriodicGraph) -> PeriodicMergeTree:
     remainder w means v is a member, and otherwise `hnf_insert` of w into
     k's columns gives the new lattice, working only from w's leading row
     down (Cohen, A Course in Computational Algebraic Number Theory, 1993,
-    section 2.4).  Only a sum missing from `meet` calls `hnf_reduce`.  On
+    section 2.4).  Only a sum missing from `meet` calls `hnf_reduce`, the
+    fold of `hnf_insert` over both lattices' columns.  On
     the `molecular` benchmark's main input, 1,343 of 1,516 loop-edge steps
     miss `step` and 1,171 of those call `hnf_insert`, while 99 of 116 sums
     miss `meet` and call `hnf_reduce`.

@@ -83,6 +83,16 @@ class TestValidate:
         assert json.loads(out)["inverse_norm"] == pytest.approx(
             np.linalg.norm(np.array(doc["basis"]).T, 2), rel=1e-12)
 
+    def test_bounds_inverts_the_basis_once(self, capsys, monkeypatch):
+        # mu0 and the inverse_norm field both read the basis's inverse norm,
+        # which the basis keeps after its first computation
+        inverted = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a) or inv(a))
+        code, out, err = run(capsys, "bounds", str(FIXTURE_DIR / "helix_cross_3d.json"))
+        assert (code, err) == (0, "") and json.loads(out)["inverse_norm"] == 1.0
+        assert len(inverted) == 1
+
     def test_basis_whose_float_determinant_is_zero(self, capsys, tmp_path):
         # det = 3 fl(1/3) - 1 = -2^-54 exactly, but numpy's LU meets a zero
         # pivot: only `bounds`, which inverts U in floats, refuses the basis

@@ -3,6 +3,7 @@ import random
 import sys
 import warnings
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
@@ -162,7 +163,11 @@ class TestHnfReduce:
             basis, _, trans = oracle_hnf_columns(d, cols, with_transform=True)
             h, certs = hnf_transform(IntMatrix.from_rows(zip(*cols)))
             assert h == SublatticeBasis(d, basis)
-            assert certs == trans[:len(basis)]
+            # certificates are unique only where the columns are independent
+            if len(basis) == len(cols):
+                assert certs == trans[:len(basis)]
+            for col, x in zip(h.columns, certs):
+                assert tuple(sum(map(mul, x, row)) for row in zip(*cols)) == col
 
     def test_magnitude_bound(self):
         # drift-vector style inputs: magnitude <= Dm gives output <= (sqrt(d) Dm)^d
@@ -200,6 +205,7 @@ class TestLatticeSum:
             assert lattice_sum(a, b) == lattice_sum(b, a)
             assert lattice_sum(lattice_sum(a, b), c) == lattice_sum(a, lattice_sum(b, c))
             s = lattice_sum(a, b)
+            assert s.columns == oracle_hnf_columns(3, a.columns + b.columns)[0]
             assert all(member(s, col) for col in a.columns)
             assert all(member(s, col) for col in b.columns)
 
@@ -432,6 +438,12 @@ class TestCosets:
         h = hnf_reduce(s)
         assert reduce_mod(h, (3, 5)) == (1, 0)
         assert reduce_mod(h, (4, -2)) == (0, 0)
+
+    def test_reduce_mod_rejects_wrong_length(self):
+        h = hnf_reduce([(2, 0)])
+        for v in ((3, 1, 7), (3,), ()):
+            with pytest.raises(ValueError, match="ambient dimension"):
+                reduce_mod(h, v)
 
     def test_canonical_coset_idempotent(self):
         rng = random.Random(11)

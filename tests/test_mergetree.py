@@ -17,7 +17,7 @@ from perimere.synthetic import random_periodic_graph, torus_grid
 
 from .conftest import fig3_left_doc, helix_cross_doc
 from . import oracles
-from .oracles import UnionFind, bfs_components, oracle_volume, view
+from .oracles import UnionFind, bfs_components, oracle_hnf_columns, oracle_volume, view
 from .test_lattice import _lattices, random_unimodular
 
 SQRT2 = math.sqrt(2)
@@ -243,7 +243,8 @@ class TestLatticeStep:
     def test_insert_against_hnf_reduce(self):
         # build's lattice step: along seeded insertion sequences from every
         # starting rank in d 1-4, inserting a remainder gives hnf_reduce's
-        # lattice of the same columns, with the same is_full and volume (on an
+        # lattice of the same columns, and the basis of the independent
+        # reduction `oracle_hnf_columns`, with the same is_full and volume (on an
         # integer basis, exact); so does inserting the unreduced vector.  The
         # remainders lead at pivot rows and at rows without a pivot, and
         # some entries pass 2^64
@@ -265,6 +266,7 @@ class TestLatticeStep:
                         got = hnf_insert(cols, w)
                         want = hnf_reduce(cols + (w,), dim=d)
                         assert got == want.columns == hnf_insert(cols, v)
+                        assert got == oracle_hnf_columns(d, cols + (w,))[0]
                         if not any(w):
                             assert got is cols
                             continue

@@ -303,6 +303,15 @@ class TestMultiplicityBound:
         cols[1][:2] = [0.25, 0.75]
         assert RealBasis(cols).inverse_norm == pytest.approx(2.0, rel=1e-12)
 
+    def test_refused_basis_raises_on_every_access(self):
+        # det = -2^-54 exactly, but numpy's LU meets a zero pivot; only a
+        # norm that was computed is kept
+        from perimere.lattice import RealBasis
+        basis = RealBasis([[3.0, 1.0], [1.0, 1 / 3]])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="ill-conditioned"):
+                basis.inverse_norm
+
 
 class TestPlanDump:
     def test_plan_json_shape(self):
