@@ -16,8 +16,9 @@ numbered in elder order, (birth, birth_vertex), the order `build` makes
 them in; per beam there are `birth`, `birth_vertex`, `death` (inf for a
 root), `parent` (-1 for a root) and `merge_edge` (the edge of the merger
 that ends a beam with a parent).  Epochs are beam-major, beam b's being
-rows `offsets[b]:offsets[b + 1]` in increasing start, the first at its
-birth; per epoch there are `start`, `catenation` (the epoch was opened by a
+rows `offsets[b]:offsets[b + 1]` in increasing start, at least one, the
+first at its birth bit for bit (the constructor raises ValueError if not);
+per epoch there are `start`, `catenation` (the epoch was opened by a
 catenation of the edge `cell`) and `lattice`, its index in `lattices`, a
 table of lattices (its order is not the tree's; `build`'s holds each
 distinct lattice once).  A monomial's coefficient and exponent depend on the
@@ -81,6 +82,12 @@ class PeriodicMergeTree:
         self.lattice = np.asarray(lattice, dtype=np.int64)
         self.lattices = list(lattices)
         self.coeffs = np.asarray(coeffs, dtype=float)
+        n, offsets = len(self.birth), self.offsets
+        if len(offsets) != n + 1 or offsets[0] != 0 or offsets[-1] != len(self.start):
+            raise ValueError("epoch offsets must run from 0 to the epoch count, n + 1 of them")
+        if (offsets[1:] <= offsets[:-1]).any() or not np.array_equal(
+                self.start[offsets[:-1]].view(np.int64), self.birth.view(np.int64)):
+            raise ValueError("every beam's first epoch must start at its birth, bit for bit")
 
     @property
     def beams(self) -> range:
@@ -258,15 +265,15 @@ class PeriodicMergeTree:
 
         The beams are written one block of rows at a time (`jsonfmt.blocks`),
         as `jsonfmt.items` joins them, and so are the events after them.  Each
-        birth, death and later epoch start gets one text, in the beams pass:
-        a beam's first epoch starts at its birth and reuses its text, and
-        the texts an event's time reuses (the birth of an appearance, the
-        death of a beam that merges, the start of the epoch a catenation
-        opens) are kept for the events pass in three byte columns of width
-        24, the longest `float.__repr__` of a double.  The columns are made
-        once the edge events are sorted, so the two do not peak together.
-        So the writer holds those texts, the sorted edge events and one
-        block's texts at a time."""
+        epoch start and death gets one text, in the beams pass, and a birth
+        is its first epoch's start.  The texts an event's time reuses are
+        kept for the events pass in two byte columns of width 24, the
+        longest `float.__repr__` of a double: `starts` per epoch (an
+        appearance reads its beam's first, a catenation the one it opens)
+        and `deaths` per beam (a merger reads the dying beam's).  They are
+        made once the edge events are sorted, so the two do not peak
+        together.  So the writer holds those texts, the sorted edge events
+        and one block's texts at a time."""
         head, heads = self.lattice, self._heads()
         n = len(self.birth)
         beam, epoch = jsonfmt.template(_BEAM, 2), jsonfmt.template(_EPOCH, 4)
@@ -276,36 +283,28 @@ class PeriodicMergeTree:
 
         def beam_texts():
             for a, z in jsonfmt.blocks(n):
-                offsets = self.offsets[a:z + 1].tolist()
-                lo, hi = offsets[0], offsets[-1]
-                past = np.ones(hi - lo, dtype=bool)
-                past[self.offsets[a:z] - lo] = False
-                bts = jsonfmt.floats(self.birth[a:z].tolist())
+                lo, hi = self.offsets[[a, z]].tolist()
+                offsets = (self.offsets[a:z + 1] - lo).tolist()   # the block's epoch rows
                 dts = jsonfmt.floats([None if math.isinf(x) else x for x in self.death[a:z].tolist()])
-                sts = jsonfmt.floats(self.start[lo:hi][past].tolist())
-                births[a:z], deaths[a:z], later[lo - a:hi - z] = bts, dts, sts
-                starts = iter(sts)
+                sts = jsonfmt.floats(self.start[lo:hi].tolist())
+                starts[lo:hi], deaths[a:z] = sts, dts
                 hs = head[lo:hi].tolist()
-                rows = zip(range(a, z), offsets, offsets[1:], bts, self.birth_vertex[a:z].tolist(),
+                rows = zip(range(a, z), offsets, offsets[1:], self.birth_vertex[a:z].tolist(),
                            dts, self.parent[a:z].tolist())
-                for b, i, j, birth, vertex, death, parent in rows:
-                    epochs = epoch % (*heads[hs[i - lo]], birth)
-                    if j - i > 1:
-                        epochs = sep.join([epochs, *(epoch % (*heads[hs[e]], next(starts))
-                                                     for e in range(i + 1 - lo, j - lo))])
-                    yield beam % (birth, vertex, death, epochs, b,
+                for b, i, j, vertex, death, parent in rows:
+                    epochs = (sep.join([epoch % (*heads[hs[e]], sts[e]) for e in range(i, j)])
+                              if j - i > 1 else epoch % (*heads[hs[i]], sts[i]))
+                    yield beam % (sts[i], vertex, death, epochs, b,
                                   "null" if parent < 0 else parent)
 
         def appearances(a, z):
             return list(map(kinds[0].__mod__, zip(range(a, z), self.birth_vertex[a:z].tolist(),
-                                                  births[a:z].astype(str).tolist())))
+                                                  starts[self.offsets[a:z]].astype(str).tolist())))
 
         def edge_events(cat, row, time):
             beam, cell = self._edge_fields(cat, row)
             dts = iter(deaths[row[~cat]].astype(str).tolist())
-            # a catenation's epoch row, less its beam's birth epochs and its
-            # own, is its place among the later epochs
-            sts = iter(later[row[cat] - beam[cat] - 1].astype(str).tolist())
+            sts = iter(starts[row[cat]].astype(str).tolist())
             for k, b, r, c, h in zip(cat.tolist(), beam.tolist(), row.tolist(), cell.tolist(),
                                      head[np.where(cat, row, 0)].tolist()):
                 if k:
@@ -315,8 +314,7 @@ class PeriodicMergeTree:
                     yield kinds[1] % (b, r, c, next(dts))
 
         events = self._event_log(appearances, edge_events)   # sorts the edge events
-        births, deaths = np.empty(n, "S24"), np.empty(n, "S24")
-        later = np.empty(len(self.start) - n, "S24")   # the epoch starts past the births
+        starts, deaths = np.empty(len(self.start), "S24"), np.empty(n, "S24")
         return jsonfmt.chunks({"beams": HOLE, "dim": self.dim, "events": HOLE},
                               jsonfmt.items(beam_texts(), 1), jsonfmt.items(events, 1))
 

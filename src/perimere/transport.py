@@ -341,8 +341,9 @@ def barcode_distance(b1: PeriodicBarcode, b2: PeriodicBarcode, per_era: bool = F
 
 
 def multiplicity_bound(g: PeriodicGraph) -> float:
-    """Upper bound (d^2.5 * D * m * ||U^-1||)^d on any bar's |multiplicity|;
-    an OverflowError that names it when it is past the float range."""
+    """mu0 = (d^2.5 * D * m * ||U^-1||)^d, or an OverflowError naming it past
+    the float range.  Not yet a bound on every bar's |mult|: a loop of shift
+    [1] on [[10.0]] has mu0 = 0.1, era-0 mults -1.0, 1.0 (ROADMAP item 7 step A)."""
     d = g.dim
     try:   # a D past the float range, or the power's overflow, raise
         bound = (d ** 2.5 * max_shift_magnitude(g) * g.m * g.basis.inverse_norm) ** d

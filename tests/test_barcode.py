@@ -149,6 +149,11 @@ class TestRowOrder:
         with pytest.raises(ValueError, match="strictly increasing"):
             PeriodicBarcode(1, rows)
 
+    @pytest.mark.parametrize("exp", [-1, 2])
+    def test_exponent_outside_0_to_d_refused(self, exp):
+        with pytest.raises(ValueError, match="exponent outside 0..d"):
+            PeriodicBarcode(1, [(0, 0.0, 1.0, 1.0), (exp, 0.0, 2.0, 1.0)])
+
     def test_canonical_rows_accepted(self):
         rows = [(0, 0.0, 1.0, 1.0), (1, 0.0, 1.0, 1.0), (1, 0.0, 2.0, 1.0),
                 (0, 0.0, INF, 1.0), (0, 1.0, 2.0, -1.0)]

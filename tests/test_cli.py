@@ -127,6 +127,14 @@ class TestInputErrors:
         assert_one_error_line(code, err)
         assert "edge 5" in err and "shift" in err and out == ""
 
+    def test_basis_int_past_the_float_range(self, capsys, tmp_path):
+        # an int of 401 digits cannot become a float: named as a basis fault
+        doc = {"dim": 1, "basis": [[10 ** 400]], "vertices": [{"id": 0, "value": 0.0}],
+               "edges": []}
+        code, out, err = self._run_doc(capsys, tmp_path, doc)
+        assert_one_error_line(code, err)
+        assert err == "error: basis entries must be finite numbers\n" and out == ""
+
     def test_record_missing_key_named(self, capsys, tmp_path):
         doc = {"dim": 1, "basis": [[1.0]], "vertices": [{"id": 0, "value": 0.0}],
                "edges": [{"id": 5, "u": 0, "value": 1.0, "shift": [1]}]}
@@ -404,6 +412,10 @@ class TestUnroll:
         _, base_out, _ = run(capsys, "barcode", str(fixture_paths[0]), "--csv")
         _, rolled_out, _ = run(capsys, "barcode", str(rolled), "--csv")
         assert base_out == rolled_out
+
+    @pytest.mark.parametrize("spec", ["2,0;0,1;", ";2,0; ;0,1", "2,0;0,1 ; "])
+    def test_empty_sublattice_rows_skipped(self, spec):
+        assert parse_sublattice(spec, 2) == parse_sublattice("2,0;0,1", 2)
 
     def test_bad_matrix(self, capsys, fixture_paths):
         code, _, err = run(capsys, "unroll", str(fixture_paths[0]), "--sublattice", "1,1;1,1")

@@ -106,6 +106,10 @@ class TestRecordTemplates:
         assert jsonfmt.floats([1.0, None, float("inf"), float("nan")]) == [
             "1.0", "null", "Infinity", "NaN"]
 
+    def test_floats_write_negative_infinity(self):
+        assert jsonfmt.floats([-float("inf"), 1.0]) == ["-Infinity", "1.0"]
+        assert jsonfmt.floats([-float("inf")]) == [reference(-float("inf"))]
+
     def test_distinct_keys_values_by_their_bits(self):
         xs = [0.1, -0.0, 0.0, 0.1, 1e22, -0.0]
         texts, index = jsonfmt.distinct(np.array(xs))

@@ -51,6 +51,25 @@ def random_unimodular(rng, d, ops=12):
     return cols
 
 
+class TestIntMatrix:
+    @pytest.mark.parametrize("make,message", [
+        (lambda: IntMatrix.from_rows([[1, 2], [3]]), "ragged rows"),
+        (lambda: IntMatrix.from_rows([]), "at least one row"),
+        (lambda: IntMatrix(0, ()), "at least one row"),
+        (lambda: IntMatrix.from_rows([[1, 2]]).det(), "determinant of a non-square matrix"),
+    ])
+    def test_refusals(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+
+class TestRealBasis:
+    @pytest.mark.parametrize("columns", [[[1.0, 0.0]], [[1.0], [2.0]], []])
+    def test_non_square_refused(self, columns):
+        with pytest.raises(ValueError, match="square d x d"):
+            RealBasis(columns)
+
+
 class TestHnfReduce:
     def test_known_reduction(self):
         got = hnf_reduce([(1, 1, 0), (2, 0, 0)])
@@ -445,6 +464,16 @@ class TestCosets:
             with pytest.raises(ValueError, match="ambient dimension"):
                 reduce_mod(h, v)
 
+    def test_solve_rejects_wrong_length(self):
+        h = hnf_reduce([(2, 0)])
+        for v in ((2, 0, 0), (2,)):
+            with pytest.raises(ValueError, match="ambient dimension"):
+                solve(h, v)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="must be square"):
+            coset_reps(IntMatrix.from_rows([[1, 0]]))
+
     def test_canonical_coset_idempotent(self):
         rng = random.Random(11)
         trials = 0
@@ -503,6 +532,15 @@ class TestCountCosetsInBall:
         devs = [abs(count_cosets_in_ball(I2, l, r) - 2 * math.sqrt(2) * r)
                 for r in (25.0, 50.0, 100.0)]
         assert all(dev <= 5 for dev in devs)
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0])
+    def test_radius_not_positive_rejected(self, radius):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            count_cosets_in_ball(I2, SublatticeBasis.empty(2), radius)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="ambient dimension mismatch"):
+            count_cosets_in_ball(I2, SublatticeBasis.empty(3), 1.0)
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):

@@ -442,6 +442,55 @@ class TestInvariants:
             assert mergers + cat_only + noops == g.m
 
 
+class TestConstructor:
+    # two roots born at 0.0 in d = 1, one epoch each on the zero lattice;
+    # each case breaks the rule that a beam's first epoch starts at its birth
+    TWO_ROOTS = dict(birth=[0.0, 0.0], birth_vertex=[0, 1], death=[math.inf, math.inf],
+                     parent=[-1, -1], merge_edge=[0, 0], offsets=[0, 1, 2], start=[0.0, 0.0],
+                     catenation=[False, False], cell=[0, 0], lattice=[0, 0],
+                     lattices=[SublatticeBasis.empty(1)], coeffs=[0.5])
+
+    @pytest.mark.parametrize("change,message", [
+        # beam 1's only epoch starts at 0.5: monomial(1, 0.25) read beam 0's
+        (dict(start=[0.0, 0.5]), "first epoch must start at its birth"),
+        # a start of -0.0 equals a birth of 0.0, but its text differs
+        (dict(start=[0.0, -0.0]), "first epoch must start at its birth"),
+        (dict(birth=[-0.0, 0.0]), "first epoch must start at its birth"),
+        # beam 1 has no epoch
+        (dict(offsets=[0, 1, 1], start=[0.0], catenation=[False], cell=[0], lattice=[0]),
+         "first epoch must start at its birth"),
+        (dict(offsets=[0, 2]), "epoch offsets"),
+        (dict(offsets=[0, 1, 2, 2]), "epoch offsets"),
+        (dict(offsets=[1, 1, 2]), "epoch offsets"),
+        (dict(offsets=[0, 1, 1]), "epoch offsets"),   # ends before the last epoch
+    ])
+    def test_refuses_a_beam_not_starting_at_its_birth(self, change, message):
+        PeriodicMergeTree(1, **self.TWO_ROOTS)
+        with pytest.raises(ValueError, match=message):
+            PeriodicMergeTree(1, **{**self.TWO_ROOTS, **change})
+
+    def test_built_trees_construct_again(self):
+        # build and tree_of keep each birth's bits in its first epoch's
+        # start, -0.0 included, so their trees are made again from their
+        # columns and from their beams; the signed graph's loop opens an
+        # epoch at vertex 0's birth
+        signed = parse({"dim": 1, "basis": [[1.0]],
+                        "vertices": [{"id": i, "value": x} for i, x in enumerate((-0.0, 0.0, -0.0))],
+                        "edges": [{"id": 3, "u": 0, "v": 0, "value": 0.0, "shift": [1]},
+                                  {"id": 4, "u": 1, "v": 2, "value": 0.5, "shift": [0]}]})
+        assert np.signbit(build(signed).birth).tolist() == [True, False, True]
+        rng = random.Random(21)
+        graphs = [signed, parse(fig3_left_doc()), parse(helix_cross_doc()), level_chain(50)]
+        graphs += [random_periodic_graph(rng, dim=rng.randint(1, 3), n=rng.randint(1, 20),
+                                         m=rng.randint(0, 50), tie_values=True) for _ in range(30)]
+        for g in graphs:
+            tree = build(g)
+            columns = {name: getattr(tree, name) for name in PeriodicMergeTree.__slots__[1:]}
+            assert view(PeriodicMergeTree(tree.dim, **columns)) == view(tree)
+            assert view(oracles.tree_of(g.dim, view(tree))) == view(tree)
+            assert view(oracles.tree_of(g.dim, oracles.oracle_build(g).beams)) == view(tree)
+
+
 class TestSplinters:
     def test_identity(self, fig3_left):
         t = build(fig3_left)

@@ -368,6 +368,16 @@ class TestCellularL1:
         with pytest.raises(GraphError):
             cellular_l1(fig3_left, helix_cross)
 
+    def test_vertex_ids_differ(self, fig3_left):
+        # the same edges on renamed vertices: endpoints are positions, so
+        # only the vertex ids tell the two apart
+        g = fig3_left
+        ids = g.ids.copy()
+        ids[0] = ids.max() + 1
+        renamed = PeriodicGraph(g.dim, g.basis, ids, g.values, g.raw, g.u, g.v, g.table, g.which)
+        with pytest.raises(GraphError, match="vertex ids differ"):
+            cellular_l1(g, renamed)
+
 
 class TestUnroll:
     def test_doubling(self, fig3_left):
@@ -488,3 +498,8 @@ class TestUnroll:
     def test_singular_rejected(self, fig3_left):
         with pytest.raises(GraphError):
             unroll(fig3_left, IntMatrix.from_rows([[1, 1], [1, 1]]))
+
+    @pytest.mark.parametrize("rows", [[[2, 0]], [[2], [0]], [[2, 0, 0], [0, 1, 0]]])
+    def test_non_square_matrix_rejected(self, fig3_left, rows):
+        with pytest.raises(GraphError, match="must be d x d"):
+            unroll(fig3_left, IntMatrix.from_rows(rows))
