@@ -489,10 +489,11 @@ def count_cosets_in_ball(u: RealBasis, l: SublatticeBasis, radius: float,
     The ball test is made on U.T.m, whose terms are short, and only the
     points kept are mapped back by n = T.m, in Python ints.  Raises
     BudgetExceeded if that box holds more than `budget` points, or if its
-    size leaves the float range.
+    size leaves the float range; a radius not positive and finite is a
+    ValueError.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not 0 < radius < math.inf:   # NaN too
+        raise ValueError("radius must be positive and finite")
     if l.dim != u.dim:
         raise ValueError("ambient dimension mismatch")
     d = u.dim

@@ -13,15 +13,18 @@ Three event kinds drive the tree: appearances, mergers, and catenations.
 
 The tree is held as columns, with no object per beam or epoch.  Beams are
 numbered in elder order, (birth, birth_vertex), the order `build` makes
-them in; per beam there are `birth`, `birth_vertex`, `death` (inf for a
-root), `parent` (-1 for a root) and `merge_edge` (the edge of the merger
-that ends a beam with a parent).  Epochs are beam-major, beam b's being
-rows `offsets[b]:offsets[b + 1]` in increasing start, at least one, the
-first at its birth bit for bit (the constructor raises ValueError if not);
-per epoch there are `start`, `catenation` (the epoch was opened by a
-catenation of the edge `cell`) and `lattice`, its index in `lattices`, a
-table of lattices (its order is not the tree's; `build`'s holds each
-distinct lattice once).  A monomial's coefficient and exponent depend on the
+them in; per beam there are `death` (inf for a root and only there),
+`parent` (-1 for a root, else an elder beam) and `merge_edge` (the edge of
+the merger that ends a beam with a parent).  Epochs are beam-major, beam
+b's being rows `offsets[b]:offsets[b + 1]`, at least one, their starts
+non-decreasing and none past its death; per epoch there are `start`,
+`catenation`, `cell`, the cell of the event that opened the epoch (the
+vertex of the beam's appearance for its first epoch, the edge of a
+catenation, 0 for a lattice a merger hands over), and `lattice`, its index
+in `lattices`, a table of lattices (its order is not the tree's; `build`'s
+holds each distinct lattice once).  A beam is born with its first epoch, so
+its `birth` and `birth_vertex` are that epoch's start and cell, derived and
+not passed.  A monomial's coefficient and exponent depend on the
 lattice alone, so they are held once per table entry: `coeffs` per entry,
 and the exponent d minus the entry's rank (`exps`); an epoch's `coeff` and
 `exp` are gathered through `lattice`.
@@ -62,16 +65,23 @@ class Event:
 
 class PeriodicMergeTree:
     """Beam and epoch columns (see the module docstring); the critical-event
-    log is derived from them."""
+    log is derived from them.
+
+    The constructor takes 11 columns and derives `birth` and `birth_vertex`
+    from the first epochs.  It raises ValueError unless `offsets` runs from
+    0 to the epoch count in n + 1 steps of at least one (n the deaths), the
+    per-beam and per-epoch columns have n and epoch-count entries, `lattice`
+    indexes the table and `coeffs` has one entry per lattice, no first epoch
+    is a catenation, (birth, birth_vertex) strictly increases, each parent is
+    an elder beam, the deaths are inf exactly for the roots, and the starts
+    do not decrease within a beam nor pass its death."""
 
     __slots__ = ("dim", "birth", "birth_vertex", "death", "parent", "merge_edge", "offsets",
                  "start", "catenation", "cell", "lattice", "lattices", "coeffs")
 
-    def __init__(self, dim, *, birth, birth_vertex, death, parent, merge_edge,
-                 offsets, start, catenation, cell, lattice, lattices, coeffs):
+    def __init__(self, dim, *, death, parent, merge_edge, offsets, start, catenation, cell,
+                 lattice, lattices, coeffs):
         self.dim = dim
-        self.birth = np.asarray(birth, dtype=float)
-        self.birth_vertex = np.asarray(birth_vertex, dtype=np.int64)
         self.death = np.asarray(death, dtype=float)
         self.parent = np.asarray(parent, dtype=np.int64)
         self.merge_edge = np.asarray(merge_edge, dtype=np.int64)
@@ -82,12 +92,31 @@ class PeriodicMergeTree:
         self.lattice = np.asarray(lattice, dtype=np.int64)
         self.lattices = list(lattices)
         self.coeffs = np.asarray(coeffs, dtype=float)
-        n, offsets = len(self.birth), self.offsets
-        if len(offsets) != n + 1 or offsets[0] != 0 or offsets[-1] != len(self.start):
+        n, offsets, epochs = len(self.death), self.offsets, len(self.start)
+        if len(offsets) != n + 1 or offsets[0] != 0 or offsets[-1] != epochs:
             raise ValueError("epoch offsets must run from 0 to the epoch count, n + 1 of them")
-        if (offsets[1:] <= offsets[:-1]).any() or not np.array_equal(
-                self.start[offsets[:-1]].view(np.int64), self.birth.view(np.int64)):
-            raise ValueError("every beam's first epoch must start at its birth, bit for bit")
+        if (offsets[1:] <= offsets[:-1]).any():
+            raise ValueError("every beam must have an epoch")
+        if len(self.parent) != n or len(self.merge_edge) != n:
+            raise ValueError("parent and merge_edge must have one entry per beam")
+        if not len(self.catenation) == len(self.cell) == len(self.lattice) == epochs:
+            raise ValueError("catenation, cell and lattice must have one entry per epoch")
+        if len(self.coeffs) != len(self.lattices) or not (
+                (0 <= self.lattice) & (self.lattice < len(self.lattices))).all():
+            raise ValueError("lattice must index a table of as many lattices as coeffs")
+        first = offsets[:-1]
+        if self.catenation[first].any():
+            raise ValueError("a beam's first epoch is its appearance, not a catenation")
+        birth, vertex = self.birth, self.birth_vertex = self.start[first], self.cell[first]
+        if not ((birth[1:] > birth[:-1])
+                | ((birth[1:] == birth[:-1]) & (vertex[1:] > vertex[:-1]))).all():
+            raise ValueError("beams must be numbered in increasing (birth, birth_vertex)")
+        if (self.parent >= np.arange(n)).any():
+            raise ValueError("a beam's parent must be an elder beam")
+        if not np.array_equal(self.death == math.inf, self.parent < 0):
+            raise ValueError("death must be inf for the roots and for them alone")
+        if not (self.start <= self.epoch_ends()).all():
+            raise ValueError("epoch starts must not decrease within a beam or pass its death")
 
     @property
     def beams(self) -> range:
@@ -550,16 +579,15 @@ def build(graph: PeriodicGraph) -> PeriodicMergeTree:
     rows = np.argsort(beam, kind="stable")
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(beam, minlength=n), out=offsets[1:])
-    birth = graph.values[vertices]
 
     def column(births, rest, dtype):
         return np.concatenate((births, np.array(rest, dtype=dtype)))[rows]
 
     return PeriodicMergeTree(
-        d, birth=birth, birth_vertex=graph.ids[vertices], death=death, parent=parent,
-        merge_edge=merge_edge, offsets=offsets, start=column(birth, start, float),
+        d, death=death, parent=parent, merge_edge=merge_edge, offsets=offsets,
+        start=column(graph.values[vertices], start, float),
         catenation=column(np.zeros(n, bool), cat, bool),
-        cell=column(np.zeros(n, np.int64), cell, np.int64),
+        cell=column(graph.ids[vertices], cell, np.int64),
         lattice=column(np.zeros(n, np.int64), lat, np.int64), lattices=lattices, coeffs=coeffs)
 
 
@@ -892,12 +920,12 @@ def splinters(tprime: PeriodicMergeTree, tree: PeriodicMergeTree) -> bool:
     def even_split(b: int, i: int, pool: list, ats: list, t: float, pos: float) -> bool:
         """On (t, pos) the monomials are constant; each preimage carries 1/k.
         i and ats are the last cuts below pos of b and of the pool beams,
-        so each beam's span at t is the one active from its cut."""
+        so each beam's span at t is the one active from its cut.  b has one
+        below pos when t < pos: t is b's birth or a stop of b or of a pool
+        beam, none born before b, and b's first span starts at its birth."""
         if pos <= t:
             return True
-        r = tact[i] if i >= tcoff[b] and tcut[i] <= t else -1
-        if r < 0:
-            return False
+        r = tact[i]
         share, exp = tcoeff[r] / len(pool), texp[r]
         for w, k in zip(pool, ats):
             r = pact[k] if k >= pcoff[w] and pcut[k] <= t else -1

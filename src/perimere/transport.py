@@ -146,7 +146,9 @@ def _ship(xs: list, mx: list, ys: list, my: list):
 
     Nodes are X (0..nx-1), Y (nx..nx+ny-1), source, sink and diagonal; the
     diagonal also takes up the difference between supply and demand.
-    Returns (shipped, wanted, cost) in scaled mass units.
+    Returns the cost in scaled mass units.  Every round reaches the sink:
+    the diagonal takes every finite mass, the pair arcs among the essential
+    points are complete, and `_masses` gives both sides one essential total.
     """
     nx, ny = len(xs), len(ys)
     n = nx + ny + 3
@@ -263,7 +265,7 @@ def _ship(xs: list, mx: list, ys: list, my: list):
                     dist[v], par[v], lim[v] = nd, u, nd - SLACK
                     heapq.heappush(heap, (nd, v))
         if par[dst] < 0:
-            break
+            raise AssertionError("a transport round did not reach the sink")
         reached = np.array(dist)
         np.add(pot, reached, out=pot, where=reached < inf)
 
@@ -284,7 +286,7 @@ def _ship(xs: list, mx: list, ys: list, my: list):
             show(u, v)
             show(v, u)
         shipped += push
-    return shipped, want, total
+    return total
 
 
 def w1(xi: dict, eta: dict) -> float:
@@ -300,9 +302,7 @@ def w1(xi: dict, eta: dict) -> float:
         return math.inf
     sx, sy, scale = masses
     xs, ys = sorted(sx), sorted(sy)
-    shipped, want, cost = _ship(xs, [sx[x] for x in xs], ys, [sy[y] for y in ys])
-    if shipped < want:
-        return math.inf
+    cost = _ship(xs, [sx[x] for x in xs], ys, [sy[y] for y in ys])
     if not math.isfinite(cost):
         raise OverflowError("transport cost out of float range")
     return cost / scale

@@ -1127,17 +1127,17 @@ def tree_of(dim: int, beams: list) -> PeriodicMergeTree:
     its epochs' (lattice, coeff) pairs interned by value into the table in
     order of first use: a hand-built tree may give one lattice several
     coefficients, and then lists it once per coefficient.  An epoch's exp is
-    d minus its lattice's rank."""
+    d minus its lattice's rank.  A beam's birth is its first epoch's start,
+    and its birth vertex is written as that epoch's cell."""
     epochs = [ep for b in beams for ep in b.epochs]
     table = {}   # (lattice, coeff) -> its table index
     lattice = [table.setdefault((ep.basis, ep.coeff), len(table)) for ep in epochs]
     return PeriodicMergeTree(
         dim,
-        birth=[b.birth for b in beams], birth_vertex=[b.birth_vertex for b in beams],
         death=[b.death for b in beams],
         parent=[-1 if b.parent is None else b.parent for b in beams],
         merge_edge=[0 if b.merge_edge is None else b.merge_edge for b in beams],
         offsets=np.cumsum([0] + [len(b.epochs) for b in beams]),
         start=[ep.start for ep in epochs], catenation=[ep.cell is not None for ep in epochs],
-        cell=[0 if ep.cell is None else ep.cell for ep in epochs],
+        cell=[c for b in beams for c in (b.birth_vertex, *(ep.cell or 0 for ep in b.epochs[1:]))],
         lattice=lattice, lattices=[lat for lat, _ in table], coeffs=[c for _, c in table])

@@ -41,6 +41,12 @@ class TestValidate:
         assert code == 0
         assert out == "n=5 m=8 D=1 connected\n"
 
+    def test_graph_without_cells(self, capsys, tmp_path):
+        # no vertex to start a search from: an empty graph is connected
+        p = tmp_path / "no_cells.json"
+        p.write_text(json.dumps({"dim": 1, "basis": [[1.0]], "vertices": [], "edges": []}))
+        assert run(capsys, "validate", str(p)) == (0, "n=0 m=0 D=0 connected\n", "")
+
     def test_empty_file(self, capsys, tmp_path):
         p = tmp_path / "empty.json"
         p.write_text("")

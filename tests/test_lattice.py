@@ -57,6 +57,7 @@ class TestIntMatrix:
         (lambda: IntMatrix.from_rows([]), "at least one row"),
         (lambda: IntMatrix(0, ()), "at least one row"),
         (lambda: IntMatrix.from_rows([[1, 2]]).det(), "determinant of a non-square matrix"),
+        (lambda: IntMatrix(2, ((1,),)), "column length does not match row count"),
     ])
     def test_refusals(self, make, message):
         with pytest.raises(ValueError, match=message):
@@ -470,6 +471,11 @@ class TestCosets:
             with pytest.raises(ValueError, match="ambient dimension"):
                 solve(h, v)
 
+    def test_solve_refuses_a_zero_column(self):
+        # a basis of the constructor's, not of hnf_reduce's, may hold one
+        with pytest.raises(ValueError, match="zero column has no pivot"):
+            solve(SublatticeBasis(2, ((0, 0),)), (0, 0))
+
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="must be square"):
             coset_reps(IntMatrix.from_rows([[1, 0]]))
@@ -533,7 +539,7 @@ class TestCountCosetsInBall:
                 for r in (25.0, 50.0, 100.0)]
         assert all(dev <= 5 for dev in devs)
 
-    @pytest.mark.parametrize("radius", [0.0, -1.0])
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
     def test_radius_not_positive_rejected(self, radius):
         with pytest.raises(ValueError, match="radius must be positive"):
             count_cosets_in_ball(I2, SublatticeBasis.empty(2), radius)

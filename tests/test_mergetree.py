@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 import time
@@ -443,22 +444,28 @@ class TestInvariants:
 
 
 class TestConstructor:
-    # two roots born at 0.0 in d = 1, one epoch each on the zero lattice;
-    # each case breaks the rule that a beam's first epoch starts at its birth
-    TWO_ROOTS = dict(birth=[0.0, 0.0], birth_vertex=[0, 1], death=[math.inf, math.inf],
-                     parent=[-1, -1], merge_edge=[0, 0], offsets=[0, 1, 2], start=[0.0, 0.0],
-                     catenation=[False, False], cell=[0, 0], lattice=[0, 0],
-                     lattices=[SublatticeBasis.empty(1)], coeffs=[0.5])
+    # two roots born at 0.0 in d = 1, at vertices 0 and 1, one epoch each on
+    # the zero lattice; each case breaks a rule the readers of a tree assume
+    TWO_ROOTS = dict(death=[math.inf, math.inf], parent=[-1, -1], merge_edge=[0, 0],
+                     offsets=[0, 1, 2], start=[0.0, 0.0], catenation=[False, False],
+                     cell=[0, 1], lattice=[0, 0], lattices=[SublatticeBasis.empty(1)],
+                     coeffs=[0.5])
+    # beam 1 a child of beam 0, dying at 2.0, its second epoch opened at 1.0
+    # by a catenation of edge 5
+    CHILD = dict(TWO_ROOTS, death=[math.inf, 2.0], parent=[-1, 0], merge_edge=[0, 4],
+                 offsets=[0, 1, 3], start=[0.0, 0.0, 1.0], catenation=[False, False, True],
+                 cell=[0, 1, 5], lattice=[0, 0, 0])
 
     @pytest.mark.parametrize("change,message", [
-        # beam 1's only epoch starts at 0.5: monomial(1, 0.25) read beam 0's
-        (dict(start=[0.0, 0.5]), "first epoch must start at its birth"),
-        # a start of -0.0 equals a birth of 0.0, but its text differs
-        (dict(start=[0.0, -0.0]), "first epoch must start at its birth"),
-        (dict(birth=[-0.0, 0.0]), "first epoch must start at its birth"),
+        # beam 1's first epoch is a catenation, not its appearance
+        (dict(catenation=[False, True]), "not a catenation"),
+        # beams out of (birth, birth_vertex) order: events listed the
+        # appearance at 1.0 before the one at 0.0
+        (dict(start=[1.0, 0.0]), r"increasing \(birth, birth_vertex\)"),
+        (dict(cell=[1, 1]), r"increasing \(birth, birth_vertex\)"),
         # beam 1 has no epoch
         (dict(offsets=[0, 1, 1], start=[0.0], catenation=[False], cell=[0], lattice=[0]),
-         "first epoch must start at its birth"),
+         "every beam must have an epoch"),
         (dict(offsets=[0, 2]), "epoch offsets"),
         (dict(offsets=[0, 1, 2, 2]), "epoch offsets"),
         (dict(offsets=[1, 1, 2]), "epoch offsets"),
@@ -468,6 +475,44 @@ class TestConstructor:
         PeriodicMergeTree(1, **self.TWO_ROOTS)
         with pytest.raises(ValueError, match=message):
             PeriodicMergeTree(1, **{**self.TWO_ROOTS, **change})
+
+    @pytest.mark.parametrize("base,change,message", [
+        # a short column: numpy broadcast death=[3.0] to both beams, and
+        # parent=[-1] made beam 0 the only root
+        ("TWO_ROOTS", dict(death=[3.0]), "epoch offsets"),
+        ("TWO_ROOTS", dict(parent=[-1]), "one entry per beam"),
+        ("TWO_ROOTS", dict(merge_edge=[0, 0, 0]), "one entry per beam"),
+        ("CHILD", dict(catenation=[False, False]), "one entry per epoch"),
+        ("CHILD", dict(cell=[0, 1, 5, 6]), "one entry per epoch"),
+        ("CHILD", dict(lattice=[0, 0]), "one entry per epoch"),
+        ("TWO_ROOTS", dict(lattice=[0, 1]), "lattice must index"),
+        ("TWO_ROOTS", dict(lattice=[0, -1]), "lattice must index"),
+        ("TWO_ROOTS", dict(coeffs=[0.5, 0.25]), "lattice must index"),
+        # the elder order: parents before children, inf deaths for the roots
+        ("CHILD", dict(parent=[-1, 1]), "parent must be an elder"),
+        ("CHILD", dict(parent=[1, -1], death=[2.0, math.inf]), "parent must be an elder"),
+        ("CHILD", dict(death=[math.inf, math.inf]), "death must be inf for the roots"),
+        ("TWO_ROOTS", dict(death=[math.inf, 3.0]), "death must be inf for the roots"),
+        ("CHILD", dict(death=[math.inf, math.nan]), "pass its death"),
+        # an epoch starting before the one it follows, or after the death
+        ("CHILD", dict(start=[0.0, 0.0, -1.0]), "must not decrease"),
+        ("CHILD", dict(start=[0.0, 0.0, 2.5]), "pass its death"),
+    ])
+    def test_refuses_columns_the_readers_misread(self, base, change, message):
+        columns = getattr(self, base)
+        PeriodicMergeTree(1, **columns)
+        with pytest.raises(ValueError, match=message):
+            PeriodicMergeTree(1, **{**columns, **change})
+
+    def test_birth_is_the_first_epoch(self):
+        # an epoch may start at its beam's birth, or at its death
+        tree = PeriodicMergeTree(1, **{**self.CHILD, "start": [-0.0, 0.0, 2.0]})
+        assert tree.birth.tolist() == [0.0, 0.0] and np.signbit(tree.birth).tolist() == [True, False]
+        assert tree.birth_vertex.tolist() == [0, 1]
+        assert [(e.kind, e.cell) for e in tree.events] == [
+            ("appearance", 0), ("appearance", 1), ("merger", 4), ("catenation", 5)]
+        with pytest.raises(TypeError):
+            PeriodicMergeTree(1, birth=[0.0, 0.0], **self.TWO_ROOTS)
 
     def test_built_trees_construct_again(self):
         # build and tree_of keep each birth's bits in its first epoch's
@@ -479,13 +524,14 @@ class TestConstructor:
                         "edges": [{"id": 3, "u": 0, "v": 0, "value": 0.0, "shift": [1]},
                                   {"id": 4, "u": 1, "v": 2, "value": 0.5, "shift": [0]}]})
         assert np.signbit(build(signed).birth).tolist() == [True, False, True]
+        keywords = list(inspect.signature(PeriodicMergeTree).parameters)[1:]   # all but dim
         rng = random.Random(21)
         graphs = [signed, parse(fig3_left_doc()), parse(helix_cross_doc()), level_chain(50)]
         graphs += [random_periodic_graph(rng, dim=rng.randint(1, 3), n=rng.randint(1, 20),
                                          m=rng.randint(0, 50), tie_values=True) for _ in range(30)]
         for g in graphs:
             tree = build(g)
-            columns = {name: getattr(tree, name) for name in PeriodicMergeTree.__slots__[1:]}
+            columns = {name: getattr(tree, name) for name in keywords}
             assert view(PeriodicMergeTree(tree.dim, **columns)) == view(tree)
             assert view(oracles.tree_of(g.dim, view(tree))) == view(tree)
             assert view(oracles.tree_of(g.dim, oracles.oracle_build(g).beams)) == view(tree)
